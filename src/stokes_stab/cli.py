@@ -19,8 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, estimator, forms, mesh as meshmod, solver, study
 from .space import ElementPair, FeSpace
 
@@ -136,7 +134,7 @@ def _printed(x):
 
 
 def write_table_csv(path, rows):
-    """Rows are dicts with the full column set except `rate`.
+    """Rows are study.LevelRow objects; `rate` is computed here.
 
     The rate column is log2 of the ratio of successive combined errors
     (eta when no closed form is available), computed from the printed
@@ -147,20 +145,17 @@ def write_table_csv(path, rows):
     lines = [header]
     prev = None
     for row in rows:
-        e1 = _printed(row["err_H1_u"])
-        e0 = _printed(row["err_L2_p"])
-        cur = e1 + e0
+        cur = _printed(row.err_H1_u) + _printed(row.err_L2_p)
         if math.isnan(cur):
-            cur = _printed(row["eta"])
+            cur = _printed(row.eta)
         rate = ""
         if prev is not None and prev > 0 and cur > 0:
             rate = _fmt(math.log2(prev / cur))
         prev = cur
         lines.append(",".join([
-            str(row["level"]), _fmt(row["h"]), str(row["n_u"]),
-            str(row["n_p"]), _fmt(row["err_H1_u"]), _fmt(row["err_L2_p"]),
-            _fmt(row["eta"]), _fmt(row["osc_f"]),
-            _fmt(row["effectivity"]), rate,
+            str(row.level), _fmt(row.h), str(row.n_u), str(row.n_p),
+            _fmt(row.err_H1_u), _fmt(row.err_L2_p), _fmt(row.eta),
+            _fmt(row.osc_f), _fmt(row.effectivity), rate,
         ]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -225,15 +220,9 @@ def _out_dir(cfg):
     return out
 
 
-def _norm_rows_from_table(table):
-    rows = []
-    for r in table.rows:
-        rows.append({
-            "level": r.level, "h": r.h, "n_u": r.n_u, "n_p": r.n_p,
-            "err_H1_u": r.err_H1_u, "err_L2_p": r.err_L2_p,
-            "eta": r.eta, "osc_f": r.osc_f, "effectivity": r.effectivity,
-        })
-    return rows
+def _write_vtk_row(out, row, title):
+    write_vtk(out / f"solution_{row.level}.vtk", row.mesh, row.u, row.p,
+              row.eta_K, title=title)
 
 
 def cmd_solve(cfg):
@@ -245,22 +234,11 @@ def cmd_solve(cfg):
     system = forms.assemble_system(space, problem)
     sol = solver.solve(system)
     rep = estimator.global_report(sol, space, problem)
+    row = study.level_row(0, space, sol, rep)
 
     out = _out_dir(cfg)
-    if rep.true_errors is not None:
-        e1 = rep.true_errors["err_H1_u"]
-        e0 = rep.true_errors["err_L2_p"]
-        eff = rep.effectivity
-    else:
-        e1 = e0 = eff = float("nan")
-    write_table_csv(out / "table.csv", [{
-        "level": 0, "h": float(mesh.diameters.max()),
-        "n_u": space.n_u, "n_p": space.n_p,
-        "err_H1_u": e1, "err_L2_p": e0, "eta": rep.eta, "osc_f": rep.osc_f,
-        "effectivity": eff,
-    }])
-    write_vtk(out / "solution_0.vtk", mesh, sol.u, sol.p, rep.eta_K,
-              title=f"{case.name} {pair.label}")
+    write_table_csv(out / "table.csv", [row])
+    _write_vtk_row(out, row, f"{case.name} {pair.label}")
     write_manifest(out / "manifest.txt", cfg, "solve", system.alpha,
                    system.c_i, system.quad_degrees)
     print(f"{case.name} {pair.label}: {mesh.n_triangles} triangles, "
@@ -274,24 +252,12 @@ def cmd_uniform_study(cfg):
     table = study.uniform_study(case, pair, cfg["levels"],
                                 alpha=cfg["alpha"], n0=cfg["n0"])
     out = _out_dir(cfg)
-    write_table_csv(out / "table.csv", _norm_rows_from_table(table))
-
-    # re-solve per level for the field output
-    mesh = case.make_mesh(cfg["n0"] or case.default_n0)
-    problem = case.problem(alpha=table.alpha)
-    quad_degrees = None
-    for level in range(cfg["levels"]):
-        if level > 0:
-            mesh = mesh.refine_uniform()
-        space = FeSpace(mesh, pair)
-        system = forms.assemble_system(space, problem)
-        quad_degrees = system.quad_degrees
-        sol = solver.solve(system)
-        rep = estimator.global_report(sol, space, problem)
-        write_vtk(out / f"solution_{level}.vtk", mesh, sol.u, sol.p,
-                  rep.eta_K, title=f"{case.name} {pair.label} level {level}")
+    write_table_csv(out / "table.csv", table.rows)
+    for row in table.rows:
+        _write_vtk_row(out, row,
+                       f"{case.name} {pair.label} level {row.level}")
     write_manifest(out / "manifest.txt", cfg, "uniform-study", table.alpha,
-                   table.c_i, quad_degrees)
+                   table.c_i, table.quad_degrees)
     print(table)
     return EXIT_OK
 
@@ -304,39 +270,15 @@ def cmd_adaptive_study(cfg):
                                target_eta=cfg["target_eta"],
                                alpha=cfg["alpha"], n0=cfg["n0"])
     out = _out_dir(cfg)
-    problem = case.problem(alpha=log.alpha)
-    rows = []
-    quad_degrees = None
-    c_i = None
     for step in log.steps:
-        space = FeSpace(step.mesh, pair)
-        system = forms.assemble_system(space, problem)
-        quad_degrees = system.quad_degrees
-        c_i = system.c_i
-        sol = solver.solve(system)
-        rep = estimator.global_report(sol, space, problem)
-        if rep.true_errors is not None:
-            e1 = rep.true_errors["err_H1_u"]
-            e0 = rep.true_errors["err_L2_p"]
-            eff = rep.effectivity
-        else:
-            e1 = e0 = eff = float("nan")
-        rows.append({
-            "level": step.iteration, "h": step.h_max,
-            "n_u": space.n_u, "n_p": space.n_p,
-            "err_H1_u": e1, "err_L2_p": e0, "eta": rep.eta,
-            "osc_f": rep.osc_f, "effectivity": eff,
-        })
-        write_vtk(out / f"solution_{step.iteration}.vtk", step.mesh,
-                  sol.u, sol.p, rep.eta_K,
-                  title=f"{case.name} {pair.label} iteration "
-                        f"{step.iteration}")
+        _write_vtk_row(out, step.row, f"{case.name} {pair.label} "
+                                      f"iteration {step.iteration}")
         print(f"iter {step.iteration}: {step.n_triangles} triangles, "
               f"{step.n_dofs} dofs, eta = {step.eta:.6e}, "
               f"marked {len(step.marked)}")
-    write_table_csv(out / "table.csv", rows)
+    write_table_csv(out / "table.csv", [step.row for step in log.steps])
     write_manifest(out / "manifest.txt", cfg, "adaptive-study", log.alpha,
-                   c_i, quad_degrees)
+                   log.c_i, log.quad_degrees)
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
+from .mesh import NEUMANN, REF_VERTICES, MeshError
 from .space import FeSpace, interpolate, physical_points, scalar_basis
 
 
@@ -272,7 +273,6 @@ def assemble_F(space, problem, quad_degree=None, edge_degree=None):
 
 
 def _neumann_load(space, traction, edge_degree=None):
-    from .mesh import NEUMANN, REF_VERTICES
     k = space.pair.velocity_degree
     s, w = edge_quadrature(edge_degree or 2 * k + 2)
     mesh = space.mesh
@@ -380,7 +380,9 @@ def estimate_CI(space):
     C_I is 1 / max_K sup_v h_K^2 ||div D(v)||_K^2 / ||D(v)||_K^2, the
     supremum taken over the local velocity space (rigid motions, the
     kernel of D, excluded). P1 velocity has div D(v) = 0 identically,
-    so the bound is infinite and every alpha > 0 is admissible.
+    so the bound is infinite and every alpha > 0 is admissible. Raises
+    MeshError when an element is too degenerate to separate the rigid
+    motions. FeSpace.c_i keeps the value of a space.
     """
     if space.pair.velocity_degree == 1:
         return math.inf
@@ -390,8 +392,8 @@ def estimate_CI(space):
     gap_ok = wD[:, 3] > 1e-8 * wD[:, -1]
     small_ok = wD[:, 2] < 1e-8 * wD[:, -1]
     if not (gap_ok.all() and small_ok.all()):
-        raise RuntimeError("rigid-motion kernel of the strain pencil "
-                           "not cleanly separated; degenerate element?")
+        raise MeshError("rigid-motion kernel of the strain pencil "
+                        "not cleanly separated; degenerate element?")
     W = V[:, :, 3:] / np.sqrt(wD[:, None, 3:])
     At = np.einsum("eks,ekl,elt->est", W, M_A, W)
     At = 0.5 * (At + At.transpose(0, 2, 1))
@@ -403,7 +405,7 @@ def default_alpha(space):
     """Default stabilization parameter: 0.1 for P1, C_I/4 for P2."""
     if space.pair.velocity_degree == 1:
         return 0.1
-    return estimate_CI(space) / 4.0
+    return space.c_i / 4.0
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +461,7 @@ def assemble_system(space, problem, quad_degree=None):
     alpha = float(alpha)
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    c_i = estimate_CI(space)
+    c_i = space.c_i
     if alpha >= c_i:
         raise InadmissibleAlphaError(
             f"alpha = {alpha:.6g} is not below the inverse-inequality "

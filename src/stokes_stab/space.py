@@ -135,6 +135,12 @@ class FeSpace:
         return self.elem_nodes.shape[1]
 
     @cached_property
+    def c_i(self):
+        """Inverse-inequality constant C_I, computed once on first use."""
+        from . import forms  # forms imports this module
+        return forms.estimate_CI(self)
+
+    @cached_property
     def free_velocity_dofs(self):
         mask = np.ones(self.n_u, dtype=bool)
         mask[self.dirichlet_dofs] = False
@@ -149,10 +155,6 @@ class FeSpace:
         tri = self.mesh.triangles if elems is None \
             else self.mesh.triangles[elems]
         return np.asarray(coefs)[tri]
-
-
-def build_space(mesh, pair):
-    return FeSpace(mesh, pair)
 
 
 # ----------------------------------------------------------------------

@@ -180,6 +180,11 @@ def get_case(name):
 
 @dataclass
 class LevelRow:
+    """One table row, with the level's mesh and fields for output.
+
+    The error columns and effectivity are NaN for estimator-only cases.
+    """
+
     level: int
     h: float
     n_u: int
@@ -189,10 +194,48 @@ class LevelRow:
     eta: float
     osc_f: float
     effectivity: float
+    mesh: object = field(default=None, repr=False, compare=False)
+    u: np.ndarray = field(default=None, repr=False, compare=False)
+    p: np.ndarray = field(default=None, repr=False, compare=False)
+    eta_K: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def combined_error(self):
         return self.err_H1_u + self.err_L2_p
+
+
+def level_row(level, space, solution, report):
+    """The table row of one solved level; true errors when available."""
+    if report.true_errors is not None:
+        e1 = report.true_errors["err_H1_u"]
+        e0 = report.true_errors["err_L2_p"]
+        eff = report.effectivity
+    else:
+        e1 = e0 = eff = float("nan")
+    return LevelRow(
+        level=level, h=float(space.mesh.diameters.max()),
+        n_u=space.n_u, n_p=space.n_p,
+        err_H1_u=e1, err_L2_p=e0, eta=report.eta, osc_f=report.osc_f,
+        effectivity=eff, mesh=space.mesh, u=solution.u, p=solution.p,
+        eta_K=report.eta_K)
+
+
+def _solve_level(space, problem, projection, where):
+    """Assemble, solve and estimate one level.
+
+    Returns the solution, its ErrorReport and the quadrature degrees
+    used; the assembled system and its factorization are dropped here.
+    """
+    system = forms.assemble_system(space, problem)
+    try:
+        sol = solver.solve(system)
+    except solver.SolverError as exc:
+        raise solver.SolverError(
+            f"{where} ({space.mesh.n_triangles} triangles): {exc}") \
+            from None
+    rep = estimator.global_report(sol, space, problem,
+                                  projection=projection)
+    return sol, rep, system.quad_degrees
 
 
 @dataclass
@@ -202,6 +245,7 @@ class ConvergenceTable:
     rates[i] is the log2 ratio of combined errors between levels i and
     i+1 (one fewer entry than rows). For estimator-only cases the error
     columns are NaN and rates fall back to the estimator eta.
+    quad_degrees are the quadrature degrees of the assembly.
     """
 
     case: str
@@ -209,6 +253,7 @@ class ConvergenceTable:
     alpha: float
     c_i: float
     rows: list = field(default_factory=list)
+    quad_degrees: dict = None
 
     def _rate_series(self):
         if self.rows and math.isfinite(self.rows[0].err_H1_u):
@@ -265,31 +310,14 @@ def uniform_study(case, pair, levels, alpha=None, n0=None,
     problem = case.problem(alpha=alpha)
 
     table = ConvergenceTable(case=case.name, pair=pair.label, alpha=alpha,
-                             c_i=forms.estimate_CI(space))
+                             c_i=space.c_i)
     for level in range(levels):
         if level > 0:
             mesh = mesh.refine_uniform()
             space = FeSpace(mesh, pair)
-        system = forms.assemble_system(space, problem)
-        try:
-            sol = solver.solve(system)
-        except solver.SolverError as exc:
-            raise solver.SolverError(
-                f"level {level} ({mesh.n_triangles} triangles): {exc}") \
-                from None
-        rep = estimator.global_report(sol, space, problem,
-                                      projection=projection)
-        if rep.true_errors is not None:
-            e1 = rep.true_errors["err_H1_u"]
-            e0 = rep.true_errors["err_L2_p"]
-            eff = rep.effectivity
-        else:
-            e1 = e0 = eff = float("nan")
-        table.rows.append(LevelRow(
-            level=level, h=float(mesh.diameters.max()),
-            n_u=space.n_u, n_p=space.n_p,
-            err_H1_u=e1, err_L2_p=e0, eta=rep.eta, osc_f=rep.osc_f,
-            effectivity=eff))
+        sol, rep, table.quad_degrees = _solve_level(
+            space, problem, projection, f"level {level}")
+        table.rows.append(level_row(level, space, sol, rep))
     return table
 
 
@@ -325,15 +353,20 @@ class AdaptiveStep:
     eta: float
     eta_K: np.ndarray
     marked: np.ndarray
+    row: LevelRow = field(repr=False)
 
 
 @dataclass
 class AdaptiveLog:
+    """Steps of the adaptive loop; c_i and quad_degrees of the last."""
+
     case: str
     pair: str
     alpha: float
     theta: float
     steps: list = field(default_factory=list)
+    c_i: float = None
+    quad_degrees: dict = None
 
     @property
     def etas(self):
@@ -370,20 +403,15 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
                       theta=theta)
 
     for it in range(max_iters):
-        system = forms.assemble_system(space, problem)
-        try:
-            sol = solver.solve(system)
-        except solver.SolverError as exc:
-            raise solver.SolverError(
-                f"iteration {it} ({mesh.n_triangles} triangles): {exc}") \
-                from None
-        rep = estimator.global_report(sol, space, problem,
-                                      projection=projection)
+        sol, rep, log.quad_degrees = _solve_level(
+            space, problem, projection, f"iteration {it}")
+        log.c_i = space.c_i
         marked = dorfler_mark(mesh, rep.eta_K, rep.eta_E, theta)
+        row = level_row(it, space, sol, rep)
         log.steps.append(AdaptiveStep(
             iteration=it, mesh=mesh, n_triangles=mesh.n_triangles,
-            n_dofs=space.n_u + space.n_p, h_max=float(mesh.diameters.max()),
-            eta=rep.eta, eta_K=rep.eta_K, marked=marked))
+            n_dofs=row.n_u + row.n_p, h_max=row.h, eta=row.eta,
+            eta_K=row.eta_K, marked=marked, row=row))
         if target_eta is not None and rep.eta <= target_eta:
             break
         if it + 1 < max_iters:

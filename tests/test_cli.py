@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stokes_stab import cli
+from stokes_stab import cli, estimator, forms, solver, study
+from stokes_stab.space import FeSpace, P2P1
 
 HANGING_MESH = """trimesh v1
 vertices 5
@@ -52,6 +53,45 @@ def test_uniform_study_artifacts(tmp_path):
     assert "quad_volume_matrix = 2" in manifest
     assert "tool = stokes-stab" in manifest
     assert "auto" not in manifest
+
+
+@pytest.mark.parametrize("args", [
+    ("uniform-study", "--case", "NEUMANN_STRIP", "--pair", "P2P1",
+     "--levels", "3", "--n0", "2"),
+    ("adaptive-study", "--case", "LSHAPE_PEAK", "--n0", "4",
+     "--max-iters", "3"),
+])
+def test_studies_solve_once_per_row(tmp_path, monkeypatch, args):
+    calls = []
+    real = solver.solve
+
+    def counting(system):
+        calls.append(system.n_u + system.n_p)
+        return real(system)
+
+    monkeypatch.setattr(solver, "solve", counting)
+    assert run_cli(*args, "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "table.csv").read_text().splitlines()[1:]
+    assert len(calls) == len(rows) == 3
+
+
+def test_uniform_study_vtk_matches_direct_solve(tmp_path):
+    out = tmp_path / "study"
+    assert run_cli("uniform-study", "--case", "NEUMANN_STRIP",
+                   "--pair", "P2P1", "--levels", "2", "--n0", "2",
+                   "--out", str(out)) == 0
+    manifest = dict(l.split(" = ") for l in
+                    (out / "manifest.txt").read_text().splitlines())
+    case = study.get_case("NEUMANN_STRIP")
+    mesh = case.make_mesh(2).refine_uniform()
+    space = FeSpace(mesh, P2P1)
+    problem = case.problem(alpha=float(manifest["alpha"]))
+    sol = solver.solve(forms.assemble_system(space, problem))
+    rep = estimator.global_report(sol, space, problem)
+    cli.write_vtk(tmp_path / "direct.vtk", mesh, sol.u, sol.p, rep.eta_K,
+                  title="NEUMANN_STRIP P2P1 level 1")
+    assert ((out / "solution_1.vtk").read_bytes()
+            == (tmp_path / "direct.vtk").read_bytes())
 
 
 def test_csv_rate_recomputable(tmp_path):
@@ -190,13 +230,20 @@ def test_solver_failure_streams_clean_at_process_exit(tmp_path):
     # nothing from a failed factorization may reach stdout, whether the
     # BLAS writes its complaints straight to fd 1 or buffers them in the
     # C-level stdout stream until the interpreter exits
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+    # the child imports the package this test imported, also when it
+    # was found through pytest's pythonpath setting rather than the env
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "stokes_stab.cli", "solve",
          "--case", "SMOOTH_SQUARE", "--pair", "P1P1",
          "--alpha", "0", "--n0", "4", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 4
     assert "illegal value" not in proc.stdout
     assert proc.stdout == ""

@@ -19,7 +19,7 @@ from stokes_stab.forms import (
     estimate_CI,
     quadrature,
 )
-from stokes_stab.mesh import unit_square
+from stokes_stab.mesh import MeshError, TriMesh, unit_square
 from stokes_stab.space import FeSpace, P1P1, P2P1, interpolate
 
 
@@ -171,6 +171,32 @@ def test_inverse_constant_bounds_random_quotients():
         den = v @ M_D[0] @ v
         if den > 1e-12:
             assert num / den <= bound * (1 + 1e-10)
+
+
+def test_inverse_constant_degenerate_element_is_mesh_error():
+    # a sliver of height 1e-9: the strain pencil cannot separate the
+    # rigid motions, a fault of the mesh rather than of the solver
+    mesh = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-9]], [[0, 1, 2]],
+                   {(0, 1): "D", (1, 2): "D", (0, 2): "D"}, validate=False)
+    with pytest.raises(MeshError, match="degenerate element"):
+        estimate_CI(FeSpace(mesh, P2P1))
+
+
+def test_inverse_constant_computed_once_per_space(monkeypatch):
+    calls = []
+    real = forms.estimate_CI
+
+    def counting(space):
+        calls.append(space)
+        return real(space)
+
+    monkeypatch.setattr(forms, "estimate_CI", counting)
+    space = FeSpace(unit_square(2), P2P1)
+    alpha = default_alpha(space)
+    problem = StokesProblem(f=lambda x, y: np.stack([x, y], axis=-1))
+    system = assemble_system(space, problem)
+    assert system.c_i == space.c_i == 4.0 * alpha
+    assert calls == [space]
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1])
