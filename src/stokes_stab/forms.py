@@ -30,7 +30,8 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
 from .mesh import NEUMANN, REF_VERTICES, MeshError
-from .space import FeSpace, interpolate, physical_points, scalar_basis
+from .space import (FeSpace, _phys_grads, _phys_hess, interpolate,
+                    physical_points, scalar_basis)
 
 
 class InadmissibleAlphaError(Exception):
@@ -137,21 +138,17 @@ def _velocity_dofs(space, elems=None):
     return out
 
 
-def _phys_grads_at(space, pts):
-    _, gref, _ = scalar_basis(space.pair.velocity_degree, pts)
-    return np.einsum("eba,qia->eqib", space.mesh.inv_jacobians_t, gref)
-
-
-def _stress_divergence_op(space, pts):
-    """(nt, nq, nbf, 2, 2) action of div D on each vector basis function.
+def _stress_divergence_op(space, pts, elems=None):
+    """(ne, nq, nbf, 2, 2) action of div D on each vector basis function.
 
     Index [..., i, c, r] is component r of div D(phi_i e_c): for
     Hessian H of the scalar function, div D(phi e_0) =
     (H00 + H11/2, H01/2) and div D(phi e_1) = (H01/2, H00/2 + H11).
+    Zero for P1 velocity.
     """
-    _, _, href = scalar_basis(space.pair.velocity_degree, pts)
-    it = space.mesh.inv_jacobians_t
-    H = np.einsum("eca,qiab,edb->eqicd", it, href, it)
+    H = _phys_hess(space, pts, elems)
+    if space.pair.velocity_degree == 1:
+        return H  # zeros, already of the output's shape
     out = np.empty(H.shape[:3] + (2, 2))
     out[..., 0, 0] = H[..., 0, 0] + 0.5 * H[..., 1, 1]
     out[..., 0, 1] = 0.5 * H[..., 0, 1]
@@ -187,7 +184,7 @@ def assemble_B(space, quad_degree=None):
     k = space.pair.velocity_degree
     rule = quadrature(quad_degree or max(2 * k, 2))
     w, pts = rule.weights, rule.points
-    g = _phys_grads_at(space, pts)
+    g = _phys_grads(space, pts)
     scale = 2.0 * space.mesh.areas
     nbf = space.n_basis
 
@@ -347,17 +344,20 @@ def velocity_scalar_mass(space, quad_degree=None):
 # ----------------------------------------------------------------------
 # inverse inequality constant
 
-def inverse_inequality_pencils(space, quad_degree=None):
+def inverse_inequality_pencils(space, quad_degree=None, elems=None):
     """Per-element matrices (M_A, M_D) of the inverse inequality.
 
     For local velocity coefficients c, c^T M_A c = h_K^2 ||div D(v)||^2
-    and c^T M_D c = ||D(v)||^2 on element K. Shapes (nt, 2nbf, 2nbf).
+    and c^T M_D c = ||D(v)||^2 on element K. Shapes (ne, 2nbf, 2nbf),
+    for all elements or those listed in elems.
     """
     k = space.pair.velocity_degree
     rule = quadrature(quad_degree or max(2 * k, 2))
     w, pts = rule.weights, rule.points
-    g = _phys_grads_at(space, pts)
-    scale = 2.0 * space.mesh.areas
+    mesh = space.mesh
+    sel = slice(None) if elems is None else elems
+    g = _phys_grads(space, pts, elems)
+    scale = 2.0 * mesh.areas[sel]
     nbf = space.n_basis
 
     t1 = np.einsum("q,eqib,eqjb->eij", w, g, g)
@@ -367,10 +367,10 @@ def inverse_inequality_pencils(space, quad_degree=None):
     M_D = (M_D * scale[:, None, None, None, None]
            ).reshape(-1, 2 * nbf, 2 * nbf)
 
-    Aop = _stress_divergence_op(space, pts)
+    Aop = _stress_divergence_op(space, pts, elems)
     M_A = np.einsum("q,eqicr,eqjdr->eicjd", w, Aop, Aop)
     M_A = (M_A.reshape(-1, 2 * nbf, 2 * nbf)
-           * (scale * space.mesh.diameters ** 2)[:, None, None])
+           * (scale * mesh.diameters[sel] ** 2)[:, None, None])
     return M_A, M_D
 
 
@@ -383,10 +383,15 @@ def estimate_CI(space):
     so the bound is infinite and every alpha > 0 is admissible. Raises
     MeshError when an element is too degenerate to separate the rigid
     motions. FeSpace.c_i keeps the value of a space.
+
+    An element's pencils, area and diameter depend only on its
+    Jacobian, so one element per distinct Jacobian is examined.
     """
     if space.pair.velocity_degree == 1:
         return math.inf
-    M_A, M_D = inverse_inequality_pencils(space)
+    _, elems = np.unique(space.mesh.jacobians.reshape(-1, 4), axis=0,
+                         return_index=True)
+    M_A, M_D = inverse_inequality_pencils(space, elems=elems)
     wD, V = np.linalg.eigh(M_D)
     # kernel of M_D is exactly the 3 rigid motions; deflate them
     gap_ok = wD[:, 3] > 1e-8 * wD[:, -1]

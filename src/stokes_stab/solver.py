@@ -43,8 +43,8 @@ def _flush_c_stdio():
         _fflush(None)
 
 
-def _factorize(K):
-    """splu(K) with fd 1 sent to a temporary file while it runs.
+def _factorize(K, **options):
+    """splu(K, **options) with fd 1 sent to a temporary file while it runs.
 
     A failing factorization can make the BLAS input checker print
     " ** On entry to DGEMV ..." lines, straight to fd 1 or into the
@@ -57,14 +57,14 @@ def _factorize(K):
     try:
         saved = os.dup(1)
     except OSError:
-        return splu(K)
+        return splu(K, **options)
     try:
         sys.stdout.flush()
         _flush_c_stdio()
         with tempfile.TemporaryFile() as sink:
             os.dup2(sink.fileno(), 1)
             try:
-                return splu(K)
+                return splu(K, **options)
             except RuntimeError as exc:
                 _flush_c_stdio()
                 sink.seek(0)
@@ -76,6 +76,92 @@ def _factorize(K):
         os.close(saved)
 
 
+# Fast path: SuperLU factors the saddle matrix in the order of
+# saddle_order (permc_spec="NATURAL") and keeps the diagonal pivot
+# unless it is below 1e-8 times the largest entry of its column. Two
+# settings that look equivalent are not:
+#  - diag_pivot_thresh=0 leaves a ~1e-17 pivot on the constant-pressure
+#    mode just before the mean-pressure border and a ~1e16 one on the
+#    border; the pivot check rejects that, so every solve would fall
+#    back. 1e-8 swaps two rows and keeps the fill; larger thresholds
+#    swap more rows and grow it (full partial pivoting, 1.0, multiplies
+#    it by 4.5 at P1P1 n = 32, and worse on larger meshes).
+#  - SuperLU's MMD orderings (permc_spec="MMD_AT_PLUS_A" and the
+#    others) have crashed the process intermittently on the alpha = 0
+#    P1P1 matrix, whose pressure block is empty; NATURAL and COLAMD
+#    have not.
+ORDERED_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-8,
+                "options": {"SymmetricMode": True}}
+LEAF_SIZE = 64
+
+
+def nested_dissection(graph, coords):
+    """Geometric nested-dissection elimination order of a graph.
+
+    graph is a sparse matrix whose structure is a symmetric graph on n
+    vertices, coords the (n, 2) location of each vertex. A part larger
+    than LEAF_SIZE is cut at the median coordinate value along its
+    longer extent: vertices below it form the lower half, the rest
+    (ties included, so a structured mesh gets straight cuts) the upper
+    half. The upper-half vertices adjacent to the lower half form the
+    separator, ordered after both halves, which are cut in turn. Each
+    level cuts all its parts at once. Returns perm: vertex perm[k] is
+    eliminated k-th; smaller parts keep their vertices in index order.
+    Raises ValueError when more than LEAF_SIZE vertices share a point.
+    """
+    n = len(coords)
+    g = graph.tocoo()
+    upper = g.row < g.col
+    ei, ej = g.row[upper], g.col[upper]  # edges inside one part
+    slot = np.empty(n, dtype=np.intp)    # first position of each group
+    label = np.zeros(n, dtype=np.int32)  # part of a vertex, -1 placed
+    idx = np.arange(n)                   # unplaced vertices, by part
+    start = np.zeros(1, dtype=np.intp)   # first position of each part
+    while len(idx):
+        lab = label[idx]
+        counts = np.bincount(lab, minlength=len(start))
+        small = counts <= LEAF_SIZE
+        done = small[lab]
+        slot[idx[done]] = start[lab[done]]
+        label[idx[done]] = -1
+        keep = ~small
+        idx, lab = idx[~done], (np.cumsum(keep) - 1)[lab[~done]]
+        start, counts = start[keep], counts[keep]
+        if not len(idx):
+            break
+        first = np.cumsum(counts) - counts
+        xy = coords[idx]
+        lo = np.minimum.reduceat(xy, first)
+        axis = np.argmax(np.maximum.reduceat(xy, first) - lo, axis=1)
+        val = xy[np.arange(len(idx)), axis[lab]]
+        order = np.lexsort((val, lab))
+        idx, lab, val = idx[order], lab[order], val[order]
+        med = val[first + counts // 2]
+        # a median on the part's lowest value would leave the lower
+        # half empty; that value then goes below the cut
+        at_low = med == lo[np.arange(len(lo)), axis]
+        lower = (val < med[lab]) | (at_low[lab] & (val == med[lab]))
+        label[idx] = 2 * lab + ~lower
+        li, lj = label[ei], label[ej]
+        cross = li != lj
+        sep = np.zeros(n, dtype=bool)
+        sep[np.where(li[cross] & 1, ei[cross], ej[cross])] = True
+        s = sep[idx]
+        n_low = np.bincount(lab[lower], minlength=len(start))
+        if np.any(n_low == counts):
+            # nothing above the cut: the part has no extent to cut along
+            raise ValueError(f"more than {LEAF_SIZE} vertices share "
+                             "one location")
+        n_sep = np.bincount(lab[s], minlength=len(start))
+        slot[idx[s]] = (start + counts - n_sep)[lab[s]]
+        label[idx[s]] = -1
+        idx = idx[~s]
+        start = np.column_stack([start, start + n_low]).ravel()
+        inside = ~(cross | (li < 0) | sep[ei] | sep[ej])
+        ei, ej = ei[inside], ej[inside]
+    return np.argsort(slot, kind="stable")
+
+
 @dataclass
 class DiscreteSolution:
     """Solution fields in the full dof ordering.
@@ -83,6 +169,10 @@ class DiscreteSolution:
     u has interleaved velocity components per node (Dirichlet dofs
     zero), p one value per mesh vertex. multiplier is the Lagrange
     multiplier of the mean-pressure constraint when one was used.
+    diagnostics records n_unknowns, alpha and how the factorization
+    went: ordering ("nested_dissection" or "colamd"), fill_nnz
+    (nnz of L + U), pivot_ratio (smallest over largest pivot),
+    residual_initial (before refinement), refined and fallback.
     """
 
     u: np.ndarray
@@ -116,12 +206,22 @@ def _diagnose(system, reason):
     return "; ".join(msg)
 
 
-def solve(system):
-    """Factorize and solve, with a residual check and one refinement step.
+def saddle_order(system):
+    """Elimination order of the matrix `solve` factors.
 
-    Raises SolverError when the factorization fails or the relative
-    residual stays above 1e-9 after one step of iterative refinement.
+    Nested dissection of the free dofs by location (FeSpace.dof_coords),
+    then the mean-pressure border index, when there is one, last.
     """
+    coords = system.space.dof_coords(system.free_dofs)
+    perm = nested_dissection(system.matrix, coords)
+    if system.mean_vector is not None:
+        perm = np.append(perm, len(perm))
+    return perm
+
+
+def _saddle_system(system):
+    """(K, b) as factored: the matrix, bordered by the mean-pressure
+    row and column when the gauge is pinned, in CSC."""
     K = system.matrix
     b = system.rhs
     if system.mean_vector is not None:
@@ -130,11 +230,19 @@ def solve(system):
         b = np.concatenate([b, [0.0]])
     else:
         K = K.tocsc()
+    return K, b
 
+
+def _factor_and_solve(K, b, **options):
+    """splu(K, **options) and solve, with the checks and one refinement.
+
+    Returns (x, relative residual, factorization stats); raises
+    SolverError naming the check that failed.
+    """
     try:
-        lu = _factorize(K)
+        lu = _factorize(K, **options)
     except RuntimeError as exc:
-        raise SolverError(_diagnose(system, str(exc)),
+        raise SolverError(str(exc),
                           getattr(exc, "blas_output", "")) from None
 
     # a structurally nonsingular but numerically singular matrix can
@@ -142,21 +250,50 @@ def solve(system):
     # produce garbage
     pivots = np.abs(lu.U.diagonal())
     if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
-        raise SolverError(_diagnose(
-            system, "factorization produced a zero pivot"))
+        raise SolverError("factorization produced a zero pivot")
 
     x = lu.solve(b)
     bnorm = max(float(np.linalg.norm(b)), 1e-30)
     if not np.all(np.isfinite(x)):
-        raise SolverError(_diagnose(system, "non-finite solution values"))
-    res = float(np.linalg.norm(K @ x - b)) / bnorm
+        raise SolverError("non-finite solution values")
+    res = res_initial = float(np.linalg.norm(K @ x - b)) / bnorm
     if res > 1e-9:
         x = x + lu.solve(b - K @ x)
         res = float(np.linalg.norm(K @ x - b)) / bnorm
     if not np.all(np.isfinite(x)) or res > 1e-9:
-        raise SolverError(_diagnose(
-            system, f"relative residual {res:.3e} above 1e-9 after "
-            "iterative refinement"))
+        raise SolverError(f"relative residual {res:.3e} above 1e-9 after "
+                          "iterative refinement")
+    stats = {"fill_nnz": lu.L.nnz + lu.U.nnz,
+             "pivot_ratio": float(pivots.min() / pivots.max()),
+             "residual_initial": res_initial,
+             "refined": res_initial > 1e-9}
+    return x, res, stats
+
+
+def solve(system):
+    """Factorize and solve, with a residual check and one refinement step.
+
+    The matrix is factored in saddle_order first. When that fails its
+    pivot or residual check, it is factored again with SuperLU's
+    default COLAMD ordering and partial pivoting. Raises SolverError
+    when that factorization fails too, or its relative residual stays
+    above 1e-9 after one step of iterative refinement.
+    """
+    K, b = _saddle_system(system)
+    perm = saddle_order(system)
+    try:
+        xp, res, stats = _factor_and_solve(
+            K[perm][:, perm].tocsc(), b[perm], **ORDERED_SPLU)
+        x = np.empty_like(xp)
+        x[perm] = xp
+        ordering, fallback = "nested_dissection", False
+    except SolverError:
+        try:
+            x, res, stats = _factor_and_solve(K, b)
+        except SolverError as exc:
+            raise SolverError(_diagnose(system, str(exc)),
+                              exc.blas_output) from None
+        ordering, fallback = "colamd", True
 
     multiplier = None
     if system.mean_vector is not None:
@@ -170,7 +307,8 @@ def solve(system):
     return DiscreteSolution(
         u=full[:system.n_u], p=full[system.n_u:], residual=res,
         multiplier=multiplier,
-        diagnostics={"n_unknowns": K.shape[0], "alpha": system.alpha},
+        diagnostics={"n_unknowns": K.shape[0], "alpha": system.alpha,
+                     "ordering": ordering, "fallback": fallback, **stats},
     )
 
 

@@ -140,6 +140,13 @@ class FeSpace:
         from . import forms  # forms imports this module
         return forms.estimate_CI(self)
 
+    def dof_coords(self, dofs):
+        """(len(dofs), 2) location of global dofs: velocity dof 2s+c at
+        node s, pressure dof n_u + j at vertex j."""
+        dofs = np.asarray(dofs)
+        nodes = np.where(dofs < self.n_u, dofs // 2, dofs - self.n_u)
+        return self.node_coords[nodes]
+
     @cached_property
     def free_velocity_dofs(self):
         mask = np.ones(self.n_u, dtype=bool)
@@ -183,6 +190,9 @@ def _phys_hess(space, ref_pts, elems=None):
     it = space.mesh.inv_jacobians_t
     if elems is not None:
         it = it[elems]
+    if space.pair.velocity_degree == 1:
+        # P1 basis functions are affine: their Hessians vanish
+        return np.zeros((len(it),) + href.shape)
     return np.einsum("eca,qiab,edb->eqicd", it, href, it)
 
 

@@ -173,6 +173,30 @@ def test_inverse_constant_bounds_random_quotients():
             assert num / den <= bound * (1 + 1e-10)
 
 
+def test_inverse_constant_matches_per_element_reference():
+    # jittered interior vertices: every element has its own Jacobian,
+    # so examining one element per distinct Jacobian must examine all
+    import scipy.linalg
+    base = unit_square(4)
+    rng = np.random.default_rng(5)
+    v = base.vertices.copy()
+    inner = np.all((v > 0.0) & (v < 1.0), axis=1)
+    v[inner] += rng.uniform(-0.05, 0.05, size=(inner.sum(), 2))
+    mesh = TriMesh(v, base.triangles, base.boundary_tag_dict())
+    J = mesh.jacobians.reshape(-1, 4)
+    assert len(np.unique(J, axis=0)) == mesh.n_triangles
+    space = FeSpace(mesh, P2P1)
+    M_A, M_D = forms.inverse_inequality_pencils(space)
+    lam_max = 0.0
+    for A, D in zip(M_A, M_D):
+        w, V = np.linalg.eigh(D)
+        R = V[:, w > 1e-8 * w[-1]]   # complement of the rigid motions
+        lam = scipy.linalg.eigh(R.T @ A @ R, R.T @ D @ R,
+                                eigvals_only=True)
+        lam_max = max(lam_max, lam[-1])
+    assert abs(estimate_CI(space) * lam_max - 1.0) < 1e-10
+
+
 def test_inverse_constant_degenerate_element_is_mesh_error():
     # a sliver of height 1e-9: the strain pencil cannot separate the
     # rigid motions, a fault of the mesh rather than of the solver

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from stokes_stab import solver
 from stokes_stab.forms import ExactSolution, StokesProblem, assemble_system
@@ -174,3 +175,129 @@ def test_schur_probe_neumann_branch():
     space = FeSpace(case.make_mesh(4), P1P1)
     lam = solver.schur_pressure_probe(space, case.problem())
     assert abs(lam - 0.2628133690) < 1e-6
+
+
+# ----------------------------------------------------------------------
+# nested-dissection fast path against SuperLU's default COLAMD
+
+def _plain_solution(system):
+    # the reference: splu(K) with SuperLU's defaults, one solve
+    K, b = solver._saddle_system(system)
+    return splu(K).solve(b)
+
+
+def _solution_vector(system, sol):
+    x = np.concatenate([sol.u, sol.p])[system.free_dofs]
+    if sol.multiplier is not None:
+        x = np.append(x, sol.multiplier)
+    return x
+
+
+def _sweep_systems():
+    from stokes_stab.study import get_case
+    out = []
+    for name in ("SMOOTH_SQUARE", "NEUMANN_STRIP"):
+        case = get_case(name)
+        mesh = case.make_mesh(16)
+        for alpha in (None, 1e-2, 1e-4, 1e-6):
+            out.append(pytest.param(FeSpace(mesh, P1P1),
+                                    case.problem(alpha=alpha),
+                                    id=f"{name}-P1P1-{alpha}"))
+        space = FeSpace(mesh, P2P1)
+        for alpha, tag in ((space.c_i / 4, "C_I/4"),
+                           (space.c_i * 1e-4, "C_I*1e-4")):
+            out.append(pytest.param(space, case.problem(alpha=alpha),
+                                    id=f"{name}-P2P1-{tag}"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def graded_lshape_mesh():
+    from stokes_stab.study import adaptive_study
+    log = adaptive_study("LSHAPE_PEAK", "P1P1", theta=0.5, max_iters=8)
+    return log.steps[-1].mesh
+
+
+def _check_fast_path(system):
+    sol = solver.solve(system)
+    assert sol.diagnostics["ordering"] == "nested_dissection"
+    assert sol.diagnostics["fallback"] is False
+    ref = _plain_solution(system)
+    x = _solution_vector(system, sol)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("space,problem", _sweep_systems())
+def test_fast_path_matches_colamd(space, problem):
+    _check_fast_path(assemble_system(space, problem))
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
+def test_fast_path_matches_colamd_on_graded_mesh(graded_lshape_mesh, pair):
+    from stokes_stab.study import get_case
+    space = FeSpace(graded_lshape_mesh, pair)
+    _check_fast_path(assemble_system(space, get_case("LSHAPE_PEAK").problem()))
+
+
+def test_fast_path_failure_falls_back_to_colamd(monkeypatch):
+    system = assemble_system(FeSpace(unit_square(8), P1P1), _linear_case())
+    real = solver.splu
+
+    def failing(K, **options):
+        if options.get("permc_spec") == "NATURAL":
+            raise RuntimeError("Factor is exactly singular")
+        return real(K, **options)
+
+    monkeypatch.setattr(solver, "splu", failing)
+    sol = solver.solve(system)
+    assert sol.diagnostics["ordering"] == "colamd"
+    assert sol.diagnostics["fallback"] is True
+    assert np.array_equal(_solution_vector(system, sol),
+                          _plain_solution(system))
+
+
+def test_solver_diagnostics():
+    system = assemble_system(FeSpace(unit_square(8), P1P1), _linear_case())
+    diag = solver.solve(system).diagnostics
+    assert diag["n_unknowns"] == len(system.free_dofs) + 1
+    assert diag["alpha"] == system.alpha
+    assert diag["fill_nnz"] > system.matrix.nnz // 2
+    assert 0.0 < diag["pivot_ratio"] <= 1.0
+    assert diag["residual_initial"] < 1e-9 and diag["refined"] is False
+
+
+@pytest.mark.parametrize("boundary", [None, {"right": "N"}],
+                         ids=["bordered", "neumann"])
+def test_saddle_order_is_permutation_with_border_last(boundary):
+    mesh = unit_square(16) if boundary is None \
+        else unit_square(16, boundary=boundary)
+    system = assemble_system(FeSpace(mesh, P2P1), _linear_case())
+    perm = solver.saddle_order(system)
+    n = len(system.free_dofs) + (system.mean_vector is not None)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    if system.mean_vector is not None:
+        assert perm[-1] == n - 1
+
+
+def test_nested_dissection_cuts_grid_at_median_column():
+    # 5-point grid graph on 32 x 32 points: the first cut is at the
+    # median x = 16, the column x = 16 separates the halves and comes
+    # last, after every point of x < 16 and then of x > 16
+    import scipy.sparse as sp
+    m = 32
+    path = sp.diags([np.ones(m - 1), np.ones(m - 1)], [-1, 1])
+    graph = sp.kronsum(path, path)
+    y, x = np.divmod(np.arange(m * m), m)
+    perm = solver.nested_dissection(graph, np.column_stack([x, y]))
+    assert np.array_equal(np.sort(perm), np.arange(m * m))
+    xs = x[perm]
+    assert np.all(xs[-m:] == 16)
+    assert np.all(xs[:16 * m] < 16) and np.all(xs[16 * m:-m] > 16)
+
+
+def test_nested_dissection_rejects_points_it_cannot_cut():
+    # 100 vertices at one point leave nothing above any cut
+    import scipy.sparse as sp
+    graph = sp.eye(100, k=1) + sp.eye(100, k=-1)
+    with pytest.raises(ValueError, match="share one location"):
+        solver.nested_dissection(graph, np.zeros((100, 2)))
