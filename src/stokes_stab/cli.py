@@ -293,7 +293,7 @@ def cmd_audit(cfg):
         label = case.name
     else:
         if not Path(name).exists():
-            known = ", ".join(c.name for c in study.builtin_cases())
+            known = ", ".join(study.CASE_NAMES)
             raise ConfigError(f"{name!r} is neither a builtin case "
                               f"({known}) nor an existing mesh file")
         target = meshmod.TriMesh.read(name, validate=False)

@@ -24,6 +24,9 @@ _STR_TO_TAG = {"D": DIRICHLET, "N": NEUMANN}
 # reference triangle corners, used to map local vertex -> barycentric point
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
+# candidate (edge, vertex) or (vertex, vertex) pairs the audit holds at once
+_PAIR_BUDGET = 1 << 16
+
 
 class MeshError(Exception):
     """Invalid mesh data or an operation that would produce one."""
@@ -100,15 +103,16 @@ class TriMesh:
 
         ne = len(self.edges)
         self.e2t = np.full((ne, 2), -1, dtype=np.int64)
-        counts = np.zeros(ne, dtype=np.int64)
+        # the stable sort keeps each edge's triangles in ascending order;
+        # the first two of them fill e2t
         order = np.argsort(self.t2e.ravel(), kind="stable")
-        flat_tri = np.repeat(np.arange(nt), 3)[order]
+        flat_tri = order // 3
         flat_edge = self.t2e.ravel()[order]
-        for e, t in zip(flat_edge, flat_tri):
-            c = counts[e]
-            if c < 2:
-                self.e2t[e, c] = t
-            counts[e] = c + 1
+        counts = np.bincount(flat_edge, minlength=ne)
+        first = np.cumsum(counts) - counts
+        rank = np.arange(3 * nt) - first[flat_edge]
+        keep = rank < 2
+        self.e2t[flat_edge[keep], rank[keep]] = flat_tri[keep]
         if validate and np.any(counts > 2):
             bad = np.flatnonzero(counts > 2)
             raise MeshError(
@@ -385,12 +389,8 @@ class TriMesh:
         for v in np.flatnonzero(~used)[:20]:
             conf.append(f"vertex {v} unused")
 
-        order = np.lexsort(self.vertices.T)
-        sv = self.vertices[order]
-        dup = np.flatnonzero(np.all(np.abs(np.diff(sv, axis=0)) < 1e-12,
-                                    axis=1))
-        for d in dup[:20]:
-            conf.append(f"vertices {order[d]} and {order[d + 1]} coincide")
+        for i, j in self._coincident_vertices():
+            conf.append(f"vertices {i} and {j} coincide")
 
         conf.extend(self._hanging_nodes())
         checks["conformity"] = (len(conf) == 0, conf[:20])
@@ -414,32 +414,60 @@ class TriMesh:
             [f"min angle {ang:.3f} deg below threshold {min_angle_deg}"])
         return AuditReport(checks)
 
+    def _coincident_vertices(self):
+        """First 20 pairs (i, j), i < j, closer than 1e-12 in x and in y."""
+        x, y = self.vertices.T
+        order = np.argsort(x, kind="stable")
+        sx = x[order]
+        # window of later vertices in x order, grown past the tolerance;
+        # the exact test below decides
+        start = np.arange(1, len(sx) + 1)
+        stop = np.searchsorted(sx, sx + 2e-12, side="right")
+        found = np.empty((0, 2), dtype=np.int64)
+        for q, pos in _window_pairs(start, stop):
+            a, b = order[q], order[pos]
+            close = ((np.abs(x[b] - x[a]) < 1e-12)
+                     & (np.abs(y[b] - y[a]) < 1e-12))
+            a, b = a[close], b[close]
+            found = _first_pairs(found, np.minimum(a, b), np.maximum(a, b))
+        return [(int(i), int(j)) for i, j in found]
+
     def _hanging_nodes(self):
-        """Vertices lying strictly inside an edge of some triangle."""
-        issues = []
+        """Vertices lying strictly inside an edge of some triangle.
+
+        Only vertices inside an edge's bounding box, grown by twice the
+        tolerance, are tested; they are found by binary search in the
+        vertices sorted by x. The first 20 hits in (edge, vertex) order
+        are reported.
+        """
         pa = self.vertices[self.edges[:, 0]]
         pb = self.vertices[self.edges[:, 1]]
         d = pb - pa
         L2 = np.einsum("ed,ed->e", d, d)
         scale = math.sqrt(L2.max()) if len(L2) else 1.0
         tol = 1e-9 * scale
-        for lo in range(0, self.n_edges, 512):
-            hi = min(lo + 512, self.n_edges)
-            # distances of all vertices to this chunk of edge segments
-            rel = self.vertices[None, :, :] - pa[lo:hi, None, :]
-            t = np.einsum("evd,ed->ev", rel, d[lo:hi]) / L2[lo:hi, None]
-            perp = rel - t[:, :, None] * d[lo:hi, None, :]
-            dist = np.hypot(perp[:, :, 0], perp[:, :, 1])
-            on = (dist < tol) & (t > 1e-9) & (t < 1 - 1e-9)
-            for e, v in zip(*np.nonzero(on)):
-                ei = lo + e
-                if v in self.edges[ei]:
-                    continue
-                issues.append(f"vertex {v} hangs on edge "
-                              f"{(int(self.edges[ei, 0]), int(self.edges[ei, 1]))}")
-                if len(issues) >= 20:
-                    return issues
-        return issues
+
+        x, y = self.vertices.T
+        order = np.argsort(x, kind="stable")
+        lo = np.minimum(pa, pb) - 2 * tol
+        hi = np.maximum(pa, pb) + 2 * tol
+        start = np.searchsorted(x[order], lo[:, 0], side="left")
+        stop = np.searchsorted(x[order], hi[:, 0], side="right")
+        found = np.empty((0, 2), dtype=np.int64)
+        for e, pos in _window_pairs(start, stop):
+            v = order[pos]
+            box = (y[v] >= lo[e, 1]) & (y[v] <= hi[e, 1])
+            e, v = e[box], v[box]
+            rel = self.vertices[v] - pa[e]
+            t = np.einsum("kd,kd->k", rel, d[e]) / L2[e]
+            perp = rel - t[:, None] * d[e]
+            dist = np.hypot(perp[:, 0], perp[:, 1])
+            on = ((dist < tol) & (t > 1e-9) & (t < 1 - 1e-9)
+                  & (v != self.edges[e, 0]) & (v != self.edges[e, 1]))
+            found = _first_pairs(found, e[on], v[on])
+        return [f"vertex {v} hangs on edge "
+                f"{(int(self.edges[e, 0]), int(self.edges[e, 1]))}"
+                for e, v in found]
 
     # ------------------------------------------------------------------
     # file I/O
@@ -590,6 +618,26 @@ class AuditReport:
             lines.append(f"{name}: {'ok' if passed else 'FAIL'}")
             lines.extend(f"  {msg}" for msg in issues)
         return "\n".join(lines)
+
+
+def _window_pairs(start, stop):
+    """Yield (q, pos) index arrays of every pair start[q] <= pos < stop[q].
+
+    Pairs come in ascending q, in slices of at most _PAIR_BUDGET, so
+    memory stays bounded however many positions one window holds.
+    """
+    counts = np.maximum(stop - start, 0)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    for k0 in range(0, offsets[-1], _PAIR_BUDGET):
+        k = np.arange(k0, min(k0 + _PAIR_BUDGET, offsets[-1]))
+        q = np.searchsorted(offsets, k, side="right") - 1
+        yield q, start[q] + (k - offsets[q])
+
+
+def _first_pairs(found, a, b):
+    """The first 20 rows of found plus (a, b) in lexicographic order."""
+    merged = np.concatenate([found, np.column_stack([a, b])])
+    return merged[np.lexsort((merged[:, 1], merged[:, 0]))][:20]
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stokes_stab import cli, estimator, forms, solver, study
+from stokes_stab.mesh import unit_square
 from stokes_stab.space import FeSpace, P2P1
 
 HANGING_MESH = """trimesh v1
@@ -265,6 +266,21 @@ def test_audit_names_conformity_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "conformity" in captured.err
     assert "hangs on edge" in captured.out
+
+
+def test_audit_of_mesh_file_builds_no_case(tmp_path, monkeypatch):
+    calls = []
+    real = study.builtin_cases
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(study, "builtin_cases", counting)
+    meshfile = tmp_path / "square.mesh"
+    unit_square(2).write(meshfile)
+    assert run_cli("audit", "--case", str(meshfile)) == 0
+    assert calls == []
 
 
 def test_io_failure_exit_code(tmp_path, capsys):

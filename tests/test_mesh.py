@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from stokes_stab import mesh as meshmod
 from stokes_stab.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                               MeshFormatError, TriMesh, generate_structured,
                               l_shape, unit_square)
@@ -202,6 +205,140 @@ def test_audit_detects_duplicate_vertex():
     bad = TriMesh(v, t, {}, validate=False)
     rep = bad.audit()
     assert not rep.checks["conformity"][0]
+
+
+def test_audit_reports_near_coincident_vertices_sorting_apart():
+    # vertex 1 lies between 0 and 2 in y, so comparing only neighbours
+    # in (y, x) order never compares 0 with 2
+    v = np.array([[0.0, 0.0], [1.0, 5e-14], [1e-13, 1e-13],
+                  [0.0, 1.0], [1.0, 1.0]])
+    bad = TriMesh(v, [[0, 1, 4], [2, 4, 3]], {}, validate=False)
+    ok, issues = bad.audit().checks["conformity"]
+    assert not ok
+    assert "vertices 0 and 2 coincide" in issues
+
+
+def test_audit_reports_coincident_pairs_in_index_order():
+    rng = np.random.default_rng(5)
+    base = unit_square(4)
+    # 30 copies of existing vertices, shuffled: more pairs than the cap
+    src = rng.choice(base.n_vertices, size=30)
+    v = np.vstack([base.vertices, base.vertices[src] + 1e-14])
+    bad = TriMesh(v, base.triangles, {}, validate=False)
+    x, y = v.T
+    close = ((np.abs(x[:, None] - x[None, :]) < 1e-12)
+             & (np.abs(y[:, None] - y[None, :]) < 1e-12))
+    i, j = np.nonzero(np.triu(close, k=1))
+    assert len(i) > 20
+    assert bad._coincident_vertices() == list(zip(i.tolist(), j.tolist()))[:20]
+
+
+def _e2t_by_loop(mesh):
+    """e2t and counts filled one triangle-edge entry at a time."""
+    e2t = np.full((mesh.n_edges, 2), -1, dtype=np.int64)
+    counts = np.zeros(mesh.n_edges, dtype=np.int64)
+    order = np.argsort(mesh.t2e.ravel(), kind="stable")
+    flat_tri = np.repeat(np.arange(mesh.n_triangles), 3)[order]
+    for e, t in zip(mesh.t2e.ravel()[order], flat_tri):
+        if counts[e] < 2:
+            e2t[e, counts[e]] = t
+        counts[e] += 1
+    return e2t, counts
+
+
+def test_e2t_matches_entrywise_fill_with_over_shared_edge():
+    m = unit_square(2)
+    # a third triangle on the interior edge of triangles 0 and 1
+    a, b = m.edges[np.flatnonzero((m.e2t >= 0).all(axis=1))[0]]
+    v = np.vstack([m.vertices, [[0.3, 0.7]]])
+    t = np.vstack([m.triangles, [[a, b, m.n_vertices]]])
+    bad = TriMesh(v, t, {}, validate=False)
+    e2t, counts = _e2t_by_loop(bad)
+    assert counts.max() == 3
+    assert np.array_equal(bad.e2t, e2t)
+    over = np.flatnonzero(counts > 2).tolist()
+    with pytest.raises(MeshError) as exc:
+        TriMesh(v, t, m.boundary_tag_dict())
+    assert str(exc.value) == f"edges shared by more than two triangles: {over}"
+    good = l_shape(4).refine_marked(np.arange(0, 24, 3))
+    assert np.array_equal(good.e2t, _e2t_by_loop(good)[0])
+
+
+def _hanging_by_all_pairs(mesh):
+    """Hits of every vertex on every edge, in (edge, vertex) order."""
+    pa = mesh.vertices[mesh.edges[:, 0]]
+    d = mesh.vertices[mesh.edges[:, 1]] - pa
+    L2 = np.einsum("ed,ed->e", d, d)
+    tol = 1e-9 * math.sqrt(L2.max())
+    rel = mesh.vertices[None, :, :] - pa[:, None, :]
+    t = np.einsum("evd,ed->ev", rel, d) / L2[:, None]
+    perp = rel - t[:, :, None] * d[:, None, :]
+    on = ((np.hypot(perp[:, :, 0], perp[:, :, 1]) < tol)
+          & (t > 1e-9) & (t < 1 - 1e-9))
+    rows = np.arange(mesh.n_edges)
+    on[rows, mesh.edges[:, 0]] = False
+    on[rows, mesh.edges[:, 1]] = False
+    e, v = np.nonzero(on)
+    return [f"vertex {vi} hangs on edge "
+            f"{(int(mesh.edges[ei, 0]), int(mesh.edges[ei, 1]))}"
+            for ei, vi in zip(e, v)]
+
+
+def _parents_put_back(seed):
+    rng = np.random.default_rng(seed)
+    coarse = l_shape(4).refine_marked(np.arange(0, 24, 2))
+    fine = coarse.refine_uniform()
+    back = rng.random(coarse.n_triangles) < 0.3
+    tris = np.vstack([fine.triangles[~back[fine.parents]],
+                      coarse.triangles[back]])
+    return TriMesh(fine.vertices, tris, {}, validate=False)
+
+
+def _unused_midpoints(seed):
+    rng = np.random.default_rng(seed)
+    m = unit_square(4).refine_marked([0, 5, 9])
+    inner = np.flatnonzero(m.edge_tags == INTERIOR)
+    pick = inner[rng.random(len(inner)) < 0.3]
+    mid = 0.5 * (m.vertices[m.edges[pick, 0]] + m.vertices[m.edges[pick, 1]])
+    # half of them pushed off the edge by about twice the tolerance, a
+    # quarter moved within it (out of an axis-parallel edge's bounding box)
+    tol = 1e-9 * m.edge_lengths.max()
+    mid[::2] += 2 * tol * rng.normal(size=(len(mid[::2]), 2))
+    mid[1::4] += 0.5 * tol
+    return TriMesh(np.vstack([m.vertices, mid]), m.triangles, {},
+                   validate=False)
+
+
+def _one_column(n):
+    # fan of triangles on the segment x=0: every edge's x-window holds
+    # every column vertex; every other triangle skips a vertex
+    col = np.column_stack([np.zeros(n + 1), np.linspace(0.0, 1.0, n + 1)])
+    v = np.vstack([col, [[1.0, 0.5]]])
+    tris = [[k, k + 2, n + 1] for k in range(0, n - 1, 4)]
+    tris += [[k, k + 1, n + 1] for k in range(2, n, 4)]
+    return TriMesh(v, tris, {}, validate=False)
+
+
+@pytest.mark.parametrize("build, min_hits", [
+    (lambda: _parents_put_back(2), 21),
+    (lambda: _unused_midpoints(3), 1),
+    (lambda: unit_square(3), 0),
+], ids=["parents-back-over-cap", "unused-midpoints",
+        "conforming"])
+def test_hanging_nodes_match_all_pairs(build, min_hits):
+    m = build()
+    expect = _hanging_by_all_pairs(m)
+    assert len(expect) >= min_hits
+    assert m._hanging_nodes() == expect[:20]
+
+
+def test_hanging_nodes_in_slices_of_one_column(monkeypatch):
+    m = _one_column(200)
+    expect = _hanging_by_all_pairs(m)
+    assert len(expect) > 20
+    for budget in (7, 1000):
+        monkeypatch.setattr(meshmod, "_PAIR_BUDGET", budget)
+        assert m._hanging_nodes() == expect[:20]
 
 
 def test_audit_reports_min_angle():

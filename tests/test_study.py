@@ -26,6 +26,10 @@ def test_builtin_case_names():
         get_case("VORTEX")
 
 
+def test_case_names_match_builtin_cases():
+    assert study.CASE_NAMES == tuple(c.name for c in builtin_cases())
+
+
 @pytest.mark.parametrize("name", EXACT_CASES)
 def test_manufactured_data_satisfies_pde(name):
     # cross-check the symbolic forcing against finite differences of
