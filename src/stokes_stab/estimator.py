@@ -23,10 +23,10 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import forms, solver
-from .mesh import DIRICHLET, INTERIOR, NEUMANN, REF_VERTICES
-from .space import (physical_points, pressure_gradients, pressure_values,
-                    scalar_basis, velocity_gradients,
-                    velocity_stress_laplacian, velocity_values)
+from .mesh import INTERIOR, NEUMANN
+from .space import (edge_points, edge_reference_points, physical_points,
+                    pressure_gradients, pressure_values, scalar_basis,
+                    velocity_gradients, velocity_stress_laplacian)
 
 
 @dataclass
@@ -51,11 +51,9 @@ class ErrorReport:
     effectivity: float = None
 
 
-def element_estimator(solution, space, problem, K=None, quad_degree=None):
-    """Element residual indicators; all of them, or one if K is given."""
-    k = space.pair.velocity_degree
-    rule = forms.quadrature(quad_degree or min(2 * k + 2, 10))
-    w, pts = rule.weights, rule.points
+def element_estimator(solution, space, problem):
+    """Element residual indicators eta_K of all elements."""
+    w, pts = forms.volume_rule(space, "volume_load")
     mesh = space.mesh
 
     xy = physical_points(mesh, pts)
@@ -73,8 +71,7 @@ def element_estimator(solution, space, problem, K=None, quad_degree=None):
 
     scale = 2.0 * mesh.areas
     eta2 = mesh.diameters ** 2 * scale * mom + scale * mass
-    eta = np.sqrt(eta2)
-    return eta if K is None else float(eta[K])
+    return np.sqrt(eta2)
 
 
 def _edge_side_stress(solution, space, elems, edge_ids, s):
@@ -85,11 +82,7 @@ def _edge_side_stress(solution, space, elems, edge_ids, s):
     """
     mesh = space.mesh
     tri = mesh.triangles[elems]
-    ends = mesh.edges[edge_ids]
-    loc_a = np.argmax(tri == ends[:, 0][:, None], axis=1)
-    loc_b = np.argmax(tri == ends[:, 1][:, None], axis=1)
-    ref = (REF_VERTICES[loc_a][:, None, :] * (1.0 - s)[None, :, None]
-           + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
+    ref = edge_reference_points(mesh, elems, edge_ids, s)
 
     _, gref, _ = scalar_basis(space.pair.velocity_degree, ref)
     it = mesh.inv_jacobians_t[elems]
@@ -117,16 +110,17 @@ def _edge_normals(mesh, edge_ids):
     return n
 
 
-def edge_estimator(solution, space, problem, E=None, quad_degree=None):
-    """Edge traction indicators; full array, or one edge if E is given.
+def edge_estimator(solution, space, problem):
+    """Edge traction indicators eta_E of all edges.
 
     Interior edges measure the jump of the normal stress across the
     edge, Neumann edges the defect against the prescribed traction,
     Dirichlet edges are zero.
     """
     mesh = space.mesh
-    k = space.pair.velocity_degree
-    s, w = forms.edge_quadrature(quad_degree or max(2 * k, 2))
+    # |sigma n|^2, like the matrix, is a product of two derivatives
+    s, w = forms.edge_quadrature(
+        forms.quad_degrees(space.pair.velocity_degree)["volume_matrix"])
     eta = np.zeros(mesh.n_edges)
 
     interior = np.flatnonzero((mesh.edge_tags == INTERIOR)
@@ -148,15 +142,13 @@ def edge_estimator(solution, space, problem, E=None, quad_degree=None):
                                 neumann, s)
         flux = np.einsum("mqcb,mb->mqc", sig, n)
         if problem.t is not None:
-            pa = mesh.vertices[mesh.edges[neumann, 0]]
-            pb = mesh.vertices[mesh.edges[neumann, 1]]
-            xy = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+            xy = edge_points(mesh, neumann, s)
             flux = flux - np.asarray(problem.t(xy[..., 0], xy[..., 1]),
                                      dtype=float)
         val = np.einsum("q,mqc,mqc->m", w, flux, flux)
         eta[neumann] = mesh.edge_lengths[neumann] * np.sqrt(val)
 
-    return eta if E is None else float(eta[E])
+    return eta
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +163,7 @@ def _project_f_global(space, problem, rule):
     val, _, _ = scalar_basis(space.pair.velocity_degree, pts)
     loc = np.einsum("q,eqc,qi->eic", w, fv, val) \
         * (2.0 * space.mesh.areas)[:, None, None]
-    b = np.zeros((space.n_nodes, 2))
-    np.add.at(b, space.elem_nodes.ravel(), loc.reshape(-1, 2))
+    b = forms.scatter_add(space.elem_nodes, loc, space.n_nodes)
     return splu(M.tocsc()).solve(b)
 
 
@@ -189,7 +180,7 @@ def _project_f_element(space, problem, rule):
     return np.einsum("qi,eic->eqc", val, coef)
 
 
-def oscillations(problem, space, projection="global", quad_degree=None):
+def oscillations(problem, space, projection="global"):
     """Data oscillation terms (osc_K(f) per element, osc_E(t) per edge).
 
     projection selects how f_h is built: "global" solves the full
@@ -197,7 +188,7 @@ def oscillations(problem, space, projection="global", quad_degree=None):
     independently on each element (cheaper, discontinuous).
     """
     k = space.pair.velocity_degree
-    rule = forms.quadrature(quad_degree or min(2 * k + 4, 10))
+    rule = forms.quadrature(forms.error_degree(k))
     w, pts = rule.weights, rule.points
     mesh = space.mesh
 
@@ -227,7 +218,7 @@ def _trace_oscillation(space, problem, neumann):
     """osc_E(t) on the Neumann edges via trace-space L2 projection."""
     mesh = space.mesh
     k = space.pair.velocity_degree
-    s, w = forms.edge_quadrature(min(2 * k + 4, 20))
+    s, w = forms.edge_quadrature(forms.error_degree(k))
 
     if k == 1:
         tval = np.stack([1.0 - s, s], axis=1)                 # (nq, 2)
@@ -244,17 +235,14 @@ def _trace_oscillation(space, problem, neumann):
     L = mesh.edge_lengths[neumann]
 
     Mloc = np.einsum("qi,qj,q->ij", tval, tval, w)
-    M = np.zeros((nn, nn))
-    np.add.at(M, (local[:, :, None], local[:, None, :]),
-              Mloc[None] * L[:, None, None])
+    M = forms.scatter_add(local[:, :, None] * nn + local[:, None, :],
+                          Mloc[None] * L[:, None, None], nn * nn)
+    M = M.reshape(nn, nn)
 
-    pa = mesh.vertices[mesh.edges[neumann, 0]]
-    pb = mesh.vertices[mesh.edges[neumann, 1]]
-    xy = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+    xy = edge_points(mesh, neumann, s)
     tv = np.asarray(problem.t(xy[..., 0], xy[..., 1]), dtype=float)
-    rhs = np.zeros((nn, 2))
     loc = np.einsum("q,eqc,qi->eic", w, tv, tval) * L[:, None, None]
-    np.add.at(rhs, local.ravel(), loc.reshape(-1, 2))
+    rhs = forms.scatter_add(local, loc, nn)
 
     th_nodes = np.linalg.solve(M, rhs)
     th = np.einsum("qi,eic->eqc", tval, th_nodes[local])
@@ -266,11 +254,11 @@ def _trace_oscillation(space, problem, neumann):
 # ----------------------------------------------------------------------
 # aggregation
 
-def global_report(solution, space, problem, projection="global"):
+def global_report(solution, space, problem):
     """Assemble the full ErrorReport for one solved problem."""
     eta_K = element_estimator(solution, space, problem)
     eta_E = edge_estimator(solution, space, problem)
-    osc_K, osc_E = oscillations(problem, space, projection=projection)
+    osc_K, osc_E = oscillations(problem, space)
     eta = float(np.sqrt(np.sum(eta_K ** 2) + np.sum(eta_E ** 2)))
     osc_f = float(np.sqrt(np.sum(osc_K ** 2)))
     osc_t = float(np.sqrt(np.sum(osc_E ** 2)))
@@ -294,7 +282,7 @@ class EfficiencyAudit:
     n_sentinel: int
 
 
-def efficiency_audit(solution, space, problem, quad_degree=None):
+def efficiency_audit(solution, space, problem):
     """Ratio of each element indicator to the local true error.
 
     The denominator collects the velocity strain error and pressure
@@ -304,16 +292,15 @@ def efficiency_audit(solution, space, problem, quad_degree=None):
     """
     if problem.exact is None:
         raise ValueError("efficiency_audit needs problem.exact")
-    k = space.pair.velocity_degree
-    rule = forms.quadrature(quad_degree or min(2 * k + 4, 10))
+    rule = forms.quadrature(forms.error_degree(space.pair.velocity_degree))
     w, pts = rule.weights, rule.points
     mesh = space.mesh
     scale_el = 2.0 * mesh.areas
 
     xy = physical_points(mesh, pts)
     x, y = xy[..., 0], xy[..., 1]
-    eg = velocity_gradients(space, solution.u, pts) \
-        - np.asarray(problem.exact.grad_u(x, y))
+    Gh = velocity_gradients(space, solution.u, pts)
+    eg = Gh - np.asarray(problem.exact.grad_u(x, y))
     D = 0.5 * (eg + eg.transpose(0, 1, 3, 2))
     d2 = scale_el * np.einsum("q,eqcb,eqcb->e", w, D, D)
     ep = pressure_values(space, solution.p, pts) \
@@ -346,7 +333,6 @@ def efficiency_audit(solution, space, problem, quad_degree=None):
         + np.sqrt(patch_o2) + np.sqrt(osc_t2)
 
     # 0/0 guard is relative to the size of the discrete solution itself
-    Gh = velocity_gradients(space, solution.u, pts)
     Dh = 0.5 * (Gh + Gh.transpose(0, 1, 3, 2))
     ph = pressure_values(space, solution.p, pts)
     scale = float(

@@ -29,9 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
-from .mesh import NEUMANN, REF_VERTICES, MeshError
-from .space import (FeSpace, _phys_grads, _phys_hess, interpolate,
-                    physical_points, scalar_basis)
+from .mesh import NEUMANN, MeshError
+from .space import (FeSpace, _phys_grads, _phys_hess, edge_points,
+                    edge_reference_points, interpolate, physical_points,
+                    pressure_basis_grads, scalar_basis)
 
 
 class InadmissibleAlphaError(Exception):
@@ -87,6 +88,34 @@ def edge_quadrature(degree):
     pts.flags.writeable = False
     w.flags.writeable = False
     return pts, w
+
+
+def quad_degrees(velocity_degree):
+    """Quadrature degrees of the assembled system, by use.
+
+    volume_matrix: products of two velocity-basis derivatives (B, S,
+    the C_I pencils, the velocity mass); volume_load: the data f and g
+    against a basis function (F, L); edge: the Neumann traction load.
+    These are the quad_* lines of the manifest. The estimator reuses
+    volume_load on elements and volume_matrix on edges; error norms
+    and oscillations use error_degree. All are fixed functions of the
+    velocity degree.
+    """
+    k = velocity_degree
+    return {"volume_matrix": max(2 * k, 2), "volume_load": min(2 * k + 2, 10),
+            "edge": 2 * k + 2}
+
+
+def volume_rule(space, use):
+    """(weights, points) of the assembly rule `use` of quad_degrees."""
+    rule = quadrature(quad_degrees(space.pair.velocity_degree)[use])
+    return rule.weights, rule.points
+
+
+def error_degree(velocity_degree):
+    """Quadrature degree of oscillations, error norms, the efficiency
+    audit and the trace projection of t."""
+    return min(2 * velocity_degree + 4, 10)
 
 
 # ----------------------------------------------------------------------
@@ -157,10 +186,28 @@ def _stress_divergence_op(space, pts, elems=None):
     return out
 
 
-def _pressure_grads(space, nq):
-    _, gref, _ = scalar_basis(1, np.zeros((1, 2)))
-    g = np.einsum("eba,ia->eib", space.mesh.inv_jacobians_t, gref[0])
-    return np.broadcast_to(g[:, None], (len(g), nq, 3, 2))
+def _strain_local(w, g, scale):
+    """(ne, 2nbf, 2nbf) element matrices (D(phi_b), D(phi_a))_K.
+
+    g holds the physical basis gradients at the rule's points, scale
+    the element factors 2|K| of the reference weights.
+    """
+    nbf = g.shape[2]
+    t1 = np.einsum("q,eqib,eqjb->eij", w, g, g)
+    t2 = np.einsum("q,eqid,eqjc->eijdc", w, g, g)
+    loc = 0.5 * (np.einsum("eij,cd->eicjd", t1, np.eye(2))
+                 + t2.transpose(0, 1, 4, 2, 3))
+    loc = loc * scale[:, None, None, None, None]
+    return loc.reshape(-1, 2 * nbf, 2 * nbf)
+
+
+def _stress_divergence_local(w, Aop, scale):
+    """(ne, 2nbf, 2nbf) element matrices (div D(phi_b), div D(phi_a))_K
+    times scale (2|K| h_K^2 in the stabilization), from the output of
+    _stress_divergence_op."""
+    nbf = Aop.shape[2]
+    loc = np.einsum("q,eqicr,eqjdr->eicjd", w, Aop, Aop)
+    return loc.reshape(-1, 2 * nbf, 2 * nbf) * scale[:, None, None]
 
 
 def _scatter_matrix(rows, cols, vals, shape):
@@ -169,34 +216,33 @@ def _scatter_matrix(rows, cols, vals, shape):
     return sp.coo_matrix((vals.ravel(), (r, c)), shape=shape).tocsr()
 
 
-def _scatter_vector(dofs, vals, n):
-    out = np.zeros(n)
-    np.add.at(out, dofs.ravel(), vals.ravel())
-    return out
+def scatter_add(index, values, n):
+    """Length-n sums out[index[m]] += values[m], taken in index order.
+
+    values holds one scalar, or one row, per entry of index (in C
+    order); rows are summed column by column into an (n, ncol) array.
+    Each sum runs term by term in index order (np.bincount).
+    """
+    index = np.ravel(index)
+    cols = np.reshape(values, (len(index), -1)).T
+    sums = [np.bincount(index, c, minlength=n) for c in cols]
+    return sums[0] if len(sums) == 1 else np.stack(sums, axis=1)
 
 
-def assemble_B(space, quad_degree=None):
+def assemble_B(space):
     """Mixed Stokes form blocks (A_uu, A_up).
 
     A_uu[a, b] = (D(phi_b), D(phi_a)); A_up[a, l] = -(div phi_a, psi_l).
     The full unstabilized matrix is [[A_uu, A_up], [A_up^T, 0]].
     """
-    k = space.pair.velocity_degree
-    rule = quadrature(quad_degree or max(2 * k, 2))
-    w, pts = rule.weights, rule.points
+    w, pts = volume_rule(space, "volume_matrix")
     g = _phys_grads(space, pts)
     scale = 2.0 * space.mesh.areas
     nbf = space.n_basis
 
-    t1 = np.einsum("q,eqib,eqjb->eij", w, g, g)
-    t2 = np.einsum("q,eqid,eqjc->eijdc", w, g, g)
-    loc = 0.5 * (np.einsum("eij,cd->eicjd", t1, np.eye(2))
-                 + t2.transpose(0, 1, 4, 2, 3))
-    loc = loc * scale[:, None, None, None, None]
-    loc = loc.reshape(-1, 2 * nbf, 2 * nbf)
-
     vd = _velocity_dofs(space)
-    A_uu = _scatter_matrix(vd, vd, loc, (space.n_u, space.n_u))
+    A_uu = _scatter_matrix(vd, vd, _strain_local(w, g, scale),
+                           (space.n_u, space.n_u))
 
     pval, _, _ = scalar_basis(1, pts)
     div_loc = np.einsum("q,eqic,ql->eicl", w, g, pval)
@@ -206,18 +252,16 @@ def assemble_B(space, quad_degree=None):
     return A_uu, A_up
 
 
-def assemble_Sh(space, quad_degree=None):
+def assemble_Sh(space):
     """Element-residual stabilization matrix on velocity+pressure dofs.
 
     S[(v,q),(w,r)] = sum_K h_K^2 (-div D(w) + grad r,
                                   -div D(v) + grad q)_K,
     returned as one symmetric (n_u + n_p) square matrix.
     """
-    k = space.pair.velocity_degree
-    rule = quadrature(quad_degree or max(2 * k, 2))
-    w, pts = rule.weights, rule.points
+    w, pts = volume_rule(space, "volume_matrix")
     Aop = _stress_divergence_op(space, pts)
-    pg = _pressure_grads(space, len(pts))
+    pg = pressure_basis_grads(space, len(pts))
     h2 = space.mesh.diameters ** 2
     scale = 2.0 * space.mesh.areas * h2
     nbf = space.n_basis
@@ -227,8 +271,7 @@ def assemble_Sh(space, quad_degree=None):
     vd = _velocity_dofs(space)
     pd = nu + space.mesh.triangles
 
-    uu = np.einsum("q,eqicr,eqjdr->eicjd", w, Aop, Aop)
-    uu = uu.reshape(-1, 2 * nbf, 2 * nbf) * scale[:, None, None]
+    uu = _stress_divergence_local(w, Aop, scale)
     up = -np.einsum("q,eqicr,eqlr->eicl", w, Aop, pg)
     up = up.reshape(-1, 2 * nbf, 3) * scale[:, None, None]
     pp = np.einsum("q,eqlr,eqmr->elm", w, pg, pg) * scale[:, None, None]
@@ -240,87 +283,64 @@ def assemble_Sh(space, quad_degree=None):
     return S.tocsr()
 
 
-def assemble_F(space, problem, quad_degree=None, edge_degree=None):
+def assemble_F(space, problem):
     """Load functional (f, v) + <t, v>_Neumann - (g, q)."""
     k = space.pair.velocity_degree
-    rule = quadrature(quad_degree or min(2 * k + 2, 10))
-    w, pts = rule.weights, rule.points
+    w, pts = volume_rule(space, "volume_load")
     mesh = space.mesh
     scale = 2.0 * mesh.areas
-    n = space.n_u + space.n_p
-    out = np.zeros(n)
 
     xy = physical_points(mesh, pts)
     fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
     val, _, _ = scalar_basis(k, pts)
     fu = np.einsum("q,eqc,qi->eic", w, fv, val) * scale[:, None, None]
-    vd = _velocity_dofs(space)
-    np.add.at(out, vd.ravel(),
-              fu.reshape(len(fu), -1).ravel())
+    out = scatter_add(_velocity_dofs(space), fu, space.n_u + space.n_p)
 
     if problem.g is not None:
         gv = np.asarray(problem.g(xy[..., 0], xy[..., 1]), dtype=float)
         pval, _, _ = scalar_basis(1, pts)
         gp = -np.einsum("q,eq,ql->el", w, gv, pval) * scale[:, None]
-        np.add.at(out, (space.n_u + mesh.triangles).ravel(), gp.ravel())
+        out[space.n_u:] += scatter_add(mesh.triangles, gp, space.n_p)
 
     if problem.t is not None and mesh.has_neumann:
-        out[:space.n_u] += _neumann_load(space, problem.t, edge_degree)
+        out[:space.n_u] += _neumann_load(space, problem.t)
     return out
 
 
-def _neumann_load(space, traction, edge_degree=None):
+def _neumann_load(space, traction):
     k = space.pair.velocity_degree
-    s, w = edge_quadrature(edge_degree or 2 * k + 2)
+    s, w = edge_quadrature(quad_degrees(k)["edge"])
     mesh = space.mesh
-    out = np.zeros(space.n_u)
     edges = np.flatnonzero(mesh.edge_tags == NEUMANN)
-    if len(edges) == 0:
-        return out
     elems = mesh.e2t[edges, 0]
-    tri = mesh.triangles[elems]
-    # local corner index of each edge endpoint inside its triangle
-    loc_a = np.argmax(tri == mesh.edges[edges, 0][:, None], axis=1)
-    loc_b = np.argmax(tri == mesh.edges[edges, 1][:, None], axis=1)
-    ref = (REF_VERTICES[loc_a][:, None, :] * (1.0 - s)[None, :, None]
-           + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
-    val, _, _ = scalar_basis(k, ref)                       # (ne, nq, nbf)
-    pa = mesh.vertices[mesh.edges[edges, 0]]
-    pb = mesh.vertices[mesh.edges[edges, 1]]
-    xy = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+    val, _, _ = scalar_basis(k, edge_reference_points(mesh, elems, edges, s))
+    xy = edge_points(mesh, edges, s)
     tv = np.asarray(traction(xy[..., 0], xy[..., 1]), dtype=float)
     length = mesh.edge_lengths[edges]
     loc = np.einsum("q,eqc,eqi->eic", w, tv, val) * length[:, None, None]
-    vd = _velocity_dofs(space, elems)
-    np.add.at(out, vd.ravel(), loc.reshape(len(loc), -1).ravel())
-    return out
+    return scatter_add(_velocity_dofs(space, elems), loc, space.n_u)
 
 
-def assemble_Lh(space, problem, quad_degree=None):
+def assemble_Lh(space, problem):
     """Stabilization load sum_K h_K^2 (f, -div D(v) + grad q)_K."""
-    k = space.pair.velocity_degree
-    rule = quadrature(quad_degree or min(2 * k + 2, 10))
-    w, pts = rule.weights, rule.points
+    w, pts = volume_rule(space, "volume_load")
     mesh = space.mesh
     scale = 2.0 * mesh.areas * mesh.diameters ** 2
-    out = np.zeros(space.n_u + space.n_p)
 
     xy = physical_points(mesh, pts)
     fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
     Aop = _stress_divergence_op(space, pts)
     lu = -np.einsum("q,eqr,eqicr->eic", w, fv, Aop) * scale[:, None, None]
-    vd = _velocity_dofs(space)
-    np.add.at(out, vd.ravel(), lu.reshape(len(lu), -1).ravel())
-
-    pg = _pressure_grads(space, len(pts))
+    pg = pressure_basis_grads(space, len(pts))
     lp = np.einsum("q,eqr,eqlr->el", w, fv, pg) * scale[:, None]
-    np.add.at(out, (space.n_u + mesh.triangles).ravel(), lp.ravel())
-    return out
+    return np.concatenate([
+        scatter_add(_velocity_dofs(space), lu, space.n_u),
+        scatter_add(mesh.triangles, lp, space.n_p)])
 
 
-def pressure_mass(space, quad_degree=2):
+def pressure_mass(space):
     """P1 pressure mass matrix (n_p x n_p)."""
-    rule = quadrature(quad_degree)
+    rule = quadrature(2)
     w, pts = rule.weights, rule.points
     val, _, _ = scalar_basis(1, pts)
     loc = np.einsum("q,ql,qm->lm", w, val, val)
@@ -329,12 +349,10 @@ def pressure_mass(space, quad_degree=2):
     return _scatter_matrix(tri, tri, loc, (space.n_p, space.n_p))
 
 
-def velocity_scalar_mass(space, quad_degree=None):
+def velocity_scalar_mass(space):
     """Mass matrix of the scalar velocity node basis (n_nodes square)."""
-    k = space.pair.velocity_degree
-    rule = quadrature(quad_degree or 2 * k)
-    w, pts = rule.weights, rule.points
-    val, _, _ = scalar_basis(k, pts)
+    w, pts = volume_rule(space, "volume_matrix")
+    val, _, _ = scalar_basis(space.pair.velocity_degree, pts)
     loc = np.einsum("q,qi,qj->ij", w, val, val)
     loc = loc[None] * (2.0 * space.mesh.areas)[:, None, None]
     en = space.elem_nodes
@@ -344,33 +362,22 @@ def velocity_scalar_mass(space, quad_degree=None):
 # ----------------------------------------------------------------------
 # inverse inequality constant
 
-def inverse_inequality_pencils(space, quad_degree=None, elems=None):
+def inverse_inequality_pencils(space, elems=None):
     """Per-element matrices (M_A, M_D) of the inverse inequality.
 
     For local velocity coefficients c, c^T M_A c = h_K^2 ||div D(v)||^2
     and c^T M_D c = ||D(v)||^2 on element K. Shapes (ne, 2nbf, 2nbf),
-    for all elements or those listed in elems.
+    for all elements or those listed in elems. They are the element
+    matrices that assemble_B (A_uu) and assemble_Sh (velocity block)
+    scatter.
     """
-    k = space.pair.velocity_degree
-    rule = quadrature(quad_degree or max(2 * k, 2))
-    w, pts = rule.weights, rule.points
+    w, pts = volume_rule(space, "volume_matrix")
     mesh = space.mesh
     sel = slice(None) if elems is None else elems
-    g = _phys_grads(space, pts, elems)
     scale = 2.0 * mesh.areas[sel]
-    nbf = space.n_basis
-
-    t1 = np.einsum("q,eqib,eqjb->eij", w, g, g)
-    t2 = np.einsum("q,eqid,eqjc->eijdc", w, g, g)
-    M_D = 0.5 * (np.einsum("eij,cd->eicjd", t1, np.eye(2))
-                 + t2.transpose(0, 1, 4, 2, 3))
-    M_D = (M_D * scale[:, None, None, None, None]
-           ).reshape(-1, 2 * nbf, 2 * nbf)
-
-    Aop = _stress_divergence_op(space, pts, elems)
-    M_A = np.einsum("q,eqicr,eqjdr->eicjd", w, Aop, Aop)
-    M_A = (M_A.reshape(-1, 2 * nbf, 2 * nbf)
-           * (scale * mesh.diameters[sel] ** 2)[:, None, None])
+    M_D = _strain_local(w, _phys_grads(space, pts, elems), scale)
+    M_A = _stress_divergence_local(w, _stress_divergence_op(space, pts, elems),
+                                   scale * mesh.diameters[sel] ** 2)
     return M_A, M_D
 
 
@@ -425,7 +432,8 @@ class AssembledSystem:
     (velocity interleaved first, then pressure). mean_vector, present
     when the whole boundary is Dirichlet, carries the pressure means
     int psi_j used to pin the pressure gauge via one Lagrange
-    multiplier.
+    multiplier. quad_degrees records the three assembly rules of
+    quad_degrees(): volume matrix, volume load and Neumann-load edge.
     """
 
     matrix: sp.csr_matrix
@@ -445,13 +453,11 @@ class AssembledSystem:
 
 def pressure_integral_vector(space):
     """Vector of int_Omega psi_j over pressure basis functions."""
-    out = np.zeros(space.n_p)
-    np.add.at(out, space.mesh.triangles.ravel(),
-              np.repeat(space.mesh.areas / 3.0, 3))
-    return out
+    return scatter_add(space.mesh.triangles,
+                       np.repeat(space.mesh.areas / 3.0, 3), space.n_p)
 
 
-def assemble_system(space, problem, quad_degree=None):
+def assemble_system(space, problem):
     """Assemble the stabilized saddle system with BCs applied.
 
     Resolves alpha (None means the space default), enforces
@@ -472,16 +478,13 @@ def assemble_system(space, problem, quad_degree=None):
             f"alpha = {alpha:.6g} is not below the inverse-inequality "
             f"bound C_I = {c_i:.6g}; the stabilized form loses coercivity")
 
-    k = space.pair.velocity_degree
-    qd_matrix = quad_degree or max(2 * k, 2)
-    qd_load = min(2 * k + 2, 10)
-    A_uu, A_up = assemble_B(space, qd_matrix)
+    A_uu, A_up = assemble_B(space)
     M = sp.bmat([[A_uu, A_up], [A_up.T, None]], format="csr")
     if alpha != 0.0:
-        M = (M - alpha * assemble_Sh(space, qd_matrix)).tocsr()
-    rhs = assemble_F(space, problem, qd_load)
+        M = (M - alpha * assemble_Sh(space)).tocsr()
+    rhs = assemble_F(space, problem)
     if alpha != 0.0:
-        rhs = rhs - alpha * assemble_Lh(space, problem, qd_load)
+        rhs = rhs - alpha * assemble_Lh(space, problem)
 
     lift = None
     u_d = problem.dirichlet_data()
@@ -511,6 +514,5 @@ def assemble_system(space, problem, quad_degree=None):
         alpha=alpha, c_i=c_i, mean_vector=mean_vector,
         dirichlet_values=lift,
         space=space, problem=problem,
-        quad_degrees={"volume_matrix": qd_matrix, "volume_load": qd_load,
-                      "edge": 2 * k + 2},
+        quad_degrees=quad_degrees(space.pair.velocity_degree),
     )

@@ -8,7 +8,6 @@ quality bounded over arbitrarily many refinement rounds.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,17 +33,6 @@ class MeshError(Exception):
 
 class MeshFormatError(MeshError):
     """Malformed mesh file; message carries the offending line number."""
-
-
-@dataclass(frozen=True)
-class ElemGeometry:
-    """Affine map data of one triangle: x = v0 + J @ x_ref."""
-
-    vertices: np.ndarray      # (3, 2) corner coordinates
-    jacobian: np.ndarray      # (2, 2)
-    inv_jacobian_t: np.ndarray  # (2, 2), transpose of J^{-1}
-    area: float
-    diameter: float
 
 
 class TriMesh:
@@ -87,8 +75,8 @@ class TriMesh:
                     f"triangles not counterclockwise: {bad.tolist()[:10]}")
             if not np.any(self.edge_tags == DIRICHLET):
                 raise MeshError("mesh has no Dirichlet boundary edges")
-        for arr in (self.vertices, self.triangles, self.parents,
-                    self.edges, self.t2e, self.e2t, self.edge_tags):
+        for arr in (self.vertices, self.triangles, self.parents, self.edges,
+                    self.t2e, self.e2t, self.edge_counts, self.edge_tags):
             arr.flags.writeable = False
 
     def _build_edges(self, boundary_tags, validate):
@@ -108,7 +96,8 @@ class TriMesh:
         order = np.argsort(self.t2e.ravel(), kind="stable")
         flat_tri = order // 3
         flat_edge = self.t2e.ravel()[order]
-        counts = np.bincount(flat_edge, minlength=ne)
+        # triangles per edge; more than two is a conformity failure
+        self.edge_counts = counts = np.bincount(flat_edge, minlength=ne)
         first = np.cumsum(counts) - counts
         rank = np.arange(3 * nt) - first[flat_edge]
         keep = rank < 2
@@ -209,15 +198,6 @@ class TriMesh:
     def diameters(self):
         """(nt,) longest edge length of each triangle."""
         return self.edge_lengths[self.t2e].max(axis=1)
-
-    def element_geometry(self, k):
-        return ElemGeometry(
-            vertices=self.corner_coords[k],
-            jacobian=self.jacobians[k],
-            inv_jacobian_t=self.inv_jacobians_t[k],
-            area=float(self.areas[k]),
-            diameter=float(self.diameters[k]),
-        )
 
     @cached_property
     def min_angle_deg(self):
@@ -374,14 +354,9 @@ class TriMesh:
                                  [f"triangle {k}" for k in bad_orient[:20]])
 
         conf = []
-        counts = np.sum(self.e2t >= 0, axis=1)
-        # over-shared edges were counted during construction; recompute
-        raw = np.sort(np.stack([self.triangles[:, [1, 2]],
-                                self.triangles[:, [2, 0]],
-                                self.triangles[:, [0, 1]]],
-                               axis=1).reshape(-1, 2), axis=1)
-        uniq, full_counts = np.unique(raw, axis=0, return_counts=True)
-        for e, c in zip(uniq[full_counts > 2], full_counts[full_counts > 2]):
+        counts = self.edge_counts
+        over = counts > 2
+        for e, c in zip(self.edges[over], counts[over]):
             conf.append(f"edge {(int(e[0]), int(e[1]))} shared by {c} triangles")
 
         used = np.zeros(self.n_vertices, dtype=bool)

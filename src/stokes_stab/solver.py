@@ -312,14 +312,13 @@ def solve(system):
     )
 
 
-def functional_norms(space, solution, exact, quad_degree=None):
+def functional_norms(space, solution, exact):
     """Errors of a discrete solution against closed-form fields.
 
     Returns a dict with err_L2_u, err_H1_u (full norm), err_D_u
     (symmetric-gradient seminorm) and err_L2_p.
     """
-    k = space.pair.velocity_degree
-    rule = forms.quadrature(quad_degree or min(2 * k + 4, 10))
+    rule = forms.quadrature(forms.error_degree(space.pair.velocity_degree))
     w, pts = rule.weights, rule.points
     mesh = space.mesh
     scale = 2.0 * mesh.areas

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import DIRICHLET
+from .mesh import DIRICHLET, REF_VERTICES
 
 
 class SpaceError(Exception):
@@ -177,6 +177,26 @@ def physical_points(mesh, ref_pts, elems=None):
     return c[:, None, 0, :] + np.einsum("eab,qb->eqa", J, ref_pts)
 
 
+def edge_points(mesh, edge_ids, s):
+    """(ne, nq, 2) points at parameters s in [0, 1] along each edge,
+    from its first to its second vertex."""
+    pa = mesh.vertices[mesh.edges[edge_ids, 0]]
+    pb = mesh.vertices[mesh.edges[edge_ids, 1]]
+    return pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+
+
+def edge_reference_points(mesh, elems, edge_ids, s):
+    """(ne, nq, 2) reference points of edge_points(mesh, edge_ids, s)
+    in the triangles elems, each of which has its edge among its sides."""
+    tri = mesh.triangles[elems]
+    ends = mesh.edges[edge_ids]
+    # local corner index of each edge endpoint inside its triangle
+    loc_a = np.argmax(tri == ends[:, 0][:, None], axis=1)
+    loc_b = np.argmax(tri == ends[:, 1][:, None], axis=1)
+    return (REF_VERTICES[loc_a][:, None, :] * (1.0 - s)[None, :, None]
+            + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
+
+
 def _phys_grads(space, ref_pts, elems=None):
     _, gref, _ = scalar_basis(space.pair.velocity_degree, ref_pts)
     it = space.mesh.inv_jacobians_t
@@ -234,12 +254,23 @@ def pressure_values(space, coefs, ref_pts, elems=None):
     return np.einsum("qi,ei->eq", val, lc)
 
 
-def pressure_gradients(space, coefs, ref_pts, elems=None):
-    _, gref, _ = scalar_basis(1, ref_pts)
+def pressure_basis_grads(space, nq, elems=None):
+    """(ne, nq, 3, 2) physical gradients of the P1 pressure basis.
+
+    They are constant on each element, so the nq points share one
+    (read-only, broadcast) copy.
+    """
+    _, gref, _ = scalar_basis(1, np.zeros((1, 2)))
     it = space.mesh.inv_jacobians_t
     if elems is not None:
         it = it[elems]
-    g = np.einsum("eba,qia->eqib", it, gref)
+    g = np.einsum("eba,ia->eib", it, gref[0])
+    return np.broadcast_to(g[:, None], (len(g), nq, 3, 2))
+
+
+def pressure_gradients(space, coefs, ref_pts, elems=None):
+    """(ne, nq, 2) gradients of the discrete pressure."""
+    g = pressure_basis_grads(space, len(ref_pts), elems)
     lc = space.local_pressure_coefs(coefs, elems)
     return np.einsum("eqib,ei->eqb", g, lc)
 

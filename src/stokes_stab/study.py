@@ -223,7 +223,7 @@ def level_row(level, space, solution, report):
         eta_K=report.eta_K)
 
 
-def _solve_level(space, problem, projection, where):
+def _solve_level(space, problem, where):
     """Assemble, solve and estimate one level.
 
     Returns the solution, its ErrorReport and the quadrature degrees
@@ -236,8 +236,7 @@ def _solve_level(space, problem, projection, where):
         raise solver.SolverError(
             f"{where} ({space.mesh.n_triangles} triangles): {exc}") \
             from None
-    rep = estimator.global_report(sol, space, problem,
-                                  projection=projection)
+    rep = estimator.global_report(sol, space, problem)
     return sol, rep, system.quad_degrees
 
 
@@ -291,8 +290,7 @@ class ConvergenceTable:
         return head + "\n".join(lines)
 
 
-def uniform_study(case, pair, levels, alpha=None, n0=None,
-                  projection="global"):
+def uniform_study(case, pair, levels, alpha=None, n0=None):
     """Solve on a sequence of uniformly refined meshes and tabulate.
 
     alpha is resolved once on the coarsest space and kept fixed across
@@ -319,7 +317,7 @@ def uniform_study(case, pair, levels, alpha=None, n0=None,
             mesh = mesh.refine_uniform()
             space = FeSpace(mesh, pair)
         sol, rep, table.quad_degrees = _solve_level(
-            space, problem, projection, f"level {level}")
+            space, problem, f"level {level}")
         table.rows.append(level_row(level, space, sol, rep))
     return table
 
@@ -381,7 +379,7 @@ class AdaptiveLog:
 
 
 def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
-                   alpha=None, n0=None, projection="global"):
+                   alpha=None, n0=None):
     """Estimator-driven solve/mark/refine loop.
 
     Stops when eta falls below target_eta or after max_iters
@@ -407,7 +405,7 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
 
     for it in range(max_iters):
         sol, rep, log.quad_degrees = _solve_level(
-            space, problem, projection, f"iteration {it}")
+            space, problem, f"iteration {it}")
         log.c_i = space.c_i
         marked = dorfler_mark(mesh, rep.eta_K, rep.eta_E, theta)
         row = level_row(it, space, sol, rep)

@@ -21,6 +21,7 @@ from stokes_stab.forms import (
 )
 from stokes_stab.mesh import MeshError, TriMesh, unit_square
 from stokes_stab.space import FeSpace, P1P1, P2P1, interpolate
+from stokes_stab.study import get_case
 
 
 def _fact(n):
@@ -256,6 +257,24 @@ def test_alpha_validation():
     space1 = FeSpace(unit_square(2), P1P1)
     system1 = assemble_system(space1, mk(5.0))
     assert system1.alpha == 5.0
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1])
+@pytest.mark.parametrize("case", ["LSHAPE_PEAK", "NEUMANN_STRIP"])
+def test_inverse_pencils_are_the_assembled_element_matrices(case, pair):
+    # alpha < C_I is sufficient only if C_I comes from the forms the
+    # system assembles: scattered over all elements, M_D is A_uu and
+    # M_A the velocity block of S_h, bit for bit
+    mesh = get_case(case).make_mesh(4)
+    mesh = mesh.refine_marked(np.arange(0, mesh.n_triangles, 3))
+    space = FeSpace(mesh, pair)
+    M_A, M_D = forms.inverse_inequality_pencils(space)
+    vd = forms._velocity_dofs(space)
+    shape = (space.n_u, space.n_u)
+    A_uu, _ = assemble_B(space)
+    S_uu = assemble_Sh(space)[:space.n_u, :space.n_u]
+    assert (forms._scatter_matrix(vd, vd, M_D, shape) - A_uu).nnz == 0
+    assert (forms._scatter_matrix(vd, vd, M_A, shape) - S_uu).nnz == 0
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1])

@@ -93,13 +93,14 @@ def test_immutability():
 
 def test_element_geometry():
     m = unit_square(2)
-    g = m.element_geometry(0)
-    assert np.isclose(g.area, 1.0 / 8.0)
-    assert np.isclose(g.diameter, np.sqrt(2) / 2)
-    assert np.allclose(g.jacobian @ g.inv_jacobian_t.T, np.eye(2))
+    assert np.isclose(m.areas[0], 1.0 / 8.0)
+    assert np.isclose(m.diameters[0], np.sqrt(2) / 2)
+    J = m.jacobians[0]
+    assert np.allclose(J @ m.inv_jacobians_t[0].T, np.eye(2))
     # gradient pushforward consistency: affine map reproduces corners
-    x = g.vertices[0] + g.jacobian @ np.array([1.0, 0.0])
-    assert np.allclose(x, g.vertices[1])
+    c = m.corner_coords[0]
+    x = c[0] + J @ np.array([1.0, 0.0])
+    assert np.allclose(x, c[1])
 
 
 def test_refine_uniform_counts_and_similarity():
