@@ -30,31 +30,19 @@ EXIT_IO = 5
 
 COMMANDS = ("solve", "uniform-study", "adaptive-study", "audit")
 
-# every key a config file or flag may set, with its parser
-_SCHEMA = {
-    "case": str,
-    "pair": str,
-    "alpha": str,
-    "levels": int,
-    "theta": float,
-    "max_iters": int,
-    "target_eta": float,
-    "n0": int,
-    "out": str,
-    "seed": int,
-}
-
-_DEFAULTS = {
-    "case": "SMOOTH_SQUARE",
-    "pair": "P1P1",
-    "alpha": "auto",
-    "levels": 4,
-    "theta": 0.5,
-    "max_iters": 10,
-    "target_eta": None,
-    "n0": None,
-    "out": ".",
-    "seed": 0,
+# every key a config file or flag may set: (parser, default, help)
+_KEYS = {
+    "case": (str, "SMOOTH_SQUARE",
+             "builtin case name (or mesh file for audit)"),
+    "pair": (str, "P1P1", "element pair: P1P1 or P2P1"),
+    "alpha": (str, "auto", "stabilization parameter, or 'auto'"),
+    "levels": (int, 4, "number of uniform refinement levels"),
+    "theta": (float, 0.5, "marking fraction in (0, 1)"),
+    "max_iters": (int, 10, "adaptive iteration cap"),
+    "target_eta": (float, None, "stop refining once eta falls below this"),
+    "n0": (int, None, "initial structured mesh resolution"),
+    "out": (str, ".", "output directory (default: .)"),
+    "seed": (int, 0, "seed recorded in the manifest"),
 }
 
 
@@ -79,12 +67,12 @@ def parse_config_file(path):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
-            known = ", ".join(sorted(_SCHEMA))
+        if key not in _KEYS:
+            known = ", ".join(sorted(_KEYS))
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
                               f"(known keys: {known})")
         try:
-            out[key] = _SCHEMA[key](value)
+            out[key] = _KEYS[key][0](value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {value!r} for "
                               f"{key}") from None
@@ -93,11 +81,11 @@ def parse_config_file(path):
 
 def resolve_config(args):
     """Merge defaults, config file, and flag overrides."""
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, default, _) in _KEYS.items()}
     if args.config:
         cfg.update(parse_config_file(args.config))
-    for key in _SCHEMA:
-        flag = getattr(args, key.replace("-", "_"), None)
+    for key in _KEYS:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
     if cfg["pair"] not in ("P1P1", "P2P1"):
@@ -194,7 +182,7 @@ def write_vtk(path, mesh, u, p, eta_K, title="stokes-stab output"):
     _atomic_write(path, "\n".join(out) + "\n")
 
 
-def write_manifest(path, cfg, command, alpha, c_i, quad_degrees):
+def write_manifest(path, cfg, command, alpha, c_i):
     lines = [
         f"tool = stokes-stab {__version__}",
         f"command = {command}",
@@ -209,8 +197,9 @@ def write_manifest(path, cfg, command, alpha, c_i, quad_degrees):
         f"n0 = {cfg['n0']!r}",
         f"seed = {cfg['seed']}",
     ]
-    for name in sorted(quad_degrees):
-        lines.append(f"quad_{name} = {quad_degrees[name]}")
+    degree = ElementPair.from_label(cfg["pair"]).velocity_degree
+    for name, value in sorted(forms.quad_degrees(degree).items()):
+        lines.append(f"quad_{name} = {value}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -240,7 +229,7 @@ def cmd_solve(cfg):
     write_table_csv(out / "table.csv", [row])
     _write_vtk_row(out, row, f"{case.name} {pair.label}")
     write_manifest(out / "manifest.txt", cfg, "solve", system.alpha,
-                   system.c_i, system.quad_degrees)
+                   system.c_i)
     print(f"{case.name} {pair.label}: {mesh.n_triangles} triangles, "
           f"eta = {rep.eta:.6e}, residual = {sol.residual:.3e}")
     return EXIT_OK
@@ -257,7 +246,7 @@ def cmd_uniform_study(cfg):
         _write_vtk_row(out, row,
                        f"{case.name} {pair.label} level {row.level}")
     write_manifest(out / "manifest.txt", cfg, "uniform-study", table.alpha,
-                   table.c_i, table.quad_degrees)
+                   table.c_i)
     print(table)
     return EXIT_OK
 
@@ -278,7 +267,7 @@ def cmd_adaptive_study(cfg):
               f"marked {len(step.marked)}")
     write_table_csv(out / "table.csv", [step.row for step in log.steps])
     write_manifest(out / "manifest.txt", cfg, "adaptive-study", log.alpha,
-                   log.c_i, log.quad_degrees)
+                   log.c_i)
     return EXIT_OK
 
 
@@ -318,24 +307,9 @@ def build_parser():
                     "refinement, mesh audits.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--case",
-                        help="builtin case name (or mesh file for audit)")
-    parser.add_argument("--pair", help="element pair: P1P1 or P2P1")
-    parser.add_argument("--alpha",
-                        help="stabilization parameter, or 'auto'")
-    parser.add_argument("--levels", type=int,
-                        help="number of uniform refinement levels")
-    parser.add_argument("--theta", type=float,
-                        help="marking fraction in (0, 1)")
-    parser.add_argument("--max-iters", type=int, dest="max_iters",
-                        help="adaptive iteration cap")
-    parser.add_argument("--target-eta", type=float, dest="target_eta",
-                        help="stop refining once eta falls below this")
-    parser.add_argument("--n0", type=int,
-                        help="initial structured mesh resolution")
-    parser.add_argument("--out", help="output directory (default: .)")
-    parser.add_argument("--seed", type=int,
-                        help="seed recorded in the manifest")
+    for key, (kind, _, text) in _KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=kind, help=text)
     parser.add_argument("--version", action="version",
                         version=f"stokes-stab {__version__}")
     return parser

@@ -12,9 +12,9 @@ unit normal of the edge; it flips sign when the two elements swap
 roles, so eta_E does not depend on the ordering.
 
 Oscillation terms measure data resolution: osc_K(f) = h_K ||f - f_h||_K
-with f_h the L2-projection of f onto the velocity space (global by
-default, elementwise behind a flag) and osc_E(t) = h_E^{1/2}
-||t - t_h||_E with t_h projected onto the boundary trace space.
+with f_h the global L2-projection of f onto the velocity space and
+osc_E(t) = h_E^{1/2} ||t - t_h||_E with t_h projected onto the
+boundary trace space.
 """
 
 from dataclasses import dataclass
@@ -80,19 +80,10 @@ def _edge_side_stress(solution, space, elems, edge_ids, s):
     s are edge parameters in [0,1]; points run from the edge's first
     to second vertex. Returns (ne, nq, 2, 2).
     """
-    mesh = space.mesh
-    tri = mesh.triangles[elems]
-    ref = edge_reference_points(mesh, elems, edge_ids, s)
-
-    _, gref, _ = scalar_basis(space.pair.velocity_degree, ref)
-    it = mesh.inv_jacobians_t[elems]
-    g = np.einsum("mba,mqia->mqib", it, gref)
-    lc = space.local_velocity_coefs(solution.u, elems)
-    G = np.einsum("mqib,mic->mqcb", g, lc)
+    ref = edge_reference_points(space.mesh, elems, edge_ids, s)
+    G = velocity_gradients(space, solution.u, ref, elems)
     D = 0.5 * (G + G.transpose(0, 1, 3, 2))
-
-    pval, _, _ = scalar_basis(1, ref)
-    pv = np.einsum("mqi,mi->mq", pval, solution.p[tri])
+    pv = pressure_values(space, solution.p, ref, elems)
     return D - pv[..., None, None] * np.eye(2)
 
 
@@ -154,39 +145,19 @@ def edge_estimator(solution, space, problem):
 # ----------------------------------------------------------------------
 # oscillations
 
-def _project_f_global(space, problem, rule):
-    """Nodal coefficients of the global L2-projection of f onto V_h."""
+def _project_f_global(space, fv, rule):
+    """Nodal coefficients of the global L2-projection onto V_h of f,
+    given by its values fv at the points of rule on every element."""
     M = forms.velocity_scalar_mass(space)
-    w, pts = rule.weights, rule.points
-    xy = physical_points(space.mesh, pts)
-    fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
-    val, _, _ = scalar_basis(space.pair.velocity_degree, pts)
-    loc = np.einsum("q,eqc,qi->eic", w, fv, val) \
+    val, _, _ = scalar_basis(space.pair.velocity_degree, rule.points)
+    loc = np.einsum("q,eqc,qi->eic", rule.weights, fv, val) \
         * (2.0 * space.mesh.areas)[:, None, None]
     b = forms.scatter_add(space.elem_nodes, loc, space.n_nodes)
     return splu(M.tocsc()).solve(b)
 
 
-def _project_f_element(space, problem, rule):
-    """Per-element polynomial L2-projection; returns values at the
-    quadrature points directly (the projection is discontinuous)."""
-    w, pts = rule.weights, rule.points
-    val, _, _ = scalar_basis(space.pair.velocity_degree, pts)
-    Mref = np.einsum("q,qi,qj->ij", w, val, val)
-    xy = physical_points(space.mesh, pts)
-    fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
-    rhs = np.einsum("q,eqc,qi->eic", w, fv, val)
-    coef = np.linalg.solve(Mref[None], rhs)          # (nt, nbf, 2)
-    return np.einsum("qi,eic->eqc", val, coef)
-
-
-def oscillations(problem, space, projection="global"):
-    """Data oscillation terms (osc_K(f) per element, osc_E(t) per edge).
-
-    projection selects how f_h is built: "global" solves the full
-    mass-matrix projection onto the velocity space, "element" projects
-    independently on each element (cheaper, discontinuous).
-    """
+def oscillations(problem, space):
+    """Data oscillation terms (osc_K(f) per element, osc_E(t) per edge)."""
     k = space.pair.velocity_degree
     rule = forms.quadrature(forms.error_degree(k))
     w, pts = rule.weights, rule.points
@@ -194,15 +165,9 @@ def oscillations(problem, space, projection="global"):
 
     xy = physical_points(mesh, pts)
     fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
-    if projection == "global":
-        fh_nodes = _project_f_global(space, problem, rule)
-        val, _, _ = scalar_basis(k, pts)
-        fh = np.einsum("qi,eic->eqc", val, fh_nodes[space.elem_nodes])
-    elif projection == "element":
-        fh = _project_f_element(space, problem, rule)
-    else:
-        raise ValueError(f"projection must be 'global' or 'element', "
-                         f"got {projection!r}")
+    fh_nodes = _project_f_global(space, fv, rule)
+    val, _, _ = scalar_basis(k, pts)
+    fh = np.einsum("qi,eic->eqc", val, fh_nodes[space.elem_nodes])
     diff = fv - fh
     osc_K = mesh.diameters * np.sqrt(
         2.0 * mesh.areas * np.einsum("q,eqc,eqc->e", w, diff, diff))

@@ -22,7 +22,7 @@ whole system symmetric (indefinite), so the pressure-pressure block is
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,9 +30,9 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
 from .mesh import NEUMANN, MeshError
-from .space import (FeSpace, _phys_grads, _phys_hess, edge_points,
-                    edge_reference_points, interpolate, physical_points,
-                    pressure_basis_grads, scalar_basis)
+from .space import (FeSpace, _phys_grads, edge_points, edge_reference_points,
+                    interpolate, physical_points, pressure_basis_grads,
+                    scalar_basis, stress_divergence_basis)
 
 
 class InadmissibleAlphaError(Exception):
@@ -137,8 +137,7 @@ class StokesProblem:
     f is the body force, g the divergence constraint right-hand side
     (None means 0), t the traction on the Neumann part (None means 0),
     alpha the stabilization parameter (None picks the space default).
-    u_d supplies Dirichlet velocity values; when absent, exact.u is
-    used if available and zero otherwise.
+    Dirichlet velocity values are exact.u when exact is given, else 0.
     """
 
     f: callable
@@ -146,14 +145,6 @@ class StokesProblem:
     t: callable = None
     alpha: float = None
     exact: ExactSolution = None
-    u_d: callable = None
-
-    def dirichlet_data(self):
-        if self.u_d is not None:
-            return self.u_d
-        if self.exact is not None:
-            return self.exact.u
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -164,25 +155,6 @@ def _velocity_dofs(space, elems=None):
     out = np.empty((len(en), 2 * en.shape[1]), dtype=np.int64)
     out[:, 0::2] = 2 * en
     out[:, 1::2] = 2 * en + 1
-    return out
-
-
-def _stress_divergence_op(space, pts, elems=None):
-    """(ne, nq, nbf, 2, 2) action of div D on each vector basis function.
-
-    Index [..., i, c, r] is component r of div D(phi_i e_c): for
-    Hessian H of the scalar function, div D(phi e_0) =
-    (H00 + H11/2, H01/2) and div D(phi e_1) = (H01/2, H00/2 + H11).
-    Zero for P1 velocity.
-    """
-    H = _phys_hess(space, pts, elems)
-    if space.pair.velocity_degree == 1:
-        return H  # zeros, already of the output's shape
-    out = np.empty(H.shape[:3] + (2, 2))
-    out[..., 0, 0] = H[..., 0, 0] + 0.5 * H[..., 1, 1]
-    out[..., 0, 1] = 0.5 * H[..., 0, 1]
-    out[..., 1, 0] = 0.5 * H[..., 0, 1]
-    out[..., 1, 1] = 0.5 * H[..., 0, 0] + H[..., 1, 1]
     return out
 
 
@@ -204,7 +176,7 @@ def _strain_local(w, g, scale):
 def _stress_divergence_local(w, Aop, scale):
     """(ne, 2nbf, 2nbf) element matrices (div D(phi_b), div D(phi_a))_K
     times scale (2|K| h_K^2 in the stabilization), from the output of
-    _stress_divergence_op."""
+    stress_divergence_basis."""
     nbf = Aop.shape[2]
     loc = np.einsum("q,eqicr,eqjdr->eicjd", w, Aop, Aop)
     return loc.reshape(-1, 2 * nbf, 2 * nbf) * scale[:, None, None]
@@ -260,7 +232,7 @@ def assemble_Sh(space):
     returned as one symmetric (n_u + n_p) square matrix.
     """
     w, pts = volume_rule(space, "volume_matrix")
-    Aop = _stress_divergence_op(space, pts)
+    Aop = stress_divergence_basis(space, len(pts))
     pg = pressure_basis_grads(space, len(pts))
     h2 = space.mesh.diameters ** 2
     scale = 2.0 * space.mesh.areas * h2
@@ -329,7 +301,7 @@ def assemble_Lh(space, problem):
 
     xy = physical_points(mesh, pts)
     fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
-    Aop = _stress_divergence_op(space, pts)
+    Aop = stress_divergence_basis(space, len(pts))
     lu = -np.einsum("q,eqr,eqicr->eic", w, fv, Aop) * scale[:, None, None]
     pg = pressure_basis_grads(space, len(pts))
     lp = np.einsum("q,eqr,eqlr->el", w, fv, pg) * scale[:, None]
@@ -376,8 +348,9 @@ def inverse_inequality_pencils(space, elems=None):
     sel = slice(None) if elems is None else elems
     scale = 2.0 * mesh.areas[sel]
     M_D = _strain_local(w, _phys_grads(space, pts, elems), scale)
-    M_A = _stress_divergence_local(w, _stress_divergence_op(space, pts, elems),
-                                   scale * mesh.diameters[sel] ** 2)
+    M_A = _stress_divergence_local(
+        w, stress_divergence_basis(space, len(pts), elems),
+        scale * mesh.diameters[sel] ** 2)
     return M_A, M_D
 
 
@@ -432,8 +405,7 @@ class AssembledSystem:
     (velocity interleaved first, then pressure). mean_vector, present
     when the whole boundary is Dirichlet, carries the pressure means
     int psi_j used to pin the pressure gauge via one Lagrange
-    multiplier. quad_degrees records the three assembly rules of
-    quad_degrees(): volume matrix, volume load and Neumann-load edge.
+    multiplier.
     """
 
     matrix: sp.csr_matrix
@@ -448,7 +420,6 @@ class AssembledSystem:
     dirichlet_values: np.ndarray = None
     space: FeSpace = None
     problem: StokesProblem = None
-    quad_degrees: dict = field(default_factory=dict)
 
 
 def pressure_integral_vector(space):
@@ -487,9 +458,8 @@ def assemble_system(space, problem):
         rhs = rhs - alpha * assemble_Lh(space, problem)
 
     lift = None
-    u_d = problem.dirichlet_data()
-    if u_d is not None and len(space.dirichlet_dofs):
-        uvals, _ = interpolate(space, u=u_d)
+    if problem.exact is not None and len(space.dirichlet_dofs):
+        uvals, _ = interpolate(space, u=problem.exact.u)
         z = np.zeros(space.n_u + space.n_p)
         z[space.dirichlet_dofs] = uvals[space.dirichlet_dofs]
         if np.any(z):
@@ -514,5 +484,4 @@ def assemble_system(space, problem):
         alpha=alpha, c_i=c_i, mean_vector=mean_vector,
         dirichlet_values=lift,
         space=space, problem=problem,
-        quad_degrees=quad_degrees(space.pair.velocity_degree),
     )

@@ -167,9 +167,10 @@ class FeSpace:
 # ----------------------------------------------------------------------
 # evaluation of discrete fields at reference points
 #
-# ref_pts is (nq, 2), shared by all elements; elems selects a subset of
-# triangles (default all). Physical derivatives come from the affine
-# pullback: grad_x = J^{-T} grad_ref, hess_x = J^{-T} hess_ref J^{-1}.
+# ref_pts is (nq, 2), shared by all elements, or (ne, nq, 2), one point
+# set per element; elems selects a subset of triangles (default all).
+# Physical derivatives come from the affine pullback:
+# grad_x = J^{-T} grad_ref, hess_x = J^{-T} hess_ref J^{-1}.
 
 def physical_points(mesh, ref_pts, elems=None):
     J = mesh.jacobians if elems is None else mesh.jacobians[elems]
@@ -197,23 +198,45 @@ def edge_reference_points(mesh, elems, edge_ids, s):
             + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
 
 
+def _inv_jacobians_t(space, elems):
+    it = space.mesh.inv_jacobians_t
+    return it if elems is None else it[elems]
+
+
 def _phys_grads(space, ref_pts, elems=None):
     _, gref, _ = scalar_basis(space.pair.velocity_degree, ref_pts)
-    it = space.mesh.inv_jacobians_t
-    if elems is not None:
-        it = it[elems]
-    return np.einsum("eba,qia->eqib", it, gref)
+    it = _inv_jacobians_t(space, elems)
+    gref = np.broadcast_to(gref, (len(it),) + gref.shape[-3:])
+    return np.einsum("eba,eqia->eqib", it, gref)
 
 
-def _phys_hess(space, ref_pts, elems=None):
-    _, _, href = scalar_basis(space.pair.velocity_degree, ref_pts)
-    it = space.mesh.inv_jacobians_t
-    if elems is not None:
-        it = it[elems]
+def _phys_hess(space, elems=None):
+    """(ne, nbf, 2, 2) physical Hessians of the scalar velocity basis,
+    constant on each element; zeros for P1, whose basis is affine."""
+    it = _inv_jacobians_t(space, elems)
     if space.pair.velocity_degree == 1:
-        # P1 basis functions are affine: their Hessians vanish
-        return np.zeros((len(it),) + href.shape)
-    return np.einsum("eca,qiab,edb->eqicd", it, href, it)
+        return np.zeros((len(it), 3, 2, 2))
+    _, _, href = scalar_basis(2, np.zeros(2))
+    return np.einsum("eca,iab,edb->eicd", it, href, it)
+
+
+def stress_divergence_basis(space, nq, elems=None):
+    """(ne, nq, nbf, 2, 2) div D of each vector basis function.
+
+    Index [..., i, c, r] is component r of div D(phi_i e_c): for
+    Hessian H of the scalar function, div D(phi e_0) =
+    (H00 + H11/2, H01/2) and div D(phi e_1) = (H01/2, H00/2 + H11).
+    Constant on each element and zero for P1. The nq points get their
+    own (materialized) copies: einsum sums a zero-stride view in a
+    different order, which would move the last bit of C_I.
+    """
+    H = _phys_hess(space, elems)
+    op = np.empty(H.shape[:2] + (2, 2))
+    op[..., 0, 0] = H[..., 0, 0] + 0.5 * H[..., 1, 1]
+    op[..., 0, 1] = 0.5 * H[..., 0, 1]
+    op[..., 1, 0] = 0.5 * H[..., 0, 1]
+    op[..., 1, 1] = 0.5 * H[..., 0, 0] + H[..., 1, 1]
+    return np.repeat(op[:, None], nq, axis=1)
 
 
 def velocity_values(space, coefs, ref_pts, elems=None):
@@ -231,27 +254,17 @@ def velocity_gradients(space, coefs, ref_pts, elems=None):
 
 
 def velocity_stress_laplacian(space, coefs, ref_pts, elems=None):
-    """(ne, nq, 2) values of div D(u_h), D the symmetric gradient.
-
-    Componentwise, with H^c the Hessian of velocity component c:
-    row 1 is H^1_xx + (H^1_yy + H^2_xy)/2, row 2 symmetric. Identically
-    zero for P1 velocity.
-    """
-    H = _phys_hess(space, ref_pts, elems)
+    """(ne, nq, 2) values of div D(u_h), D the symmetric gradient."""
+    op = stress_divergence_basis(space, len(ref_pts), elems)
     lc = space.local_velocity_coefs(coefs, elems)
-    Hu = np.einsum("eqiab,eic->eqcab", H, lc)
-    out = np.empty(Hu.shape[:2] + (2,))
-    out[..., 0] = Hu[..., 0, 0, 0] + 0.5 * (Hu[..., 0, 1, 1]
-                                            + Hu[..., 1, 0, 1])
-    out[..., 1] = Hu[..., 1, 1, 1] + 0.5 * (Hu[..., 1, 0, 0]
-                                            + Hu[..., 0, 0, 1])
-    return out
+    return np.einsum("eqicr,eic->eqr", op, lc)
 
 
 def pressure_values(space, coefs, ref_pts, elems=None):
     val, _, _ = scalar_basis(1, ref_pts)
     lc = space.local_pressure_coefs(coefs, elems)
-    return np.einsum("qi,ei->eq", val, lc)
+    val = np.broadcast_to(val, (len(lc),) + val.shape[-2:])
+    return np.einsum("eqi,ei->eq", val, lc)
 
 
 def pressure_basis_grads(space, nq, elems=None):
@@ -260,11 +273,9 @@ def pressure_basis_grads(space, nq, elems=None):
     They are constant on each element, so the nq points share one
     (read-only, broadcast) copy.
     """
-    _, gref, _ = scalar_basis(1, np.zeros((1, 2)))
-    it = space.mesh.inv_jacobians_t
-    if elems is not None:
-        it = it[elems]
-    g = np.einsum("eba,ia->eib", it, gref[0])
+    _, gref, _ = scalar_basis(1, np.zeros(2))
+    it = _inv_jacobians_t(space, elems)
+    g = np.einsum("eba,ia->eib", it, gref)
     return np.broadcast_to(g[:, None], (len(g), nq, 3, 2))
 
 

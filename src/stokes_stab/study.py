@@ -77,7 +77,6 @@ class ManufacturedCase:
     f_expr: tuple = None
     neumann_side: str = None
     neumann_normal: tuple = None
-    regularity: str = "smooth"
     default_n0: int = 4
 
     @property
@@ -165,9 +164,7 @@ def builtin_cases():
             u_expr=u_g, p_expr=p_g),
         ManufacturedCase(
             name="LSHAPE_PEAK", domain="l_shape",
-            f_expr=(bump, -bump),
-            regularity="limited (reentrant corner, localized load)",
-            default_n0=16),
+            f_expr=(bump, -bump), default_n0=16),
     )
 
 
@@ -226,8 +223,8 @@ def level_row(level, space, solution, report):
 def _solve_level(space, problem, where):
     """Assemble, solve and estimate one level.
 
-    Returns the solution, its ErrorReport and the quadrature degrees
-    used; the assembled system and its factorization are dropped here.
+    Returns the solution and its ErrorReport; the assembled system and
+    its factorization are dropped here.
     """
     system = forms.assemble_system(space, problem)
     try:
@@ -237,7 +234,7 @@ def _solve_level(space, problem, where):
             f"{where} ({space.mesh.n_triangles} triangles): {exc}") \
             from None
     rep = estimator.global_report(sol, space, problem)
-    return sol, rep, system.quad_degrees
+    return sol, rep
 
 
 @dataclass
@@ -247,7 +244,6 @@ class ConvergenceTable:
     rates[i] is the log2 ratio of combined errors between levels i and
     i+1 (one fewer entry than rows). For estimator-only cases the error
     columns are NaN and rates fall back to the estimator eta.
-    quad_degrees are the quadrature degrees of the assembly.
     """
 
     case: str
@@ -255,7 +251,6 @@ class ConvergenceTable:
     alpha: float
     c_i: float
     rows: list = field(default_factory=list)
-    quad_degrees: dict = None
 
     def _rate_series(self):
         if self.rows and math.isfinite(self.rows[0].err_H1_u):
@@ -316,8 +311,7 @@ def uniform_study(case, pair, levels, alpha=None, n0=None):
         if level > 0:
             mesh = mesh.refine_uniform()
             space = FeSpace(mesh, pair)
-        sol, rep, table.quad_degrees = _solve_level(
-            space, problem, f"level {level}")
+        sol, rep = _solve_level(space, problem, f"level {level}")
         table.rows.append(level_row(level, space, sol, rep))
     return table
 
@@ -359,7 +353,7 @@ class AdaptiveStep:
 
 @dataclass
 class AdaptiveLog:
-    """Steps of the adaptive loop; c_i and quad_degrees of the last."""
+    """Steps of the adaptive loop; c_i of the last."""
 
     case: str
     pair: str
@@ -367,7 +361,6 @@ class AdaptiveLog:
     theta: float
     steps: list = field(default_factory=list)
     c_i: float = None
-    quad_degrees: dict = None
 
     @property
     def etas(self):
@@ -404,8 +397,7 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
                       theta=theta)
 
     for it in range(max_iters):
-        sol, rep, log.quad_degrees = _solve_level(
-            space, problem, f"iteration {it}")
+        sol, rep = _solve_level(space, problem, f"iteration {it}")
         log.c_i = space.c_i
         marked = dorfler_mark(mesh, rep.eta_K, rep.eta_E, theta)
         row = level_row(it, space, sol, rep)

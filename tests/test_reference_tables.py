@@ -1,11 +1,13 @@
-"""Small uniform-study tables of the paths the benchmark does not run.
+"""Small study tables of the paths the benchmark does not run.
 
-Each table in tests/data was written by `stokes-stab uniform-study
---case C --pair P --n0 4 --levels 2` and is compared column by column
-to 1e-10 relative with the benchmark's own table check. The cases cover
-the g != 0 load (NONZERO_G), P1P1 with traction data (NEUMANN_STRIP),
-P2P1 with the mean-pressure border (SMOOTH_SQUARE) and the
-estimator-only L-shape in P2P1.
+Each uniform table in tests/data was written by `stokes-stab
+uniform-study --case C --pair P --n0 4 --levels 2`, the adaptive one by
+`stokes-stab adaptive-study --case LSHAPE_PEAK --pair P2P1 --max-iters
+4`; each is compared column by column to 1e-10 relative with the
+benchmark's own table check. The cases cover the g != 0 load
+(NONZERO_G), P1P1 with traction data (NEUMANN_STRIP), P2P1 with the
+mean-pressure border (SMOOTH_SQUARE), the estimator-only L-shape in
+P2P1, and P2P1 marking and local refinement.
 """
 
 import importlib.util
@@ -39,4 +41,12 @@ def test_uniform_study_matches_reference_table(tmp_path, case, pair):
                      "--n0", "4", "--levels", "2", "--out", str(tmp_path)])
     assert code == cli.EXIT_OK
     ref = DATA / f"uniform_{case}_{pair}_n0_4.csv"
+    assert _compare_tables()(tmp_path / "table.csv", ref) == []
+
+
+def test_adaptive_study_matches_reference_table(tmp_path):
+    code = cli.main(["adaptive-study", "--case", "LSHAPE_PEAK", "--pair",
+                     "P2P1", "--max-iters", "4", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    ref = DATA / "adaptive_LSHAPE_PEAK_P2P1_iters_4.csv"
     assert _compare_tables()(tmp_path / "table.csv", ref) == []

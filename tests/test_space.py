@@ -135,6 +135,47 @@ def test_stress_laplacian_oracle():
     assert np.allclose(velocity_stress_laplacian(s1, uc1, ref), 0.0)
 
 
+def _jittered_square(n, seed):
+    base = msh.unit_square(n)
+    v = base.vertices.copy()
+    inner = np.all((v > 0.0) & (v < 1.0), axis=1)
+    v[inner] += np.random.default_rng(seed).uniform(
+        -0.05, 0.05, size=(inner.sum(), 2))
+    return msh.TriMesh(v, base.triangles, base.boundary_tag_dict())
+
+
+def test_stress_laplacian_oracle_both_components():
+    # u = (x^2 + xy, y^2 - xy): Hessians [[2,1],[1,0]] and [[0,-1],[-1,2]],
+    # so div D(u) = (2 + (0 - 1)/2, 2 + (0 + 1)/2) = (3/2, 5/2)
+    m = _jittered_square(3, seed=11)
+    s = FeSpace(m, "P2P1")
+    uc, _ = interpolate(s, u=lambda X, Y: np.stack(
+        [X**2 + X * Y, Y**2 - X * Y], axis=-1))
+    ref = np.array([[1 / 3, 1 / 3], [0.2, 0.3], [0.6, 0.1]])
+    Au = velocity_stress_laplacian(s, uc, ref)
+    assert np.allclose(Au[..., 0], 1.5, rtol=0, atol=1e-10)
+    assert np.allclose(Au[..., 1], 2.5, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("pair", ["P1P1", "P2P1"])
+def test_per_element_points_match_shared_points(pair):
+    # one point set per element gives, bit for bit, what a shared-points
+    # call restricted to that element gives
+    m = _jittered_square(3, seed=4)
+    s = FeSpace(m, pair)
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal(s.n_u)
+    p = rng.standard_normal(s.n_p)
+    elems = np.array([0, 5, 7, 12])
+    ref = rng.random((len(elems), 4, 2)) * 0.5
+    G = velocity_gradients(s, u, ref, elems)
+    P = pressure_values(s, p, ref, elems)
+    assert G.shape == (len(elems), 4, 2, 2) and P.shape == (len(elems), 4)
+    for m_, k in enumerate(elems):
+        assert np.array_equal(G[m_], velocity_gradients(s, u, ref[m_], [k])[0])
+        assert np.array_equal(P[m_], pressure_values(s, p, ref[m_], [k])[0])
+
+
 def test_dof_continuity_across_edges():
     # evaluating from either side of every interior edge must agree
     rng = np.random.default_rng(5)
