@@ -158,27 +158,23 @@ def write_vtk(path, mesh, u, p, eta_K, title="stokes-stab output"):
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
+        *(" ".join(map(repr, xy)) + " 0.0" for xy in mesh.vertices.tolist()),
+        f"CELLS {nt} {4 * nt}",
+        *("3 " + " ".join(map(repr, t)) for t in mesh.triangles.tolist()),
+        f"CELL_TYPES {nt}",
+        *["5"] * nt,
+        f"POINT_DATA {nv}",
+        "VECTORS velocity double",
+        *(" ".join(map(repr, v)) + " 0.0"
+          for v in u[:2 * nv].reshape(nv, 2).tolist()),
+        "SCALARS pressure double 1",
+        "LOOKUP_TABLE default",
+        *map(repr, p[:nv].tolist()),
+        f"CELL_DATA {nt}",
+        "SCALARS eta_K double 1",
+        "LOOKUP_TABLE default",
+        *map(repr, eta_K[:nt].tolist()),
     ]
-    for x, y in mesh.vertices:
-        out.append(f"{float(x)!r} {float(y)!r} 0.0")
-    out.append(f"CELLS {nt} {4 * nt}")
-    for a, b, c in mesh.triangles:
-        out.append(f"3 {int(a)} {int(b)} {int(c)}")
-    out.append(f"CELL_TYPES {nt}")
-    out.extend(["5"] * nt)
-    out.append(f"POINT_DATA {nv}")
-    out.append("VECTORS velocity double")
-    for v in range(nv):
-        out.append(f"{float(u[2 * v])!r} {float(u[2 * v + 1])!r} 0.0")
-    out.append("SCALARS pressure double 1")
-    out.append("LOOKUP_TABLE default")
-    for v in range(nv):
-        out.append(f"{float(p[v])!r}")
-    out.append(f"CELL_DATA {nt}")
-    out.append("SCALARS eta_K double 1")
-    out.append("LOOKUP_TABLE default")
-    for k in range(nt):
-        out.append(f"{float(eta_K[k])!r}")
     _atomic_write(path, "\n".join(out) + "\n")
 
 

@@ -24,9 +24,9 @@ from scipy.sparse.linalg import splu
 
 from . import forms, solver
 from .mesh import INTERIOR, NEUMANN
-from .space import (edge_points, edge_reference_points, physical_points,
-                    pressure_gradients, pressure_values, scalar_basis,
-                    velocity_gradients, velocity_stress_laplacian)
+from .space import (edge_points, edge_reference_points, element_residual,
+                    physical_points, pressure_values, scalar_basis,
+                    velocity_gradients)
 
 
 @dataclass
@@ -58,9 +58,8 @@ def element_estimator(solution, space, problem):
 
     xy = physical_points(mesh, pts)
     x, y = xy[..., 0], xy[..., 1]
-    res = np.asarray(problem.f(x, y), dtype=float).copy()
-    res += velocity_stress_laplacian(space, solution.u, pts)
-    res -= pressure_gradients(space, solution.p, pts)
+    res = np.asarray(problem.f(x, y), dtype=float) \
+        - element_residual(space, solution.u, solution.p)[:, None, :]
     mom = np.einsum("q,eqc,eqc->e", w, res, res)
 
     G = velocity_gradients(space, solution.u, pts)
@@ -200,16 +199,15 @@ def _trace_oscillation(space, problem, neumann):
     L = mesh.edge_lengths[neumann]
 
     Mloc = np.einsum("qi,qj,q->ij", tval, tval, w)
-    M = forms.scatter_add(local[:, :, None] * nn + local[:, None, :],
-                          Mloc[None] * L[:, None, None], nn * nn)
-    M = M.reshape(nn, nn)
+    M = forms._scatter_matrix(local, local, Mloc[None] * L[:, None, None],
+                              (nn, nn))
 
     xy = edge_points(mesh, neumann, s)
     tv = np.asarray(problem.t(xy[..., 0], xy[..., 1]), dtype=float)
     loc = np.einsum("q,eqc,qi->eic", w, tv, tval) * L[:, None, None]
     rhs = forms.scatter_add(local, loc, nn)
 
-    th_nodes = np.linalg.solve(M, rhs)
+    th_nodes = splu(M.tocsc()).solve(rhs)
     th = np.einsum("qi,eic->eqc", tval, th_nodes[local])
     diff = tv - th
     return np.sqrt(L) * np.sqrt(

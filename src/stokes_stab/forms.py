@@ -31,8 +31,7 @@ from scipy.special import roots_jacobi
 
 from .mesh import NEUMANN, MeshError
 from .space import (FeSpace, _phys_grads, edge_points, edge_reference_points,
-                    interpolate, physical_points, pressure_basis_grads,
-                    scalar_basis, stress_divergence_basis)
+                    interpolate, physical_points, scalar_basis)
 
 
 class InadmissibleAlphaError(Exception):
@@ -173,19 +172,44 @@ def _strain_local(w, g, scale):
     return loc.reshape(-1, 2 * nbf, 2 * nbf)
 
 
-def _stress_divergence_local(w, Aop, scale):
-    """(ne, 2nbf, 2nbf) element matrices (div D(phi_b), div D(phi_a))_K
-    times scale (2|K| h_K^2 in the stabilization), from the output of
-    stress_divergence_basis."""
-    nbf = Aop.shape[2]
-    loc = np.einsum("q,eqicr,eqjdr->eicjd", w, Aop, Aop)
-    return loc.reshape(-1, 2 * nbf, 2 * nbf) * scale[:, None, None]
+def _residual_dofs(space):
+    """(ne, 2nbf+3) global dofs of the rows of the residual operator:
+    the element's velocity dofs, then its pressure dofs."""
+    return np.hstack([_velocity_dofs(space), space.n_u + space.mesh.triangles])
+
+
+def _residual_local(space, elems=None):
+    """(ne, 2nbf+3, 2nbf+3) element matrices |K| h_K^2 R R^T of S_h,
+    R the element residual operator, for all elements or those listed
+    in elems. r_K is constant on K, so no quadrature is needed."""
+    R = space.residual_operator
+    scale = space.mesh.areas * space.mesh.diameters ** 2
+    if elems is not None:
+        R, scale = R[elems], scale[elems]
+    return np.einsum("eir,ejr->eij", R, R) * scale[:, None, None]
 
 
 def _scatter_matrix(rows, cols, vals, shape):
-    r = np.broadcast_to(rows[:, :, None], vals.shape).ravel()
+    """CSR sum of element matrices: out[rows[e, i], cols[e, j]] +=
+    vals[e, i, j].
+
+    It is the product P @ L of the 0/1 map P from element rows (e, i)
+    to global rows with the matrix L whose rows are the element rows,
+    so each entry sums term by term in element order, as scatter_add
+    does, whatever else its row holds. (COO to CSR conversion sums
+    duplicates in an order that depends on the whole row.) Entries
+    that sum to exactly zero are not stored.
+    """
+    ne, a, b = vals.shape
+    m = ne * a
+    P = sp.csc_matrix((np.ones(m), np.ravel(rows), np.arange(m + 1)),
+                      shape=(shape[0], m))
     c = np.broadcast_to(cols[:, None, :], vals.shape).ravel()
-    return sp.coo_matrix((vals.ravel(), (r, c)), shape=shape).tocsr()
+    L = sp.csr_matrix((vals.ravel(), c, np.arange(0, m * b + 1, b)),
+                      shape=(m, shape[1]))
+    out = P.tocsr() @ L
+    out.sort_indices()
+    return out
 
 
 def scatter_add(index, values, n):
@@ -231,28 +255,9 @@ def assemble_Sh(space):
                                   -div D(v) + grad q)_K,
     returned as one symmetric (n_u + n_p) square matrix.
     """
-    w, pts = volume_rule(space, "volume_matrix")
-    Aop = stress_divergence_basis(space, len(pts))
-    pg = pressure_basis_grads(space, len(pts))
-    h2 = space.mesh.diameters ** 2
-    scale = 2.0 * space.mesh.areas * h2
-    nbf = space.n_basis
-    nu, npr = space.n_u, space.n_p
-    n = nu + npr
-
-    vd = _velocity_dofs(space)
-    pd = nu + space.mesh.triangles
-
-    uu = _stress_divergence_local(w, Aop, scale)
-    up = -np.einsum("q,eqicr,eqlr->eicl", w, Aop, pg)
-    up = up.reshape(-1, 2 * nbf, 3) * scale[:, None, None]
-    pp = np.einsum("q,eqlr,eqmr->elm", w, pg, pg) * scale[:, None, None]
-
-    S = _scatter_matrix(vd, vd, uu, (n, n))
-    S += _scatter_matrix(vd, pd, up, (n, n))
-    S += _scatter_matrix(pd, vd, up.transpose(0, 2, 1), (n, n))
-    S += _scatter_matrix(pd, pd, pp, (n, n))
-    return S.tocsr()
+    dofs = _residual_dofs(space)
+    n = space.n_dofs
+    return _scatter_matrix(dofs, dofs, _residual_local(space), (n, n))
 
 
 def assemble_F(space, problem):
@@ -297,17 +302,13 @@ def assemble_Lh(space, problem):
     """Stabilization load sum_K h_K^2 (f, -div D(v) + grad q)_K."""
     w, pts = volume_rule(space, "volume_load")
     mesh = space.mesh
-    scale = 2.0 * mesh.areas * mesh.diameters ** 2
 
     xy = physical_points(mesh, pts)
     fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
-    Aop = stress_divergence_basis(space, len(pts))
-    lu = -np.einsum("q,eqr,eqicr->eic", w, fv, Aop) * scale[:, None, None]
-    pg = pressure_basis_grads(space, len(pts))
-    lp = np.einsum("q,eqr,eqlr->el", w, fv, pg) * scale[:, None]
-    return np.concatenate([
-        scatter_add(_velocity_dofs(space), lu, space.n_u),
-        scatter_add(mesh.triangles, lp, space.n_p)])
+    int_f = np.einsum("q,eqr->er", w, fv) * (2.0 * mesh.areas)[:, None]
+    loc = np.einsum("er,eir->ei", int_f, space.residual_operator) \
+        * (mesh.diameters ** 2)[:, None]
+    return scatter_add(_residual_dofs(space), loc, space.n_dofs)
 
 
 def pressure_mass(space):
@@ -344,13 +345,11 @@ def inverse_inequality_pencils(space, elems=None):
     scatter.
     """
     w, pts = volume_rule(space, "volume_matrix")
-    mesh = space.mesh
     sel = slice(None) if elems is None else elems
-    scale = 2.0 * mesh.areas[sel]
-    M_D = _strain_local(w, _phys_grads(space, pts, elems), scale)
-    M_A = _stress_divergence_local(
-        w, stress_divergence_basis(space, len(pts), elems),
-        scale * mesh.diameters[sel] ** 2)
+    M_D = _strain_local(w, _phys_grads(space, pts, elems),
+                        2.0 * space.mesh.areas[sel])
+    nv = 2 * space.n_basis
+    M_A = _residual_local(space, elems)[:, :nv, :nv]
     return M_A, M_D
 
 

@@ -251,15 +251,24 @@ class TriMesh:
             np.column_stack([m0, m1, m2]),
         ], axis=1).reshape(-1, 3)
         parents = np.repeat(np.arange(self.n_triangles), 4)
+        tags = self._split_tags(nv + np.arange(self.n_edges))
+        return TriMesh(new_vertices, children, tags, parents=parents)
 
+    def _split_tags(self, midpoint_id):
+        """Boundary tags of the refined mesh: a tagged edge with midpoint
+        vertex midpoint_id[e] passes its tag to both halves, one with
+        midpoint_id[e] < 0 keeps it whole."""
         tags = {}
         for idx in np.flatnonzero(self.edge_tags != INTERIOR):
             i, j = (int(v) for v in self.edges[idx])
-            m = int(nv + idx)
             tag = _TAG_TO_STR[int(self.edge_tags[idx])]
-            tags[(min(i, m), max(i, m))] = tag
-            tags[(min(j, m), max(j, m))] = tag
-        return TriMesh(new_vertices, children, tags, parents=parents)
+            m = int(midpoint_id[idx])
+            if m < 0:
+                tags[(i, j)] = tag
+            else:
+                tags[(min(i, m), max(i, m))] = tag
+                tags[(min(j, m), max(j, m))] = tag
+        return tags
 
     def refine_marked(self, marked):
         """Newest-vertex bisection of the marked triangles.
@@ -322,16 +331,7 @@ class TriMesh:
                 tris.append((v2, m2, m0))
             parents.extend([k] * (len(tris) - len(parents)))
 
-        tags = {}
-        for idx in np.flatnonzero(self.edge_tags != INTERIOR):
-            i, j = (int(v) for v in self.edges[idx])
-            tag = _TAG_TO_STR[int(self.edge_tags[idx])]
-            m = int(midpoint_id[idx])
-            if m < 0:
-                tags[(i, j)] = tag
-            else:
-                tags[(min(i, m), max(i, m))] = tag
-                tags[(min(j, m), max(j, m))] = tag
+        tags = self._split_tags(midpoint_id)
         return TriMesh(new_vertices, np.array(tris, dtype=np.int64), tags,
                        parents=np.array(parents, dtype=np.int64))
 

@@ -140,6 +140,33 @@ class FeSpace:
         from . import forms  # forms imports this module
         return forms.estimate_CI(self)
 
+    @cached_property
+    def residual_operator(self):
+        """(ne, 2nbf+3, 2) element residual operator R, read-only.
+
+        The element residual r_K(v, q) = -div D(v) + grad q is constant
+        on each element, since div D of P2 (zero for P1) and grad of P1
+        are. R maps local coefficients to it: row 2i+c is
+        -div D(phi_i e_c), in the velocity dof order of the element,
+        and row 2nbf+l is grad psi_l. S_h, L_h, C_I and eta_K all
+        use it.
+        """
+        nbf = self.n_basis
+        it = self.mesh.inv_jacobians_t
+        R = np.zeros((len(it), 2 * nbf + 3, 2))
+        if self.pair.velocity_degree == 2:
+            # for Hessian H of phi: div D(phi e_0) = (H00 + H11/2, H01/2)
+            # and div D(phi e_1) = (H01/2, H00/2 + H11)
+            H = _phys_hess(self)
+            R[:, 0:2 * nbf:2, 0] = -(H[..., 0, 0] + 0.5 * H[..., 1, 1])
+            R[:, 0:2 * nbf:2, 1] = -0.5 * H[..., 0, 1]
+            R[:, 1:2 * nbf:2, 0] = -0.5 * H[..., 0, 1]
+            R[:, 1:2 * nbf:2, 1] = -(0.5 * H[..., 0, 0] + H[..., 1, 1])
+        _, gref, _ = scalar_basis(1, np.zeros(2))
+        R[:, 2 * nbf:] = np.einsum("eba,ia->eib", it, gref)
+        R.flags.writeable = False
+        return R
+
     def dof_coords(self, dofs):
         """(len(dofs), 2) location of global dofs: velocity dof 2s+c at
         node s, pressure dof n_u + j at vertex j."""
@@ -198,45 +225,20 @@ def edge_reference_points(mesh, elems, edge_ids, s):
             + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
 
 
-def _inv_jacobians_t(space, elems):
-    it = space.mesh.inv_jacobians_t
-    return it if elems is None else it[elems]
-
-
 def _phys_grads(space, ref_pts, elems=None):
     _, gref, _ = scalar_basis(space.pair.velocity_degree, ref_pts)
-    it = _inv_jacobians_t(space, elems)
+    it = space.mesh.inv_jacobians_t
+    it = it if elems is None else it[elems]
     gref = np.broadcast_to(gref, (len(it),) + gref.shape[-3:])
     return np.einsum("eba,eqia->eqib", it, gref)
 
 
-def _phys_hess(space, elems=None):
-    """(ne, nbf, 2, 2) physical Hessians of the scalar velocity basis,
-    constant on each element; zeros for P1, whose basis is affine."""
-    it = _inv_jacobians_t(space, elems)
-    if space.pair.velocity_degree == 1:
-        return np.zeros((len(it), 3, 2, 2))
+def _phys_hess(space):
+    """(ne, nbf, 2, 2) physical Hessians of the P2 scalar velocity
+    basis, constant on each element."""
+    it = space.mesh.inv_jacobians_t
     _, _, href = scalar_basis(2, np.zeros(2))
     return np.einsum("eca,iab,edb->eicd", it, href, it)
-
-
-def stress_divergence_basis(space, nq, elems=None):
-    """(ne, nq, nbf, 2, 2) div D of each vector basis function.
-
-    Index [..., i, c, r] is component r of div D(phi_i e_c): for
-    Hessian H of the scalar function, div D(phi e_0) =
-    (H00 + H11/2, H01/2) and div D(phi e_1) = (H01/2, H00/2 + H11).
-    Constant on each element and zero for P1. The nq points get their
-    own (materialized) copies: einsum sums a zero-stride view in a
-    different order, which would move the last bit of C_I.
-    """
-    H = _phys_hess(space, elems)
-    op = np.empty(H.shape[:2] + (2, 2))
-    op[..., 0, 0] = H[..., 0, 0] + 0.5 * H[..., 1, 1]
-    op[..., 0, 1] = 0.5 * H[..., 0, 1]
-    op[..., 1, 0] = 0.5 * H[..., 0, 1]
-    op[..., 1, 1] = 0.5 * H[..., 0, 0] + H[..., 1, 1]
-    return np.repeat(op[:, None], nq, axis=1)
 
 
 def velocity_values(space, coefs, ref_pts, elems=None):
@@ -253,13 +255,6 @@ def velocity_gradients(space, coefs, ref_pts, elems=None):
     return np.einsum("eqib,eic->eqcb", g, lc)
 
 
-def velocity_stress_laplacian(space, coefs, ref_pts, elems=None):
-    """(ne, nq, 2) values of div D(u_h), D the symmetric gradient."""
-    op = stress_divergence_basis(space, len(ref_pts), elems)
-    lc = space.local_velocity_coefs(coefs, elems)
-    return np.einsum("eqicr,eic->eqr", op, lc)
-
-
 def pressure_values(space, coefs, ref_pts, elems=None):
     val, _, _ = scalar_basis(1, ref_pts)
     lc = space.local_pressure_coefs(coefs, elems)
@@ -267,23 +262,13 @@ def pressure_values(space, coefs, ref_pts, elems=None):
     return np.einsum("eqi,ei->eq", val, lc)
 
 
-def pressure_basis_grads(space, nq, elems=None):
-    """(ne, nq, 3, 2) physical gradients of the P1 pressure basis.
-
-    They are constant on each element, so the nq points share one
-    (read-only, broadcast) copy.
-    """
-    _, gref, _ = scalar_basis(1, np.zeros(2))
-    it = _inv_jacobians_t(space, elems)
-    g = np.einsum("eba,ia->eib", it, gref)
-    return np.broadcast_to(g[:, None], (len(g), nq, 3, 2))
-
-
-def pressure_gradients(space, coefs, ref_pts, elems=None):
-    """(ne, nq, 2) gradients of the discrete pressure."""
-    g = pressure_basis_grads(space, len(ref_pts), elems)
-    lc = space.local_pressure_coefs(coefs, elems)
-    return np.einsum("eqib,ei->eqb", g, lc)
+def element_residual(space, u, p):
+    """(ne, 2) element residuals r_K(u_h, p_h) = -div D(u_h) + grad p_h
+    of velocity and pressure coefficient vectors, one per element."""
+    lc = np.hstack([
+        space.local_velocity_coefs(u).reshape(space.mesh.n_triangles, -1),
+        space.local_pressure_coefs(p)])
+    return np.einsum("eir,ei->er", space.residual_operator, lc)
 
 
 def interpolate(space, u=None, p=None):

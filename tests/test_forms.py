@@ -20,7 +20,8 @@ from stokes_stab.forms import (
     quadrature,
 )
 from stokes_stab.mesh import MeshError, TriMesh, unit_square
-from stokes_stab.space import FeSpace, P1P1, P2P1, interpolate
+from stokes_stab.space import (FeSpace, P1P1, P2P1, element_residual,
+                               interpolate, physical_points)
 from stokes_stab.study import get_case
 
 
@@ -113,6 +114,34 @@ def test_stabilized_load_value():
     z = np.zeros(space.n_dofs)
     z[space.n_u:] = space.node_coords[:, 0]
     assert abs(z @ L - 2.0) < 1e-14
+
+
+def test_stabilization_forms_share_the_element_residual():
+    # S_h and L_h are sums over K of |K| h_K^2 |r_K(z)|^2 and
+    # h_K^2 (int_K f) . r_K(z) for the one element residual r_K
+    base = unit_square(3)
+    rng = np.random.default_rng(8)
+    v = base.vertices.copy()
+    inner = np.all((v > 0.0) & (v < 1.0), axis=1)
+    v[inner] += rng.uniform(-0.05, 0.05, size=(inner.sum(), 2))
+    mesh = TriMesh(v, base.triangles, base.boundary_tag_dict())
+    space = FeSpace(mesh, P2P1)
+    f = lambda x, y: np.stack([x * y + 1.0, x ** 2 - y], axis=-1)
+    S = assemble_Sh(space)
+    L = assemble_Lh(space, StokesProblem(f=f))
+
+    q = quadrature(2)
+    xy = physical_points(mesh, q.points)
+    int_f = 2 * mesh.areas[:, None] * np.einsum(
+        "q,eqc->ec", q.weights, f(xy[..., 0], xy[..., 1]))
+    h2 = mesh.diameters ** 2
+    for _ in range(3):
+        z = rng.standard_normal(space.n_dofs)
+        r = element_residual(space, z[:space.n_u], z[space.n_u:])
+        sz = np.sum(mesh.areas * h2 * np.einsum("ec,ec->e", r, r))
+        assert abs(z @ S @ z - sz) < 1e-12 * abs(sz)
+        lz = np.sum(h2 * np.einsum("ec,ec->e", int_f, r))
+        assert abs(z @ L - lz) < 1e-12 * max(1.0, abs(lz))
 
 
 def test_load_vector_hat_masses():
@@ -295,12 +324,12 @@ def test_coercivity_identity(pair):
 
     G = spc.velocity_gradients(space, w, q.points)
     D = 0.5 * (G + np.swapaxes(G, -1, -2))
-    Aw = spc.velocity_stress_laplacian(space, w, q.points)
-    gr = spc.pressure_gradients(space, r, q.points)[:, 0]
+    Aw = -spc.element_residual(space, w, np.zeros(space.n_p))
+    gr = spc.element_residual(space, np.zeros(space.n_u), r)
     w2 = 2 * mesh.areas
     normD2 = float(np.einsum("eqab,eqab,q,e->", D, D, q.weights, w2))
     h2 = mesh.diameters ** 2
-    sAw2 = float(np.einsum("eqc,eqc,q,e->", Aw, Aw, q.weights, w2 * h2))
+    sAw2 = float(np.sum(h2 * mesh.areas * np.einsum("ec,ec->e", Aw, Aw)))
     sgr2 = float(np.sum(h2 * mesh.areas * np.einsum("ec,ec->e", gr, gr)))
 
     z = np.concatenate([w, r])
