@@ -80,14 +80,15 @@ class TriMesh:
             arr.flags.writeable = False
 
     def _build_edges(self, boundary_tags, validate):
-        nt = len(self.triangles)
-        # edge opposite local vertex i is (v_{i+1}, v_{i+2})
-        raw = np.stack([self.triangles[:, [1, 2]],
-                        self.triangles[:, [2, 0]],
-                        self.triangles[:, [0, 1]]], axis=1).reshape(-1, 2)
-        raw_sorted = np.sort(raw, axis=1)
-        self.edges, inv = np.unique(raw_sorted, axis=0, return_inverse=True)
-        self.t2e = inv.reshape(nt, 3).astype(np.int64)
+        nt, nv = len(self.triangles), len(self.vertices)
+        # edge opposite local vertex i is (v_{i+1}, v_{i+2}); the key
+        # i*nv + j of a sorted pair (i, j) orders edges lexicographically
+        a = self.triangles[:, [1, 2, 0]]
+        b = self.triangles[:, [2, 0, 1]]
+        keys, inv = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                              return_inverse=True)
+        self.edges = np.column_stack(np.divmod(keys, nv))
+        self.t2e = inv.reshape(nt, 3)
 
         ne = len(self.edges)
         self.e2t = np.full((ne, 2), -1, dtype=np.int64)
@@ -110,9 +111,16 @@ class TriMesh:
         self.edge_tags = np.zeros(ne, dtype=np.int8)
         boundary = counts == 1
         seen = np.zeros(ne, dtype=bool)
-        for (i, j), tag in boundary_tags.items():
-            pair = (int(i), int(j)) if i < j else (int(j), int(i))
-            idx = self._find_edge(pair)
+        pairs = np.sort(np.array(list(boundary_tags), dtype=np.int64)
+                        .reshape(-1, 2), axis=1)
+        wanted = pairs[:, 0] * nv + pairs[:, 1]
+        found = np.searchsorted(keys, wanted)
+        # a pair outside the vertex range could alias another edge's key
+        hit = (pairs[:, 0] >= 0) & (pairs[:, 1] < nv) & (found < ne)
+        hit[hit] = keys[found[hit]] == wanted[hit]
+        found[~hit] = -1
+        for pair, idx, tag in zip(map(tuple, pairs.tolist()), found.tolist(),
+                                  boundary_tags.values()):
             if idx < 0:
                 if validate:
                     raise MeshError(f"tagged edge {pair} not present in mesh")
@@ -132,15 +140,6 @@ class TriMesh:
             if np.any(stray):
                 pairs = [(int(a), int(b)) for a, b in self.edges[stray][:10]]
                 raise MeshError(f"interior edges carry boundary tags: {pairs}")
-
-    def _find_edge(self, pair):
-        """Index of sorted vertex pair in the edge table, -1 if absent."""
-        idx = np.searchsorted(self.edges[:, 0], pair[0])
-        while idx < len(self.edges) and self.edges[idx, 0] == pair[0]:
-            if self.edges[idx, 1] == pair[1]:
-                return idx
-            idx += 1
-        return -1
 
     # ------------------------------------------------------------------
     # geometry
@@ -214,11 +213,9 @@ class TriMesh:
 
     def boundary_tag_dict(self):
         """Boundary tags as {(i, j): "D"|"N"} with i < j."""
-        out = {}
-        for idx in np.flatnonzero(self.edge_tags != INTERIOR):
-            i, j = self.edges[idx]
-            out[(int(i), int(j))] = _TAG_TO_STR[int(self.edge_tags[idx])]
-        return out
+        tagged = self.edge_tags != INTERIOR
+        return {(i, j): _TAG_TO_STR[tag] for (i, j), tag in zip(
+            self.edges[tagged].tolist(), self.edge_tags[tagged].tolist())}
 
     @property
     def has_neumann(self):
@@ -259,15 +256,13 @@ class TriMesh:
         vertex midpoint_id[e] passes its tag to both halves, one with
         midpoint_id[e] < 0 keeps it whole."""
         tags = {}
-        for idx in np.flatnonzero(self.edge_tags != INTERIOR):
-            i, j = (int(v) for v in self.edges[idx])
-            tag = _TAG_TO_STR[int(self.edge_tags[idx])]
-            m = int(midpoint_id[idx])
+        mids = midpoint_id[self.edge_tags != INTERIOR].tolist()
+        for ((i, j), tag), m in zip(self.boundary_tag_dict().items(), mids):
             if m < 0:
                 tags[(i, j)] = tag
             else:
-                tags[(min(i, m), max(i, m))] = tag
-                tags[(min(j, m), max(j, m))] = tag
+                # midpoints are numbered after every vertex of this mesh
+                tags[(i, m)] = tags[(j, m)] = tag
         return tags
 
     def refine_marked(self, marked):
@@ -306,34 +301,27 @@ class TriMesh:
                      + self.vertices[self.edges[split_edges, 1]])
         new_vertices = np.vstack([self.vertices, mid])
 
-        tris = []
-        parents = []
-        for k in range(self.n_triangles):
-            v0, v1, v2 = self.triangles[k]
-            e0, e1, e2 = self.t2e[k]
-            m2 = midpoint_id[e2]
-            if m2 < 0:
-                tris.append((v0, v1, v2))
-                parents.append(k)
-                continue
-            m0 = midpoint_id[e0]
-            m1 = midpoint_id[e1]
-            # first bisection through the refinement edge (v0, v1)
-            if m1 < 0:
-                tris.append((v2, v0, m2))
-            else:
-                tris.append((m2, v2, m1))
-                tris.append((v0, m2, m1))
-            if m0 < 0:
-                tris.append((v1, v2, m2))
-            else:
-                tris.append((m2, v1, m0))
-                tris.append((v2, m2, m0))
-            parents.extend([k] * (len(tris) - len(parents)))
+        # children in order: bisecting the refinement edge (v0, v1) at m2
+        # gives (v2, v0, m2) and (v1, v2, m2); a half whose outer edge is
+        # split too is bisected again at m1 or m0. Closure makes m2 >= 0
+        # whenever m0 or m1 is.
+        t = self.triangles
+        v0, v1, v2 = t.T
+        m0, m1, m2 = midpoint_id[self.t2e].T
+        s0, s1, s2 = (m0 >= 0)[:, None], (m1 >= 0)[:, None], (m2 >= 0)[:, None]
 
-        tags = self._split_tags(midpoint_id)
-        return TriMesh(new_vertices, np.array(tris, dtype=np.int64), tags,
-                       parents=np.array(parents, dtype=np.int64))
+        def rows(*cols):
+            return np.stack(cols, axis=-1)
+
+        kids = np.stack([
+            np.where(s1, rows(m2, v2, m1), np.where(s2, rows(v2, v0, m2), t)),
+            rows(v0, m2, m1),
+            np.where(s0, rows(m2, v1, m0), rows(v1, v2, m2)),
+            rows(v2, m2, m0),
+        ], axis=1)
+        keep = np.hstack([np.ones_like(s2), s1, s2, s0])
+        return TriMesh(new_vertices, kids[keep], self._split_tags(midpoint_id),
+                       parents=np.nonzero(keep)[0])
 
     # ------------------------------------------------------------------
     # audit
@@ -453,11 +441,9 @@ class TriMesh:
         lines.extend(f"{float(x)!r} {float(y)!r}" for x, y in self.vertices)
         lines.append(f"triangles {self.n_triangles}")
         lines.extend(f"{a} {b} {c}" for a, b, c in self.triangles)
-        tagged = np.flatnonzero(self.edge_tags != INTERIOR)
-        lines.append(f"boundary {len(tagged)}")
-        for idx in tagged:
-            i, j = self.edges[idx]
-            lines.append(f"{i} {j} {_TAG_TO_STR[int(self.edge_tags[idx])]}")
+        tags = self.boundary_tag_dict()
+        lines.append(f"boundary {len(tags)}")
+        lines.extend(f"{i} {j} {tag}" for (i, j), tag in tags.items())
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -470,23 +456,21 @@ class TriMesh:
         """
         with open(path) as fh:
             raw = fh.read().splitlines()
-        pos = 0
+        # (line number, text) of every line not blank once its comment is cut
+        lines = ((ln, text) for ln, text in enumerate(
+            (line.split("#", 1)[0].strip() for line in raw), 1) if text)
 
         def next_line():
-            nonlocal pos
-            while pos < len(raw):
-                line = raw[pos].split("#", 1)[0].strip()
-                pos += 1
-                if line:
-                    return pos, line
-            return pos, None
+            return next(lines, (len(raw), None))
 
         ln, line = next_line()
         if line != "trimesh v1":
             raise MeshFormatError(f"line {ln}: expected 'trimesh v1' header, "
                                   f"got {line!r}")
 
-        def read_count(keyword):
+        def read_block(keyword, noun, form, parse):
+            """Yield parse(ln, line, fields) of each line of the
+            `keyword N` section, in file order."""
             ln, line = next_line()
             if line is None:
                 raise MeshFormatError(f"line {ln}: missing '{keyword} N' line")
@@ -501,72 +485,54 @@ class TriMesh:
                     f"line {ln}: bad count {parts[1]!r}") from None
             if n < 0:
                 raise MeshFormatError(f"line {ln}: negative count {n}")
-            return n
+            for k in range(n):
+                ln, line = next_line()
+                if line is None:
+                    raise MeshFormatError(f"line {ln}: expected {n} {noun} "
+                                          f"lines, file ended after {k}")
+                parts = line.split()
+                if len(parts) != len(form.split()):
+                    raise MeshFormatError(
+                        f"line {ln}: expected '{form}', got {line!r}")
+                yield parse(ln, line, parts)
 
-        nv = read_count("vertices")
-        vertices = np.empty((nv, 2))
-        for k in range(nv):
-            ln, line = next_line()
-            if line is None:
-                raise MeshFormatError(f"line {ln}: expected {nv} vertex "
-                                      f"lines, file ended after {k}")
-            parts = line.split()
-            if len(parts) != 2:
-                raise MeshFormatError(
-                    f"line {ln}: expected 'x y', got {line!r}")
+        def coordinates(ln, line, parts):
             try:
-                vertices[k] = [float(parts[0]), float(parts[1])]
+                return [float(p) for p in parts]
             except ValueError:
                 raise MeshFormatError(
                     f"line {ln}: bad coordinate in {line!r}") from None
 
-        nt = read_count("triangles")
-        triangles = np.empty((nt, 3), dtype=np.int64)
-        for k in range(nt):
-            ln, line = next_line()
-            if line is None:
-                raise MeshFormatError(f"line {ln}: expected {nt} triangle "
-                                      f"lines, file ended after {k}")
-            parts = line.split()
-            if len(parts) != 3:
-                raise MeshFormatError(
-                    f"line {ln}: expected 'i j k', got {line!r}")
+        def indices(ln, line, parts):
             try:
-                triangles[k] = [int(p) for p in parts]
+                ids = [int(p) for p in parts]
             except ValueError:
                 raise MeshFormatError(
                     f"line {ln}: bad vertex index in {line!r}") from None
-            if triangles[k].min() < 0 or triangles[k].max() >= nv:
+            if not all(0 <= i < nv for i in ids):
                 raise MeshFormatError(
                     f"line {ln}: vertex index out of range in {line!r}")
+            return ids
 
-        nb = read_count("boundary")
-        tags = {}
-        for k in range(nb):
-            ln, line = next_line()
-            if line is None:
-                raise MeshFormatError(f"line {ln}: expected {nb} boundary "
-                                      f"lines, file ended after {k}")
-            parts = line.split()
-            if len(parts) != 3:
-                raise MeshFormatError(
-                    f"line {ln}: expected 'i j TAG', got {line!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MeshFormatError(
-                    f"line {ln}: bad vertex index in {line!r}") from None
-            if not (0 <= i < nv and 0 <= j < nv):
-                raise MeshFormatError(
-                    f"line {ln}: vertex index out of range in {line!r}")
+        def boundary_edge(ln, line, parts):
+            i, j = indices(ln, line, parts[:2])
             if parts[2] not in _STR_TO_TAG:
                 raise MeshFormatError(
                     f"line {ln}: boundary tag must be D or N, "
                     f"got {parts[2]!r}")
-            key = (min(i, j), max(i, j))
+            return ln, (min(i, j), max(i, j)), parts[2]
+
+        vertices = np.fromiter(read_block("vertices", "vertex", "x y",
+                                          coordinates), (float, 2))
+        nv = len(vertices)
+        triangles = np.fromiter(read_block("triangles", "triangle", "i j k",
+                                           indices), (np.int64, 3))
+        tags = {}
+        for ln, key, tag in read_block("boundary", "boundary", "i j TAG",
+                                       boundary_edge):
             if key in tags:
                 raise MeshFormatError(f"line {ln}: edge {key} tagged twice")
-            tags[key] = parts[2]
+            tags[key] = tag
 
         ln, line = next_line()
         if line is not None:
@@ -618,22 +584,40 @@ def _first_pairs(found, a, b):
 # ----------------------------------------------------------------------
 # generators
 
-def _key(a, b):
-    return (a, b) if a < b else (b, a)
+def _grid_mesh(xs, keep, tag_of):
+    """Mesh of the cells of the grid xs x xs that keep selects.
 
+    Cell (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1) and
+    d = (i, j+1), grid vertex (i, j) being (xs[i], xs[j]). Every kept
+    cell, in i-major order, gives the triangles (c, a, b) and (a, c, d):
+    the diagonal a-c is the longest edge of both, so it is stored first.
+    Grid vertices of no kept cell are dropped. A grid edge with a kept
+    cell on one side only is a boundary edge, tagged tag_of(x, y) at its
+    midpoint; tag_of is called in the mesh's edge order.
+    """
+    m = len(xs)
+    gid = np.arange(m * m).reshape(m, m)
+    a, b, c, d = (g[keep] for g in (gid[:-1, :-1], gid[1:, :-1],
+                                    gid[1:, 1:], gid[:-1, 1:]))
+    tris = np.stack([c, a, b, a, c, d], axis=1).reshape(-1, 3)
+    used = np.zeros(m * m, dtype=bool)
+    used[tris] = True
+    remap = np.cumsum(used) - 1
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel()])[used]
 
-def _resolve_side_tag(boundary):
-    if boundary is None:
-        return lambda side: "D"
-    if isinstance(boundary, dict):
-        unknown = set(boundary) - {"left", "right", "bottom", "top"}
-        if unknown:
-            raise MeshError(f"unknown boundary side names: {sorted(unknown)}")
-        bad = {v for v in boundary.values() if v not in ("D", "N")}
-        if bad:
-            raise MeshError(f"boundary tags must be D or N, got {sorted(bad)}")
-        return lambda side: boundary.get(side, "D")
-    raise MeshError("boundary must be None or a side->tag dict")
+    cells = np.pad(keep, 1)
+    # edge (i, j)-(i+1, j) lies between cells (i, j-1) and (i, j), edge
+    # (i, j)-(i, j+1) between cells (i-1, j) and (i, j)
+    on_x = cells[1:-1, 1:] != cells[1:-1, :-1]
+    on_y = cells[1:, 1:-1] != cells[:-1, 1:-1]
+    pairs = remap[np.concatenate([
+        np.column_stack([gid[:-1][on_x], gid[1:][on_x]]),
+        np.column_stack([gid[:, :-1][on_y], gid[:, 1:][on_y]])])]
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    mids = 0.5 * (vertices[pairs[:, 0]] + vertices[pairs[:, 1]])
+    tags = {(i, j): tag_of(x, y) for (i, j), (x, y) in zip(pairs.tolist(), mids)}
+    return TriMesh(vertices, remap[tris], tags)
 
 
 def unit_square(n, boundary=None):
@@ -645,32 +629,25 @@ def unit_square(n, boundary=None):
     """
     if n < 1:
         raise MeshError(f"unit_square needs n >= 1, got {n}")
-    side_tag = _resolve_side_tag(boundary)
-    xs = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
+    if boundary is None:
+        boundary = {}
+    if not isinstance(boundary, dict):
+        raise MeshError("boundary must be None or a side->tag dict")
+    unknown = set(boundary) - {"left", "right", "bottom", "top"}
+    if unknown:
+        raise MeshError(f"unknown boundary side names: {sorted(unknown)}")
+    bad = {v for v in boundary.values() if v not in ("D", "N")}
+    if bad:
+        raise MeshError(f"boundary tags must be D or N, got {sorted(bad)}")
 
-    def vid(i, j):
-        return i * (n + 1) + j
+    def tag_of(x, y):
+        # side naming is in x/y terms: bottom y=0, left x=0
+        side = ("bottom" if y == 0.0 else "top" if y == 1.0
+                else "left" if x == 0.0 else "right")
+        return boundary.get(side, "D")
 
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            # diagonal a-c is the longest edge of both triangles
-            tris.append((c, a, b))
-            tris.append((a, c, d))
-    # side naming is in x/y terms: bottom y=0, left x=0
-    tags = {}
-    for i in range(n):
-        tags[_key(vid(i, 0), vid(i + 1, 0))] = side_tag("bottom")
-        tags[_key(vid(i, n), vid(i + 1, n))] = side_tag("top")
-        tags[_key(vid(0, i), vid(0, i + 1))] = side_tag("left")
-        tags[_key(vid(n, i), vid(n, i + 1))] = side_tag("right")
-    return TriMesh(vertices, np.array(tris, dtype=np.int64), tags)
+    return _grid_mesh(np.linspace(0.0, 1.0, n + 1),
+                      np.ones((n, n), dtype=bool), tag_of)
 
 
 def l_shape(n, boundary=None):
@@ -685,45 +662,17 @@ def l_shape(n, boundary=None):
         raise MeshError(f"l_shape needs even n >= 2, got {n}")
     if boundary is not None and not callable(boundary):
         raise MeshError("l_shape boundary must be None or a callable")
+
+    def tag_of(x, y):
+        tag = "D" if boundary is None else boundary(x, y)
+        if tag not in ("D", "N"):
+            raise MeshError(f"boundary callable returned {tag!r}")
+        return tag
+
     xs = np.linspace(-1.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    grid = np.column_stack([X.ravel(), Y.ravel()])
-
-    def gid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    keep = np.zeros(len(grid), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            xc = 0.5 * (xs[i] + xs[i + 1])
-            yc = 0.5 * (xs[j] + xs[j + 1])
-            if xc > 0.0 and yc > 0.0:
-                continue
-            a, b = gid(i, j), gid(i + 1, j)
-            c, d = gid(i + 1, j + 1), gid(i, j + 1)
-            tris.append((c, a, b))
-            tris.append((a, c, d))
-            keep[[a, b, c, d]] = True
-
-    remap = np.cumsum(keep) - 1
-    vertices = grid[keep]
-    triangles = remap[np.array(tris, dtype=np.int64)]
-
-    probe = TriMesh(vertices, triangles, {}, validate=False)
-    counts = np.sum(probe.e2t >= 0, axis=1)
-    tags = {}
-    for idx in np.flatnonzero(counts == 1):
-        i, j = (int(v) for v in probe.edges[idx])
-        if boundary is None:
-            tag = "D"
-        else:
-            mx, my = 0.5 * (vertices[i] + vertices[j])
-            tag = boundary(mx, my)
-            if tag not in ("D", "N"):
-                raise MeshError(f"boundary callable returned {tag!r}")
-        tags[(i, j)] = tag
-    return TriMesh(vertices, triangles, tags)
+    # cells whose center has x > 0 and y > 0 are cut out
+    positive = 0.5 * (xs[:-1] + xs[1:]) > 0.0
+    return _grid_mesh(xs, ~np.logical_and.outer(positive, positive), tag_of)
 
 
 def generate_structured(domain, n, boundary=None):

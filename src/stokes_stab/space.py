@@ -20,35 +20,31 @@ class SpaceError(Exception):
 
 @dataclass(frozen=True)
 class ElementPair:
-    """Velocity/pressure polynomial degrees, e.g. P1P1 or P2P1."""
+    """Velocity degree of a pair with P1 pressure: P1P1 or P2P1."""
 
     velocity_degree: int
-    pressure_degree: int = 1
 
     def __post_init__(self):
         if self.velocity_degree not in (1, 2):
             raise SpaceError(
                 f"velocity degree must be 1 or 2, got {self.velocity_degree}")
-        if self.pressure_degree != 1:
-            raise SpaceError(
-                f"pressure degree must be 1, got {self.pressure_degree}")
 
     @property
     def label(self):
-        return f"P{self.velocity_degree}P{self.pressure_degree}"
+        return f"P{self.velocity_degree}P1"
 
     @staticmethod
     def from_label(label):
         if label == "P1P1":
-            return ElementPair(1, 1)
+            return P1P1
         if label == "P2P1":
-            return ElementPair(2, 1)
+            return P2P1
         raise SpaceError(f"unknown element pair {label!r}; "
                          "expected P1P1 or P2P1")
 
 
-P1P1 = ElementPair(1, 1)
-P2P1 = ElementPair(2, 1)
+P1P1 = ElementPair(1)
+P2P1 = ElementPair(2)
 
 
 def scalar_basis(degree, pts):

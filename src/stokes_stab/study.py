@@ -20,34 +20,19 @@ from .space import ElementPair, FeSpace
 _X, _Y = sym.symbols("x y")
 
 
-def _lambdify_scalar(expr):
+def _lambdify(expr):
+    """numpy callable (x, y) -> value of a sympy expression or a nested
+    tuple of them; each tuple level adds a trailing axis, so a vector is
+    [..., i] and a 2x2 matrix [..., row, col]."""
+    if isinstance(expr, tuple):
+        fns = [_lambdify(e) for e in expr]
+        return lambda x, y: np.stack([f(x, y) for f in fns], axis=np.ndim(x))
     fn = sym.lambdify((_X, _Y), expr, "numpy")
 
     def call(x, y):
         x = np.asarray(x, dtype=float)
         out = fn(x, np.asarray(y, dtype=float))
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
-
-    return call
-
-
-def _lambdify_vector(exprs):
-    fns = [_lambdify_scalar(e) for e in exprs]
-
-    def call(x, y):
-        x = np.asarray(x, dtype=float)
-        return np.stack([f(x, y) for f in fns], axis=-1)
-
-    return call
-
-
-def _lambdify_matrix(exprs22):
-    fns = [[_lambdify_scalar(e) for e in row] for row in exprs22]
-
-    def call(x, y):
-        x = np.asarray(x, dtype=float)
-        rows = [np.stack([f(x, y) for f in row], axis=-1) for row in fns]
-        return np.stack(rows, axis=-2)
 
     return call
 
@@ -92,7 +77,7 @@ class ManufacturedCase:
     @lru_cache(maxsize=None)
     def _callables(self):
         if not self.has_exact:
-            return {"f": _lambdify_vector(self.f_expr)}
+            return {"f": _lambdify(tuple(self.f_expr))}
         u1, u2 = self.u_expr
         p = self.p_expr
         sigma = _stress(u1, u2, p)
@@ -101,18 +86,17 @@ class ManufacturedCase:
         f2 = -(sym.diff(sigma[1, 0], _X) + sym.diff(sigma[1, 1], _Y))
         g = sym.simplify(sym.diff(u1, _X) + sym.diff(u2, _Y))
         out = {
-            "f": _lambdify_vector((sym.simplify(f1), sym.simplify(f2))),
-            "u": _lambdify_vector((u1, u2)),
-            "grad_u": _lambdify_matrix(
-                [[sym.diff(u1, _X), sym.diff(u1, _Y)],
-                 [sym.diff(u2, _X), sym.diff(u2, _Y)]]),
-            "p": _lambdify_scalar(p),
-            "g": None if g == 0 else _lambdify_scalar(g),
+            "f": _lambdify((sym.simplify(f1), sym.simplify(f2))),
+            "u": _lambdify((u1, u2)),
+            "grad_u": _lambdify(((sym.diff(u1, _X), sym.diff(u1, _Y)),
+                                 (sym.diff(u2, _X), sym.diff(u2, _Y)))),
+            "p": _lambdify(p),
+            "g": None if g == 0 else _lambdify(g),
         }
         if self.neumann_side is not None:
             n = sym.Matrix(self.neumann_normal)
             t = sigma * n
-            out["t"] = _lambdify_vector((t[0], t[1]))
+            out["t"] = _lambdify((t[0], t[1]))
         return out
 
     def problem(self, alpha=None):

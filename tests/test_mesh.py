@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from stokes_stab import mesh as meshmod
 from stokes_stab.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                               MeshFormatError, TriMesh, generate_structured,
                               l_shape, unit_square)
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 
 def dirichlet_segments(mesh):
@@ -371,6 +376,68 @@ def test_file_roundtrip(tmp_path):
     assert back.boundary_tag_dict() == m.boundary_tag_dict()
 
 
+_TRI3 = "trimesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n"
+
+# (id, file text, the whole message read() raises)
+_MALFORMED = [
+    ("empty-file", "", "line 0: expected 'trimesh v1' header, got None"),
+    ("no-vertices-line", "trimesh v1\n# nothing else\n",
+     "line 2: missing 'vertices N' line"),
+    ("wrong-keyword", "trimesh v1\nverts 3\n",
+     "line 2: expected 'vertices N', got 'verts 3'"),
+    ("three-token-count", "trimesh v1\nvertices 3 4\n",
+     "line 2: expected 'vertices N', got 'vertices 3 4'"),
+    ("bad-count", "trimesh v1\nvertices three\n",
+     "line 2: bad count 'three'"),
+    ("negative-count", "trimesh v1\nvertices -2\n",
+     "line 2: negative count -2"),
+    ("vertices-end-early", "trimesh v1\nvertices 3\n0 0\n\n1 0\n",
+     "line 5: expected 3 vertex lines, file ended after 2"),
+    ("vertex-columns", "trimesh v1\nvertices 2\n0 0\n1 0 0\n",
+     "line 4: expected 'x y', got '1 0 0'"),
+    ("bad-coordinate", "trimesh v1\nvertices 2\n0 0\n1,5 0\n",
+     "line 4: bad coordinate in '1,5 0'"),
+    ("no-triangles-line", "trimesh v1\nvertices 1\n0 0\n",
+     "line 3: missing 'triangles N' line"),
+    ("triangles-end-early", _TRI3.replace("triangles 1", "triangles 2"),
+     "line 7: expected 2 triangle lines, file ended after 1"),
+    ("triangle-columns", _TRI3.replace("0 1 2", "0 1 2 3"),
+     "line 7: expected 'i j k', got '0 1 2 3'"),
+    ("triangle-bad-index", _TRI3.replace("0 1 2", "0 1 2.0"),
+     "line 7: bad vertex index in '0 1 2.0'"),
+    ("triangle-negative-index", _TRI3.replace("0 1 2", "0 -1 2"),
+     "line 7: vertex index out of range in '0 -1 2'"),
+    ("triangle-index-past-end", _TRI3.replace("0 1 2", "0 1 3"),
+     "line 7: vertex index out of range in '0 1 3'"),
+    ("no-boundary-line", _TRI3, "line 7: missing 'boundary N' line"),
+    ("boundary-bad-count", _TRI3 + "boundary 1.5\n",
+     "line 8: bad count '1.5'"),
+    ("boundary-end-early", _TRI3 + "boundary 3\n0 1 D\n1 2 D\n",
+     "line 10: expected 3 boundary lines, file ended after 2"),
+    ("boundary-columns", _TRI3 + "boundary 1\n0 1\n",
+     "line 9: expected 'i j TAG', got '0 1'"),
+    ("boundary-bad-index", _TRI3 + "boundary 1\nzero 1 D\n",
+     "line 9: bad vertex index in 'zero 1 D'"),
+    ("boundary-index-out-of-range", _TRI3 + "boundary 1\n0 3 D\n",
+     "line 9: vertex index out of range in '0 3 D'"),
+    ("boundary-bad-tag", _TRI3 + "boundary 1\n0 1 d\n",
+     "line 9: boundary tag must be D or N, got 'd'"),
+    ("edge-tagged-twice", _TRI3 + "boundary 2\n0 1 D\n1 0 N\n",
+     "line 10: edge (0, 1) tagged twice"),
+    ("trailing-content", _TRI3 + "boundary 0\n0 1 D\n",
+     "line 9: trailing content '0 1 D'"),
+    # the TriMesh constructor's error, at the last line of the file
+    ("mesh-error-untagged", _TRI3 + "boundary 1\n0 1 D\n\n# end\n",
+     "line 11: untagged boundary edges: [(0, 2), (1, 2)]"),
+    ("mesh-error-clockwise",
+     _TRI3.replace("0 1 2", "1 0 2") + "boundary 3\n0 1 D\n1 2 D\n0 2 D\n",
+     "line 11: triangles not counterclockwise: [0]"),
+    # the first defect in file order is the one reported
+    ("first-defect-wins", "trimesh v1\nvertices 2\n0 x\n0 0 0\n",
+     "line 3: bad coordinate in '0 x'"),
+]
+
+
 @pytest.mark.parametrize("content,fragment", [
     ("trimeshv1\n", "header"),
     ("trimesh v1\nvertices 2\n0 0\n1 junk\n", "line 4"),
@@ -381,6 +448,8 @@ def test_file_roundtrip(tmp_path):
      "boundary 1\n0 1 X\n", "D or N"),
     ("trimesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n"
      "boundary 3\n0 1 D\n1 2 D\n0 2 D\nextra\n", "trailing"),
+    *(pytest.param(content, message, id=name)
+      for name, content, message in _MALFORMED),
 ])
 def test_read_rejects_malformed(tmp_path, content, fragment):
     path = tmp_path / "bad.txt"
@@ -395,3 +464,75 @@ def test_read_reports_line_numbers(tmp_path):
     path.write_text("trimesh v1\nvertices 2\n0 0\n1 junk\n")
     with pytest.raises(MeshFormatError, match="line 4"):
         TriMesh.read(path)
+
+
+def test_read_skips_comments_and_blank_lines(tmp_path):
+    clean = _TRI3 + "boundary 3\n0 1 D\n1 2 N\n0 2 D\n"
+    noisy = ("# a mesh\n\ntrimesh v1   # header\n  vertices 3\n0 0\n"
+             "\n   \n1 0 # corner\n0 1\n#\ntriangles 1\n\t0 1 2\n"
+             "boundary 3 # three edges\n0 1 D\n1 2 N\n\n0 2 D\n# end\n\n")
+    (tmp_path / "clean.txt").write_text(clean)
+    (tmp_path / "noisy.txt").write_text(noisy)
+    a = TriMesh.read(tmp_path / "clean.txt")
+    b = TriMesh.read(tmp_path / "noisy.txt")
+    for name in ("vertices", "triangles", "edges", "edge_tags"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.boundary_tag_dict() == b.boundary_tag_dict()
+    assert a.boundary_tag_dict()[(1, 2)] == "N"
+
+
+def _auditmesh():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_auditmesh", ROOT / "perfbench" / "auditmesh.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_read_benchmark_mesh_roundtrip(tmp_path, seed):
+    text, vertices, triangles = _auditmesh().generate(seed)
+    path = tmp_path / "audit.txt"
+    path.write_text(text)
+    m = TriMesh.read(path)
+    assert np.array_equal(m.vertices, vertices)
+    assert np.array_equal(m.triangles, triangles)
+    assert np.array_equal(m.edge_tags,
+                          np.where(m.edge_counts == 1, DIRICHLET, INTERIOR))
+
+
+def _lshape_traction(x, y):
+    return "N" if x > 0.99 or y < -0.99 else "D"
+
+
+def _reference_mesh(name):
+    """One of the two meshes pinned in tests/data. Their `write` output
+    and `parents` were written by the earlier per-triangle refinement
+    loop, so they fix the child order."""
+    if name == "lshape_neumann":
+        rng = np.random.default_rng(11)
+        m = l_shape(4, _lshape_traction)
+        for k in range(6):
+            m = m.refine_marked(rng.random(m.n_triangles) < 0.3)
+            if k == 2:
+                m = m.refine_uniform()
+        return m
+    rng = np.random.default_rng(12)
+    m = unit_square(3, {"left": "N", "top": "N"})
+    for _ in range(5):
+        m = m.refine_marked(rng.random(m.n_triangles) < 0.25)
+    return m
+
+
+def _parents_text(mesh):
+    return "".join(f"{p}\n" for p in mesh.parents.tolist())
+
+
+@pytest.mark.parametrize("name", ["lshape_neumann", "square_left_top"])
+def test_refinement_matches_pinned_files(tmp_path, name):
+    m = _reference_mesh(name)
+    m.write(tmp_path / "mesh.txt")
+    assert ((tmp_path / "mesh.txt").read_bytes()
+            == (DATA / f"mesh_{name}.txt").read_bytes())
+    assert _parents_text(m) == (DATA / f"mesh_{name}.parents").read_text()
+    assert m.has_neumann

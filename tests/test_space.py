@@ -15,9 +15,7 @@ def test_element_pair_labels():
     with pytest.raises(SpaceError):
         ElementPair.from_label("P3P2")
     with pytest.raises(SpaceError):
-        ElementPair(3, 1)
-    with pytest.raises(SpaceError):
-        ElementPair(2, 2)
+        ElementPair(3)
 
 
 def test_basis_partition_of_unity():
