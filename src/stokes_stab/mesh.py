@@ -85,18 +85,20 @@ class TriMesh:
         # i*nv + j of a sorted pair (i, j) orders edges lexicographically
         a = self.triangles[:, [1, 2, 0]]
         b = self.triangles[:, [2, 0, 1]]
-        keys, inv = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                              return_inverse=True)
+        flat = (np.minimum(a, b) * nv + np.maximum(a, b)).ravel()
+        # one stable sort groups the 3*nt entries by edge, each edge's
+        # triangles in ascending order; the first two of them fill e2t
+        order = np.argsort(flat, kind="stable")
+        starts = np.diff(flat[order], prepend=-1) != 0
+        flat_edge = np.cumsum(starts) - 1
+        keys = flat[order[starts]]
         self.edges = np.column_stack(np.divmod(keys, nv))
-        self.t2e = inv.reshape(nt, 3)
+        self.t2e = np.empty((nt, 3), dtype=np.int64)
+        self.t2e.reshape(-1)[order] = flat_edge
 
         ne = len(self.edges)
         self.e2t = np.full((ne, 2), -1, dtype=np.int64)
-        # the stable sort keeps each edge's triangles in ascending order;
-        # the first two of them fill e2t
-        order = np.argsort(self.t2e.ravel(), kind="stable")
         flat_tri = order // 3
-        flat_edge = self.t2e.ravel()[order]
         # triangles per edge; more than two is a conformity failure
         self.edge_counts = counts = np.bincount(flat_edge, minlength=ne)
         first = np.cumsum(counts) - counts
@@ -281,17 +283,20 @@ class TriMesh:
             return self
         if marked.min() < 0 or marked.max() >= self.n_triangles:
             raise MeshError("marked triangle index out of range")
+        if np.any(self.edge_counts > 2):
+            raise MeshError("cannot refine an edge of three or more triangles")
 
         # closure: a triangle with any marked edge must bisect its own
         # refinement edge; iterate to a fixpoint
         edge_marked = np.zeros(self.n_edges, dtype=bool)
-        edge_marked[self.t2e[marked, 2]] = True
-        while True:
-            need = (edge_marked[self.t2e].any(axis=1)
-                    & ~edge_marked[self.t2e[:, 2]])
-            if not need.any():
-                break
-            edge_marked[self.t2e[need, 2]] = True
+        new = self.t2e[marked, 2]
+        while new.size:
+            edge_marked[new] = True
+            # only the triangles on an edge marked in the last pass can
+            # need their own refinement edge split
+            near = self.e2t[new]
+            ref = self.t2e[near[near >= 0], 2]
+            new = ref[~edge_marked[ref]]
 
         nv = self.n_vertices
         split_edges = np.flatnonzero(edge_marked)

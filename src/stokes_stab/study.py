@@ -4,6 +4,9 @@ Closed-form cases are written in sympy and differentiated symbolically,
 so the data triple (f, g, t) satisfies the PDE exactly: f = -div D(u)
 + grad p, g = div u, t = (D(u) - pI) n on the Neumann part. All-Dirichlet
 cases use zero-mean pressures to match the solver's gauge constraint.
+The builtin cases evaluate the numpy source sympy printed for them,
+committed as `_fields.py` (tools/write_fields.py), so sympy is imported
+only to derive another case or to read a case's expressions.
 """
 
 import math
@@ -11,23 +14,19 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import sympy as sym
 
-from . import estimator, forms, solver
+from . import _fields, estimator, forms, solver
 from .mesh import generate_structured
 from .space import ElementPair, FeSpace
 
-_X, _Y = sym.symbols("x y")
 
-
-def _lambdify(expr):
-    """numpy callable (x, y) -> value of a sympy expression or a nested
-    tuple of them; each tuple level adds a trailing axis, so a vector is
-    [..., i] and a 2x2 matrix [..., row, col]."""
-    if isinstance(expr, tuple):
-        fns = [_lambdify(e) for e in expr]
+def _vectorize(fn):
+    """numpy callable (x, y) -> value of a scalar function fn(x, y), or
+    of a nested tuple of them; each tuple level adds a trailing axis,
+    so a vector is [..., i] and a 2x2 matrix [..., row, col]."""
+    if isinstance(fn, tuple):
+        fns = [_vectorize(f) for f in fn]
         return lambda x, y: np.stack([f(x, y) for f in fns], axis=np.ndim(x))
-    fn = sym.lambdify((_X, _Y), expr, "numpy")
 
     def call(x, y):
         x = np.asarray(x, dtype=float)
@@ -37,36 +36,79 @@ def _lambdify(expr):
     return call
 
 
-def _stress(u1, u2, p):
-    """sigma = D(u) - p I as a 2x2 sympy matrix."""
-    G = sym.Matrix([[sym.diff(u1, _X), sym.diff(u1, _Y)],
-                    [sym.diff(u2, _X), sym.diff(u2, _Y)]])
-    D = (G + G.T) / 2
-    return D - p * sym.eye(2)
+def _lambdified(case):
+    """f, g, t, u, grad_u and p of a case as nested tuples of sympy
+    lambdify functions of (x, y); g is None when div u = 0, and an
+    estimator-only case has f alone."""
+    import sympy as sym
+    x, y = sym.symbols("x y")
+    if case.u_expr is None:
+        exprs = {"f": tuple(case.f_expr)}
+    else:
+        (u1, u2), p = case.u_expr, case.p_expr
+        grad = ((sym.diff(u1, x), sym.diff(u1, y)),
+                (sym.diff(u2, x), sym.diff(u2, y)))
+        G = sym.Matrix(grad)
+        sigma = (G + G.T) / 2 - p * sym.eye(2)
+        # f = -div D(u) + grad p; div sigma collects both terms
+        f1 = -(sym.diff(sigma[0, 0], x) + sym.diff(sigma[0, 1], y))
+        f2 = -(sym.diff(sigma[1, 0], x) + sym.diff(sigma[1, 1], y))
+        g = sym.simplify(sym.diff(u1, x) + sym.diff(u2, y))
+        exprs = {"f": (sym.simplify(f1), sym.simplify(f2)), "u": (u1, u2),
+                 "grad_u": grad, "p": p, "g": None if g == 0 else g}
+        if case.neumann_side is not None:
+            t = sigma * sym.Matrix(case.neumann_normal)
+            exprs["t"] = (t[0], t[1])
+
+    def lambdify(e):
+        if isinstance(e, tuple):
+            return tuple(map(lambdify, e))
+        return None if e is None else sym.lambdify((x, y), e, "numpy")
+
+    return {key: lambdify(e) for key, e in exprs.items()}
 
 
-@dataclass(frozen=True)
+class _Expr:
+    """A sympy field of ManufacturedCase. The builtin cases are built
+    with _Expr.BUILTIN in all three and derive them when one is first
+    read, so solving a builtin case never imports sympy."""
+
+    BUILTIN = ...  # unlike object(), survives copy and pickle
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, case, owner=None):
+        if case is not None and case.__dict__[self.name] is self.BUILTIN:
+            case.__dict__.update(_builtin_exprs()[case.name])
+        return None if case is None else case.__dict__[self.name]
+
+    def __set__(self, case, value):
+        case.__dict__[self.name] = value
+
+
+@dataclass(frozen=True, eq=False)
 class ManufacturedCase:
     """One benchmark problem with symbolically derived data.
 
     u_expr/p_expr are sympy expressions (None for estimator-only
     cases, where f_expr must be given directly). neumann_side names
     the unit-square side carrying the traction condition, with
-    neumann_normal its outward normal.
+    neumann_normal its outward normal. Cases compare by identity.
     """
 
     name: str
     domain: str
-    u_expr: tuple = None
-    p_expr: object = None
-    f_expr: tuple = None
+    u_expr: tuple = _Expr()
+    p_expr: object = _Expr()
+    f_expr: tuple = _Expr()
     neumann_side: str = None
     neumann_normal: tuple = None
     default_n0: int = 4
 
     @property
     def has_exact(self):
-        return self.u_expr is not None
+        return "u" in self._callables()
 
     def make_mesh(self, n):
         boundary = None
@@ -76,28 +118,10 @@ class ManufacturedCase:
 
     @lru_cache(maxsize=None)
     def _callables(self):
-        if not self.has_exact:
-            return {"f": _lambdify(tuple(self.f_expr))}
-        u1, u2 = self.u_expr
-        p = self.p_expr
-        sigma = _stress(u1, u2, p)
-        # f = -div D(u) + grad p; div sigma collects both terms
-        f1 = -(sym.diff(sigma[0, 0], _X) + sym.diff(sigma[0, 1], _Y))
-        f2 = -(sym.diff(sigma[1, 0], _X) + sym.diff(sigma[1, 1], _Y))
-        g = sym.simplify(sym.diff(u1, _X) + sym.diff(u2, _Y))
-        out = {
-            "f": _lambdify((sym.simplify(f1), sym.simplify(f2))),
-            "u": _lambdify((u1, u2)),
-            "grad_u": _lambdify(((sym.diff(u1, _X), sym.diff(u1, _Y)),
-                                 (sym.diff(u2, _X), sym.diff(u2, _Y)))),
-            "p": _lambdify(p),
-            "g": None if g == 0 else _lambdify(g),
-        }
-        if self.neumann_side is not None:
-            n = sym.Matrix(self.neumann_normal)
-            t = sigma * n
-            out["t"] = _lambdify((t[0], t[1]))
-        return out
+        builtin = any(self is case for case in builtin_cases())
+        fields = _fields.FIELDS[self.name] if builtin else _lambdified(self)
+        return {key: None if fn is None else _vectorize(fn)
+                for key, fn in fields.items()}
 
     def problem(self, alpha=None):
         c = self._callables()
@@ -109,12 +133,28 @@ class ManufacturedCase:
                                    alpha=alpha, exact=exact)
 
 
-def _smooth_fields():
-    psi = _X ** 2 * (1 - _X) ** 2 * _Y ** 2 * (1 - _Y) ** 2
-    u1 = sym.diff(psi, _Y)
-    u2 = -sym.diff(psi, _X)
-    p = _X ** 3 + _Y ** 3 - sym.Rational(1, 2)
-    return (sym.expand(u1), sym.expand(u2)), p
+@lru_cache(maxsize=None)
+def _builtin_exprs():
+    """u_expr, p_expr and f_expr of each builtin case, by name."""
+    import sympy as sym
+    x, y = sym.symbols("x y")
+    psi = x ** 2 * (1 - x) ** 2 * y ** 2 * (1 - y) ** 2
+    smooth = {"u_expr": (sym.expand(sym.diff(psi, y)),
+                         sym.expand(-sym.diff(psi, x))),
+              "p_expr": x ** 3 + y ** 3 - sym.Rational(1, 2), "f_expr": None}
+
+    phi = x * (1 - x) * y * (1 - y)
+    nonzero_g = {"u_expr": (sym.expand(phi * x), sym.expand(phi * y)),
+                 "p_expr": x * y - sym.Rational(1, 4), "f_expr": None}
+
+    # localized load hugging the reentrant corner; its 2-sigma ball stays
+    # inside radius 0.25 of the origin so marking concentrates there
+    cx, cy, s = sym.Rational(-2, 25), sym.Rational(-2, 25), sym.Rational(1, 20)
+    bump = 100 * sym.exp(-((x - cx) ** 2 + (y - cy) ** 2) / s ** 2)
+    return {"SMOOTH_SQUARE": smooth, "NEUMANN_STRIP": smooth,
+            "NONZERO_G": nonzero_g,
+            "LSHAPE_PEAK": {"u_expr": None, "p_expr": None,
+                            "f_expr": (bump, -bump)}}
 
 
 # names of builtin_cases(), in order; known without building the cases
@@ -124,31 +164,15 @@ CASE_NAMES = ("SMOOTH_SQUARE", "NEUMANN_STRIP", "NONZERO_G", "LSHAPE_PEAK")
 @lru_cache(maxsize=None)
 def builtin_cases():
     """The four benchmark problems shipped with the package."""
-    u_smooth, p_smooth = _smooth_fields()
-
-    phi = _X * (1 - _X) * _Y * (1 - _Y)
-    u_g = (sym.expand(phi * _X), sym.expand(phi * _Y))
-    p_g = _X * _Y - sym.Rational(1, 4)
-
-    # localized load hugging the reentrant corner; its 2-sigma ball stays
-    # inside radius 0.25 of the origin so marking concentrates there
-    cx, cy, s = sym.Rational(-2, 25), sym.Rational(-2, 25), sym.Rational(1, 20)
-    bump = 100 * sym.exp(-((_X - cx) ** 2 + (_Y - cy) ** 2) / s ** 2)
-
+    lazy = dict.fromkeys(("u_expr", "p_expr", "f_expr"), _Expr.BUILTIN)
     return (
-        ManufacturedCase(
-            name="SMOOTH_SQUARE", domain="unit_square",
-            u_expr=u_smooth, p_expr=p_smooth),
+        ManufacturedCase(name="SMOOTH_SQUARE", domain="unit_square", **lazy),
         ManufacturedCase(
             name="NEUMANN_STRIP", domain="unit_square",
-            u_expr=u_smooth, p_expr=p_smooth,
-            neumann_side="right", neumann_normal=(1, 0)),
-        ManufacturedCase(
-            name="NONZERO_G", domain="unit_square",
-            u_expr=u_g, p_expr=p_g),
-        ManufacturedCase(
-            name="LSHAPE_PEAK", domain="l_shape",
-            f_expr=(bump, -bump), default_n0=16),
+            neumann_side="right", neumann_normal=(1, 0), **lazy),
+        ManufacturedCase(name="NONZERO_G", domain="unit_square", **lazy),
+        ManufacturedCase(name="LSHAPE_PEAK", domain="l_shape",
+                         default_n0=16, **lazy),
     )
 
 

@@ -290,3 +290,35 @@ def test_io_failure_exit_code(tmp_path, capsys):
                    "--out", str(blocker / "sub"))
     assert code == 5
     assert "io error" in capsys.readouterr().err
+
+
+def test_cli_commands_never_import_sympy(tmp_path):
+    # the builtin cases evaluate the committed numpy source of their
+    # fields, so no command needs sympy
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    meshfile = tmp_path / "square.mesh"
+    unit_square(2).write(meshfile)
+    runs = [["solve", "--case", case, "--pair", pair, "--n0", "4"]
+            for case in study.CASE_NAMES for pair in ("P1P1", "P2P1")]
+    runs += [["uniform-study", "--case", "NEUMANN_STRIP", "--n0", "2",
+              "--levels", "2"],
+             ["adaptive-study", "--case", "LSHAPE_PEAK", "--max-iters", "2"],
+             ["audit", "--case", "NONZERO_G"],
+             ["audit", "--case", str(meshfile)]]
+    for k, argv in enumerate(runs):
+        if argv[0] != "audit":
+            argv += ["--out", str(tmp_path / f"run{k}")]
+    code = ("import sys\n"
+            "from stokes_stab import cli\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, 'sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} False"

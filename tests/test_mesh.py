@@ -150,6 +150,40 @@ def test_refine_marked_closure_terminates_and_conforms():
     assert m.min_angle_deg > 44.9
 
 
+def _closure_by_full_rescan(m, marked):
+    # reference fixpoint: every pass rescans all triangles
+    edge_marked = np.zeros(m.n_edges, dtype=bool)
+    edge_marked[m.t2e[marked, 2]] = True
+    while True:
+        need = edge_marked[m.t2e].any(axis=1) & ~edge_marked[m.t2e[:, 2]]
+        if not need.any():
+            return edge_marked
+        edge_marked[m.t2e[need, 2]] = True
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_refine_marked_splits_the_full_rescan_closure(seed):
+    rng = np.random.default_rng(seed)
+    m = l_shape(4) if seed % 2 else unit_square(3, boundary={"left": "N"})
+    for _ in range(6):
+        marked = np.flatnonzero(rng.random(m.n_triangles) < 0.1 + 0.1 * seed)
+        split = np.flatnonzero(_closure_by_full_rescan(m, marked))
+        r = m.refine_marked(marked)
+        mids = 0.5 * (m.vertices[m.edges[split, 0]]
+                      + m.vertices[m.edges[split, 1]])
+        assert np.array_equal(r.vertices[m.n_vertices:], mids)
+        m = r
+
+
+def test_refine_marked_rejects_edge_of_three_triangles():
+    # the closure reads e2t, which keeps two triangles per edge
+    v = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.6, 0.8]])
+    t = np.array([[0, 1, 2], [1, 0, 3], [4, 0, 1]])
+    m = TriMesh(v, t, {}, validate=False)
+    with pytest.raises(MeshError, match="three or more triangles"):
+        m.refine_marked([0])
+
+
 def test_boundary_tags_inherited():
     m = unit_square(2, boundary={"right": "N", "top": "N"})
     for r in (m.refine_uniform(), m.refine_marked([0, 3, 5])):

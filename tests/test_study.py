@@ -232,3 +232,77 @@ def test_adaptive_study_validates_arguments():
         adaptive_study("LSHAPE_PEAK", "P1P1", theta=1.2)
     with pytest.raises(ValueError):
         adaptive_study("LSHAPE_PEAK", "P1P1", max_iters=0)
+
+
+def _field_generator():
+    # tools/write_fields.py, which writes src/stokes_stab/_fields.py
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "tools" / "write_fields.py"
+    spec = importlib.util.spec_from_file_location("write_fields", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generated_fields_are_current():
+    pytest.importorskip("sympy")
+    from pathlib import Path
+    from stokes_stab import _fields
+    committed = Path(_fields.__file__).read_text()
+    assert _field_generator().fields_source() == committed, (
+        "src/stokes_stab/_fields.py differs from what the installed sympy "
+        "prints; regenerate it with `python tools/write_fields.py`")
+
+
+@pytest.mark.parametrize("name", study.CASE_NAMES)
+def test_generated_fields_bit_equal_to_lambdify(name):
+    # the committed functions and sympy's lambdify of the same case agree
+    # bit for bit, through the one wrapper both are evaluated with
+    pytest.importorskip("sympy")
+    case = get_case(name)
+    generated = case._callables()
+    derived = {key: None if fn is None else study._vectorize(fn)
+               for key, fn in study._lambdified(case).items()}
+    assert generated.keys() == derived.keys()
+    rng = np.random.default_rng(23)
+    for shape in [(), (17,), (6, 7)]:
+        x, y = rng.uniform(-1.0, 1.0, size=(2, *shape))
+        for key, fn in generated.items():
+            if fn is None:
+                assert derived[key] is None
+                continue
+            a, b = fn(x, y), derived[key](x, y)
+            assert a.dtype == b.dtype and a.shape == b.shape, key
+            assert a.shape[:len(shape)] == shape, key
+            assert np.array_equal(a, b), key
+
+
+def test_replaced_case_derives_its_fields_with_sympy():
+    # a copy is not a builtin case, so it is derived from its own
+    # expressions; the builtin case keeps its generated fields
+    pytest.importorskip("sympy")
+    base = get_case("NONZERO_G")
+    shifted = dataclasses.replace(base, p_expr=base.p_expr + 1)
+    x, y = np.array([0.25, 0.5]), np.array([0.5, 0.75])
+    assert np.allclose(shifted._callables()["p"](x, y),
+                       base._callables()["p"](x, y) + 1, rtol=0, atol=1e-15)
+    assert shifted.name == base.name and get_case("NONZERO_G") is base
+
+
+@pytest.mark.parametrize("copier", ["copy", "deepcopy", "pickle"])
+def test_copied_builtin_case_keeps_its_expressions(copier, monkeypatch):
+    import copy
+    import functools
+    import pickle
+    pytest.importorskip("sympy")
+    # fresh builtin cases, whose expressions no earlier test has read
+    monkeypatch.setattr(study, "builtin_cases", functools.lru_cache()(
+        study.builtin_cases.__wrapped__))
+    base = get_case("NEUMANN_STRIP")
+    dup = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda c: pickle.loads(pickle.dumps(c))}[copier](base)
+    assert dup is not base
+    assert dup.p_expr - base.p_expr == 0
+    x, y = np.array([0.3, 0.9]), np.array([0.2, 0.4])
+    assert np.array_equal(dup.problem().t(x, y), base.problem().t(x, y))
