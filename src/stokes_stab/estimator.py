@@ -14,7 +14,11 @@ roles, so eta_E does not depend on the ordering.
 Oscillation terms measure data resolution: osc_K(f) = h_K ||f - f_h||_K
 with f_h the global L2-projection of f onto the velocity space and
 osc_E(t) = h_E^{1/2} ||t - t_h||_E with t_h projected onto the
-boundary trace space.
+boundary trace space. Both projections, mass matrix included, use the
+error rule (forms.error_degree) and one projection-misfit routine.
+
+f, g and the exact fields are read at quadrature points through
+forms.rule_values, which evaluates each once per space and rule.
 """
 
 from dataclasses import dataclass
@@ -25,8 +29,7 @@ from scipy.sparse.linalg import splu
 from . import forms, solver
 from .mesh import INTERIOR, NEUMANN
 from .space import (edge_points, edge_reference_points, element_residual,
-                    physical_points, pressure_values, scalar_basis,
-                    velocity_gradients)
+                    pressure_values, scalar_basis, velocity_gradients)
 
 
 @dataclass
@@ -53,19 +56,18 @@ class ErrorReport:
 
 def element_estimator(solution, space, problem):
     """Element residual indicators eta_K of all elements."""
-    w, pts = forms.volume_rule(space, "volume_load")
+    rule = forms.volume_rule(space, "volume_load")
+    w = rule.weights
     mesh = space.mesh
 
-    xy = physical_points(mesh, pts)
-    x, y = xy[..., 0], xy[..., 1]
-    res = np.asarray(problem.f(x, y), dtype=float) \
+    res = forms.rule_values(space, rule.degree, problem.f) \
         - element_residual(space, solution.u, solution.p)[:, None, :]
     mom = np.einsum("q,eqc,eqc->e", w, res, res)
 
-    G = velocity_gradients(space, solution.u, pts)
+    G = velocity_gradients(space, solution.u, rule.points)
     div = G[..., 0, 0] + G[..., 1, 1]
     if problem.g is not None:
-        div = div - np.asarray(problem.g(x, y), dtype=float)
+        div = div - forms.rule_values(space, rule.degree, problem.g)
     mass = np.einsum("q,eq,eq->e", w, div, div)
 
     scale = 2.0 * mesh.areas
@@ -105,7 +107,9 @@ def edge_estimator(solution, space, problem):
 
     Interior edges measure the jump of the normal stress across the
     edge, Neumann edges the defect against the prescribed traction,
-    Dirichlet edges are zero.
+    Dirichlet edges are zero. One pass serves both kinds: the stress
+    seen from the first element, minus that from the second on
+    interior edges, times the normal, minus t on Neumann edges.
     """
     mesh = space.mesh
     # |sigma n|^2, like the matrix, is a product of two derivatives
@@ -113,105 +117,75 @@ def edge_estimator(solution, space, problem):
         forms.quad_degrees(space.pair.velocity_degree)["volume_matrix"])
     eta = np.zeros(mesh.n_edges)
 
-    interior = np.flatnonzero((mesh.edge_tags == INTERIOR)
-                              & (mesh.e2t[:, 1] >= 0))
-    if len(interior):
-        n = _edge_normals(mesh, interior)
-        s0 = _edge_side_stress(solution, space, mesh.e2t[interior, 0],
-                               interior, s)
-        s1 = _edge_side_stress(solution, space, mesh.e2t[interior, 1],
-                               interior, s)
-        jump = np.einsum("mqcb,mb->mqc", s0 - s1, n)
-        val = np.einsum("q,mqc,mqc->m", w, jump, jump)
-        eta[interior] = mesh.edge_lengths[interior] * np.sqrt(val)
-
-    neumann = np.flatnonzero(mesh.edge_tags == NEUMANN)
-    if len(neumann):
-        n = _edge_normals(mesh, neumann)
-        sig = _edge_side_stress(solution, space, mesh.e2t[neumann, 0],
-                                neumann, s)
-        flux = np.einsum("mqcb,mb->mqc", sig, n)
-        if problem.t is not None:
-            xy = edge_points(mesh, neumann, s)
-            flux = flux - np.asarray(problem.t(xy[..., 0], xy[..., 1]),
-                                     dtype=float)
-        val = np.einsum("q,mqc,mqc->m", w, flux, flux)
-        eta[neumann] = mesh.edge_lengths[neumann] * np.sqrt(val)
-
+    interior = (mesh.edge_tags == INTERIOR) & (mesh.e2t[:, 1] >= 0)
+    edges = np.flatnonzero(interior | (mesh.edge_tags == NEUMANN))
+    inner = interior[edges]
+    sig = _edge_side_stress(solution, space, mesh.e2t[edges, 0], edges, s)
+    both = edges[inner]
+    sig[inner] -= _edge_side_stress(solution, space, mesh.e2t[both, 1],
+                                    both, s)
+    flux = np.einsum("mqcb,mb->mqc", sig, _edge_normals(mesh, edges))
+    if problem.t is not None and not inner.all():
+        xy = edge_points(mesh, edges[~inner], s)
+        flux[~inner] -= np.asarray(problem.t(xy[..., 0], xy[..., 1]),
+                                   dtype=float)
+    val = np.einsum("q,mqc,mqc->m", w, flux, flux)
+    eta[edges] = mesh.edge_lengths[edges] * np.sqrt(val)
     return eta
 
 
 # ----------------------------------------------------------------------
 # oscillations
 
-def _project_f_global(space, fv, rule):
-    """Nodal coefficients of the global L2-projection onto V_h of f,
-    given by its values fv at the points of rule on every element."""
-    M = forms.velocity_scalar_mass(space)
-    val, _, _ = scalar_basis(space.pair.velocity_degree, rule.points)
-    loc = np.einsum("q,eqc,qi->eic", rule.weights, fv, val) \
-        * (2.0 * space.mesh.areas)[:, None, None]
-    b = forms.scatter_add(space.elem_nodes, loc, space.n_nodes)
-    return splu(M.tocsc()).solve(b)
+def _projection_misfit(val, w, measure, cells, dv):
+    """Each cell's measure * sum_q w_q |d - d_h|^2.
+
+    dv holds the (ncell, nq, 2) values of data d at the rule's points,
+    val the (nq, nbf) reference basis values there, w the weights, and
+    cells the nodes 0..n-1 of each cell's basis functions, all in use;
+    d_h is the global L2-projection of d onto the space they span.
+    """
+    nn = cells.max() + 1
+    m = measure[:, None, None]
+    mass = np.einsum("q,qi,qj->ij", w, val, val) * m
+    M = forms._scatter_matrix(cells, cells, mass, (nn, nn))
+    loc = np.einsum("q,eqc,qi->eic", w, dv, val) * m
+    dh = splu(M.tocsc()).solve(forms.scatter_add(cells, loc, nn))
+    diff = dv - np.einsum("qi,eic->eqc", val, dh[cells])
+    return measure * np.einsum("q,eqc,eqc->e", w, diff, diff)
 
 
 def oscillations(problem, space):
-    """Data oscillation terms (osc_K(f) per element, osc_E(t) per edge)."""
+    """Data oscillation terms (osc_K(f) per element, osc_E(t) per edge,
+    zero off the Neumann edges)."""
     k = space.pair.velocity_degree
     rule = forms.quadrature(forms.error_degree(k))
-    w, pts = rule.weights, rule.points
     mesh = space.mesh
-
-    xy = physical_points(mesh, pts)
-    fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
-    fh_nodes = _project_f_global(space, fv, rule)
-    val, _, _ = scalar_basis(k, pts)
-    fh = np.einsum("qi,eic->eqc", val, fh_nodes[space.elem_nodes])
-    diff = fv - fh
-    osc_K = mesh.diameters * np.sqrt(
-        2.0 * mesh.areas * np.einsum("q,eqc,eqc->e", w, diff, diff))
+    val, _ = scalar_basis(k, rule.points)
+    osc_K = mesh.diameters * np.sqrt(_projection_misfit(
+        val, rule.weights, 2.0 * mesh.areas, space.elem_nodes,
+        forms.rule_values(space, rule.degree, problem.f)))
 
     osc_E = np.zeros(mesh.n_edges)
     neumann = np.flatnonzero(mesh.edge_tags == NEUMANN)
     if len(neumann) and problem.t is not None:
-        osc_E[neumann] = _trace_oscillation(space, problem, neumann)
+        # trace space: P1 or P2 on each edge, nodes local to the trace
+        s, w = forms.edge_quadrature(rule.degree)
+        if k == 1:
+            tval = np.stack([1.0 - s, s], axis=1)
+            enodes = mesh.edges[neumann]
+        else:
+            tval = np.stack([(1 - s) * (1 - 2 * s), s * (2 * s - 1),
+                             4 * s * (1 - s)], axis=1)
+            enodes = np.column_stack([mesh.edges[neumann],
+                                      mesh.n_vertices + neumann])
+        _, local = np.unique(enodes, return_inverse=True)
+        L = mesh.edge_lengths[neumann]
+        xy = edge_points(mesh, neumann, s)
+        tv = np.asarray(problem.t(xy[..., 0], xy[..., 1]), dtype=float)
+        osc_E[neumann] = np.sqrt(L) * np.sqrt(_projection_misfit(
+            tval, w, L, local.reshape(enodes.shape), tv))
     return osc_K, osc_E
-
-
-def _trace_oscillation(space, problem, neumann):
-    """osc_E(t) on the Neumann edges via trace-space L2 projection."""
-    mesh = space.mesh
-    k = space.pair.velocity_degree
-    s, w = forms.edge_quadrature(forms.error_degree(k))
-
-    if k == 1:
-        tval = np.stack([1.0 - s, s], axis=1)                 # (nq, 2)
-        enodes = mesh.edges[neumann]
-    else:
-        tval = np.stack([(1 - s) * (1 - 2 * s), s * (2 * s - 1),
-                         4 * s * (1 - s)], axis=1)
-        enodes = np.column_stack([mesh.edges[neumann],
-                                  mesh.n_vertices + neumann])
-
-    nodes, local = np.unique(enodes, return_inverse=True)
-    local = local.reshape(enodes.shape)
-    nn = len(nodes)
-    L = mesh.edge_lengths[neumann]
-
-    Mloc = np.einsum("qi,qj,q->ij", tval, tval, w)
-    M = forms._scatter_matrix(local, local, Mloc[None] * L[:, None, None],
-                              (nn, nn))
-
-    xy = edge_points(mesh, neumann, s)
-    tv = np.asarray(problem.t(xy[..., 0], xy[..., 1]), dtype=float)
-    loc = np.einsum("q,eqc,qi->eic", w, tv, tval) * L[:, None, None]
-    rhs = forms.scatter_add(local, loc, nn)
-
-    th_nodes = splu(M.tocsc()).solve(rhs)
-    th = np.einsum("qi,eic->eqc", tval, th_nodes[local])
-    diff = tv - th
-    return np.sqrt(L) * np.sqrt(
-        L * np.einsum("q,eqc,eqc->e", w, diff, diff))
 
 
 # ----------------------------------------------------------------------
@@ -260,14 +234,12 @@ def efficiency_audit(solution, space, problem):
     mesh = space.mesh
     scale_el = 2.0 * mesh.areas
 
-    xy = physical_points(mesh, pts)
-    x, y = xy[..., 0], xy[..., 1]
     Gh = velocity_gradients(space, solution.u, pts)
-    eg = Gh - np.asarray(problem.exact.grad_u(x, y))
+    ph = pressure_values(space, solution.p, pts)
+    eg = Gh - forms.rule_values(space, rule.degree, problem.exact.grad_u)
     D = 0.5 * (eg + eg.transpose(0, 1, 3, 2))
     d2 = scale_el * np.einsum("q,eqcb,eqcb->e", w, D, D)
-    ep = pressure_values(space, solution.p, pts) \
-        - np.asarray(problem.exact.p(x, y))
+    ep = ph - forms.rule_values(space, rule.degree, problem.exact.p)
     p2 = scale_el * np.einsum("q,eq,eq->e", w, ep, ep)
 
     eta_K = element_estimator(solution, space, problem)
@@ -277,27 +249,21 @@ def efficiency_audit(solution, space, problem):
     flat = mesh.e2t[mesh.t2e].reshape(len(d2), -1)       # (nt, 6)
     own_id = np.arange(len(d2))[:, None]
     take = (flat >= 0) & (flat != own_id)
-    patch_d2 = d2.copy()
-    patch_p2 = p2.copy()
-    patch_o2 = osc_K ** 2
+    # columns: strain error, pressure error, oscillation, all squared
+    own = np.stack([d2, p2, osc_K ** 2], axis=1)
+    patch = own.copy()
     for col in range(flat.shape[1]):
-        sel = take[:, col]
-        idx = flat[sel, col]
-        patch_d2[sel] += d2[idx]
-        patch_p2[sel] += p2[idx]
-        patch_o2[sel] += osc_K[idx] ** 2
+        patch += np.where(take[:, col, None], own[flat[:, col]], 0.0)
 
     osc_t2 = np.zeros(len(d2))
-    for i in range(3):
-        e = mesh.t2e[:, i]
-        osc_t2 += np.where(mesh.edge_tags[e] == NEUMANN, osc_E[e] ** 2, 0.0)
+    for e in mesh.t2e.T:
+        osc_t2 += osc_E[e] ** 2
 
-    denom = np.sqrt(patch_d2) + np.sqrt(patch_p2) \
-        + np.sqrt(patch_o2) + np.sqrt(osc_t2)
+    root = np.sqrt(patch)
+    denom = root[:, 0] + root[:, 1] + root[:, 2] + np.sqrt(osc_t2)
 
     # 0/0 guard is relative to the size of the discrete solution itself
     Dh = 0.5 * (Gh + Gh.transpose(0, 1, 3, 2))
-    ph = pressure_values(space, solution.p, pts)
     scale = float(
         np.sqrt((scale_el * np.einsum("q,eqcb,eqcb->e", w, Dh, Dh)).sum())
         + np.sqrt((scale_el * np.einsum("q,eq,eq->e", w, ph, ph)).sum()))

@@ -93,8 +93,8 @@ def quad_degrees(velocity_degree):
     """Quadrature degrees of the assembled system, by use.
 
     volume_matrix: products of two velocity-basis derivatives (B, S,
-    the C_I pencils, the velocity mass); volume_load: the data f and g
-    against a basis function (F, L); edge: the Neumann traction load.
+    the C_I pencils); volume_load: the data f and g against a basis
+    function (F, L); edge: the Neumann traction load.
     These are the quad_* lines of the manifest. The estimator reuses
     volume_load on elements and volume_matrix on edges; error norms
     and oscillations use error_degree. All are fixed functions of the
@@ -106,15 +106,38 @@ def quad_degrees(velocity_degree):
 
 
 def volume_rule(space, use):
-    """(weights, points) of the assembly rule `use` of quad_degrees."""
-    rule = quadrature(quad_degrees(space.pair.velocity_degree)[use])
-    return rule.weights, rule.points
+    """The QuadRule of the assembly rule `use` of quad_degrees."""
+    return quadrature(quad_degrees(space.pair.velocity_degree)[use])
 
 
 def error_degree(velocity_degree):
-    """Quadrature degree of oscillations, error norms, the efficiency
-    audit and the trace projection of t."""
+    """Quadrature degree of oscillations (and their projection mass
+    matrices), error norms, the efficiency audit and the trace
+    projection of t."""
     return min(2 * velocity_degree + 4, 10)
+
+
+def rule_values(space, degree, fn=None):
+    """Read-only (ne, nq, ...) values of fn(x, y) at the physical points
+    of quadrature(degree) on every element, or those (ne, nq, 2) points
+    themselves when fn is None.
+
+    Each (degree, fn) is evaluated once per space and kept as long as
+    the space, so assembly, the estimator, the error norms and the
+    efficiency audit share one evaluation per rule. The key holds fn
+    itself, so a later callable cannot alias it.
+    """
+    key = (degree, fn)
+    if key not in space.rule_cache:
+        if fn is None:
+            vals = physical_points(space.mesh, quadrature(degree).points)
+        else:
+            xy = rule_values(space, degree)
+            # a view, so fn's own arrays keep their flags
+            vals = np.asarray(fn(xy[..., 0], xy[..., 1]), dtype=float).view()
+        vals.flags.writeable = False
+        space.rule_cache[key] = vals
+    return space.rule_cache[key]
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +254,9 @@ def assemble_B(space):
     A_uu[a, b] = (D(phi_b), D(phi_a)); A_up[a, l] = -(div phi_a, psi_l).
     The full unstabilized matrix is [[A_uu, A_up], [A_up^T, 0]].
     """
-    w, pts = volume_rule(space, "volume_matrix")
-    g = _phys_grads(space, pts)
+    rule = volume_rule(space, "volume_matrix")
+    w = rule.weights
+    g = _phys_grads(space, rule.points)
     scale = 2.0 * space.mesh.areas
     nbf = space.n_basis
 
@@ -240,7 +264,7 @@ def assemble_B(space):
     A_uu = _scatter_matrix(vd, vd, _strain_local(w, g, scale),
                            (space.n_u, space.n_u))
 
-    pval, _, _ = scalar_basis(1, pts)
+    pval, _ = scalar_basis(1, rule.points)
     div_loc = np.einsum("q,eqic,ql->eicl", w, g, pval)
     div_loc = -div_loc.reshape(-1, 2 * nbf, 3) * scale[:, None, None]
     A_up = _scatter_matrix(vd, space.mesh.triangles, div_loc,
@@ -262,20 +286,19 @@ def assemble_Sh(space):
 
 def assemble_F(space, problem):
     """Load functional (f, v) + <t, v>_Neumann - (g, q)."""
-    k = space.pair.velocity_degree
-    w, pts = volume_rule(space, "volume_load")
+    rule = volume_rule(space, "volume_load")
+    w = rule.weights
     mesh = space.mesh
     scale = 2.0 * mesh.areas
 
-    xy = physical_points(mesh, pts)
-    fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
-    val, _, _ = scalar_basis(k, pts)
+    fv = rule_values(space, rule.degree, problem.f)
+    val, _ = scalar_basis(space.pair.velocity_degree, rule.points)
     fu = np.einsum("q,eqc,qi->eic", w, fv, val) * scale[:, None, None]
     out = scatter_add(_velocity_dofs(space), fu, space.n_u + space.n_p)
 
     if problem.g is not None:
-        gv = np.asarray(problem.g(xy[..., 0], xy[..., 1]), dtype=float)
-        pval, _, _ = scalar_basis(1, pts)
+        gv = rule_values(space, rule.degree, problem.g)
+        pval, _ = scalar_basis(1, rule.points)
         gp = -np.einsum("q,eq,ql->el", w, gv, pval) * scale[:, None]
         out[space.n_u:] += scatter_add(mesh.triangles, gp, space.n_p)
 
@@ -290,7 +313,7 @@ def _neumann_load(space, traction):
     mesh = space.mesh
     edges = np.flatnonzero(mesh.edge_tags == NEUMANN)
     elems = mesh.e2t[edges, 0]
-    val, _, _ = scalar_basis(k, edge_reference_points(mesh, elems, edges, s))
+    val, _ = scalar_basis(k, edge_reference_points(mesh, elems, edges, s))
     xy = edge_points(mesh, edges, s)
     tv = np.asarray(traction(xy[..., 0], xy[..., 1]), dtype=float)
     length = mesh.edge_lengths[edges]
@@ -300,12 +323,12 @@ def _neumann_load(space, traction):
 
 def assemble_Lh(space, problem):
     """Stabilization load sum_K h_K^2 (f, -div D(v) + grad q)_K."""
-    w, pts = volume_rule(space, "volume_load")
+    rule = volume_rule(space, "volume_load")
     mesh = space.mesh
 
-    xy = physical_points(mesh, pts)
-    fv = np.asarray(problem.f(xy[..., 0], xy[..., 1]), dtype=float)
-    int_f = np.einsum("q,eqr->er", w, fv) * (2.0 * mesh.areas)[:, None]
+    fv = rule_values(space, rule.degree, problem.f)
+    int_f = np.einsum("q,eqr->er", rule.weights, fv) \
+        * (2.0 * mesh.areas)[:, None]
     loc = np.einsum("er,eir->ei", int_f, space.residual_operator) \
         * (mesh.diameters ** 2)[:, None]
     return scatter_add(_residual_dofs(space), loc, space.n_dofs)
@@ -315,21 +338,11 @@ def pressure_mass(space):
     """P1 pressure mass matrix (n_p x n_p)."""
     rule = quadrature(2)
     w, pts = rule.weights, rule.points
-    val, _, _ = scalar_basis(1, pts)
+    val, _ = scalar_basis(1, pts)
     loc = np.einsum("q,ql,qm->lm", w, val, val)
     loc = loc[None] * (2.0 * space.mesh.areas)[:, None, None]
     tri = space.mesh.triangles
     return _scatter_matrix(tri, tri, loc, (space.n_p, space.n_p))
-
-
-def velocity_scalar_mass(space):
-    """Mass matrix of the scalar velocity node basis (n_nodes square)."""
-    w, pts = volume_rule(space, "volume_matrix")
-    val, _, _ = scalar_basis(space.pair.velocity_degree, pts)
-    loc = np.einsum("q,qi,qj->ij", w, val, val)
-    loc = loc[None] * (2.0 * space.mesh.areas)[:, None, None]
-    en = space.elem_nodes
-    return _scatter_matrix(en, en, loc, (space.n_nodes, space.n_nodes))
 
 
 # ----------------------------------------------------------------------
@@ -344,9 +357,9 @@ def inverse_inequality_pencils(space, elems=None):
     matrices that assemble_B (A_uu) and assemble_Sh (velocity block)
     scatter.
     """
-    w, pts = volume_rule(space, "volume_matrix")
+    rule = volume_rule(space, "volume_matrix")
     sel = slice(None) if elems is None else elems
-    M_D = _strain_local(w, _phys_grads(space, pts, elems),
+    M_D = _strain_local(rule.weights, _phys_grads(space, rule.points, elems),
                         2.0 * space.mesh.areas[sel])
     nv = 2 * space.n_basis
     M_A = _residual_local(space, elems)[:, :nv, :nv]

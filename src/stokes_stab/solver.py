@@ -1,6 +1,7 @@
 """Direct solution of the assembled saddle system and solution norms."""
 
 import ctypes
+import functools
 import os
 import sys
 import tempfile
@@ -12,8 +13,7 @@ import scipy.linalg
 from scipy.sparse.linalg import splu
 
 from . import forms
-from .space import (physical_points, pressure_values, velocity_gradients,
-                    velocity_values)
+from .space import pressure_values, velocity_gradients, velocity_values
 
 
 class SolverError(Exception):
@@ -320,15 +320,13 @@ def functional_norms(space, solution, exact):
     """
     rule = forms.quadrature(forms.error_degree(space.pair.velocity_degree))
     w, pts = rule.weights, rule.points
-    mesh = space.mesh
-    scale = 2.0 * mesh.areas
+    scale = 2.0 * space.mesh.areas
 
-    xy = physical_points(mesh, pts)
-    x, y = xy[..., 0], xy[..., 1]
-    eu = velocity_values(space, solution.u, pts) - np.asarray(exact.u(x, y))
+    exact_values = functools.partial(forms.rule_values, space, rule.degree)
+    eu = velocity_values(space, solution.u, pts) - exact_values(exact.u)
     eg = velocity_gradients(space, solution.u, pts) \
-        - np.asarray(exact.grad_u(x, y))
-    ep = pressure_values(space, solution.p, pts) - np.asarray(exact.p(x, y))
+        - exact_values(exact.grad_u)
+    ep = pressure_values(space, solution.p, pts) - exact_values(exact.p)
 
     def cell_int(sq):
         return scale * np.einsum("q,eq->e", w, sq)

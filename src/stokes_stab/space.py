@@ -47,43 +47,37 @@ P1P1 = ElementPair(1)
 P2P1 = ElementPair(2)
 
 
+_DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
 def scalar_basis(degree, pts):
     """Reference-triangle Lagrange basis at pts (..., 2).
 
-    Returns (values, gradients, hessians) with shapes (..., nbf),
-    (..., nbf, 2) and (..., nbf, 2, 2). Basis order: the three corner
-    functions, then for degree 2 the midpoint function of the edge
-    opposite each corner.
+    Returns (values, gradients) with shapes (..., nbf) and
+    (..., nbf, 2). Basis order: the three corner functions, then for
+    degree 2 the midpoint function of the edge opposite each corner.
     """
     pts = np.asarray(pts, dtype=float)
     x = pts[..., 0]
     y = pts[..., 1]
     lam = np.stack([1.0 - x - y, x, y], axis=-1)
-    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     base = pts.shape[:-1]
 
     if degree == 1:
-        val = lam
-        grad = np.broadcast_to(dlam, base + (3, 2)).copy()
-        hess = np.zeros(base + (3, 2, 2))
-        return val, grad, hess
+        return lam, np.broadcast_to(_DLAM, base + (3, 2)).copy()
 
     if degree == 2:
         val = np.empty(base + (6,))
         grad = np.empty(base + (6, 2))
-        hess = np.empty(base + (6, 2, 2))
         for i in range(3):
             li = lam[..., i]
             val[..., i] = li * (2.0 * li - 1.0)
-            grad[..., i, :] = (4.0 * li - 1.0)[..., None] * dlam[i]
-            hess[..., i, :, :] = 4.0 * np.outer(dlam[i], dlam[i])
+            grad[..., i, :] = (4.0 * li - 1.0)[..., None] * _DLAM[i]
             j, k = (i + 1) % 3, (i + 2) % 3
             val[..., 3 + i] = 4.0 * lam[..., j] * lam[..., k]
-            grad[..., 3 + i, :] = 4.0 * (lam[..., k][..., None] * dlam[j]
-                                         + lam[..., j][..., None] * dlam[k])
-            hess[..., 3 + i, :, :] = 4.0 * (np.outer(dlam[j], dlam[k])
-                                            + np.outer(dlam[k], dlam[j]))
-        return val, grad, hess
+            grad[..., 3 + i, :] = 4.0 * (lam[..., k][..., None] * _DLAM[j]
+                                         + lam[..., j][..., None] * _DLAM[k])
+        return val, grad
 
     raise SpaceError(f"unsupported basis degree {degree}")
 
@@ -118,13 +112,14 @@ class FeSpace:
         self.n_dofs = self.n_u + self.n_p
 
         d_edges = np.flatnonzero(mesh.edge_tags == DIRICHLET)
-        nodes = set(mesh.edges[d_edges].ravel().tolist())
+        nodes = mesh.edges[d_edges].ravel()
         if pair.velocity_degree == 2:
-            nodes.update((nv + d_edges).tolist())
-        nodes = np.array(sorted(nodes), dtype=np.int64)
-        self.dirichlet_nodes = nodes
+            nodes = np.concatenate([nodes, nv + d_edges])
+        self.dirichlet_nodes = nodes = np.unique(nodes)
         self.dirichlet_dofs = np.sort(
             np.concatenate([2 * nodes, 2 * nodes + 1]))
+        # forms.rule_values: (degree, fn) -> values at the rule's points
+        self.rule_cache = {}
 
     @property
     def n_basis(self):
@@ -158,7 +153,7 @@ class FeSpace:
             R[:, 0:2 * nbf:2, 1] = -0.5 * H[..., 0, 1]
             R[:, 1:2 * nbf:2, 0] = -0.5 * H[..., 0, 1]
             R[:, 1:2 * nbf:2, 1] = -(0.5 * H[..., 0, 0] + H[..., 1, 1])
-        _, gref, _ = scalar_basis(1, np.zeros(2))
+        _, gref = scalar_basis(1, np.zeros(2))
         R[:, 2 * nbf:] = np.einsum("eba,ia->eib", it, gref)
         R.flags.writeable = False
         return R
@@ -195,10 +190,11 @@ class FeSpace:
 # Physical derivatives come from the affine pullback:
 # grad_x = J^{-T} grad_ref, hess_x = J^{-T} hess_ref J^{-1}.
 
-def physical_points(mesh, ref_pts, elems=None):
-    J = mesh.jacobians if elems is None else mesh.jacobians[elems]
-    c = mesh.corner_coords if elems is None else mesh.corner_coords[elems]
-    return c[:, None, 0, :] + np.einsum("eab,qb->eqa", J, ref_pts)
+def physical_points(mesh, ref_pts):
+    """(ne, nq, 2) images of shared reference points (nq, 2) on every
+    triangle."""
+    return mesh.corner_coords[:, None, 0, :] \
+        + np.einsum("eab,qb->eqa", mesh.jacobians, ref_pts)
 
 
 def edge_points(mesh, edge_ids, s):
@@ -222,7 +218,7 @@ def edge_reference_points(mesh, elems, edge_ids, s):
 
 
 def _phys_grads(space, ref_pts, elems=None):
-    _, gref, _ = scalar_basis(space.pair.velocity_degree, ref_pts)
+    _, gref = scalar_basis(space.pair.velocity_degree, ref_pts)
     it = space.mesh.inv_jacobians_t
     it = it if elems is None else it[elems]
     gref = np.broadcast_to(gref, (len(it),) + gref.shape[-3:])
@@ -233,13 +229,19 @@ def _phys_hess(space):
     """(ne, nbf, 2, 2) physical Hessians of the P2 scalar velocity
     basis, constant on each element."""
     it = space.mesh.inv_jacobians_t
-    _, _, href = scalar_basis(2, np.zeros(2))
+    # corner i is l_i (2 l_i - 1), midpoint 3+i is 4 l_j l_k: with a, b
+    # the gradients of (l_i, l_i) and (l_j, l_k), the reference Hessians
+    # are 4 a b^T on the corners and 4 (a b^T + b a^T) on the midpoints
+    a, b = _DLAM[[0, 1, 2, 1, 2, 0]], _DLAM[[0, 1, 2, 2, 0, 1]]
+    href = 4.0 * (a[:, :, None] * b[:, None, :]
+                  + b[:, :, None] * a[:, None, :])
+    href[:3] /= 2.0
     return np.einsum("eca,iab,edb->eicd", it, href, it)
 
 
 def velocity_values(space, coefs, ref_pts, elems=None):
     """(ne, nq, 2) values of the discrete velocity."""
-    val, _, _ = scalar_basis(space.pair.velocity_degree, ref_pts)
+    val, _ = scalar_basis(space.pair.velocity_degree, ref_pts)
     lc = space.local_velocity_coefs(coefs, elems)
     return np.einsum("qi,eic->eqc", val, lc)
 
@@ -252,7 +254,7 @@ def velocity_gradients(space, coefs, ref_pts, elems=None):
 
 
 def pressure_values(space, coefs, ref_pts, elems=None):
-    val, _, _ = scalar_basis(1, ref_pts)
+    val, _ = scalar_basis(1, ref_pts)
     lc = space.local_pressure_coefs(coefs, elems)
     val = np.broadcast_to(val, (len(lc),) + val.shape[-2:])
     return np.einsum("eqi,ei->eq", val, lc)

@@ -95,14 +95,62 @@ def test_neumann_edge_misfit():
     # magnitude, so eta_E^2 = h_E int_E 1 ds = h_E^2
     mesh = unit_square(2, boundary={"right": "N"})
     space = FeSpace(mesh, P1P1)
-    problem = StokesProblem(
-        f=_const_f(0.0, 0.0),
-        t=lambda x, y: np.stack([np.ones_like(x), 0 * x], axis=-1))
+    t = lambda x, y: np.stack([np.ones_like(x), 0 * x], axis=-1)
+    problem = StokesProblem(f=_const_f(0.0, 0.0), t=t)
     eta_E = estimator.edge_estimator(_zero_solution(space), space, problem)
-    for e in range(mesh.n_edges):
-        if mesh.edge_tags[e] == 2:
-            h = mesh.edge_lengths[e]
-            assert abs(eta_E[e] - h) < 1e-12
+    neumann = mesh.edge_tags == 2
+    assert np.allclose(eta_E[neumann], mesh.edge_lengths[neumann],
+                       rtol=0, atol=1e-12)
+
+    # u_h = (x, 0), p_h = 0 has sigma n = (1, 0) on the right side: it
+    # meets t = (1, 0) exactly, and without t the misfit is |sigma n| = 1
+    from stokes_stab.space import interpolate
+    u, _ = interpolate(space, u=lambda x, y: np.stack([x, 0 * y], axis=-1))
+    sol = DiscreteSolution(u=u, p=np.zeros(space.n_p), residual=0.0)
+    eta_E = estimator.edge_estimator(sol, space, problem)
+    assert np.allclose(eta_E[neumann], 0.0, atol=1e-12)
+    eta_E = estimator.edge_estimator(
+        sol, space, StokesProblem(f=_const_f(0.0, 0.0)))
+    assert np.allclose(eta_E[neumann], mesh.edge_lengths[neumann],
+                       rtol=0, atol=1e-12)
+
+
+def test_edge_pass_calls_t_only_with_neumann_edges(monkeypatch):
+    def no_traction(x, y):
+        raise AssertionError("t evaluated without Neumann edges")
+
+    calls = []
+    side_stress = estimator._edge_side_stress
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return side_stress(*args)
+    monkeypatch.setattr(estimator, "_edge_side_stress", counted)
+
+    problem = StokesProblem(f=_const_f(1.0, 0.0), t=no_traction)
+    for pair in (P1P1, P2P1):
+        space = FeSpace(unit_square(2), pair)
+        eta_E = estimator.edge_estimator(_zero_solution(space), space,
+                                         problem)
+        assert np.all(eta_E == 0.0)
+
+    # a lone triangle has neither interior nor Neumann edges
+    tri = type(unit_square(1))([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                               [[0, 1, 2]],
+                               {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
+    space = FeSpace(tri, P2P1)
+    eta_E = estimator.edge_estimator(_zero_solution(space), space, problem)
+    assert np.array_equal(eta_E, np.zeros(3))
+
+    # with interior and Neumann edges: one stress evaluation on the first
+    # side of both kinds, one on the second side of the interior ones
+    mesh = unit_square(2, boundary={"right": "N"})
+    space = FeSpace(mesh, P2P1)
+    calls.clear()
+    estimator.edge_estimator(_zero_solution(space), space,
+                             StokesProblem(f=None))
+    inner = np.sum((mesh.edge_tags == 0) & (mesh.e2t[:, 1] >= 0))
+    assert calls == [inner + np.sum(mesh.edge_tags == 2), inner]
 
 
 def test_oscillation_vanishes_for_resolved_data():

@@ -5,9 +5,11 @@ uniform-study --case C --pair P --n0 4 --levels 2`, the adaptive one by
 `stokes-stab adaptive-study --case LSHAPE_PEAK --pair P2P1 --max-iters
 4`; each is compared column by column to 1e-10 relative with the
 benchmark's own table check. The cases cover the g != 0 load
-(NONZERO_G), P1P1 with traction data (NEUMANN_STRIP), P2P1 with the
-mean-pressure border (SMOOTH_SQUARE), the estimator-only L-shape in
-P2P1, and P2P1 marking and local refinement.
+(NONZERO_G), traction data in P1P1 and in P2P1 (NEUMANN_STRIP; the
+P2P1 table is the only one with P2 trace oscillation and the P2
+Neumann edge term), P2P1 with the mean-pressure border
+(SMOOTH_SQUARE), the estimator-only L-shape in P2P1, and P2P1 marking
+and local refinement.
 """
 
 import importlib.util
@@ -33,6 +35,7 @@ def _compare_tables():
     ("NONZERO_G", "P1P1"),
     ("NONZERO_G", "P2P1"),
     ("NEUMANN_STRIP", "P1P1"),
+    ("NEUMANN_STRIP", "P2P1"),
     ("SMOOTH_SQUARE", "P2P1"),
     ("LSHAPE_PEAK", "P2P1"),
 ])

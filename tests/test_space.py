@@ -3,8 +3,8 @@ import pytest
 
 from stokes_stab import mesh as msh
 from stokes_stab.space import (ElementPair, FeSpace, P1P1, P2P1, SpaceError,
-                               element_residual, interpolate, physical_points,
-                               pressure_values, scalar_basis,
+                               _phys_hess, element_residual, interpolate,
+                               physical_points, pressure_values, scalar_basis,
                                velocity_gradients, velocity_values)
 
 
@@ -21,42 +21,51 @@ def test_element_pair_labels():
 def test_basis_partition_of_unity():
     pts = np.random.default_rng(0).random((40, 2)) * 0.5
     for deg in (1, 2):
-        val, grad, _ = scalar_basis(deg, pts)
+        val, grad = scalar_basis(deg, pts)
         assert np.allclose(val.sum(axis=-1), 1.0)
         assert np.allclose(grad.sum(axis=-2), 0.0)
 
 
 def test_basis_kronecker_at_nodes():
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    val, _, _ = scalar_basis(1, corners)
+    val, _ = scalar_basis(1, corners)
     assert np.allclose(val, np.eye(3))
     mids = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
-    val, _, _ = scalar_basis(2, np.vstack([corners, mids]))
+    val, _ = scalar_basis(2, np.vstack([corners, mids]))
     assert np.allclose(val, np.eye(6), atol=1e-14)
+
+
+def _reference_hessians():
+    """(6, 2, 2) P2 basis Hessians on the reference triangle itself,
+    where the pullback is the identity."""
+    ref = msh.TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
+                      {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
+    return _phys_hess(FeSpace(ref, "P2P1"))[0]
 
 
 def test_p2_corner_hessian():
     # the corner function at the origin is (1-x-y)(1-2x-2y); its
     # Hessian is the constant matrix [[4,4],[4,4]]
-    _, _, hess = scalar_basis(2, np.array([[0.3, 0.1], [0.0, 0.0]]))
-    assert np.allclose(hess[:, 0], [[4.0, 4.0], [4.0, 4.0]])
+    assert np.allclose(_reference_hessians()[0], [[4.0, 4.0], [4.0, 4.0]])
 
 
 def test_basis_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     pts = rng.random((10, 2)) * 0.4 + 0.05
     eps = 1e-6
+    # P1 Hessians vanish; P2 ones are the constants _phys_hess pulls back
+    hessians = {1: np.zeros((3, 2, 2)), 2: _reference_hessians()}
     for deg in (1, 2):
-        val, grad, hess = scalar_basis(deg, pts)
+        val, grad = scalar_basis(deg, pts)
         for axis in range(2):
             shift = np.zeros(2)
             shift[axis] = eps
-            vp, gp, _ = scalar_basis(deg, pts + shift)
-            vm, gm, _ = scalar_basis(deg, pts - shift)
+            vp, gp = scalar_basis(deg, pts + shift)
+            vm, gm = scalar_basis(deg, pts - shift)
             assert np.allclose((vp - vm) / (2 * eps), grad[..., axis],
                                atol=1e-8)
-            assert np.allclose((gp - gm) / (2 * eps), hess[..., axis],
-                               atol=1e-8)
+            assert np.allclose((gp - gm) / (2 * eps),
+                               hessians[deg][..., axis], atol=1e-8)
 
 
 def test_space_dof_counts():
@@ -86,6 +95,25 @@ def test_dirichlet_dofs_follow_tags():
                   | np.isclose(coords[:, 1], 1.0))
         assert on_bnd.all()
         assert len(s.dirichlet_dofs) == 2 * len(s.dirichlet_nodes)
+
+
+def test_dirichlet_nodes_sorted_unique_int64():
+    m = msh.unit_square(3, boundary={"right": "N"})
+    d_edges = np.flatnonzero(m.edge_tags == msh.DIRICHLET)
+    for pair, extra in (("P1P1", []), ("P2P1", m.n_vertices + d_edges)):
+        s = FeSpace(m, pair)
+        expected = sorted(set(m.edges[d_edges].ravel()) | set(extra))
+        assert s.dirichlet_nodes.dtype == np.int64
+        assert s.dirichlet_nodes.tolist() == expected
+    # without Dirichlet edges the arrays are empty, still int64
+    free = msh.TriMesh(m.vertices, m.triangles,
+                       dict.fromkeys(m.boundary_tag_dict(), "N"),
+                       validate=False)
+    for pair in ("P1P1", "P2P1"):
+        s = FeSpace(free, pair)
+        assert s.dirichlet_nodes.dtype == np.int64
+        assert s.dirichlet_dofs.dtype == np.int64
+        assert len(s.dirichlet_nodes) == len(s.dirichlet_dofs) == 0
 
 
 def test_interpolation_reproduces_polynomials():
