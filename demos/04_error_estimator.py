@@ -47,7 +47,8 @@ for n in (4, 8, 16):
     space = FeSpace(case.make_mesh(n), "P1P1")
     problem = case.problem()
     solution = solve(assemble_system(space, problem))
-    audit = efficiency_audit(solution, space, problem)
+    report = global_report(solution, space, problem)
+    audit = efficiency_audit(solution, space, problem, report)
     print(f"n = {n:2d}: max patch ratio = {audit.max_ratio:.3f}, "
           f"median = {np.median(audit.ratios):.3f}, "
           f"exact-in-space sentinels: {audit.n_sentinel}")

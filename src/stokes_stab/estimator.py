@@ -219,13 +219,14 @@ class EfficiencyAudit:
     n_sentinel: int
 
 
-def efficiency_audit(solution, space, problem):
+def efficiency_audit(solution, space, problem, report):
     """Ratio of each element indicator to the local true error.
 
     The denominator collects the velocity strain error and pressure
     error over the patch of K and its edge neighbors, plus the local
     oscillation terms. Elements where both sides vanish (exact-in-space
-    solutions) are reported with the unit sentinel 1.0.
+    solutions) are reported with the unit sentinel 1.0. eta_K and the
+    oscillations are read from report, the level's global_report.
     """
     if problem.exact is None:
         raise ValueError("efficiency_audit needs problem.exact")
@@ -242,22 +243,19 @@ def efficiency_audit(solution, space, problem):
     ep = ph - forms.rule_values(space, rule.degree, problem.exact.p)
     p2 = scale_el * np.einsum("q,eq,eq->e", w, ep, ep)
 
-    eta_K = element_estimator(solution, space, problem)
-    osc_K, osc_E = oscillations(problem, space)
-
     # element patch: self plus edge neighbors
     flat = mesh.e2t[mesh.t2e].reshape(len(d2), -1)       # (nt, 6)
     own_id = np.arange(len(d2))[:, None]
     take = (flat >= 0) & (flat != own_id)
     # columns: strain error, pressure error, oscillation, all squared
-    own = np.stack([d2, p2, osc_K ** 2], axis=1)
+    own = np.stack([d2, p2, report.osc_K_f ** 2], axis=1)
     patch = own.copy()
     for col in range(flat.shape[1]):
         patch += np.where(take[:, col, None], own[flat[:, col]], 0.0)
 
     osc_t2 = np.zeros(len(d2))
     for e in mesh.t2e.T:
-        osc_t2 += osc_E[e] ** 2
+        osc_t2 += report.osc_E_t[e] ** 2
 
     root = np.sqrt(patch)
     denom = root[:, 0] + root[:, 1] + root[:, 2] + np.sqrt(osc_t2)
@@ -268,9 +266,8 @@ def efficiency_audit(solution, space, problem):
         np.sqrt((scale_el * np.einsum("q,eqcb,eqcb->e", w, Dh, Dh)).sum())
         + np.sqrt((scale_el * np.einsum("q,eq,eq->e", w, ph, ph)).sum()))
     tiny = 1e-9 * max(scale, 1e-30)
-    sentinel = (eta_K <= tiny) & (denom <= tiny)
-    ratios = np.where(sentinel, 1.0,
-                      eta_K / np.maximum(denom, 1e-300))
+    sentinel = (report.eta_K <= tiny) & (denom <= tiny)
+    ratios = np.where(sentinel, 1.0, report.eta_K / np.maximum(denom, 1e-300))
     return EfficiencyAudit(
         ratios=ratios,
         max_ratio=float(ratios.max()),

@@ -30,8 +30,8 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
 from .mesh import NEUMANN, MeshError
-from .space import (FeSpace, _phys_grads, edge_points, edge_reference_points,
-                    interpolate, physical_points, scalar_basis)
+from .space import (FeSpace, edge_points, edge_reference_points,
+                    physical_points, point_values, scalar_basis)
 
 
 class InadmissibleAlphaError(Exception):
@@ -180,18 +180,30 @@ def _velocity_dofs(space, elems=None):
     return out
 
 
-def _strain_local(w, g, scale):
-    """(ne, 2nbf, 2nbf) element matrices (D(phi_b), D(phi_a))_K.
+def _strain_local(space, elems=None):
+    """(ne, 2nbf, 2nbf) element matrices (D(phi_b), D(phi_a))_K, for
+    all elements or those listed in elems.
 
-    g holds the physical basis gradients at the rule's points, scale
-    the element factors 2|K| of the reference weights.
+    Tensor representation (Kirby & Logg, ACM TOMS 2006), no quadrature
+    axis: with it = J^{-T} and K_ref[a, A, i, j] = sum_q w_q dphi_i/da
+    dphi_j/dA, t2[d, c, i, j] = (d_d phi_i, d_c phi_j)_K is the one
+    matmul 2|K| it[d, a] it[c, A] K_ref[a, A, i, j], and its trace over
+    d = c is (grad phi_i, grad phi_j)_K.
     """
-    nbf = g.shape[2]
-    t1 = np.einsum("q,eqib,eqjb->eij", w, g, g)
-    t2 = np.einsum("q,eqid,eqjc->eijdc", w, g, g)
-    loc = 0.5 * (np.einsum("eij,cd->eicjd", t1, np.eye(2))
-                 + t2.transpose(0, 1, 4, 2, 3))
-    loc = loc * scale[:, None, None, None, None]
+    rule = volume_rule(space, "volume_matrix")
+    _, gref = scalar_basis(space.pair.velocity_degree, rule.points)
+    nbf = space.n_basis
+    K_ref = np.einsum("q,qia,qjb->abij", rule.weights, gref, gref)
+    sel = slice(None) if elems is None else elems
+    # |K| is 2|K| times the 1/2 of D's symmetrization
+    it, area = space.mesh.inv_jacobians_t[sel], space.mesh.areas[sel]
+    geo = it[:, :, None, :, None] * it[:, None, :, None, :] \
+        * area[:, None, None, None, None]
+    t2 = (geo.reshape(-1, 4) @ K_ref.reshape(4, -1)).reshape(
+        -1, 2, 2, nbf, nbf)
+    t1 = t2[:, 0, 0] + t2[:, 1, 1]
+    loc = t1[:, :, None, :, None] * np.eye(2)[:, None, :] \
+        + t2.transpose(0, 3, 2, 4, 1)
     return loc.reshape(-1, 2 * nbf, 2 * nbf)
 
 
@@ -254,19 +266,18 @@ def assemble_B(space):
     A_uu[a, b] = (D(phi_b), D(phi_a)); A_up[a, l] = -(div phi_a, psi_l).
     The full unstabilized matrix is [[A_uu, A_up], [A_up^T, 0]].
     """
-    rule = volume_rule(space, "volume_matrix")
-    w = rule.weights
-    g = _phys_grads(space, rule.points)
-    scale = 2.0 * space.mesh.areas
-    nbf = space.n_basis
-
     vd = _velocity_dofs(space)
-    A_uu = _scatter_matrix(vd, vd, _strain_local(w, g, scale),
+    A_uu = _scatter_matrix(vd, vd, _strain_local(space),
                            (space.n_u, space.n_u))
 
+    # -(div phi_i e_c, psi_l)_K = -2|K| it[c, a] (dphi_i/da, psi_l)_ref
+    rule = volume_rule(space, "volume_matrix")
+    _, gref = scalar_basis(space.pair.velocity_degree, rule.points)
     pval, _ = scalar_basis(1, rule.points)
-    div_loc = np.einsum("q,eqic,ql->eicl", w, g, pval)
-    div_loc = -div_loc.reshape(-1, 2 * nbf, 3) * scale[:, None, None]
+    d_ref = np.einsum("q,qia,ql->ail", rule.weights, gref, pval)
+    it = space.mesh.inv_jacobians_t * (-2.0 * space.mesh.areas)[:, None, None]
+    div_loc = np.einsum("eca,ail->eicl", it, d_ref).reshape(
+        -1, 2 * space.n_basis, 3)
     A_up = _scatter_matrix(vd, space.mesh.triangles, div_loc,
                            (space.n_u, space.n_p))
     return A_uu, A_up
@@ -357,10 +368,7 @@ def inverse_inequality_pencils(space, elems=None):
     matrices that assemble_B (A_uu) and assemble_Sh (velocity block)
     scatter.
     """
-    rule = volume_rule(space, "volume_matrix")
-    sel = slice(None) if elems is None else elems
-    M_D = _strain_local(rule.weights, _phys_grads(space, rule.points, elems),
-                        2.0 * space.mesh.areas[sel])
+    M_D = _strain_local(space, elems)
     nv = 2 * space.n_basis
     M_A = _residual_local(space, elems)[:, :nv, :nv]
     return M_A, M_D
@@ -471,9 +479,10 @@ def assemble_system(space, problem):
 
     lift = None
     if problem.exact is not None and len(space.dirichlet_dofs):
-        uvals, _ = interpolate(space, u=problem.exact.u)
         z = np.zeros(space.n_u + space.n_p)
-        z[space.dirichlet_dofs] = uvals[space.dirichlet_dofs]
+        z[space.dirichlet_dofs] = point_values(
+            problem.exact.u, space.node_coords[space.dirichlet_nodes], "u",
+            2).ravel()
         if np.any(z):
             rhs = rhs - M @ z
             lift = z[:space.n_u]

@@ -64,7 +64,7 @@ def scalar_basis(degree, pts):
     base = pts.shape[:-1]
 
     if degree == 1:
-        return lam, np.broadcast_to(_DLAM, base + (3, 2)).copy()
+        return lam, np.tile(_DLAM, base + (1, 1))
 
     if degree == 2:
         val = np.empty(base + (6,))
@@ -153,8 +153,7 @@ class FeSpace:
             R[:, 0:2 * nbf:2, 1] = -0.5 * H[..., 0, 1]
             R[:, 1:2 * nbf:2, 0] = -0.5 * H[..., 0, 1]
             R[:, 1:2 * nbf:2, 1] = -(0.5 * H[..., 0, 0] + H[..., 1, 1])
-        _, gref = scalar_basis(1, np.zeros(2))
-        R[:, 2 * nbf:] = np.einsum("eba,ia->eib", it, gref)
+        R[:, 2 * nbf:] = _DLAM @ it.transpose(0, 2, 1)
         R.flags.writeable = False
         return R
 
@@ -187,14 +186,17 @@ class FeSpace:
 #
 # ref_pts is (nq, 2), shared by all elements, or (ne, nq, 2), one point
 # set per element; elems selects a subset of triangles (default all).
-# Physical derivatives come from the affine pullback:
-# grad_x = J^{-T} grad_ref, hess_x = J^{-T} hess_ref J^{-1}.
+# The maps are affine: grad_x = J^{-T} grad_ref, hess_x = J^{-T} hess_ref
+# J^{-1}. Fields are contracted with their local coefficients on the
+# reference element first; only that result is pulled back, as a sum of
+# two terms, and no reference table is broadcast over the elements.
 
 def physical_points(mesh, ref_pts):
     """(ne, nq, 2) images of shared reference points (nq, 2) on every
     triangle."""
-    return mesh.corner_coords[:, None, 0, :] \
-        + np.einsum("eab,qb->eqa", mesh.jacobians, ref_pts)
+    J = mesh.jacobians[:, None]
+    return mesh.corner_coords[:, None, 0, :] + (
+        J[..., 0] * ref_pts[..., 0, None] + J[..., 1] * ref_pts[..., 1, None])
 
 
 def edge_points(mesh, edge_ids, s):
@@ -217,14 +219,6 @@ def edge_reference_points(mesh, elems, edge_ids, s):
             + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
 
 
-def _phys_grads(space, ref_pts, elems=None):
-    _, gref = scalar_basis(space.pair.velocity_degree, ref_pts)
-    it = space.mesh.inv_jacobians_t
-    it = it if elems is None else it[elems]
-    gref = np.broadcast_to(gref, (len(it),) + gref.shape[-3:])
-    return np.einsum("eba,eqia->eqib", it, gref)
-
-
 def _phys_hess(space):
     """(ne, nbf, 2, 2) physical Hessians of the P2 scalar velocity
     basis, constant on each element."""
@@ -242,22 +236,22 @@ def _phys_hess(space):
 def velocity_values(space, coefs, ref_pts, elems=None):
     """(ne, nq, 2) values of the discrete velocity."""
     val, _ = scalar_basis(space.pair.velocity_degree, ref_pts)
-    lc = space.local_velocity_coefs(coefs, elems)
-    return np.einsum("qi,eic->eqc", val, lc)
+    return val @ space.local_velocity_coefs(coefs, elems)
 
 
 def velocity_gradients(space, coefs, ref_pts, elems=None):
     """(ne, nq, 2, 2) gradients; [..., c, b] is d u_c / d x_b."""
-    g = _phys_grads(space, ref_pts, elems)
+    _, gref = scalar_basis(space.pair.velocity_degree, ref_pts)
     lc = space.local_velocity_coefs(coefs, elems)
-    return np.einsum("eqib,eic->eqcb", g, lc)
+    gc = lc.transpose(0, 2, 1)[:, None] @ gref   # [e, q, c, a] = d u_c / d a
+    it = space.mesh.inv_jacobians_t
+    it = (it if elems is None else it[elems])[:, None, None]
+    return gc[..., 0, None] * it[..., 0] + gc[..., 1, None] * it[..., 1]
 
 
 def pressure_values(space, coefs, ref_pts, elems=None):
     val, _ = scalar_basis(1, ref_pts)
-    lc = space.local_pressure_coefs(coefs, elems)
-    val = np.broadcast_to(val, (len(lc),) + val.shape[-2:])
-    return np.einsum("eqi,ei->eq", val, lc)
+    return (val * space.local_pressure_coefs(coefs, elems)[:, None]).sum(-1)
 
 
 def element_residual(space, u, p):
@@ -266,7 +260,7 @@ def element_residual(space, u, p):
     lc = np.hstack([
         space.local_velocity_coefs(u).reshape(space.mesh.n_triangles, -1),
         space.local_pressure_coefs(p)])
-    return np.einsum("eir,ei->er", space.residual_operator, lc)
+    return (lc[:, None] @ space.residual_operator)[:, 0]
 
 
 def interpolate(space, u=None, p=None):
@@ -278,16 +272,16 @@ def interpolate(space, u=None, p=None):
     """
     ucoef = pcoef = None
     if u is not None:
-        x, y = space.node_coords[:, 0], space.node_coords[:, 1]
-        vals = np.asarray(u(x, y), dtype=float)
-        if vals.shape != (space.n_nodes, 2):
-            raise SpaceError(f"u must return shape {(space.n_nodes, 2)}, "
-                             f"got {vals.shape}")
-        ucoef = vals.reshape(-1)
+        ucoef = point_values(u, space.node_coords, "u", 2).reshape(-1)
     if p is not None:
-        v = space.mesh.vertices
-        pcoef = np.asarray(p(v[:, 0], v[:, 1]), dtype=float)
-        if pcoef.shape != (space.n_p,):
-            raise SpaceError(f"p must return shape {(space.n_p,)}, "
-                             f"got {pcoef.shape}")
+        pcoef = point_values(p, space.mesh.vertices, "p")
     return ucoef, pcoef
+
+
+def point_values(fn, xy, name, *dims):
+    """fn(x, y) at the (m, 2) points xy, checked to have shape (m, *dims)."""
+    vals = np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float)
+    if vals.shape != (len(xy), *dims):
+        raise SpaceError(f"{name} must return shape {(len(xy), *dims)}, "
+                         f"got {vals.shape}")
+    return vals

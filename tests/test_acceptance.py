@@ -237,7 +237,8 @@ def test_criterion_06_efficiency_audit(pair):
         space = FeSpace(case.make_mesh(n), pair)
         problem = case.problem()
         sol = solver.solve(assemble_system(space, problem))
-        audit = estimator.efficiency_audit(sol, space, problem)
+        rep = estimator.global_report(sol, space, problem)
+        audit = estimator.efficiency_audit(sol, space, problem, rep)
         max_ratios.append(audit.max_ratio)
     changes = [abs(b - a) / a for a, b in zip(max_ratios, max_ratios[1:])]
     ok = all(c < 0.5 for c in changes)

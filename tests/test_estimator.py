@@ -250,14 +250,16 @@ def test_efficiency_audit_exact_discrete_solution(pair):
                           grad_u=grad_u, p=p_exact)
     problem = StokesProblem(f=_const_f(1.0, 0.0), exact=exact)
     sol = solver.solve(assemble_system(space, problem))
-    audit = estimator.efficiency_audit(sol, space, problem)
+    report = estimator.global_report(sol, space, problem)
+    audit = estimator.efficiency_audit(sol, space, problem, report)
     assert audit.n_sentinel == space.mesh.n_triangles
     assert np.allclose(audit.ratios, 1.0)
 
 
 def test_efficiency_audit_ratios_bounded():
     space, problem, sol = _smooth_setup(P1P1)
-    audit = estimator.efficiency_audit(sol, space, problem)
+    report = estimator.global_report(sol, space, problem)
+    audit = estimator.efficiency_audit(sol, space, problem, report)
     assert audit.n_sentinel == 0
     assert np.all(audit.ratios > 0)
     assert audit.max_ratio < 100.0

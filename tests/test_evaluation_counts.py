@@ -5,7 +5,7 @@ the points of each rule on a space. One level of assembly, solve and
 estimation evaluates f on the load rule and on the error rule, g on
 the load rule, and every exact field on the error rule, each once; a
 following efficiency audit evaluates none of them again. (u is also
-interpolated at the nodes for the Dirichlet values.)
+evaluated at the Dirichlet nodes for the boundary values.)
 """
 
 import dataclasses
@@ -18,9 +18,11 @@ from stokes_stab import estimator, forms, solver, study
 from stokes_stab.space import FeSpace, physical_points
 
 
-def _counted(fn, counts, name):
+def _counted(fn, counts, name, sizes=None):
     def call(x, y):
         counts[name] += 1
+        if sizes is not None:
+            sizes.append(np.size(x))
         return fn(x, y)
     return call
 
@@ -29,8 +31,10 @@ def _counted(fn, counts, name):
 def test_one_level_evaluates_each_field_once_per_rule(pair, monkeypatch):
     base = study.get_case("NONZERO_G").problem()
     counts = Counter()
+    u_sizes = []
     exact = forms.ExactSolution(
-        **{name: _counted(getattr(base.exact, name), counts, name)
+        **{name: _counted(getattr(base.exact, name), counts, name,
+                          u_sizes if name == "u" else None)
            for name in ("u", "grad_u", "p")})
     problem = dataclasses.replace(
         base, f=_counted(base.f, counts, "f"),
@@ -43,12 +47,13 @@ def test_one_level_evaluates_each_field_once_per_rule(pair, monkeypatch):
 
     space = FeSpace(study.get_case("NONZERO_G").make_mesh(4), pair)
     sol = solver.solve(forms.assemble_system(space, problem))
-    estimator.global_report(sol, space, problem)
-    # u is evaluated once more, at the nodes, for the Dirichlet values
+    report = estimator.global_report(sol, space, problem)
+    # u is evaluated once more, at the Dirichlet nodes only, for the lift
     expected = {"f": 2, "g": 1, "u": 2, "grad_u": 1, "p": 1,
                 "physical_points": 2}
     assert counts == expected
-    estimator.efficiency_audit(sol, space, problem)
+    assert u_sizes[0] == len(space.dirichlet_nodes) < space.n_nodes
+    estimator.efficiency_audit(sol, space, problem, report)
     assert counts == expected
 
 

@@ -301,3 +301,15 @@ def test_nested_dissection_rejects_points_it_cannot_cut():
     graph = sp.eye(100, k=1) + sp.eye(100, k=-1)
     with pytest.raises(ValueError, match="share one location"):
         solver.nested_dissection(graph, np.zeros((100, 2)))
+
+
+def test_neumann_p2p1_fill_does_not_grow():
+    # 65450 is the factor fill of this system when A_uu was summed over
+    # quadrature points; the reference-tensor A_uu stores fewer rounding
+    # residues and must not make the nested-dissection factor denser
+    from stokes_stab import study
+    case = study.get_case("NEUMANN_STRIP")
+    space = FeSpace(case.make_mesh(8), P2P1)
+    sol = solver.solve(assemble_system(space, case.problem()))
+    assert sol.diagnostics["ordering"] == "nested_dissection"
+    assert sol.diagnostics["fill_nnz"] <= 65450

@@ -195,10 +195,12 @@ def test_per_element_points_match_shared_points(pair):
     ref = rng.random((len(elems), 4, 2)) * 0.5
     G = velocity_gradients(s, u, ref, elems)
     P = pressure_values(s, p, ref, elems)
+    V = velocity_values(s, u, ref, elems)
     assert G.shape == (len(elems), 4, 2, 2) and P.shape == (len(elems), 4)
     for m_, k in enumerate(elems):
         assert np.array_equal(G[m_], velocity_gradients(s, u, ref[m_], [k])[0])
         assert np.array_equal(P[m_], pressure_values(s, p, ref[m_], [k])[0])
+        assert np.array_equal(V[m_], velocity_values(s, u, ref[m_], [k])[0])
 
 
 def test_dof_continuity_across_edges():
