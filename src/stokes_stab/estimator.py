@@ -24,7 +24,6 @@ forms.rule_values, which evaluates each once per space and rule.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from . import forms, solver
 from .mesh import INTERIOR, NEUMANN
@@ -137,20 +136,23 @@ def edge_estimator(solution, space, problem):
 # ----------------------------------------------------------------------
 # oscillations
 
-def _projection_misfit(val, w, measure, cells, dv):
+def _projection_misfit(val, w, measure, cells, dv, slots):
     """Each cell's measure * sum_q w_q |d - d_h|^2.
 
     dv holds the (ncell, nq, 2) values of data d at the rule's points,
     val the (nq, nbf) reference basis values there, w the weights, and
     cells the nodes 0..n-1 of each cell's basis functions, all in use;
-    d_h is the global L2-projection of d onto the space they span.
+    d_h is the global L2-projection of d onto the space they span. The
+    mass matrix is factored by solver.ordered_solve in the stable order
+    of the nodes' nested-dissection slots (n,).
     """
     nn = cells.max() + 1
     m = measure[:, None, None]
     mass = np.einsum("q,qi,qj->ij", w, val, val) * m
-    M = forms._scatter_matrix(cells, cells, mass, (nn, nn))
+    M = forms._scatter_matrix(cells, cells, mass, (nn, nn)).tocsc()
     loc = np.einsum("q,eqc,qi->eic", w, dv, val) * m
-    dh = splu(M.tocsc()).solve(forms.scatter_add(cells, loc, nn))
+    dh, _, _ = solver.ordered_solve(M, forms.scatter_add(cells, loc, nn),
+                                    np.argsort(slots, kind="stable"))
     diff = dv - np.einsum("qi,eic->eqc", val, dh[cells])
     return measure * np.einsum("q,eqc,eqc->e", w, diff, diff)
 
@@ -164,7 +166,7 @@ def oscillations(problem, space):
     val, _ = scalar_basis(k, rule.points)
     osc_K = mesh.diameters * np.sqrt(_projection_misfit(
         val, rule.weights, 2.0 * mesh.areas, space.elem_nodes,
-        forms.rule_values(space, rule.degree, problem.f)))
+        forms.rule_values(space, rule.degree, problem.f), space.node_slots))
 
     osc_E = np.zeros(mesh.n_edges)
     neumann = np.flatnonzero(mesh.edge_tags == NEUMANN)
@@ -179,12 +181,13 @@ def oscillations(problem, space):
                              4 * s * (1 - s)], axis=1)
             enodes = np.column_stack([mesh.edges[neumann],
                                       mesh.n_vertices + neumann])
-        _, local = np.unique(enodes, return_inverse=True)
+        nodes, local = np.unique(enodes, return_inverse=True)
         L = mesh.edge_lengths[neumann]
         xy = edge_points(mesh, neumann, s)
         tv = np.asarray(problem.t(xy[..., 0], xy[..., 1]), dtype=float)
         osc_E[neumann] = np.sqrt(L) * np.sqrt(_projection_misfit(
-            tval, w, L, local.reshape(enodes.shape), tv))
+            tval, w, L, local.reshape(enodes.shape), tv,
+            space.node_slots[nodes]))
     return osc_K, osc_E
 
 

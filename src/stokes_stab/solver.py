@@ -76,8 +76,9 @@ def _factorize(K, **options):
         os.close(saved)
 
 
-# Fast path: SuperLU factors the saddle matrix in the order of
-# saddle_order (permc_spec="NATURAL") and keeps the diagonal pivot
+# Fast path (ordered_solve): SuperLU factors the saddle matrix, or the
+# mass matrix of the osc_K projection, in the nested-dissection order
+# it is given (permc_spec="NATURAL") and keeps the diagonal pivot
 # unless it is below 1e-8 times the largest entry of its column. Two
 # settings that look equivalent are not:
 #  - diag_pivot_thresh=0 leaves a ~1e-17 pivot on the constant-pressure
@@ -92,74 +93,102 @@ def _factorize(K, **options):
 #    have not.
 ORDERED_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-8,
                 "options": {"SymmetricMode": True}}
-LEAF_SIZE = 64
+LEAF_SIZE = 32
 
 
-def nested_dissection(graph, coords):
-    """Geometric nested-dissection elimination order of a graph.
+def nested_dissection(cells, coords, weights):
+    """Geometric nested-dissection groups of a weighted graph.
 
-    graph is a sparse matrix whose structure is a symmetric graph on n
-    vertices, coords the (n, 2) location of each vertex. A part larger
-    than LEAF_SIZE is cut at the median coordinate value along its
-    longer extent: vertices below it form the lower half, the rest
-    (ties included, so a structured mesh gets straight cuts) the upper
-    half. The upper-half vertices adjacent to the lower half form the
-    separator, ordered after both halves, which are cut in turn. Each
-    level cuts all its parts at once. Returns perm: vertex perm[k] is
-    eliminated k-th; smaller parts keep their vertices in index order.
-    Raises ValueError when more than LEAF_SIZE vertices share a point.
+    The graph has n vertices at coords (n, 2); every row of the
+    (m, k) index array cells is a clique of it (the nodes of an
+    element, or the two ends of an edge). weights (n,) counts the
+    unknowns of each vertex, so part sizes and medians are in
+    unknowns. A part heavier than LEAF_SIZE is cut at the weighted
+    median coordinate along its longer extent: vertices below it form
+    the lower half, the rest (ties included, so a structured mesh gets
+    straight cuts) the upper half. The vertices of each half adjacent
+    to the other form its boundary; the lighter boundary (the upper
+    one on a tie) becomes the part's separator, ordered after both
+    halves, which are cut in turn. Each level cuts all its parts at
+    once.
+
+    Returns slots (n,): the position of the first unknown of each
+    vertex's group, so np.argsort(slots, kind="stable") eliminates the
+    groups in order and keeps the vertices of a group in index order.
+    Raises ValueError when a part too heavy to stop at has all its
+    vertices at one point.
     """
     n = len(coords)
-    g = graph.tocoo()
-    upper = g.row < g.col
-    ei, ej = g.row[upper], g.col[upper]  # edges inside one part
-    slot = np.empty(n, dtype=np.intp)    # first position of each group
-    label = np.zeros(n, dtype=np.int32)  # part of a vertex, -1 placed
+    a, b = np.triu_indices(cells.shape[1], 1)
+    ei, ej = cells[:, a].ravel(), cells[:, b].ravel()
+    key = np.sort(np.minimum(ei, ej).astype(np.int64) * n
+                  + np.maximum(ei, ej))
+    key = key[np.diff(key, prepend=-1) != 0]
+    ei, ej = np.divmod(key, n)           # edges inside one part
+    weights = np.asarray(weights, dtype=np.intp)
+    slots = np.empty(n, dtype=np.intp)   # first position of each group
+    label = np.zeros(n, dtype=np.intp)   # part of a vertex, -1 placed
     idx = np.arange(n)                   # unplaced vertices, by part
     start = np.zeros(1, dtype=np.intp)   # first position of each part
+
+    def part_sums(lab, mask, w):
+        return np.bincount(lab[mask], w[mask],
+                           minlength=len(start)).astype(np.intp)
+
     while len(idx):
-        lab = label[idx]
-        counts = np.bincount(lab, minlength=len(start))
-        small = counts <= LEAF_SIZE
+        lab, w = label[idx], weights[idx]
+        total = part_sums(lab, slice(None), w)
+        small = total <= LEAF_SIZE
         done = small[lab]
-        slot[idx[done]] = start[lab[done]]
+        slots[idx[done]] = start[lab[done]]
         label[idx[done]] = -1
         keep = ~small
         idx, lab = idx[~done], (np.cumsum(keep) - 1)[lab[~done]]
-        start, counts = start[keep], counts[keep]
+        start, total = start[keep], total[keep]
         if not len(idx):
             break
-        first = np.cumsum(counts) - counts
+        size = np.bincount(lab, minlength=len(start))
+        first = np.cumsum(size) - size
         xy = coords[idx]
         lo = np.minimum.reduceat(xy, first)
         axis = np.argmax(np.maximum.reduceat(xy, first) - lo, axis=1)
         val = xy[np.arange(len(idx)), axis[lab]]
         order = np.lexsort((val, lab))
         idx, lab, val = idx[order], lab[order], val[order]
-        med = val[first + counts // 2]
+        w = weights[idx]
+        # the weighted median: the vertex holding unknown total // 2
+        # of its part, counted in sorted order
+        mid = np.cumsum(total) - total + total // 2
+        med = val[np.searchsorted(np.cumsum(w), mid, side="right")]
         # a median on the part's lowest value would leave the lower
         # half empty; that value then goes below the cut
         at_low = med == lo[np.arange(len(lo)), axis]
         lower = (val < med[lab]) | (at_low[lab] & (val == med[lab]))
+        if np.any(np.bincount(lab[lower], minlength=len(start)) == size):
+            # nothing above the cut: the part has no extent to cut along
+            raise ValueError(f"more than {LEAF_SIZE} unknowns share one "
+                             "location")
         label[idx] = 2 * lab + ~lower
         li, lj = label[ei], label[ej]
         cross = li != lj
+        up = (li[cross] & 1).astype(bool)   # ei is the upper end
+        bound = np.zeros((2, n), dtype=bool)  # lower, upper boundary
+        bound[0, np.where(up, ej[cross], ei[cross])] = True
+        bound[1, np.where(up, ei[cross], ej[cross])] = True
+        bl, bu = bound[:, idx]
+        from_low = part_sums(lab, bl, w) < part_sums(lab, bu, w)
+        s = np.where(from_low[lab], bl, bu)
         sep = np.zeros(n, dtype=bool)
-        sep[np.where(li[cross] & 1, ei[cross], ej[cross])] = True
-        s = sep[idx]
-        n_low = np.bincount(lab[lower], minlength=len(start))
-        if np.any(n_low == counts):
-            # nothing above the cut: the part has no extent to cut along
-            raise ValueError(f"more than {LEAF_SIZE} vertices share "
-                             "one location")
-        n_sep = np.bincount(lab[s], minlength=len(start))
-        slot[idx[s]] = (start + counts - n_sep)[lab[s]]
+        sep[idx[s]] = True
+        n_sep = part_sums(lab, s, w)
+        n_low = part_sums(lab, lower & ~s, w)
+        slots[idx[s]] = (start + total - n_sep)[lab[s]]
         label[idx[s]] = -1
         idx = idx[~s]
         start = np.column_stack([start, start + n_low]).ravel()
         inside = ~(cross | (li < 0) | sep[ei] | sep[ej])
         ei, ej = ei[inside], ej[inside]
-    return np.argsort(slot, kind="stable")
+    return slots
 
 
 @dataclass
@@ -209,11 +238,14 @@ def _diagnose(system, reason):
 def saddle_order(system):
     """Elimination order of the matrix `solve` factors.
 
-    Nested dissection of the free dofs by location (FeSpace.dof_coords),
-    then the mean-pressure border index, when there is one, last.
+    The free dofs sorted stably by the nested-dissection slot of their
+    node (FeSpace.node_slots), so a group keeps its velocity dofs by
+    node, then its pressure dofs; the mean-pressure border index, when
+    there is one, comes last.
     """
-    coords = system.space.dof_coords(system.free_dofs)
-    perm = nested_dissection(system.matrix, coords)
+    free, n_u = system.free_dofs, system.n_u
+    nodes = np.where(free < n_u, free // 2, free - n_u)
+    perm = np.argsort(system.space.node_slots[nodes], kind="stable")
     if system.mean_vector is not None:
         perm = np.append(perm, len(perm))
     return perm
@@ -238,6 +270,13 @@ def _factor_and_solve(K, b, **options):
 
     Returns (x, relative residual, factorization stats); raises
     SolverError naming the check that failed.
+
+    The pivot check costs memory: the first read of lu.U makes SuperLU
+    build CSC copies of both L and U, which live as long as lu. At
+    NEUMANN_STRIP P2P1 n = 64 (36,737 unknowns) they take 72 MB next
+    to 65 MB for the saddle factor itself, and 13.5 MB next to 12 MB
+    for the P2 mass factor of osc_K (resident set from
+    /proc/self/statm). fill_nnz then reads lu.L at no further cost.
     """
     try:
         lu = _factorize(K, **options)
@@ -270,17 +309,16 @@ def _factor_and_solve(K, b, **options):
     return x, res, stats
 
 
-def solve(system):
-    """Factorize and solve, with a residual check and one refinement step.
+def ordered_solve(K, b, perm):
+    """Solve K x = b for a CSC matrix K, factored in the order perm.
 
-    The matrix is factored in saddle_order first. When that fails its
-    pivot or residual check, it is factored again with SuperLU's
-    default COLAMD ordering and partial pivoting. Raises SolverError
-    when that factorization fails too, or its relative residual stays
-    above 1e-9 after one step of iterative refinement.
+    K[perm][:, perm] is factored with ORDERED_SPLU first. When that
+    fails its pivot or residual check, K is factored again with
+    SuperLU's default COLAMD ordering and partial pivoting. Returns
+    (x, relative residual, stats), stats as from _factor_and_solve
+    plus the ordering used and whether the fallback fired; raises the
+    SolverError of the COLAMD attempt when that fails too.
     """
-    K, b = _saddle_system(system)
-    perm = saddle_order(system)
     try:
         xp, res, stats = _factor_and_solve(
             K[perm][:, perm].tocsc(), b[perm], **ORDERED_SPLU)
@@ -288,12 +326,25 @@ def solve(system):
         x[perm] = xp
         ordering, fallback = "nested_dissection", False
     except SolverError:
-        try:
-            x, res, stats = _factor_and_solve(K, b)
-        except SolverError as exc:
-            raise SolverError(_diagnose(system, str(exc)),
-                              exc.blas_output) from None
+        x, res, stats = _factor_and_solve(K, b)
         ordering, fallback = "colamd", True
+    return x, res, {"ordering": ordering, "fallback": fallback, **stats}
+
+
+def solve(system):
+    """Factorize and solve, with a residual check and one refinement step.
+
+    ordered_solve in saddle_order. Raises SolverError, with the failure
+    localized to a block of the system, when both of its
+    factorizations fail, or the relative residual stays above 1e-9
+    after one step of iterative refinement.
+    """
+    K, b = _saddle_system(system)
+    try:
+        x, res, stats = ordered_solve(K, b, saddle_order(system))
+    except SolverError as exc:
+        raise SolverError(_diagnose(system, str(exc)),
+                          exc.blas_output) from None
 
     multiplier = None
     if system.mean_vector is not None:
@@ -308,7 +359,7 @@ def solve(system):
         u=full[:system.n_u], p=full[system.n_u:], residual=res,
         multiplier=multiplier,
         diagnostics={"n_unknowns": K.shape[0], "alpha": system.alpha,
-                     "ordering": ordering, "fallback": fallback, **stats},
+                     **stats},
     )
 
 

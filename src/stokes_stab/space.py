@@ -132,6 +132,24 @@ class FeSpace:
         return forms.estimate_CI(self)
 
     @cached_property
+    def node_slots(self):
+        """Nested-dissection group of each node, computed once on first
+        use: solver.nested_dissection of the element-node graph, each
+        node weighted by its free dofs (two velocity dofs off the
+        Dirichlet nodes, one pressure dof on the vertices). The saddle
+        solve and the L2 projection of osc_K are both ordered by it.
+        Read-only.
+        """
+        from . import solver  # solver imports this module
+        weights = np.full(self.n_nodes, 2)
+        weights[self.dirichlet_nodes] = 0
+        weights[:self.n_p] += 1
+        slots = solver.nested_dissection(self.elem_nodes, self.node_coords,
+                                         weights)
+        slots.flags.writeable = False
+        return slots
+
+    @cached_property
     def residual_operator(self):
         """(ne, 2nbf+3, 2) element residual operator R, read-only.
 
@@ -156,13 +174,6 @@ class FeSpace:
         R[:, 2 * nbf:] = _DLAM @ it.transpose(0, 2, 1)
         R.flags.writeable = False
         return R
-
-    def dof_coords(self, dofs):
-        """(len(dofs), 2) location of global dofs: velocity dof 2s+c at
-        node s, pressure dof n_u + j at vertex j."""
-        dofs = np.asarray(dofs)
-        nodes = np.where(dofs < self.n_u, dofs // 2, dofs - self.n_u)
-        return self.node_coords[nodes]
 
     @cached_property
     def free_velocity_dofs(self):

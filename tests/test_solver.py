@@ -280,15 +280,18 @@ def test_saddle_order_is_permutation_with_border_last(boundary):
 
 
 def test_nested_dissection_cuts_grid_at_median_column():
-    # 5-point grid graph on 32 x 32 points: the first cut is at the
-    # median x = 16, the column x = 16 separates the halves and comes
-    # last, after every point of x < 16 and then of x > 16
+    # 5-point grid graph on 32 x 32 points, one unknown each: the first
+    # cut is at the median x = 16, the column x = 16 separates the
+    # halves (both boundaries are one column; a tie takes the upper)
+    # and comes last, after every point of x < 16 and then of x > 16
     import scipy.sparse as sp
     m = 32
     path = sp.diags([np.ones(m - 1), np.ones(m - 1)], [-1, 1])
-    graph = sp.kronsum(path, path)
+    edges = np.column_stack(sp.triu(sp.kronsum(path, path)).nonzero())
     y, x = np.divmod(np.arange(m * m), m)
-    perm = solver.nested_dissection(graph, np.column_stack([x, y]))
+    slots = solver.nested_dissection(edges, np.column_stack([x, y]),
+                                     np.ones(m * m))
+    perm = np.argsort(slots, kind="stable")
     assert np.array_equal(np.sort(perm), np.arange(m * m))
     xs = x[perm]
     assert np.all(xs[-m:] == 16)
@@ -297,19 +300,121 @@ def test_nested_dissection_cuts_grid_at_median_column():
 
 def test_nested_dissection_rejects_points_it_cannot_cut():
     # 100 vertices at one point leave nothing above any cut
-    import scipy.sparse as sp
-    graph = sp.eye(100, k=1) + sp.eye(100, k=-1)
+    edges = np.column_stack([np.arange(99), np.arange(1, 100)])
     with pytest.raises(ValueError, match="share one location"):
-        solver.nested_dissection(graph, np.zeros((100, 2)))
+        solver.nested_dissection(edges, np.zeros((100, 2)), np.ones(100))
+
+
+def test_nested_dissection_takes_the_thinner_separator():
+    # unit_square(5) has 11 P2 node columns; the first weighted median
+    # falls on the midpoint column x = 1/2. The lower side's boundary is
+    # the vertex column x = 2/5, the upper side's the columns x = 1/2
+    # and x = 3/5: the separator, ordered last, is the single column
+    space = FeSpace(unit_square(5), P2P1)
+    slots = space.node_slots
+    sep = space.node_coords[slots == slots.max()]
+    assert np.all(sep[:, 0] == 0.4)
+    assert np.array_equal(np.sort(sep[:, 1]), np.linspace(0.0, 1.0, 11))
 
 
 def test_neumann_p2p1_fill_does_not_grow():
-    # 65450 is the factor fill of this system when A_uu was summed over
-    # quadrature points; the reference-tensor A_uu stores fewer rounding
-    # residues and must not make the nested-dissection factor denser
+    # 43874 is the factor fill of this system in the node-graph order
+    # with separators from the thinner side (65450 in the dof-graph
+    # order with upper-side separators); a change of the order or of
+    # A_uu's stored entries must not make the factor denser
     from stokes_stab import study
     case = study.get_case("NEUMANN_STRIP")
     space = FeSpace(case.make_mesh(8), P2P1)
     sol = solver.solve(assemble_system(space, case.problem()))
     assert sol.diagnostics["ordering"] == "nested_dissection"
-    assert sol.diagnostics["fill_nnz"] <= 65450
+    assert sol.diagnostics["fill_nnz"] <= 43874
+
+
+def test_node_order_computed_once_per_space(monkeypatch):
+    # the saddle solves and the osc_K and osc_E projections share one
+    # nested dissection of the space's element-node graph
+    from stokes_stab import estimator, study
+    calls = []
+    real = solver.nested_dissection
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "nested_dissection", counting)
+    case = study.get_case("NEUMANN_STRIP")
+    space = FeSpace(case.make_mesh(4), P2P1)
+    problem = case.problem()
+    system = assemble_system(space, problem)
+    report = estimator.global_report(solver.solve(system), space, problem)
+    solver.solve(system)
+    assert report.osc_t > 0.0
+    assert len(calls) == 1 and calls[0][0] is space.elem_nodes
+
+
+# ----------------------------------------------------------------------
+# the osc_K projection in the same order, against plain COLAMD
+
+def _osc_K(space, problem, monkeypatch):
+    """osc_K and the stats of its mass-matrix solve."""
+    from stokes_stab import estimator
+    stats = []
+    real = solver.ordered_solve
+
+    def spy(K, b, perm):
+        out = real(K, b, perm)
+        if K.shape[0] == space.n_nodes:
+            stats.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "ordered_solve", spy)
+    osc_K, _ = estimator.oscillations(problem, space)
+    monkeypatch.setattr(solver, "ordered_solve", real)
+    (mass_stats,) = stats
+    return osc_K, mass_stats
+
+
+def _plain_osc_K(space, problem, monkeypatch):
+    # the reference: the mass matrix solved by splu with SuperLU's
+    # defaults, one solve, no checks
+    from stokes_stab import estimator
+    real = solver.ordered_solve
+    monkeypatch.setattr(solver, "ordered_solve",
+                        lambda K, b, perm: (splu(K).solve(b), None, None))
+    osc_K, _ = estimator.oscillations(problem, space)
+    monkeypatch.setattr(solver, "ordered_solve", real)
+    return osc_K
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
+def test_ordered_projection_matches_colamd(graded_lshape_mesh, pair,
+                                           monkeypatch):
+    from stokes_stab.study import get_case
+    space = FeSpace(graded_lshape_mesh, pair)
+    problem = get_case("LSHAPE_PEAK").problem()
+    ref = _plain_osc_K(space, problem, monkeypatch)
+    osc_K, stats = _osc_K(space, problem, monkeypatch)
+    assert stats["ordering"] == "nested_dissection"
+    assert stats["fallback"] is False
+    assert np.max(np.abs(osc_K - ref)) <= 1e-13 * np.max(ref)
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
+def test_projection_failure_falls_back_to_colamd(graded_lshape_mesh, pair,
+                                                 monkeypatch):
+    from stokes_stab.study import get_case
+    space = FeSpace(graded_lshape_mesh, pair)
+    problem = get_case("LSHAPE_PEAK").problem()
+    ref = _plain_osc_K(space, problem, monkeypatch)
+    real = solver.splu
+
+    def failing(K, **options):
+        if options.get("permc_spec") == "NATURAL":
+            raise RuntimeError("Factor is exactly singular")
+        return real(K, **options)
+
+    monkeypatch.setattr(solver, "splu", failing)
+    osc_K, stats = _osc_K(space, problem, monkeypatch)
+    assert stats["ordering"] == "colamd"
+    assert stats["fallback"] is True
+    assert np.array_equal(osc_K, ref)
