@@ -6,35 +6,35 @@ from numpy import exp
 
 
 def smooth_square_f_0(x, y):
-    return -12*x**4*y + 6*x**4 + 24*x**3*y - 12*x**3 - 24*x**2*y**3 + 36*x**2*y**2 - 24*x**2*y + 9*x**2 + 24*x*y**3 - 36*x*y**2 + 12*x*y - 4*y**3 + 6*y**2 - 2*y
+    return x*(x*(x*(x*(6 - 12*y) + 24*y - 12) + y*(y*(36 - 24*y) - 24) + 9) + y*(y*(24*y - 36) + 12)) + y*(y*(6 - 4*y) - 2)
 
 
 def smooth_square_f_1(x, y):
-    return 24*x**3*y**2 - 24*x**3*y + 4*x**3 - 36*x**2*y**2 + 36*x**2*y - 6*x**2 + 12*x*y**4 - 24*x*y**3 + 24*x*y**2 - 12*x*y + 2*x - 6*y**4 + 12*y**3 - 3*y**2
+    return x*(x*(x*(y*(24*y - 24) + 4) + y*(36 - 36*y) - 6) + y*(y*(y*(12*y - 24) + 24) - 12) + 2) + y**2*(y*(12 - 6*y) - 3)
 
 
 def smooth_square_u_0(x, y):
-    return 4*x**4*y**3 - 6*x**4*y**2 + 2*x**4*y - 8*x**3*y**3 + 12*x**3*y**2 - 4*x**3*y + 4*x**2*y**3 - 6*x**2*y**2 + 2*x**2*y
+    return x**2*(x*(x*y*(y*(4*y - 6) + 2) + y*(y*(12 - 8*y) - 4)) + y*(y*(4*y - 6) + 2))
 
 
 def smooth_square_u_1(x, y):
-    return -4*x**3*y**4 + 8*x**3*y**3 - 4*x**3*y**2 + 6*x**2*y**4 - 12*x**2*y**3 + 6*x**2*y**2 - 2*x*y**4 + 4*x*y**3 - 2*x*y**2
+    return x*(x*(x*y**2*(y*(8 - 4*y) - 4) + y**2*(y*(6*y - 12) + 6)) + y**2*(y*(4 - 2*y) - 2))
 
 
 def smooth_square_grad_u_0_0(x, y):
-    return 16*x**3*y**3 - 24*x**3*y**2 + 8*x**3*y - 24*x**2*y**3 + 36*x**2*y**2 - 12*x**2*y + 8*x*y**3 - 12*x*y**2 + 4*x*y
+    return x*(x*(x*y*(y*(16*y - 24) + 8) + y*(y*(36 - 24*y) - 12)) + y*(y*(8*y - 12) + 4))
 
 
 def smooth_square_grad_u_0_1(x, y):
-    return 12*x**4*y**2 - 12*x**4*y + 2*x**4 - 24*x**3*y**2 + 24*x**3*y - 4*x**3 + 12*x**2*y**2 - 12*x**2*y + 2*x**2
+    return x**2*(x*(x*(y*(12*y - 12) + 2) + y*(24 - 24*y) - 4) + y*(12*y - 12) + 2)
 
 
 def smooth_square_grad_u_1_0(x, y):
-    return -12*x**2*y**4 + 24*x**2*y**3 - 12*x**2*y**2 + 12*x*y**4 - 24*x*y**3 + 12*x*y**2 - 2*y**4 + 4*y**3 - 2*y**2
+    return x*(x*y**2*(y*(24 - 12*y) - 12) + y**2*(y*(12*y - 24) + 12)) + y**2*(y*(4 - 2*y) - 2)
 
 
 def smooth_square_grad_u_1_1(x, y):
-    return -16*x**3*y**3 + 24*x**3*y**2 - 8*x**3*y + 24*x**2*y**3 - 36*x**2*y**2 + 12*x**2*y - 8*x*y**3 + 12*x*y**2 - 4*x*y
+    return x*(x*(x*y*(y*(24 - 16*y) - 8) + y*(y*(24*y - 36) + 12)) + y*(y*(12 - 8*y) - 4))
 
 
 def smooth_square_p(x, y):
@@ -42,35 +42,35 @@ def smooth_square_p(x, y):
 
 
 def neumann_strip_f_0(x, y):
-    return -12*x**4*y + 6*x**4 + 24*x**3*y - 12*x**3 - 24*x**2*y**3 + 36*x**2*y**2 - 24*x**2*y + 9*x**2 + 24*x*y**3 - 36*x*y**2 + 12*x*y - 4*y**3 + 6*y**2 - 2*y
+    return x*(x*(x*(x*(6 - 12*y) + 24*y - 12) + y*(y*(36 - 24*y) - 24) + 9) + y*(y*(24*y - 36) + 12)) + y*(y*(6 - 4*y) - 2)
 
 
 def neumann_strip_f_1(x, y):
-    return 24*x**3*y**2 - 24*x**3*y + 4*x**3 - 36*x**2*y**2 + 36*x**2*y - 6*x**2 + 12*x*y**4 - 24*x*y**3 + 24*x*y**2 - 12*x*y + 2*x - 6*y**4 + 12*y**3 - 3*y**2
+    return x*(x*(x*(y*(24*y - 24) + 4) + y*(36 - 36*y) - 6) + y*(y*(y*(12*y - 24) + 24) - 12) + 2) + y**2*(y*(12 - 6*y) - 3)
 
 
 def neumann_strip_u_0(x, y):
-    return 4*x**4*y**3 - 6*x**4*y**2 + 2*x**4*y - 8*x**3*y**3 + 12*x**3*y**2 - 4*x**3*y + 4*x**2*y**3 - 6*x**2*y**2 + 2*x**2*y
+    return x**2*(x*(x*y*(y*(4*y - 6) + 2) + y*(y*(12 - 8*y) - 4)) + y*(y*(4*y - 6) + 2))
 
 
 def neumann_strip_u_1(x, y):
-    return -4*x**3*y**4 + 8*x**3*y**3 - 4*x**3*y**2 + 6*x**2*y**4 - 12*x**2*y**3 + 6*x**2*y**2 - 2*x*y**4 + 4*x*y**3 - 2*x*y**2
+    return x*(x*(x*y**2*(y*(8 - 4*y) - 4) + y**2*(y*(6*y - 12) + 6)) + y**2*(y*(4 - 2*y) - 2))
 
 
 def neumann_strip_grad_u_0_0(x, y):
-    return 16*x**3*y**3 - 24*x**3*y**2 + 8*x**3*y - 24*x**2*y**3 + 36*x**2*y**2 - 12*x**2*y + 8*x*y**3 - 12*x*y**2 + 4*x*y
+    return x*(x*(x*y*(y*(16*y - 24) + 8) + y*(y*(36 - 24*y) - 12)) + y*(y*(8*y - 12) + 4))
 
 
 def neumann_strip_grad_u_0_1(x, y):
-    return 12*x**4*y**2 - 12*x**4*y + 2*x**4 - 24*x**3*y**2 + 24*x**3*y - 4*x**3 + 12*x**2*y**2 - 12*x**2*y + 2*x**2
+    return x**2*(x*(x*(y*(12*y - 12) + 2) + y*(24 - 24*y) - 4) + y*(12*y - 12) + 2)
 
 
 def neumann_strip_grad_u_1_0(x, y):
-    return -12*x**2*y**4 + 24*x**2*y**3 - 12*x**2*y**2 + 12*x*y**4 - 24*x*y**3 + 12*x*y**2 - 2*y**4 + 4*y**3 - 2*y**2
+    return x*(x*y**2*(y*(24 - 12*y) - 12) + y**2*(y*(12*y - 24) + 12)) + y**2*(y*(4 - 2*y) - 2)
 
 
 def neumann_strip_grad_u_1_1(x, y):
-    return -16*x**3*y**3 + 24*x**3*y**2 - 8*x**3*y + 24*x**2*y**3 - 36*x**2*y**2 + 12*x**2*y - 8*x*y**3 + 12*x*y**2 - 4*x*y
+    return x*(x*(x*y*(y*(24 - 16*y) - 8) + y*(y*(24*y - 36) + 12)) + y*(y*(12 - 8*y) - 4))
 
 
 def neumann_strip_p(x, y):
@@ -78,43 +78,43 @@ def neumann_strip_p(x, y):
 
 
 def neumann_strip_t_0(x, y):
-    return 16*x**3*y**3 - 24*x**3*y**2 + 8*x**3*y - x**3 - 24*x**2*y**3 + 36*x**2*y**2 - 12*x**2*y + 8*x*y**3 - 12*x*y**2 + 4*x*y - y**3 + 1/2
+    return x*(x*(x*(y*(y*(16*y - 24) + 8) - 1) + y*(y*(36 - 24*y) - 12)) + y*(y*(8*y - 12) + 4)) - y**3 + 1/2
 
 
 def neumann_strip_t_1(x, y):
-    return 6*x**4*y**2 - 6*x**4*y + x**4 - 12*x**3*y**2 + 12*x**3*y - 2*x**3 - 6*x**2*y**4 + 12*x**2*y**3 - 6*x**2*y + x**2 + 6*x*y**4 - 12*x*y**3 + 6*x*y**2 - y**4 + 2*y**3 - y**2
+    return x*(x*(x*(x*(y*(6*y - 6) + 1) + y*(12 - 12*y) - 2) + y*(y**2*(12 - 6*y) - 6) + 1) + y**2*(y*(6*y - 12) + 6)) + y**2*(y*(2 - y) - 1)
 
 
 def nonzero_g_f_0(x, y):
-    return -x**3 + x**2 - 9*x*y**2 + 8*x*y + (7/2)*y**2 - 2*y
+    return x*(x*(1 - x) + y*(8 - 9*y)) + y*((7/2)*y - 2)
 
 
 def nonzero_g_f_1(x, y):
-    return -9*x**2*y + (7/2)*x**2 + 8*x*y - 2*x - y**3 + y**2
+    return x*(x*(7/2 - 9*y) + 8*y - 2) + y**2*(1 - y)
 
 
 def nonzero_g_u_0(x, y):
-    return x**3*y**2 - x**3*y - x**2*y**2 + x**2*y
+    return x**2*(x*y*(y - 1) + y*(1 - y))
 
 
 def nonzero_g_u_1(x, y):
-    return x**2*y**3 - x**2*y**2 - x*y**3 + x*y**2
+    return x*(x*y**2*(y - 1) + y**2*(1 - y))
 
 
 def nonzero_g_grad_u_0_0(x, y):
-    return 3*x**2*y**2 - 3*x**2*y - 2*x*y**2 + 2*x*y
+    return x*(x*y*(3*y - 3) + y*(2 - 2*y))
 
 
 def nonzero_g_grad_u_0_1(x, y):
-    return 2*x**3*y - x**3 - 2*x**2*y + x**2
+    return x**2*(x*(2*y - 1) - 2*y + 1)
 
 
 def nonzero_g_grad_u_1_0(x, y):
-    return 2*x*y**3 - 2*x*y**2 - y**3 + y**2
+    return x*y**2*(2*y - 2) + y**2*(1 - y)
 
 
 def nonzero_g_grad_u_1_1(x, y):
-    return 3*x**2*y**2 - 2*x**2*y - 3*x*y**2 + 2*x*y
+    return x*(x*y*(3*y - 2) + y*(2 - 3*y))
 
 
 def nonzero_g_p(x, y):
@@ -122,7 +122,7 @@ def nonzero_g_p(x, y):
 
 
 def nonzero_g_g(x, y):
-    return x*y*(6*x*y - 5*x - 5*y + 4)
+    return x*(x*y*(6*y - 5) + y*(4 - 5*y))
 
 
 def lshape_peak_f_0(x, y):

@@ -148,12 +148,13 @@ def _projection_misfit(val, w, measure, cells, dv, slots):
     """
     nn = cells.max() + 1
     m = measure[:, None, None]
-    mass = np.einsum("q,qi,qj->ij", w, val, val) * m
+    wval = w[:, None] * val
+    mass = (wval.T @ val) * m
     M = forms._scatter_matrix(cells, cells, mass, (nn, nn)).tocsc()
-    loc = np.einsum("q,eqc,qi->eic", w, dv, val) * m
+    loc = (wval.T @ dv) * m
     dh, _, _ = solver.ordered_solve(M, forms.scatter_add(cells, loc, nn),
                                     np.argsort(slots, kind="stable"))
-    diff = dv - np.einsum("qi,eic->eqc", val, dh[cells])
+    diff = dv - val @ dh[cells]
     return measure * np.einsum("q,eqc,eqc->e", w, diff, diff)
 
 

@@ -27,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import roots_jacobi
 
 from .mesh import NEUMANN, MeshError
 from .space import (FeSpace, edge_points, edge_reference_points,
@@ -47,6 +46,31 @@ class QuadRule:
     weights: np.ndarray  # (nq,)
 
 
+# Gauss-Jacobi nodes and weights on [-1, 1] for the weight 1 - x,
+# m = 1..6 points: scipy.special.roots_jacobi(m, 1, 0), written out so
+# that importing the package does not import scipy.special
+_GAUSS_JACOBI = (
+    ((-0.3333333333333333,),
+     (2.0,)),
+    ((-0.6898979485566357, 0.2898979485566358),
+     (1.2721655269759087, 0.7278344730240913)),
+    ((-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+     (0.8037276549558384, 0.9169644254383448, 0.2793079196058167)),
+    ((-0.8857916077709646, -0.44631397272375245, 0.16718086473783364,
+      0.7204802713124389),
+     (0.5420276537259541, 0.8138582720410844, 0.5193901904329293,
+      0.12472388380003234)),
+    ((-0.9203802858970626, -0.6039731642527836, -0.1240503795052277,
+      0.39092854670727223, 0.8029298284023472),
+     (0.3871263609066059, 0.6686985523774788, 0.5855479483386794,
+      0.2956354802904667, 0.0629916580867692)),
+    ((-0.9413671456804301, -0.7038428006630314, -0.3260306194376914,
+      0.1173430375431003, 0.538467724060109, 0.8538913426394822),
+     (0.2892413229020356, 0.5421699889260747, 0.5631702151527953,
+      0.3946446035626208, 0.17582066220203585, 0.034953207254438116)),
+)
+
+
 @lru_cache(maxsize=None)
 def quadrature(degree):
     """Positive-weight rule exact for polynomials up to `degree` (1..10).
@@ -63,7 +87,7 @@ def quadrature(degree):
     xg, wg = np.polynomial.legendre.leggauss(m)
     a = 0.5 * (xg + 1.0)
     wa = 0.5 * wg
-    xj, wj = roots_jacobi(m, 1.0, 0.0)
+    xj, wj = map(np.array, _GAUSS_JACOBI[m - 1])
     b = 0.5 * (xj + 1.0)
     wb = 0.25 * wj
     A, B = np.meshgrid(a, b, indexing="ij")
@@ -207,21 +231,18 @@ def _strain_local(space, elems=None):
     return loc.reshape(-1, 2 * nbf, 2 * nbf)
 
 
-def _residual_dofs(space):
-    """(ne, 2nbf+3) global dofs of the rows of the residual operator:
-    the element's velocity dofs, then its pressure dofs."""
-    return np.hstack([_velocity_dofs(space), space.n_u + space.mesh.triangles])
-
-
 def _residual_local(space, elems=None):
-    """(ne, 2nbf+3, 2nbf+3) element matrices |K| h_K^2 R R^T of S_h,
+    """Element matrices |K| h_K^2 R R^T of S_h on space.residual_dofs,
     R the element residual operator, for all elements or those listed
-    in elems. r_K is constant on K, so no quadrature is needed."""
+    in elems. r_K is constant on K, so no quadrature is needed; R R^T
+    is the two-term sum over its columns."""
     R = space.residual_operator
     scale = space.mesh.areas * space.mesh.diameters ** 2
     if elems is not None:
         R, scale = R[elems], scale[elems]
-    return np.einsum("eir,ejr->eij", R, R) * scale[:, None, None]
+    RRt = (R[:, :, None, 0] * R[:, None, :, 0]
+           + R[:, :, None, 1] * R[:, None, :, 1])
+    return RRt * scale[:, None, None]
 
 
 def _scatter_matrix(rows, cols, vals, shape):
@@ -276,7 +297,8 @@ def assemble_B(space):
     pval, _ = scalar_basis(1, rule.points)
     d_ref = np.einsum("q,qia,ql->ail", rule.weights, gref, pval)
     it = space.mesh.inv_jacobians_t * (-2.0 * space.mesh.areas)[:, None, None]
-    div_loc = np.einsum("eca,ail->eicl", it, d_ref).reshape(
+    div_loc = (it[:, None, :, 0, None] * d_ref[0, :, None]
+               + it[:, None, :, 1, None] * d_ref[1, :, None]).reshape(
         -1, 2 * space.n_basis, 3)
     A_up = _scatter_matrix(vd, space.mesh.triangles, div_loc,
                            (space.n_u, space.n_p))
@@ -290,7 +312,7 @@ def assemble_Sh(space):
                                   -div D(v) + grad q)_K,
     returned as one symmetric (n_u + n_p) square matrix.
     """
-    dofs = _residual_dofs(space)
+    dofs = space.residual_dofs
     n = space.n_dofs
     return _scatter_matrix(dofs, dofs, _residual_local(space), (n, n))
 
@@ -304,7 +326,7 @@ def assemble_F(space, problem):
 
     fv = rule_values(space, rule.degree, problem.f)
     val, _ = scalar_basis(space.pair.velocity_degree, rule.points)
-    fu = np.einsum("q,eqc,qi->eic", w, fv, val) * scale[:, None, None]
+    fu = ((w[:, None] * val).T @ fv) * scale[:, None, None]
     out = scatter_add(_velocity_dofs(space), fu, space.n_u + space.n_p)
 
     if problem.g is not None:
@@ -342,7 +364,7 @@ def assemble_Lh(space, problem):
         * (2.0 * mesh.areas)[:, None]
     loc = np.einsum("er,eir->ei", int_f, space.residual_operator) \
         * (mesh.diameters ** 2)[:, None]
-    return scatter_add(_residual_dofs(space), loc, space.n_dofs)
+    return scatter_add(space.residual_dofs, loc, space.n_dofs)
 
 
 def pressure_mass(space):
@@ -369,9 +391,10 @@ def inverse_inequality_pencils(space, elems=None):
     scatter.
     """
     M_D = _strain_local(space, elems)
+    if space.pair.velocity_degree == 1:
+        return np.zeros_like(M_D), M_D
     nv = 2 * space.n_basis
-    M_A = _residual_local(space, elems)[:, :nv, :nv]
-    return M_A, M_D
+    return _residual_local(space, elems)[:, :nv, :nv], M_D
 
 
 def estimate_CI(space):

@@ -151,29 +151,44 @@ class FeSpace:
 
     @cached_property
     def residual_operator(self):
-        """(ne, 2nbf+3, 2) element residual operator R, read-only.
+        """Element residual operator R, read-only: (ne, 2nbf+3, 2) for
+        P2 velocity, (ne, 3, 2) for P1.
 
         The element residual r_K(v, q) = -div D(v) + grad q is constant
-        on each element, since div D of P2 (zero for P1) and grad of P1
-        are. R maps local coefficients to it: row 2i+c is
-        -div D(phi_i e_c), in the velocity dof order of the element,
-        and row 2nbf+l is grad psi_l. S_h, L_h, C_I and eta_K all
-        use it.
+        on each element, since div D of P2 and grad of P1 are. R maps
+        local coefficients to it: for P2, row 2i+c is -div D(phi_i e_c),
+        in the velocity dof order of the element, and row 2nbf+l is
+        grad psi_l. div D of P1 velocity is zero, so for P1 R holds the
+        three pressure rows alone. S_h, L_h, C_I and eta_K all use it.
         """
-        nbf = self.n_basis
         it = self.mesh.inv_jacobians_t
-        R = np.zeros((len(it), 2 * nbf + 3, 2))
-        if self.pair.velocity_degree == 2:
-            # for Hessian H of phi: div D(phi e_0) = (H00 + H11/2, H01/2)
-            # and div D(phi e_1) = (H01/2, H00/2 + H11)
-            H = _phys_hess(self)
-            R[:, 0:2 * nbf:2, 0] = -(H[..., 0, 0] + 0.5 * H[..., 1, 1])
-            R[:, 0:2 * nbf:2, 1] = -0.5 * H[..., 0, 1]
-            R[:, 1:2 * nbf:2, 0] = -0.5 * H[..., 0, 1]
-            R[:, 1:2 * nbf:2, 1] = -(0.5 * H[..., 0, 0] + H[..., 1, 1])
-        R[:, 2 * nbf:] = _DLAM @ it.transpose(0, 2, 1)
+        grad_psi = _DLAM @ it.transpose(0, 2, 1)
+        if self.pair.velocity_degree == 1:
+            grad_psi.flags.writeable = False
+            return grad_psi
+        nbf = self.n_basis
+        R = np.empty((len(it), 2 * nbf + 3, 2))
+        # for Hessian H of phi: div D(phi e_0) = (H00 + H11/2, H01/2)
+        # and div D(phi e_1) = (H01/2, H00/2 + H11)
+        H = _phys_hess(self)
+        R[:, 0:2 * nbf:2, 0] = -(H[..., 0, 0] + 0.5 * H[..., 1, 1])
+        R[:, 0:2 * nbf:2, 1] = -0.5 * H[..., 0, 1]
+        R[:, 1:2 * nbf:2, 0] = -0.5 * H[..., 0, 1]
+        R[:, 1:2 * nbf:2, 1] = -(0.5 * H[..., 0, 0] + H[..., 1, 1])
+        R[:, 2 * nbf:] = grad_psi
         R.flags.writeable = False
         return R
+
+    @property
+    def residual_dofs(self):
+        """Global dofs of the rows of residual_operator, (ne, 2nbf+3)
+        for P2 (the element's velocity dofs, then its pressure dofs) and
+        (ne, 3) for P1 (the pressure dofs alone)."""
+        dofs = self.n_u + self.mesh.triangles
+        if self.pair.velocity_degree == 1:
+            return dofs
+        vd = 2 * self.elem_nodes[:, :, None] + np.arange(2)
+        return np.hstack([vd.reshape(len(dofs), -1), dofs])
 
     @cached_property
     def free_velocity_dofs(self):
@@ -241,7 +256,10 @@ def _phys_hess(space):
     href = 4.0 * (a[:, :, None] * b[:, None, :]
                   + b[:, :, None] * a[:, None, :])
     href[:3] /= 2.0
-    return np.einsum("eca,iab,edb->eicd", it, href, it)
+    # H[e, i, c, d] = sum_ab it[e, c, a] it[e, d, b] href[i, a, b]
+    geo = it[:, :, None, :, None] * it[:, None, :, None, :]
+    H = geo.reshape(-1, 4) @ href.reshape(-1, 4).T
+    return H.reshape(len(it), 2, 2, -1).transpose(0, 3, 1, 2)
 
 
 def velocity_values(space, coefs, ref_pts, elems=None):
@@ -250,14 +268,43 @@ def velocity_values(space, coefs, ref_pts, elems=None):
     return val @ space.local_velocity_coefs(coefs, elems)
 
 
+def _gradient_tables(degree):
+    """(k, nbf, 2) reference gradient tables: the basis gradients are
+    constant for P1 (k = 1, the table g0) and affine for P2 (k = 3),
+    g(xi) = g0 + xi_0 gx + xi_1 gy, read off at the reference corners."""
+    _, g = scalar_basis(degree, REF_VERTICES)
+    if degree == 1:
+        return g[:1]
+    return np.stack([g[0], g[1] - g[0], g[2] - g[0]])
+
+
 def velocity_gradients(space, coefs, ref_pts, elems=None):
-    """(ne, nq, 2, 2) gradients; [..., c, b] is d u_c / d x_b."""
-    _, gref = scalar_basis(space.pair.velocity_degree, ref_pts)
-    lc = space.local_velocity_coefs(coefs, elems)
-    gc = lc.transpose(0, 2, 1)[:, None] @ gref   # [e, q, c, a] = d u_c / d a
+    """(ne, nq, 2, 2) gradients; [..., c, b] is d u_c / d x_b.
+
+    The coefficients are contracted with the reference gradient tables
+    and pulled back once per element, giving the physical tables P of
+    G = P0 + xi_0 P1 + xi_1 P2 (P2 velocity) or G = P0 (P1 velocity,
+    returned as a read-only broadcast). Shared and per-element points
+    go through the same elementwise formula, with the element axis
+    innermost.
+    """
+    tables = _gradient_tables(space.pair.velocity_degree)
+    lc = space.local_velocity_coefs(coefs, elems).transpose(1, 2, 0)
     it = space.mesh.inv_jacobians_t
-    it = (it if elems is None else it[elems])[:, None, None]
-    return gc[..., 0, None] * it[..., 0] + gc[..., 1, None] * it[..., 1]
+    it = (it if elems is None else it[elems]).transpose(1, 2, 0)
+    # C[k, c, a, e] = sum_i tables[k, i, a] lc[i, c, e], then
+    # P[k, c, b, e] = sum_a C[k, c, a, e] it[b, a, e]
+    C = sum(tables[:, i, None, :, None] * lc[i, None, :, None]
+            for i in range(len(lc)))
+    P = C[:, :, 0, None] * it[:, 0] + C[:, :, 1, None] * it[:, 1]
+    ne, nq = P.shape[-1], np.shape(ref_pts)[-2]
+    if len(tables) == 1:
+        return np.broadcast_to(P[0].transpose(2, 0, 1)[:, None],
+                               (ne, nq, 2, 2))
+    # xi[a, q, 1, 1, e], or [a, q, 1, 1, 1] for shared points
+    xi = np.asarray(ref_pts, dtype=float).T.reshape(2, nq, 1, 1, -1)
+    G = P[0] + xi[0] * P[1] + xi[1] * P[2]
+    return np.ascontiguousarray(G.transpose(3, 0, 1, 2))
 
 
 def pressure_values(space, coefs, ref_pts, elems=None):
@@ -268,9 +315,7 @@ def pressure_values(space, coefs, ref_pts, elems=None):
 def element_residual(space, u, p):
     """(ne, 2) element residuals r_K(u_h, p_h) = -div D(u_h) + grad p_h
     of velocity and pressure coefficient vectors, one per element."""
-    lc = np.hstack([
-        space.local_velocity_coefs(u).reshape(space.mesh.n_triangles, -1),
-        space.local_pressure_coefs(p)])
+    lc = np.concatenate([u, p])[space.residual_dofs]
     return (lc[:, None] @ space.residual_operator)[:, 0]
 
 

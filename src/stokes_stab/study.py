@@ -36,36 +36,49 @@ def _vectorize(fn):
     return call
 
 
-def _lambdified(case):
+def _field_exprs(case):
     """f, g, t, u, grad_u and p of a case as nested tuples of sympy
-    lambdify functions of (x, y); g is None when div u = 0, and an
+    expressions in x, y; g is None when div u = 0, and an
     estimator-only case has f alone."""
     import sympy as sym
     x, y = sym.symbols("x y")
     if case.u_expr is None:
-        exprs = {"f": tuple(case.f_expr)}
-    else:
-        (u1, u2), p = case.u_expr, case.p_expr
-        grad = ((sym.diff(u1, x), sym.diff(u1, y)),
-                (sym.diff(u2, x), sym.diff(u2, y)))
-        G = sym.Matrix(grad)
-        sigma = (G + G.T) / 2 - p * sym.eye(2)
-        # f = -div D(u) + grad p; div sigma collects both terms
-        f1 = -(sym.diff(sigma[0, 0], x) + sym.diff(sigma[0, 1], y))
-        f2 = -(sym.diff(sigma[1, 0], x) + sym.diff(sigma[1, 1], y))
-        g = sym.simplify(sym.diff(u1, x) + sym.diff(u2, y))
-        exprs = {"f": (sym.simplify(f1), sym.simplify(f2)), "u": (u1, u2),
-                 "grad_u": grad, "p": p, "g": None if g == 0 else g}
-        if case.neumann_side is not None:
-            t = sigma * sym.Matrix(case.neumann_normal)
-            exprs["t"] = (t[0], t[1])
+        return {"f": tuple(case.f_expr)}
+    (u1, u2), p = case.u_expr, case.p_expr
+    grad = ((sym.diff(u1, x), sym.diff(u1, y)),
+            (sym.diff(u2, x), sym.diff(u2, y)))
+    G = sym.Matrix(grad)
+    sigma = (G + G.T) / 2 - p * sym.eye(2)
+    # f = -div D(u) + grad p; div sigma collects both terms
+    f1 = -(sym.diff(sigma[0, 0], x) + sym.diff(sigma[0, 1], y))
+    f2 = -(sym.diff(sigma[1, 0], x) + sym.diff(sigma[1, 1], y))
+    g = sym.simplify(sym.diff(u1, x) + sym.diff(u2, y))
+    exprs = {"f": (sym.simplify(f1), sym.simplify(f2)), "u": (u1, u2),
+             "grad_u": grad, "p": p, "g": None if g == 0 else g}
+    if case.neumann_side is not None:
+        t = sigma * sym.Matrix(case.neumann_normal)
+        exprs["t"] = (t[0], t[1])
+    return exprs
+
+
+def _lambdified(case):
+    """The fields of _field_exprs(case) as nested tuples of sympy
+    lambdify functions of (x, y). Polynomial fields are lambdified in
+    Horner form, other fields (exp) as derived."""
+    import sympy as sym
+    x, y = sym.symbols("x y")
 
     def lambdify(e):
         if isinstance(e, tuple):
             return tuple(map(lambdify, e))
-        return None if e is None else sym.lambdify((x, y), e, "numpy")
+        if e is None:
+            return None
+        # polynomials in Horner form: products and sums, not np.power
+        if e.free_symbols and e.is_polynomial(x, y):
+            e = sym.horner(sym.Poly(e, x, y))
+        return sym.lambdify((x, y), e, "numpy")
 
-    return {key: lambdify(e) for key, e in exprs.items()}
+    return {key: lambdify(e) for key, e in _field_exprs(case).items()}
 
 
 class _Expr:

@@ -108,11 +108,17 @@ def test_affine_kernels_match_quadrature_axis_oracle(make_mesh, pair):
         val = np.broadcast_to(val, (len(lc),) + val.shape[-2:])
         _assert_close(velocity_values(space, u, ref, sel),
                       np.einsum("eqi,eic->eqc", val, lc))
-        _assert_close(velocity_gradients(space, u, ref, sel),
-                      np.einsum("eqib,eic->eqcb",
-                                _oracle_grads(space, ref, sel), lc))
+        # P2 from the affine tables P0 + xi_0 P1 + xi_1 P2, P1 constant
+        G = velocity_gradients(space, u, ref, sel)
+        _assert_close(G, np.einsum("eqib,eic->eqcb",
+                                   _oracle_grads(space, ref, sel), lc))
+        if pair == "P1P1":
+            assert np.array_equal(G, np.broadcast_to(G[:, :1], G.shape))
         pval, _ = scalar_basis(1, ref)
         pc = space.local_pressure_coefs(p, sel)
         pval = np.broadcast_to(pval, (len(pc),) + pval.shape[-2:])
         _assert_close(pressure_values(space, p, ref, sel),
                       np.einsum("eqi,ei->eq", pval, pc))
+    assert velocity_gradients(space, u, per_elem[:0], elems[:0]).shape \
+        == (0, 3, 2, 2)
+

@@ -294,7 +294,8 @@ def test_io_failure_exit_code(tmp_path, capsys):
 
 def test_cli_commands_never_import_sympy(tmp_path):
     # the builtin cases evaluate the committed numpy source of their
-    # fields, so no command needs sympy
+    # fields, so no command needs sympy; the quadrature's Gauss-Jacobi
+    # nodes are committed literals, so none needs scipy.special either
     import os
     import subprocess
     import sys
@@ -317,8 +318,9 @@ def test_cli_commands_never_import_sympy(tmp_path):
     code = ("import sys\n"
             "from stokes_stab import cli\n"
             f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-            "print(codes, 'sympy' in sys.modules)\n")
+            "print(codes, 'sympy' in sys.modules,"
+            " 'scipy.special' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} False"
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} False False"

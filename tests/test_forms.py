@@ -56,6 +56,16 @@ def test_quadrature_frozen_value():
     assert abs(got - 1 / 60) < 1e-15
 
 
+def test_gauss_jacobi_literals_equal_scipy():
+    # the committed nodes and weights are scipy's, bit for bit, for
+    # every point count quadrature(1..10) uses
+    from scipy.special import roots_jacobi
+    assert len(forms._GAUSS_JACOBI) == (10 + 2) // 2
+    for m, (x, w) in enumerate(forms._GAUSS_JACOBI, start=1):
+        xj, wj = roots_jacobi(m, 1.0, 0.0)
+        assert np.array_equal(x, xj) and np.array_equal(w, wj), m
+
+
 @pytest.mark.parametrize("degree", range(1, 21))
 def test_edge_quadrature_exactness(degree):
     pts, w = edge_quadrature(degree)
@@ -286,6 +296,39 @@ def test_alpha_validation():
     space1 = FeSpace(unit_square(2), P1P1)
     system1 = assemble_system(space1, mk(5.0))
     assert system1.alpha == 5.0
+
+
+def test_p1_stabilization_uses_the_pressure_rows_alone():
+    # P1 velocity has div D = 0, so R keeps its three grad psi rows;
+    # S_h and L_h store what the operator padded with zero velocity
+    # rows gives, bit for bit
+    mesh = get_case("LSHAPE_PEAK").make_mesh(4)
+    mesh = mesh.refine_marked(np.arange(0, mesh.n_triangles, 3))
+    space = FeSpace(mesh, P1P1)
+    R = space.residual_operator
+    assert R.shape == (mesh.n_triangles, 3, 2)
+    full = np.zeros((mesh.n_triangles, 9, 2))
+    full[:, 6:] = R
+    dofs = np.hstack([forms._velocity_dofs(space),
+                      space.n_u + mesh.triangles])
+    assert np.array_equal(space.residual_dofs, dofs[:, 6:])
+    loc = np.einsum("eir,ejr->eij", full, full) \
+        * (mesh.areas * mesh.diameters ** 2)[:, None, None]
+    S_old = forms._scatter_matrix(dofs, dofs, loc,
+                                  (space.n_dofs, space.n_dofs))
+    S = assemble_Sh(space)
+    assert np.array_equal(S.indptr, S_old.indptr)
+    assert np.array_equal(S.indices, S_old.indices)
+    assert np.array_equal(S.data, S_old.data)
+
+    problem = get_case("LSHAPE_PEAK").problem()
+    rule = forms.volume_rule(space, "volume_load")
+    int_f = np.einsum("q,eqr->er", rule.weights, forms.rule_values(
+        space, rule.degree, problem.f)) * (2.0 * mesh.areas)[:, None]
+    loc = np.einsum("er,eir->ei", int_f, full) \
+        * (mesh.diameters ** 2)[:, None]
+    assert np.array_equal(assemble_Lh(space, problem),
+                          forms.scatter_add(dofs, loc, space.n_dofs))
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1])

@@ -255,6 +255,61 @@ def test_generated_fields_are_current():
         "prints; regenerate it with `python tools/write_fields.py`")
 
 
+def _expr_and_fn(exprs, fns):
+    """(expression, lambdify function) pairs of two nested field tuples."""
+    if isinstance(exprs, tuple):
+        for e, fn in zip(exprs, fns):
+            yield from _expr_and_fn(e, fn)
+    elif exprs is not None:
+        yield exprs, fns
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_horner_fields_match_expanded_lambdify(name):
+    # Horner form only regroups each polynomial's products and sums:
+    # every field agrees with a plain lambdify of its expanded
+    # expression to rounding, and takes fewer powers
+    import inspect
+    sym = pytest.importorskip("sympy")
+    x, y = sym.symbols("x y")
+    case = get_case(name)
+    fns = study._lambdified(case)
+    rng = np.random.default_rng(31)
+    px, py = rng.uniform(-0.5, 1.5, size=(2, 2000))
+    n_poly = powers = plain_powers = 0
+    for key, exprs in study._field_exprs(case).items():
+        for e, fn in _expr_and_fn(exprs, fns[key]):
+            if not e.free_symbols:
+                continue
+            assert e.is_polynomial(x, y), key
+            n_poly += 1
+            plain = sym.lambdify((x, y), sym.expand(e), "numpy")
+            got = np.broadcast_to(fn(px, py), px.shape)
+            want = plain(px, py)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            powers += inspect.getsource(fn).count("**")
+            plain_powers += inspect.getsource(plain).count("**")
+    assert n_poly >= 9
+    assert powers < plain_powers / 2
+
+
+def test_non_polynomial_fields_are_lambdified_as_derived():
+    # LSHAPE_PEAK's exp load is not a polynomial: it keeps its own form
+    import inspect
+    sym = pytest.importorskip("sympy")
+    x, y = sym.symbols("x y")
+    case = get_case("LSHAPE_PEAK")
+    fns = study._lambdified(case)
+    px, py = np.random.default_rng(32).uniform(-1.0, 1.0, size=(2, 500))
+    pairs = list(_expr_and_fn(study._field_exprs(case)["f"], fns["f"]))
+    assert len(pairs) == 2
+    for e, fn in pairs:
+        assert e.has(sym.exp) and not e.is_polynomial(x, y)
+        plain = sym.lambdify((x, y), e, "numpy")
+        assert inspect.getsource(fn) == inspect.getsource(plain)
+        assert np.array_equal(fn(px, py), plain(px, py))
+
+
 @pytest.mark.parametrize("name", study.CASE_NAMES)
 def test_generated_fields_bit_equal_to_lambdify(name):
     # the committed functions and sympy's lambdify of the same case agree

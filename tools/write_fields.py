@@ -5,7 +5,8 @@ from the root of a source checkout:
     python tools/write_fields.py
 
 Each scalar field becomes one function whose body is the source sympy's
-`lambdify` prints for it, so the committed functions evaluate
+`lambdify` prints for it (polynomials in Horner form, as
+`study._lambdified` gives them), so the committed functions evaluate
 bit-identically to the lambdified ones. `fields_source()` returns the
 text; tests/test_study.py compares it with the committed file.
 """
