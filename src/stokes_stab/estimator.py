@@ -143,17 +143,20 @@ def _projection_misfit(val, w, measure, cells, dv, slots):
     val the (nq, nbf) reference basis values there, w the weights, and
     cells the nodes 0..n-1 of each cell's basis functions, all in use;
     d_h is the global L2-projection of d onto the space they span. The
-    mass matrix is factored by solver.ordered_solve in the stable order
-    of the nodes' nested-dissection slots (n,).
+    mass matrix is scattered, in CSC, straight into the stable order of
+    the nodes' nested-dissection slots (n,) and factored there by
+    solver.ordered_solve.
     """
     nn = cells.max() + 1
     m = measure[:, None, None]
     wval = w[:, None] * val
-    mass = (wval.T @ val) * m
-    M = forms._scatter_matrix(cells, cells, mass, (nn, nn)).tocsc()
+    order = np.argsort(slots, kind="stable")
+    pos = np.empty(nn, dtype=np.int32)
+    pos[order] = np.arange(nn)
+    at = pos[cells]
+    M = forms._scatter_csc(at, (wval.T @ val).T * m, nn)
     loc = (wval.T @ dv) * m
-    dh, _, _ = solver.ordered_solve(M, forms.scatter_add(cells, loc, nn),
-                                    np.argsort(slots, kind="stable"))
+    dh, _, _ = solver.ordered_solve(M, forms.scatter_add(at, loc, nn), order)
     diff = dv - val @ dh[cells]
     return measure * np.einsum("q,eqc,eqc->e", w, diff, diff)
 

@@ -240,9 +240,10 @@ def _residual_local(space, elems=None):
     scale = space.mesh.areas * space.mesh.diameters ** 2
     if elems is not None:
         R, scale = R[elems], scale[elems]
-    RRt = (R[:, :, None, 0] * R[:, None, :, 0]
-           + R[:, :, None, 1] * R[:, None, :, 1])
-    return RRt * scale[:, None, None]
+    RRt = R[:, :, None, 0] * R[:, None, :, 0]
+    RRt += R[:, :, None, 1] * R[:, None, :, 1]
+    RRt *= scale[:, None, None]
+    return RRt
 
 
 def _scatter_matrix(rows, cols, vals, shape):
@@ -268,6 +269,22 @@ def _scatter_matrix(rows, cols, vals, shape):
     return out
 
 
+def _scatter_csc(dofs, vals_t, n):
+    """CSC n x n sum of square element matrices: out[dofs[e, i],
+    dofs[e, j]] += vals_t[e, j, i], each element's matrix given
+    transposed.
+
+    The CSR sum of the transposes is the CSC of the sum; its arrays
+    are taken over as they are, so the sum is exact also where an
+    element matrix is symmetric only up to rounding (the P2 strain
+    and mass kernels). Index arrays of the element rows and columns
+    are handed to scipy without a copy; nothing here compacts them in
+    place (as eliminate_zeros would), so dofs stays as given.
+    """
+    t = _scatter_matrix(dofs, dofs, vals_t, (n, n))
+    return sp.csc_matrix((t.data, t.indices, t.indptr), shape=(n, n))
+
+
 def scatter_add(index, values, n):
     """Length-n sums out[index[m]] += values[m], taken in index order.
 
@@ -281,6 +298,21 @@ def scatter_add(index, values, n):
     return sums[0] if len(sums) == 1 else np.stack(sums, axis=1)
 
 
+def _divergence_local(space):
+    """(ne, 2nbf, 3) element matrices -(div phi_a, psi_l)_K of A_up.
+
+    -(div phi_i e_c, psi_l)_K = -2|K| it[c, a] (dphi_i/da, psi_l)_ref.
+    """
+    rule = volume_rule(space, "volume_matrix")
+    _, gref = scalar_basis(space.pair.velocity_degree, rule.points)
+    pval, _ = scalar_basis(1, rule.points)
+    d_ref = np.einsum("q,qia,ql->ail", rule.weights, gref, pval)
+    it = space.mesh.inv_jacobians_t * (-2.0 * space.mesh.areas)[:, None, None]
+    return (it[:, None, :, 0, None] * d_ref[0, :, None]
+            + it[:, None, :, 1, None] * d_ref[1, :, None]).reshape(
+        -1, 2 * space.n_basis, 3)
+
+
 def assemble_B(space):
     """Mixed Stokes form blocks (A_uu, A_up).
 
@@ -290,17 +322,7 @@ def assemble_B(space):
     vd = _velocity_dofs(space)
     A_uu = _scatter_matrix(vd, vd, _strain_local(space),
                            (space.n_u, space.n_u))
-
-    # -(div phi_i e_c, psi_l)_K = -2|K| it[c, a] (dphi_i/da, psi_l)_ref
-    rule = volume_rule(space, "volume_matrix")
-    _, gref = scalar_basis(space.pair.velocity_degree, rule.points)
-    pval, _ = scalar_basis(1, rule.points)
-    d_ref = np.einsum("q,qia,ql->ail", rule.weights, gref, pval)
-    it = space.mesh.inv_jacobians_t * (-2.0 * space.mesh.areas)[:, None, None]
-    div_loc = (it[:, None, :, 0, None] * d_ref[0, :, None]
-               + it[:, None, :, 1, None] * d_ref[1, :, None]).reshape(
-        -1, 2 * space.n_basis, 3)
-    A_up = _scatter_matrix(vd, space.mesh.triangles, div_loc,
+    A_up = _scatter_matrix(vd, space.mesh.triangles, _divergence_local(space),
                            (space.n_u, space.n_p))
     return A_uu, A_up
 
@@ -441,25 +463,27 @@ def default_alpha(space):
 
 @dataclass
 class AssembledSystem:
-    """Reduced linear system with constraint bookkeeping.
+    """The saddle system as factored, with its constraint bookkeeping.
 
-    matrix/rhs live on the free dofs (Dirichlet velocity dofs
-    eliminated); free_dofs maps them back into the full ordering
-    (velocity interleaved first, then pressure). mean_vector, present
-    when the whole boundary is Dirichlet, carries the pressure means
-    int psi_j used to pin the pressure gauge via one Lagrange
-    multiplier.
+    matrix (CSC) and rhs hold the free dofs (Dirichlet velocity dofs
+    eliminated, their values lifted into rhs) and, when bordered, one
+    Lagrange multiplier pinning the pressure gauge: its row and column
+    hold the pressure means int psi_j. They are in elimination order:
+    row i is unknown order[i] of free_dofs (the full ordering's free
+    dofs, velocity interleaved first, then pressure, in increasing
+    order), followed by the border at index len(free_dofs).
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
+    order: np.ndarray
     free_dofs: np.ndarray
     n_u_free: int
     n_u: int
     n_p: int
     alpha: float
     c_i: float
-    mean_vector: np.ndarray = None
+    bordered: bool = False
     dirichlet_values: np.ndarray = None
     space: FeSpace = None
     problem: StokesProblem = None
@@ -471,14 +495,79 @@ def pressure_integral_vector(space):
                        np.repeat(space.mesh.areas / 3.0, 3), space.n_p)
 
 
+def _saddle_order(space, free, bordered):
+    """(order, pos) of the saddle matrix.
+
+    order sorts the free dofs stably by the nested-dissection slot of
+    their node (FeSpace.node_slots), so a group keeps its velocity
+    dofs by node, then its pressure dofs; the border, index len(free),
+    comes last. pos (n_dofs + 1,) int32 is the row of each dof, the
+    border's at n_dofs, and -1 on the Dirichlet dofs.
+    """
+    n_u = space.n_u
+    nodes = np.where(free < n_u, free // 2, free - n_u)
+    order = np.argsort(space.node_slots[nodes], kind="stable")
+    rows = free
+    if bordered:
+        order = np.append(order, len(free))
+        rows = np.append(free, space.n_dofs)
+    pos = np.full(space.n_dofs + 1, -1, dtype=np.int32)
+    pos[rows[order]] = np.arange(len(order))
+    return order, pos
+
+
+def _saddle_local(space, alpha, bordered):
+    """Transposed element matrices of the saddle matrix and their dofs.
+
+    Element K contributes [[A_K, B_K], [B_K^T, 0]] - alpha |K| h_K^2
+    R R^T on its velocity dofs (interleaved) and its pressure dofs,
+    bordered by |K|/3 in the row and column of the mean-pressure dof
+    (index n_dofs) when bordered. For P1 velocity R R^T fills the
+    pressure block alone, which is left unscaled: the caller scales
+    its sums by -alpha, as assemble_Sh's are. Returns (dofs (ne, nloc),
+    T (ne, nloc, nloc)) with T[e] the transpose of element e's matrix.
+    """
+    # the kernels before T, so T is not alive while _residual_local
+    # builds its products
+    A = _strain_local(space)
+    B = _divergence_local(space)
+    S = _residual_local(space) if alpha != 0.0 else None
+    vd = _velocity_dofs(space)
+    ne, nv = vd.shape
+    nloc = nv + 3 + bordered
+    dofs = np.empty((ne, nloc), dtype=np.int64)
+    dofs[:, :nv] = vd
+    dofs[:, nv:nv + 3] = space.n_u + space.mesh.triangles
+    T = np.zeros((ne, nloc, nloc))
+    T[:, :nv, :nv] = A.transpose(0, 2, 1)
+    T[:, :nv, nv:nv + 3] = B
+    T[:, nv:nv + 3, :nv] = B.transpose(0, 2, 1)
+    if S is not None:
+        r = slice(nv + 3 - S.shape[1], nv + 3)
+        if space.pair.velocity_degree == 1:
+            T[:, r, r] = S
+        else:
+            S *= alpha
+            T[:, r, r] -= S
+    if bordered:
+        dofs[:, -1] = space.n_dofs
+        T[:, -1, nv:nv + 3] = T[:, nv:nv + 3, -1] = \
+            (space.mesh.areas / 3.0)[:, None]
+    return dofs, T
+
+
 def assemble_system(space, problem):
     """Assemble the stabilized saddle system with BCs applied.
 
     Resolves alpha (None means the space default), enforces
     0 <= alpha < C_I, eliminates Dirichlet velocity dofs symmetrically
     (lifting inhomogeneous boundary values into the right-hand side),
-    and records the mean-pressure constraint when there is no Neumann
-    boundary to fix the pressure gauge.
+    and borders the system by the mean-pressure constraint when there
+    is no Neumann boundary to fix the pressure gauge.
+
+    The matrix is one scatter of the element matrices straight into
+    its elimination order, in CSC, Dirichlet rows and columns dropped:
+    the matrix solver.solve hands to SuperLU.
     """
     alpha = problem.alpha
     if alpha is None:
@@ -492,40 +581,54 @@ def assemble_system(space, problem):
             f"alpha = {alpha:.6g} is not below the inverse-inequality "
             f"bound C_I = {c_i:.6g}; the stabilized form loses coercivity")
 
-    A_uu, A_up = assemble_B(space)
-    M = sp.bmat([[A_uu, A_up], [A_up.T, None]], format="csr")
-    if alpha != 0.0:
-        M = (M - alpha * assemble_Sh(space)).tocsr()
+    bordered = not space.mesh.has_neumann
+    free = np.concatenate([space.free_velocity_dofs,
+                           space.n_u + np.arange(space.n_p)])
+    order, pos = _saddle_order(space, free, bordered)
     rhs = assemble_F(space, problem)
     if alpha != 0.0:
         rhs = rhs - alpha * assemble_Lh(space, problem)
+    dofs, T = _saddle_local(space, alpha, bordered)
+    nv = 2 * space.n_basis
 
     lift = None
     if problem.exact is not None and len(space.dirichlet_dofs):
-        z = np.zeros(space.n_u + space.n_p)
+        z = np.zeros(space.n_u)
         z[space.dirichlet_dofs] = point_values(
             problem.exact.u, space.node_coords[space.dirichlet_nodes], "u",
             2).ravel()
         if np.any(z):
-            rhs = rhs - M @ z
-            lift = z[:space.n_u]
+            zl = z[dofs[:, :nv]]
+            hit = np.flatnonzero(zl.any(axis=1))
+            # row i of element e's matrix times z is column i of T[e]
+            loc = (zl[hit, None, :] @ T[hit, :nv, :nv + 3])[:, 0]
+            rhs -= scatter_add(dofs[hit, :nv + 3], loc, space.n_dofs)
+            lift = z
 
-    free = np.concatenate([space.free_velocity_dofs,
-                           space.n_u + np.arange(space.n_p)])
-    K = M[free][:, free].tocsr()
-    b = rhs[free]
-
-    mean_vector = None
-    if not space.mesh.has_neumann:
-        mv = np.zeros(len(free))
-        mv[len(space.free_velocity_dofs):] = pressure_integral_vector(space)
-        mean_vector = mv
+    # drop the Dirichlet rows and columns in place: zero them and send
+    # them to the element's first pressure dof, where they add exact
+    # zeros to entries the element stores anyway
+    idx = pos[dofs]
+    dirichlet = idx < 0
+    T[dirichlet] = 0.0
+    T.transpose(0, 2, 1)[dirichlet] = 0.0
+    idx[dirichlet] = np.broadcast_to(idx[:, nv, None], idx.shape)[dirichlet]
+    K = _scatter_csc(idx, T, len(order))
+    if alpha != 0.0 and space.pair.velocity_degree == 1:
+        # S_h is the pressure block alone: its sums times -alpha, as in
+        # bmat(B) - alpha * assemble_Sh, bit for bit
+        pressure = np.zeros(len(order), dtype=bool)
+        pressure[pos[space.n_u:space.n_dofs]] = True
+        block = pressure[K.indices] & np.repeat(pressure, np.diff(K.indptr))
+        K.data[block] *= -alpha
+    b = np.zeros(len(order))
+    b[pos[free]] = rhs[free]
 
     return AssembledSystem(
-        matrix=K, rhs=b, free_dofs=free,
+        matrix=K, rhs=b, order=order, free_dofs=free,
         n_u_free=len(space.free_velocity_dofs),
         n_u=space.n_u, n_p=space.n_p,
-        alpha=alpha, c_i=c_i, mean_vector=mean_vector,
+        alpha=alpha, c_i=c_i, bordered=bordered,
         dirichlet_values=lift,
         space=space, problem=problem,
     )

@@ -8,7 +8,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.linalg
 from scipy.sparse.linalg import splu
 
@@ -41,6 +40,29 @@ def _flush_c_stdio():
     """fflush(NULL): write out every C stdio buffer to its descriptor."""
     if _fflush is not None:
         _fflush(None)
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+except (OSError, TypeError, AttributeError):
+    _malloc_trim = None   # not glibc
+
+
+def _release_free_heap():
+    """malloc_trim(0): give the C heap's free pages back to the system.
+
+    glibc returns freed heap memory only when the free block at the
+    top of the heap outgrows a threshold that rises with the largest
+    block freed, up to 64 MB. Below it the pages freed by assembly and
+    by the previous level stay resident, and the saddle factor, the
+    peak of a level, comes on top of them. Called once per solve, it
+    lowers the peak resident set of the adaptive L-shape P1P1 loop
+    (22 levels) from 116 to 101 MB.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _factorize(K, **options):
@@ -91,6 +113,11 @@ def _factorize(K, **options):
 #    others) have crashed the process intermittently on the alpha = 0
 #    P1P1 matrix, whose pressure block is empty; NATURAL and COLAMD
 #    have not.
+# SuperLU's Relax and PanelSize stay at their defaults. With scipy
+# 1.17.1, panel_size=32 makes the process segfault at exit (exit code
+# 139, after a correct solve) and relax=32 has corrupted the heap;
+# relax 1, 4 or 16 and panel_size 4 or 16 ran cleanly but gained
+# nothing beyond the noise.
 ORDERED_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-8,
                 "options": {"SymmetricMode": True}}
 LEAF_SIZE = 32
@@ -211,21 +238,30 @@ class DiscreteSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _blocks(system):
+    """Rows of system.matrix of the free velocity dofs and of the
+    pressure dofs, each in the order of system.free_dofs."""
+    at = np.empty_like(system.order)
+    at[system.order] = np.arange(len(at))
+    nuf = system.n_u_free
+    return at[:nuf], at[nuf:nuf + system.n_p]
+
+
 def _diagnose(system, reason):
     """Try to localize a solve failure to a block of the saddle system."""
-    nuf = system.n_u_free
+    vel, _ = _blocks(system)
     msg = [f"linear solve failed: {reason}"]
     try:
-        A = system.matrix[:nuf, :nuf].tocsc()
+        A = system.matrix[vel][:, vel].tocsc()
         lu = _factorize(A)
-        x = lu.solve(np.ones(nuf))
+        x = lu.solve(np.ones(len(vel)))
         if np.all(np.isfinite(x)):
             msg.append("velocity block factorizes cleanly; the failure "
                        "sits in the pressure/saddle coupling")
             if system.alpha == 0.0:
                 msg.append("alpha = 0: equal-order pairs are singular "
                            "without stabilization")
-            elif system.mean_vector is None:
+            elif not system.bordered:
                 msg.append("check the boundary tags: without a Neumann "
                            "part the pressure gauge must be pinned")
         else:
@@ -235,48 +271,24 @@ def _diagnose(system, reason):
     return "; ".join(msg)
 
 
-def saddle_order(system):
-    """Elimination order of the matrix `solve` factors.
-
-    The free dofs sorted stably by the nested-dissection slot of their
-    node (FeSpace.node_slots), so a group keeps its velocity dofs by
-    node, then its pressure dofs; the mean-pressure border index, when
-    there is one, comes last.
-    """
-    free, n_u = system.free_dofs, system.n_u
-    nodes = np.where(free < n_u, free // 2, free - n_u)
-    perm = np.argsort(system.space.node_slots[nodes], kind="stable")
-    if system.mean_vector is not None:
-        perm = np.append(perm, len(perm))
-    return perm
-
-
-def _saddle_system(system):
-    """(K, b) as factored: the matrix, bordered by the mean-pressure
-    row and column when the gauge is pinned, in CSC."""
-    K = system.matrix
-    b = system.rhs
-    if system.mean_vector is not None:
-        c = system.mean_vector
-        K = sp.bmat([[K, c[:, None]], [c[None, :], None]], format="csc")
-        b = np.concatenate([b, [0.0]])
-    else:
-        K = K.tocsc()
-    return K, b
-
-
 def _factor_and_solve(K, b, **options):
     """splu(K, **options) and solve, with the checks and one refinement.
 
     Returns (x, relative residual, factorization stats); raises
     SolverError naming the check that failed.
 
-    The pivot check costs memory: the first read of lu.U makes SuperLU
-    build CSC copies of both L and U, which live as long as lu. At
-    NEUMANN_STRIP P2P1 n = 64 (36,737 unknowns) they take 72 MB next
-    to 65 MB for the saddle factor itself, and 13.5 MB next to 12 MB
-    for the P2 mass factor of osc_K (resident set from
-    /proc/self/statm). fill_nnz then reads lu.L at no further cost.
+    K is factored as it is handed over; the saddle matrix is the one
+    forms.assemble_system scattered, so it is the only copy of K alive
+    at the factor (12 MB at NEUMANN_STRIP P2P1 n = 64, 36,737
+    unknowns). The pivot check costs memory: the first read of lu.U
+    makes SuperLU build CSC copies of both L and U, which live as long
+    as lu. There they take 64 MB next to 65 MB for the saddle factor
+    itself, and 13.5 MB next to 12 MB for the P2 mass factor of osc_K
+    (resident set from /proc/self/statm). scipy's SuperLU object offers
+    only L, U, nnz, perm_c, perm_r, shape and solve, so the diagonal
+    cannot be read without those copies. fill_nnz then reads lu.L at
+    no further cost; lu.nnz counts differently (1687 against
+    L.nnz + U.nnz = 1094 on a random 50 x 50 matrix).
     """
     try:
         lu = _factorize(K, **options)
@@ -309,45 +321,47 @@ def _factor_and_solve(K, b, **options):
     return x, res, stats
 
 
-def ordered_solve(K, b, perm):
-    """Solve K x = b for a CSC matrix K, factored in the order perm.
+def ordered_solve(K, b, order):
+    """Solve K x = b for a CSC matrix K given in its elimination order.
 
-    K[perm][:, perm] is factored with ORDERED_SPLU first. When that
-    fails its pivot or residual check, K is factored again with
-    SuperLU's default COLAMD ordering and partial pivoting. Returns
-    (x, relative residual, stats), stats as from _factor_and_solve
-    plus the ordering used and whether the fallback fired; raises the
-    SolverError of the COLAMD attempt when that fails too.
+    Row i of K and b is unknown order[i]. K is factored as it is, with
+    ORDERED_SPLU, first. When that fails its pivot or residual check,
+    the same K is factored again with SuperLU's default COLAMD ordering
+    and partial pivoting. Returns (x, relative residual, stats), x by
+    unknown (x[order] is the solution of K), stats as from
+    _factor_and_solve plus the ordering used and whether the fallback
+    fired; raises the SolverError of the COLAMD attempt when that
+    fails too.
     """
     try:
-        xp, res, stats = _factor_and_solve(
-            K[perm][:, perm].tocsc(), b[perm], **ORDERED_SPLU)
-        x = np.empty_like(xp)
-        x[perm] = xp
+        xo, res, stats = _factor_and_solve(K, b, **ORDERED_SPLU)
         ordering, fallback = "nested_dissection", False
     except SolverError:
-        x, res, stats = _factor_and_solve(K, b)
+        xo, res, stats = _factor_and_solve(K, b)
         ordering, fallback = "colamd", True
+    x = np.empty_like(xo)
+    x[order] = xo
     return x, res, {"ordering": ordering, "fallback": fallback, **stats}
 
 
 def solve(system):
     """Factorize and solve, with a residual check and one refinement step.
 
-    ordered_solve in saddle_order. Raises SolverError, with the failure
-    localized to a block of the system, when both of its
-    factorizations fail, or the relative residual stays above 1e-9
-    after one step of iterative refinement.
+    ordered_solve of the system's matrix in its elimination order.
+    Raises SolverError, with the failure localized to a block of the
+    system, when both of its factorizations fail, or the relative
+    residual stays above 1e-9 after one step of iterative refinement.
     """
-    K, b = _saddle_system(system)
+    K = system.matrix
+    _release_free_heap()
     try:
-        x, res, stats = ordered_solve(K, b, saddle_order(system))
+        x, res, stats = ordered_solve(K, system.rhs, system.order)
     except SolverError as exc:
         raise SolverError(_diagnose(system, str(exc)),
                           exc.blas_output) from None
 
     multiplier = None
-    if system.mean_vector is not None:
+    if system.bordered:
         multiplier = float(x[-1])
         x = x[:-1]
 
@@ -412,17 +426,18 @@ def schur_pressure_probe(space, problem):
     stability. Dense linear algebra: intended for coarse probe meshes.
     """
     system = forms.assemble_system(space, problem)
-    nuf = system.n_u_free
-    A = system.matrix[:nuf, :nuf].tocsc()
-    Bt = system.matrix[:nuf, nuf:].toarray()
-    C = -system.matrix[nuf:, nuf:].toarray()
+    vel, pres = _blocks(system)
+    K = system.matrix
+    A = K[vel][:, vel].tocsc()
+    Bt = K[vel][:, pres].toarray()
+    C = -K[pres][:, pres].toarray()
 
     lu = splu(A)
     S = Bt.T @ lu.solve(Bt) + C
     S = 0.5 * (S + S.T)
     Mp = forms.pressure_mass(space).toarray()
     vals = scipy.linalg.eigh(S, Mp, eigvals_only=True)
-    if system.mean_vector is not None:
+    if system.bordered:
         # gauge mode: S annihilates constants in the enclosed case
         if not vals[0] < 1e-8 * max(vals[-1], 1e-30):
             raise SolverError(

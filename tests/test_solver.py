@@ -180,10 +180,16 @@ def test_schur_probe_neumann_branch():
 # ----------------------------------------------------------------------
 # nested-dissection fast path against SuperLU's default COLAMD
 
+def _plain_solve(K, b, order):
+    # splu(K) with SuperLU's defaults, one solve, mapped back by order
+    x = np.empty_like(b)
+    x[order] = splu(K).solve(b)
+    return x
+
+
 def _plain_solution(system):
-    # the reference: splu(K) with SuperLU's defaults, one solve
-    K, b = solver._saddle_system(system)
-    return splu(K).solve(b)
+    # the reference: the same matrix factored with SuperLU's defaults
+    return _plain_solve(system.matrix, system.rhs, system.order)
 
 
 def _solution_vector(system, sol):
@@ -272,10 +278,11 @@ def test_saddle_order_is_permutation_with_border_last(boundary):
     mesh = unit_square(16) if boundary is None \
         else unit_square(16, boundary=boundary)
     system = assemble_system(FeSpace(mesh, P2P1), _linear_case())
-    perm = solver.saddle_order(system)
-    n = len(system.free_dofs) + (system.mean_vector is not None)
+    perm = system.order
+    n = len(system.free_dofs) + system.bordered
+    assert system.bordered == (boundary is None)
     assert np.array_equal(np.sort(perm), np.arange(n))
-    if system.mean_vector is not None:
+    if system.bordered:
         assert perm[-1] == n - 1
 
 
@@ -361,8 +368,8 @@ def _osc_K(space, problem, monkeypatch):
     stats = []
     real = solver.ordered_solve
 
-    def spy(K, b, perm):
-        out = real(K, b, perm)
+    def spy(K, b, order):
+        out = real(K, b, order)
         if K.shape[0] == space.n_nodes:
             stats.append(out[2])
         return out
@@ -380,7 +387,8 @@ def _plain_osc_K(space, problem, monkeypatch):
     from stokes_stab import estimator
     real = solver.ordered_solve
     monkeypatch.setattr(solver, "ordered_solve",
-                        lambda K, b, perm: (splu(K).solve(b), None, None))
+                        lambda K, b, order: (_plain_solve(K, b, order),
+                                             None, None))
     osc_K, _ = estimator.oscillations(problem, space)
     monkeypatch.setattr(solver, "ordered_solve", real)
     return osc_K
