@@ -17,7 +17,6 @@ from stokes_stab import (
     FeSpace,
     assemble_system,
     efficiency_audit,
-    functional_norms,
     get_case,
     global_report,
     solve,
@@ -30,7 +29,7 @@ for n in (4, 8, 16):
     problem = case.problem()
     solution = solve(assemble_system(space, problem))
     report = global_report(solution, space, problem)
-    norms = functional_norms(space, solution, problem.exact)
+    norms = report.true_errors
     print(f"n = {n:2d}: eta = {report.eta:.4e}, "
           f"error = {norms['err_H1_u'] + norms['err_L2_p']:.4e}, "
           f"effectivity = {report.effectivity:.3f}, "

@@ -19,14 +19,15 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, estimator, forms, mesh as meshmod, solver, study
-from .space import ElementPair, FeSpace
+from . import __version__, forms, mesh as meshmod, solver, study
+from .space import ElementPair
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MESH = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
+EXIT_MEMORY = 6
 
 COMMANDS = ("solve", "uniform-study", "adaptive-study", "audit")
 
@@ -211,22 +212,18 @@ def _write_vtk_row(out, row, title):
 
 
 def cmd_solve(cfg):
-    case = study.get_case(cfg["case"])
-    pair = ElementPair.from_label(cfg["pair"])
-    mesh = case.make_mesh(cfg["n0"] or case.default_n0)
-    space = FeSpace(mesh, pair)
-    problem = case.problem(alpha=cfg["alpha"])
-    system = forms.assemble_system(space, problem)
-    sol = solver.solve(system)
-    rep = estimator.global_report(sol, space, problem)
+    case, space, problem = study._set_up(cfg["case"], cfg["pair"],
+                                         cfg["alpha"], cfg["n0"])
+    sol, rep = study._solve_level(space, problem, "solve")
     row = study.level_row(0, space, sol, rep)
 
     out = _out_dir(cfg)
+    label = f"{case.name} {space.pair.label}"
     write_table_csv(out / "table.csv", [row])
-    _write_vtk_row(out, row, f"{case.name} {pair.label}")
-    write_manifest(out / "manifest.txt", cfg, "solve", system.alpha,
-                   system.c_i)
-    print(f"{case.name} {pair.label}: {mesh.n_triangles} triangles, "
+    _write_vtk_row(out, row, label)
+    write_manifest(out / "manifest.txt", cfg, "solve", problem.alpha,
+                   space.c_i)
+    print(f"{label}: {space.mesh.n_triangles} triangles, "
           f"eta = {rep.eta:.6e}, residual = {sol.residual:.3e}")
     return EXIT_OK
 
@@ -342,6 +339,10 @@ def main(argv=None):
         return _fail(EXIT_SOLVER, "solver", exc)
     except OSError as exc:
         return _fail(EXIT_IO, "io", exc)
+    except MemoryError as exc:
+        run = (f"{args.command} --case {cfg['case']} --pair {cfg['pair']} "
+               f"--n0 {cfg['n0'] or 'default'}")
+        return _fail(EXIT_MEMORY, "memory", f"{run}: {exc or 'out of memory'}")
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import NEUMANN, MeshError
-from .space import (FeSpace, edge_points, edge_reference_points,
-                    physical_points, point_values, scalar_basis)
+from .space import (edge_points, edge_reference_points, physical_points,
+                    point_values, scalar_basis)
 
 
 class InadmissibleAlphaError(Exception):
@@ -485,14 +485,6 @@ class AssembledSystem:
     c_i: float
     bordered: bool = False
     dirichlet_values: np.ndarray = None
-    space: FeSpace = None
-    problem: StokesProblem = None
-
-
-def pressure_integral_vector(space):
-    """Vector of int_Omega psi_j over pressure basis functions."""
-    return scatter_add(space.mesh.triangles,
-                       np.repeat(space.mesh.areas / 3.0, 3), space.n_p)
 
 
 def _saddle_order(space, free, bordered):
@@ -522,10 +514,10 @@ def _saddle_local(space, alpha, bordered):
     Element K contributes [[A_K, B_K], [B_K^T, 0]] - alpha |K| h_K^2
     R R^T on its velocity dofs (interleaved) and its pressure dofs,
     bordered by |K|/3 in the row and column of the mean-pressure dof
-    (index n_dofs) when bordered. For P1 velocity R R^T fills the
-    pressure block alone, which is left unscaled: the caller scales
-    its sums by -alpha, as assemble_Sh's are. Returns (dofs (ne, nloc),
-    T (ne, nloc, nloc)) with T[e] the transpose of element e's matrix.
+    (index n_dofs) when bordered; R R^T covers the velocity and
+    pressure dofs for P2 and the pressure dofs alone for P1. Returns
+    (dofs (ne, nloc), T (ne, nloc, nloc)) with T[e] the transpose of
+    element e's matrix.
     """
     # the kernels before T, so T is not alive while _residual_local
     # builds its products
@@ -544,11 +536,8 @@ def _saddle_local(space, alpha, bordered):
     T[:, nv:nv + 3, :nv] = B.transpose(0, 2, 1)
     if S is not None:
         r = slice(nv + 3 - S.shape[1], nv + 3)
-        if space.pair.velocity_degree == 1:
-            T[:, r, r] = S
-        else:
-            S *= alpha
-            T[:, r, r] -= S
+        S *= alpha
+        T[:, r, r] -= S
     if bordered:
         dofs[:, -1] = space.n_dofs
         T[:, -1, nv:nv + 3] = T[:, nv:nv + 3, -1] = \
@@ -565,9 +554,10 @@ def assemble_system(space, problem):
     and borders the system by the mean-pressure constraint when there
     is no Neumann boundary to fix the pressure gauge.
 
-    The matrix is one scatter of the element matrices straight into
-    its elimination order, in CSC, Dirichlet rows and columns dropped:
-    the matrix solver.solve hands to SuperLU.
+    The matrix is one scatter of the element matrices, each already
+    B_K - alpha S_K, straight into its elimination order, in CSC,
+    Dirichlet rows and columns dropped: the matrix solver.solve hands
+    to SuperLU.
     """
     alpha = problem.alpha
     if alpha is None:
@@ -614,13 +604,6 @@ def assemble_system(space, problem):
     T.transpose(0, 2, 1)[dirichlet] = 0.0
     idx[dirichlet] = np.broadcast_to(idx[:, nv, None], idx.shape)[dirichlet]
     K = _scatter_csc(idx, T, len(order))
-    if alpha != 0.0 and space.pair.velocity_degree == 1:
-        # S_h is the pressure block alone: its sums times -alpha, as in
-        # bmat(B) - alpha * assemble_Sh, bit for bit
-        pressure = np.zeros(len(order), dtype=bool)
-        pressure[pos[space.n_u:space.n_dofs]] = True
-        block = pressure[K.indices] & np.repeat(pressure, np.diff(K.indptr))
-        K.data[block] *= -alpha
     b = np.zeros(len(order))
     b[pos[free]] = rhs[free]
 
@@ -630,5 +613,4 @@ def assemble_system(space, problem):
         n_u=space.n_u, n_p=space.n_p,
         alpha=alpha, c_i=c_i, bordered=bordered,
         dirichlet_values=lift,
-        space=space, problem=problem,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _fields, estimator, forms, solver
 from .mesh import generate_structured
-from .space import ElementPair, FeSpace
+from .space import FeSpace
 
 
 def _vectorize(fn):
@@ -241,6 +241,19 @@ def level_row(level, space, solution, report):
         eta_K=report.eta_K)
 
 
+def _set_up(case, pair, alpha, n0):
+    """(case, space, problem) of a run: the case (a name or a
+    ManufacturedCase), the FeSpace of `pair` on its coarsest mesh, and
+    its problem with alpha resolved once on that space (None picks
+    forms.default_alpha)."""
+    if isinstance(case, str):
+        case = get_case(case)
+    space = FeSpace(case.make_mesh(n0 or case.default_n0), pair)
+    if alpha is None:
+        alpha = forms.default_alpha(space)
+    return case, space, case.problem(alpha=alpha)
+
+
 def _solve_level(space, problem, where):
     """Assemble, solve and estimate one level.
 
@@ -313,25 +326,14 @@ def uniform_study(case, pair, levels, alpha=None, n0=None):
     levels so that rates measure the discretization, not a moving
     stabilization parameter.
     """
-    if isinstance(case, str):
-        case = get_case(case)
-    if isinstance(pair, str):
-        pair = ElementPair.from_label(pair)
     if levels < 2:
         raise ValueError("a study needs at least 2 levels")
-
-    mesh = case.make_mesh(n0 or case.default_n0)
-    space = FeSpace(mesh, pair)
-    if alpha is None:
-        alpha = forms.default_alpha(space)
-    problem = case.problem(alpha=alpha)
-
-    table = ConvergenceTable(case=case.name, pair=pair.label, alpha=alpha,
-                             c_i=space.c_i)
+    case, space, problem = _set_up(case, pair, alpha, n0)
+    table = ConvergenceTable(case=case.name, pair=space.pair.label,
+                             alpha=problem.alpha, c_i=space.c_i)
     for level in range(levels):
         if level > 0:
-            mesh = mesh.refine_uniform()
-            space = FeSpace(mesh, pair)
+            space = FeSpace(space.mesh.refine_uniform(), space.pair)
         sol, rep = _solve_level(space, problem, f"level {level}")
         table.rows.append(level_row(level, space, sol, rep))
     return table
@@ -345,13 +347,17 @@ def dorfler_mark(mesh, eta_K, eta_E, theta):
 
     Element indicators are eta_K^2 plus half of each adjacent edge
     indicator squared; elements are taken in decreasing order until the
-    cumulative sum reaches the Dorfler target.
+    cumulative sum reaches the Dorfler target. Indicators whose ratios
+    to the largest round to the same 9 decimals are ties, taken in
+    element order, so rounding noise does not pick one of two
+    mirror-image elements over the other.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
     ind = eta_K ** 2 + 0.5 * np.sum(eta_E[mesh.t2e] ** 2, axis=1)
     total = float(np.sum(eta_K ** 2) + np.sum(eta_E ** 2))
-    order = np.argsort(ind)[::-1]
+    key = np.round(ind / ind.max(), 9) if ind.max() > 0 else ind
+    order = np.lexsort((np.arange(len(ind)), -key))
     csum = np.cumsum(ind[order])
     target = theta ** 2 * total
     n_mark = int(np.searchsorted(csum, target)) + 1
@@ -400,26 +406,18 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
     iterations. The last step's marked set is the one that would be
     refined next; the mesh of step k+1 is step k's mesh refined.
     """
-    if isinstance(case, str):
-        case = get_case(case)
-    if isinstance(pair, str):
-        pair = ElementPair.from_label(pair)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-
-    mesh = case.make_mesh(n0 or case.default_n0)
-    space = FeSpace(mesh, pair)
-    if alpha is None:
-        alpha = forms.default_alpha(space)
-    problem = case.problem(alpha=alpha)
-    log = AdaptiveLog(case=case.name, pair=pair.label, alpha=alpha,
-                      theta=theta)
+    case, space, problem = _set_up(case, pair, alpha, n0)
+    log = AdaptiveLog(case=case.name, pair=space.pair.label,
+                      alpha=problem.alpha, theta=theta)
 
     for it in range(max_iters):
         sol, rep = _solve_level(space, problem, f"iteration {it}")
         log.c_i = space.c_i
+        mesh = space.mesh
         marked = dorfler_mark(mesh, rep.eta_K, rep.eta_E, theta)
         row = level_row(it, space, sol, rep)
         log.steps.append(AdaptiveStep(
@@ -429,6 +427,5 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
         if target_eta is not None and rep.eta <= target_eta:
             break
         if it + 1 < max_iters:
-            mesh = mesh.refine_marked(marked)
-            space = FeSpace(mesh, pair)
+            space = FeSpace(mesh.refine_marked(marked), space.pair)
     return log

@@ -1,6 +1,10 @@
 """Command-line interface: artifacts, determinism, failure classes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,15 @@ boundary 7
 
 def run_cli(*args):
     return cli.main(list(args))
+
+
+def child_env():
+    """The environment of a child process that imports the package this
+    test imported, also when it was found through pytest's pythonpath
+    setting rather than the environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_uniform_study_artifacts(tmp_path):
@@ -231,24 +244,37 @@ def test_solver_failure_streams_clean_at_process_exit(tmp_path):
     # nothing from a failed factorization may reach stdout, whether the
     # BLAS writes its complaints straight to fd 1 or buffers them in the
     # C-level stdout stream until the interpreter exits
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-    # the child imports the package this test imported, also when it
-    # was found through pytest's pythonpath setting rather than the env
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "stokes_stab.cli", "solve",
          "--case", "SMOOTH_SQUARE", "--pair", "P1P1",
          "--alpha", "0", "--n0", "4", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=300, env=env)
+        capture_output=True, text=True, timeout=300, env=child_env())
     assert proc.returncode == 4
     assert "illegal value" not in proc.stdout
     assert proc.stdout == ""
     assert proc.stderr.startswith("stokes-stab: solver error:")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_memory_error_exit_code(tmp_path):
+    # the child caps its address space after importing, so the first
+    # grid array of n0 = 100000 (10 GB of cell flags) cannot be
+    # allocated and nothing big is ever touched
+    code = (
+        "import resource, sys\n"
+        "from stokes_stab import cli\n"
+        "pages = int(open('/proc/self/statm').read().split()[0])\n"
+        "cap = pages * resource.getpagesize() + (1 << 30)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "sys.exit(cli.main(['solve', '--case', 'SMOOTH_SQUARE', '--pair',"
+        f" 'P1P1', '--n0', '100000', '--out', {str(tmp_path)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=child_env())
+    assert proc.returncode == cli.EXIT_MEMORY == 6
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "stokes-stab: memory error: solve --case SMOOTH_SQUARE --pair P1P1 "
+        "--n0 100000: ")
     assert proc.stderr.count("\n") == 1
 
 
@@ -296,13 +322,6 @@ def test_cli_commands_never_import_sympy(tmp_path):
     # the builtin cases evaluate the committed numpy source of their
     # fields, so no command needs sympy; the quadrature's Gauss-Jacobi
     # nodes are committed literals, so none needs scipy.special either
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     meshfile = tmp_path / "square.mesh"
     unit_square(2).write(meshfile)
     runs = [["solve", "--case", case, "--pair", pair, "--n0", "4"]
@@ -321,6 +340,6 @@ def test_cli_commands_never_import_sympy(tmp_path):
             "print(codes, 'sympy' in sys.modules,"
             " 'scipy.special' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=300, env=env)
+                          text=True, timeout=300, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} False False"

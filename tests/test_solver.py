@@ -82,11 +82,15 @@ def test_dirichlet_values_imposed():
 
 
 def test_mean_pressure_gauge():
-    from stokes_stab.forms import pressure_integral_vector
+    from stokes_stab.forms import scatter_add
     space = FeSpace(unit_square(4), P1P1)
+    mesh = space.mesh
     sol = solver.solve(assemble_system(space, _linear_case()))
     assert sol.multiplier is not None
-    assert abs(pressure_integral_vector(space) @ sol.p) < 1e-12
+    # int psi_j: a third of the area of each triangle at vertex j
+    means = scatter_add(mesh.triangles, np.repeat(mesh.areas / 3, 3),
+                        space.n_p)
+    assert abs(means @ sol.p) < 1e-12
 
 
 def test_neumann_run_has_no_multiplier():
@@ -260,6 +264,22 @@ def test_fast_path_failure_falls_back_to_colamd(monkeypatch):
     assert sol.diagnostics["fallback"] is True
     assert np.array_equal(_solution_vector(system, sol),
                           _plain_solution(system))
+
+
+def test_memory_error_leaves_without_fallback(monkeypatch):
+    # running out of memory is not a failed factorization: a second,
+    # COLAMD factorization would only need more of it
+    system = assemble_system(FeSpace(unit_square(4), P1P1), _linear_case())
+    calls = []
+
+    def exhausted(K, **options):
+        calls.append(options)
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "splu", exhausted)
+    with pytest.raises(MemoryError):
+        solver.ordered_solve(system.matrix, system.rhs, system.order)
+    assert calls == [solver.ORDERED_SPLU]
 
 
 def test_solver_diagnostics():

@@ -208,6 +208,37 @@ def test_dorfler_marking_splits_edge_mass():
     assert len(m) == 2
 
 
+def test_dorfler_marking_ignores_rounding_noise():
+    # the L-shape's indicators come in mirror-image pairs, equal up to
+    # rounding; noise at that level must not change the marked set
+    from stokes_stab.space import FeSpace
+    rng = np.random.default_rng(0)
+    _, space, problem = study._set_up("LSHAPE_PEAK", "P1P1", None, None)
+    changed = 0
+    for it in range(8):
+        _, rep = study._solve_level(space, problem, f"iteration {it}")
+        mesh = space.mesh
+        marked = dorfler_mark(mesh, rep.eta_K, rep.eta_E, 0.5)
+        for _ in range(20):
+            eta_K, eta_E = (e * (1.0 + 1e-14 * rng.standard_normal(e.shape))
+                            for e in (rep.eta_K, rep.eta_E))
+            changed += not np.array_equal(
+                dorfler_mark(mesh, eta_K, eta_E, 0.5), marked)
+        space = FeSpace(mesh.refine_marked(marked), space.pair)
+    assert changed == 0
+
+
+def test_dorfler_marking_ties_go_in_element_order():
+    from stokes_stab.mesh import unit_square
+    mesh = unit_square(2)
+    eta_K = np.full(mesh.n_triangles, 0.01)
+    eta_K[[5, 2]] = 1.0
+    eta_K[5] *= 1.0 + 1e-13
+    # one of the two tied elements reaches the target: the first
+    m = dorfler_mark(mesh, eta_K, np.zeros(mesh.n_edges), 0.5)
+    assert list(m) == [2]
+
+
 def test_adaptive_study_monotone_and_stopping():
     log = adaptive_study("LSHAPE_PEAK", "P1P1", theta=0.5, max_iters=6)
     etas = log.etas
