@@ -471,7 +471,10 @@ class AssembledSystem:
     hold the pressure means int psi_j. They are in elimination order:
     row i is unknown order[i] of free_dofs (the full ordering's free
     dofs, velocity interleaved first, then pressure, in increasing
-    order), followed by the border at index len(free_dofs).
+    order), followed by the border at index len(free_dofs). groups
+    holds the first row of each nested-dissection group of that order,
+    the fronts solver.solve factors; the border belongs to the last.
+    None factors the matrix as one front.
     """
 
     matrix: sp.csc_matrix
@@ -485,27 +488,31 @@ class AssembledSystem:
     c_i: float
     bordered: bool = False
     dirichlet_values: np.ndarray = None
+    groups: np.ndarray = None
 
 
 def _saddle_order(space, free, bordered):
-    """(order, pos) of the saddle matrix.
+    """(order, pos, groups) of the saddle matrix.
 
     order sorts the free dofs stably by the nested-dissection slot of
     their node (FeSpace.node_slots), so a group keeps its velocity
     dofs by node, then its pressure dofs; the border, index len(free),
     comes last. pos (n_dofs + 1,) int32 is the row of each dof, the
-    border's at n_dofs, and -1 on the Dirichlet dofs.
+    border's at n_dofs, and -1 on the Dirichlet dofs. groups holds the
+    row where each distinct slot starts.
     """
     n_u = space.n_u
     nodes = np.where(free < n_u, free // 2, free - n_u)
-    order = np.argsort(space.node_slots[nodes], kind="stable")
+    slots = space.node_slots[nodes]
+    order = np.argsort(slots, kind="stable")
+    groups = np.flatnonzero(np.diff(slots[order], prepend=-1))
     rows = free
     if bordered:
         order = np.append(order, len(free))
         rows = np.append(free, space.n_dofs)
     pos = np.full(space.n_dofs + 1, -1, dtype=np.int32)
     pos[rows[order]] = np.arange(len(order))
-    return order, pos
+    return order, pos, groups
 
 
 def _saddle_local(space, alpha, bordered):
@@ -556,8 +563,8 @@ def assemble_system(space, problem):
 
     The matrix is one scatter of the element matrices, each already
     B_K - alpha S_K, straight into its elimination order, in CSC,
-    Dirichlet rows and columns dropped: the matrix solver.solve hands
-    to SuperLU.
+    Dirichlet rows and columns dropped: the matrix solver.solve
+    factors.
     """
     alpha = problem.alpha
     if alpha is None:
@@ -574,7 +581,7 @@ def assemble_system(space, problem):
     bordered = not space.mesh.has_neumann
     free = np.concatenate([space.free_velocity_dofs,
                            space.n_u + np.arange(space.n_p)])
-    order, pos = _saddle_order(space, free, bordered)
+    order, pos, groups = _saddle_order(space, free, bordered)
     rhs = assemble_F(space, problem)
     if alpha != 0.0:
         rhs = rhs - alpha * assemble_Lh(space, problem)
@@ -612,5 +619,5 @@ def assemble_system(space, problem):
         n_u_free=len(space.free_velocity_dofs),
         n_u=space.n_u, n_p=space.n_p,
         alpha=alpha, c_i=c_i, bordered=bordered,
-        dirichlet_values=lift,
+        dirichlet_values=lift, groups=groups,
     )

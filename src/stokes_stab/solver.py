@@ -1,5 +1,6 @@
 """Direct solution of the assembled saddle system and solution norms."""
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -9,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
 from . import forms
@@ -98,26 +100,13 @@ def _factorize(K, **options):
         os.close(saved)
 
 
-# Fast path (ordered_solve): SuperLU factors the saddle matrix, or the
-# mass matrix of the osc_K projection, in the nested-dissection order
-# it is given (permc_spec="NATURAL") and keeps the diagonal pivot
-# unless it is below 1e-8 times the largest entry of its column. Two
-# settings that look equivalent are not:
-#  - diag_pivot_thresh=0 leaves a ~1e-17 pivot on the constant-pressure
-#    mode just before the mean-pressure border and a ~1e16 one on the
-#    border; the pivot check rejects that, so every solve would fall
-#    back. 1e-8 swaps two rows and keeps the fill; larger thresholds
-#    swap more rows and grow it (full partial pivoting, 1.0, multiplies
-#    it by 4.5 at P1P1 n = 32, and worse on larger meshes).
-#  - SuperLU's MMD orderings (permc_spec="MMD_AT_PLUS_A" and the
-#    others) have crashed the process intermittently on the alpha = 0
-#    P1P1 matrix, whose pressure block is empty; NATURAL and COLAMD
-#    have not.
-# SuperLU's Relax and PanelSize stay at their defaults. With scipy
-# 1.17.1, panel_size=32 makes the process segfault at exit (exit code
-# 139, after a correct solve) and relax=32 has corrupted the heap;
-# relax 1, 4 or 16 and panel_size 4 or 16 ran cleanly but gained
-# nothing beyond the noise.
+# ordered_solve: SuperLU factors the mass matrix of the osc_K
+# projection in the nested-dissection order it is given
+# (permc_spec="NATURAL") and keeps the diagonal pivot unless it is
+# below 1e-8 times the largest entry of its column. Relax and PanelSize
+# stay at their defaults: with scipy 1.17.1, panel_size=32 makes the
+# process segfault at exit (exit code 139, after a correct solve) and
+# relax=32 has corrupted the heap.
 ORDERED_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-8,
                 "options": {"SymmetricMode": True}}
 LEAF_SIZE = 32
@@ -226,9 +215,11 @@ class DiscreteSolution:
     zero), p one value per mesh vertex. multiplier is the Lagrange
     multiplier of the mean-pressure constraint when one was used.
     diagnostics records n_unknowns, alpha and how the factorization
-    went: ordering ("nested_dissection" or "colamd"), fill_nnz
-    (nnz of L + U), pivot_ratio (smallest over largest pivot),
-    residual_initial (before refinement), refined and fallback.
+    went: ordering ("multifrontal", or "colamd" when the fallback
+    fired), fill_nnz (the entries the factor stores: the fronts' LU
+    and W blocks, or nnz of SuperLU's L + U), pivot_ratio (smallest
+    over largest pivot), residual_initial (before refinement), refined
+    and fallback.
     """
 
     u: np.ndarray
@@ -271,71 +262,81 @@ def _diagnose(system, reason):
     return "; ".join(msg)
 
 
-def _factor_and_solve(K, b, **options):
-    """splu(K, **options) and solve, with the checks and one refinement.
+def _checked_solve(K, b, lu_solve, pivots, stored):
+    """Solve K x = b with a factor of K, with the checks and one
+    refinement.
 
+    lu_solve applies the factor's inverse, pivots (absolute values)
+    and stored (its entry count) describe it. A relative residual above
+    1e-12 gets one step of iterative refinement; a backward-stable
+    solve leaves about 1e-15, but the fronts pivot only inside their
+    own block, and where a front pivot is tiny (P1P1 at alpha = 1e-6:
+    4e-13 of the largest) the first solve can leave 2e-10 and a
+    solution 4e-9 off, which one step brings to 1e-15 and 2e-13.
     Returns (x, relative residual, factorization stats); raises
-    SolverError naming the check that failed.
+    SolverError naming the check that failed, or a residual still above
+    1e-9 after the step.
+    """
+    # a structurally nonsingular but numerically singular matrix can
+    # slip through the factorization; a vanishing pivot means the solve
+    # would only produce garbage
+    if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
+        raise SolverError("factorization produced a zero pivot")
 
-    K is factored as it is handed over; the saddle matrix is the one
-    forms.assemble_system scattered, so it is the only copy of K alive
-    at the factor (12 MB at NEUMANN_STRIP P2P1 n = 64, 36,737
-    unknowns). The pivot check costs memory: the first read of lu.U
-    makes SuperLU build CSC copies of both L and U, which live as long
-    as lu. There they take 64 MB next to 65 MB for the saddle factor
-    itself, and 13.5 MB next to 12 MB for the P2 mass factor of osc_K
-    (resident set from /proc/self/statm). scipy's SuperLU object offers
-    only L, U, nnz, perm_c, perm_r, shape and solve, so the diagonal
-    cannot be read without those copies. fill_nnz then reads lu.L at
-    no further cost; lu.nnz counts differently (1687 against
-    L.nnz + U.nnz = 1094 on a random 50 x 50 matrix).
+    x = lu_solve(b)
+    bnorm = max(float(np.linalg.norm(b)), 1e-30)
+    if not np.all(np.isfinite(x)):
+        raise SolverError("non-finite solution values")
+    res = res_initial = float(np.linalg.norm(K @ x - b)) / bnorm
+    if res > 1e-12:
+        x = x + lu_solve(b - K @ x)
+        res = float(np.linalg.norm(K @ x - b)) / bnorm
+    if not np.all(np.isfinite(x)) or res > 1e-9:
+        raise SolverError(f"relative residual {res:.3e} above 1e-9 after "
+                          "iterative refinement")
+    stats = {"fill_nnz": stored,
+             "pivot_ratio": float(pivots.min() / pivots.max()),
+             "residual_initial": res_initial,
+             "refined": res_initial > 1e-12}
+    return x, res, stats
+
+
+def _factor_and_solve(K, b, **options):
+    """splu(K, **options) and _checked_solve with it.
+
+    K is factored as it is handed over. The pivot check costs memory:
+    the first read of lu.U makes SuperLU build CSC copies of both L and
+    U, which live as long as lu (13.5 MB next to 12 MB for the P2 mass
+    factor of osc_K at NEUMANN_STRIP P2P1 n = 64; resident set from
+    /proc/self/statm). scipy's SuperLU object offers only L, U, nnz,
+    perm_c, perm_r, shape and solve, so the diagonal cannot be read
+    without those copies. fill_nnz then reads lu.L at no further cost;
+    lu.nnz counts differently (1687 against L.nnz + U.nnz = 1094 on a
+    random 50 x 50 matrix).
     """
     try:
         lu = _factorize(K, **options)
     except RuntimeError as exc:
         raise SolverError(str(exc),
                           getattr(exc, "blas_output", "")) from None
-
-    # a structurally nonsingular but numerically singular matrix can
-    # slip through splu; a vanishing pivot means the solve would only
-    # produce garbage
     pivots = np.abs(lu.U.diagonal())
-    if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
-        raise SolverError("factorization produced a zero pivot")
-
-    x = lu.solve(b)
-    bnorm = max(float(np.linalg.norm(b)), 1e-30)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("non-finite solution values")
-    res = res_initial = float(np.linalg.norm(K @ x - b)) / bnorm
-    if res > 1e-9:
-        x = x + lu.solve(b - K @ x)
-        res = float(np.linalg.norm(K @ x - b)) / bnorm
-    if not np.all(np.isfinite(x)) or res > 1e-9:
-        raise SolverError(f"relative residual {res:.3e} above 1e-9 after "
-                          "iterative refinement")
-    stats = {"fill_nnz": lu.L.nnz + lu.U.nnz,
-             "pivot_ratio": float(pivots.min() / pivots.max()),
-             "residual_initial": res_initial,
-             "refined": res_initial > 1e-9}
-    return x, res, stats
+    return _checked_solve(K, b, lu.solve, pivots, lu.L.nnz + lu.U.nnz)
 
 
-def ordered_solve(K, b, order):
-    """Solve K x = b for a CSC matrix K given in its elimination order.
-
-    Row i of K and b is unknown order[i]. K is factored as it is, with
-    ORDERED_SPLU, first. When that fails its pivot or residual check,
-    the same K is factored again with SuperLU's default COLAMD ordering
-    and partial pivoting. Returns (x, relative residual, stats), x by
-    unknown (x[order] is the solution of K), stats as from
-    _factor_and_solve plus the ordering used and whether the fallback
-    fired; raises the SolverError of the COLAMD attempt when that
-    fails too.
+def _solve_or_fall_back(first, ordering, K, b, order):
+    """first() -> (x, residual, stats) for K x = b, K in elimination
+    order; when it raises SolverError, the same K is factored again
+    with SuperLU's default COLAMD ordering and partial pivoting.
+    Returns (x, relative residual, stats), x by unknown (x[order] is
+    the solution of K), stats as from _checked_solve plus the ordering
+    used and whether the fallback fired; raises the SolverError of the
+    COLAMD attempt when that fails too. Any other exception leaves at
+    once: a MemoryError, say, would only recur in a second
+    factorization.
     """
     try:
-        xo, res, stats = _factor_and_solve(K, b, **ORDERED_SPLU)
-        ordering, fallback = "nested_dissection", False
+        xo, res, stats = first()
+        fallback = False
     except SolverError:
         xo, res, stats = _factor_and_solve(K, b)
         ordering, fallback = "colamd", True
@@ -344,18 +345,214 @@ def ordered_solve(K, b, order):
     return x, res, {"ordering": ordering, "fallback": fallback, **stats}
 
 
+def ordered_solve(K, b, order):
+    """Solve K x = b for a CSC matrix K given in its elimination order.
+
+    Row i of K and b is unknown order[i]. K is factored by SuperLU as
+    it is, with ORDERED_SPLU, and falls back to COLAMD as
+    _solve_or_fall_back does; the osc_K projection solves its mass
+    matrix here. Returns (x, relative residual, stats), x by unknown,
+    stats with the ordering "nested_dissection" or "colamd".
+    """
+    return _solve_or_fall_back(
+        lambda: _factor_and_solve(K, b, **ORDERED_SPLU),
+        "nested_dissection", K, b, order)
+
+
+# ----------------------------------------------------------------------
+# multifrontal factorization of the saddle matrix
+
+def _openblas_controls(path):
+    """(get, set) thread-count functions of the OpenBLAS at path, or
+    None when it is not one, under the names a plain and a scipy
+    build export, with and without the 64-bit integer suffix."""
+    try:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    except OSError:
+        return None
+    for prefix in ("openblas", "scipy_openblas"):
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                get.argtypes = []
+                set_.restype = None
+                set_.argtypes = [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@functools.cache
+def _loaded_openblas():
+    """Thread controls of every OpenBLAS mapped into this process.
+
+    numpy and scipy each bundle their own; they are found as
+    threadpoolctl finds them, by the library paths in /proc/self/maps,
+    once: both are loaded when this module is, and reading the file
+    takes 0.6 ms. Empty where that file cannot be read.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return []
+    controls = [_openblas_controls(path) for path in sorted(paths)]
+    return [c for c in controls if c is not None]
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS on one thread inside the block, each
+    restored to its own count on leaving.
+
+    The front factorization makes thousands of small BLAS and LAPACK
+    calls through numpy's and scipy's OpenBLAS; on a 2-CPU host their
+    two worker pools fight over the cores, and the numeric pass at
+    NEUMANN_STRIP P2P1 n = 64 took 2.9 s instead of 0.27 s.
+    """
+    saved = [(set_, get()) for get, set_ in _loaded_openblas()]
+    for set_, _ in saved:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, count in saved:
+            set_(count)
+
+
+def _front_structure(K, groups):
+    """Symbolic pass of the front factorization of K.
+
+    The groups are the row ranges starting at groups (ascending, the
+    first at 0). The front of group g holds its own rows, then the
+    rows below them that its columns of K or its children's fronts
+    reach, ascending; its parent is the group of its first row below.
+    Returns (fronts, kids, rel): the rows of each group's front, its
+    children (ascending), and for each child the positions of its rows
+    below in its parent's front.
+    """
+    n = K.shape[0]
+    ends = np.append(groups[1:], n)
+    gid = np.repeat(np.arange(len(groups)), ends - groups)
+    fronts, kids, rel = [], [[] for _ in groups], [None] * len(groups)
+    for g, (start, end) in enumerate(zip(groups, ends)):
+        rows = K.indices[K.indptr[start]:K.indptr[end]]
+        parts = [np.arange(start, end, dtype=rows.dtype), rows[rows >= end]]
+        parts += [fronts[c][ends[c] - groups[c]:] for c in kids[g]]
+        f = np.concatenate(parts)
+        f.sort()
+        keep = np.empty(len(f), dtype=bool)
+        keep[0] = True
+        np.not_equal(f[1:], f[:-1], out=keep[1:])
+        f = f[keep]
+        for c, below in zip(kids[g], parts[2:]):
+            rel[c] = f.searchsorted(below)
+        fronts.append(f)
+        if len(f) > end - start:
+            kids[gid[f[end - start]]].append(g)
+    return fronts, kids, rel
+
+
+class _Fronts:
+    """LU factors of the fronts of K, eliminated group by group.
+
+    The numeric pass assembles each front from its columns of K (its
+    own block F11 and the rows below, F21; the block above, F12, is
+    F21^T, as K is symmetric) plus its children's update matrices,
+    factors F11 by getrf (partial pivoting inside the block), keeps
+    that LU and W = F11^-1 F21^T (k x m for k own and m rows below),
+    and hands the update F22 - F21 W to its parent. The front is freed
+    then, so the factor holds k (k + m) entries per group and no copy
+    of L or U. pivots holds |U_ii| of every front, stored the entries
+    kept.
+
+    Nothing pivots across fronts: a front pivot that is tiny against
+    its column shows in pivots, and _checked_solve refines or rejects.
+    """
+
+    def __init__(self, K, groups):
+        ends = np.append(groups[1:], K.shape[0])
+        fronts, kids, rel = _front_structure(K, groups)
+        self.pivots = np.empty(K.shape[0])
+        self.factors = []   # (start, end, rows below, LU, row swaps, W)
+        self.stored = 0
+        updates = {}
+        counts = np.diff(K.indptr)
+        for g, (start, end, f) in enumerate(zip(groups, ends, fronts)):
+            k, nf = end - start, len(f)
+            # entry (i, j) of the front at 1 + i nf + j; the entries of
+            # K above it (rows before f[0]) all go to slot 0
+            a, b = K.indptr[start], K.indptr[end]
+            at = f.searchsorted(K.indices[a:b], "right")
+            at *= nf
+            at += np.arange(1 - nf, 1 - nf + k).repeat(counts[start:end])
+            np.maximum(at, 0, out=at)
+            F = np.zeros(nf * nf + 1)
+            F[at] = K.data[a:b]
+            for c in kids[g]:
+                r = rel[c]
+                np.add.at(F, (r[:, None] * nf + (r + 1)).ravel(),
+                          updates.pop(c).ravel())
+            F = F[1:].reshape(nf, nf)
+            lu, piv, info = dgetrf(F[:k, :k])
+            if info != 0:
+                raise SolverError("factorization produced a zero pivot")
+            np.abs(lu.diagonal(), out=self.pivots[start:end])
+            W = dgetrs(lu, piv, F[k:, :k].T)[0]
+            U = F[k:, :k] @ W
+            updates[g] = np.subtract(F[k:, k:], U, out=U)
+            self.factors.append((start, end, f[k:], lu, piv, W))
+            self.stored += int(k * nf)
+            del F
+
+    def solve(self, b):
+        """K^-1 b: one forward and one backward sweep over the groups.
+
+        With F11 symmetric, K = [[I, 0], [W^T, I]] [[F11, 0], [0, S]]
+        [[I, W], [0, I]] for each front in turn: the forward sweep
+        subtracts W^T b1 from the rows below and solves with F11, the
+        backward sweep subtracts W x2 from the group's unknowns.
+        """
+        x = np.array(b, dtype=float)
+        for start, end, rows, lu, piv, W in self.factors:
+            x[rows] -= W.T @ x[start:end]
+            x[start:end] = dgetrs(lu, piv, x[start:end])[0]
+        for start, end, rows, lu, piv, W in reversed(self.factors):
+            x[start:end] -= W @ x[rows]
+        return x
+
+
+def _front_solve(K, b, groups):
+    """Factor K by fronts on groups and _checked_solve with it, every
+    OpenBLAS on one thread."""
+    with _one_blas_thread():
+        fronts = _Fronts(K, groups)
+        return _checked_solve(K, b, fronts.solve, fronts.pivots,
+                              fronts.stored)
+
+
 def solve(system):
     """Factorize and solve, with a residual check and one refinement step.
 
-    ordered_solve of the system's matrix in its elimination order.
-    Raises SolverError, with the failure localized to a block of the
-    system, when both of its factorizations fail, or the relative
-    residual stays above 1e-9 after one step of iterative refinement.
+    The system's matrix is factored by fronts on its nested-dissection
+    groups (_Fronts; without groups, as one front), and by SuperLU with
+    COLAMD when that fails its pivot or residual check
+    (_solve_or_fall_back). Raises SolverError, with the failure
+    localized to a block of the system, when both factorizations fail,
+    or the relative residual stays above 1e-9 after one step of
+    iterative refinement.
     """
     K = system.matrix
+    groups = system.groups
+    if groups is None:
+        groups = np.zeros(1, dtype=int)
     _release_free_heap()
     try:
-        x, res, stats = ordered_solve(K, system.rhs, system.order)
+        x, res, stats = _solve_or_fall_back(
+            lambda: _front_solve(K, system.rhs, groups), "multifrontal",
+            K, system.rhs, system.order)
     except SolverError as exc:
         raise SolverError(_diagnose(system, str(exc)),
                           exc.blas_output) from None

@@ -153,21 +153,31 @@ def test_assembly_transients_stay_small(pair, bound, boundary):
 
 
 def test_splu_gets_the_assembled_matrix(monkeypatch):
+    # the fronts read the assembled matrix, and so does the COLAMD
+    # factorization that takes over when a front fails
     system = assemble_system(FeSpace(unit_square(8), P2P1),
                              StokesProblem(f=_f))
     seen = []
-    real = solver.splu
+    real_structure, real_splu = solver._front_structure, solver.splu
 
-    def spy(K, **options):
+    def structure_spy(K, groups):
         seen.append(K)
-        return real(K, **options)
+        return real_structure(K, groups)
 
-    monkeypatch.setattr(solver, "splu", spy)
-    sol = solver.solve(system)
-    assert sol.diagnostics["ordering"] == "nested_dissection"
-    (K,) = seen
-    assert K.format == "csc"
-    assert np.shares_memory(K.data, system.matrix.data)
+    def splu_spy(K, **options):
+        seen.append(K)
+        return real_splu(K, **options)
+
+    monkeypatch.setattr(solver, "_front_structure", structure_spy)
+    monkeypatch.setattr(solver, "splu", splu_spy)
+    assert solver.solve(system).diagnostics["ordering"] == "multifrontal"
+    monkeypatch.setattr(solver, "dgetrf",
+                        lambda a: (a, np.zeros(len(a), np.int32), 1))
+    assert solver.solve(system).diagnostics["ordering"] == "colamd"
+    assert len(seen) == 3
+    for K in seen:
+        assert K.format == "csc"
+        assert np.shares_memory(K.data, system.matrix.data)
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])

@@ -230,7 +230,7 @@ def graded_lshape_mesh():
 
 def _check_fast_path(system):
     sol = solver.solve(system)
-    assert sol.diagnostics["ordering"] == "nested_dissection"
+    assert sol.diagnostics["ordering"] == "multifrontal"
     assert sol.diagnostics["fallback"] is False
     ref = _plain_solution(system)
     x = _solution_vector(system, sol)
@@ -250,20 +250,155 @@ def test_fast_path_matches_colamd_on_graded_mesh(graded_lshape_mesh, pair):
 
 
 def test_fast_path_failure_falls_back_to_colamd(monkeypatch):
+    # one front's getrf reports an exactly zero pivot: the same matrix
+    # is factored again by COLAMD, as plain splu would
     system = assemble_system(FeSpace(unit_square(8), P1P1), _linear_case())
-    real = solver.splu
+    real = solver.dgetrf
+    calls = []
 
-    def failing(K, **options):
-        if options.get("permc_spec") == "NATURAL":
-            raise RuntimeError("Factor is exactly singular")
-        return real(K, **options)
+    def failing(a):
+        calls.append(a.shape)
+        lu, piv, info = real(a)
+        return lu, piv, (1 if len(calls) == 3 else info)
 
-    monkeypatch.setattr(solver, "splu", failing)
+    monkeypatch.setattr(solver, "dgetrf", failing)
     sol = solver.solve(system)
+    assert len(calls) == 3
     assert sol.diagnostics["ordering"] == "colamd"
     assert sol.diagnostics["fallback"] is True
     assert np.array_equal(_solution_vector(system, sol),
                           _plain_solution(system))
+
+
+def test_memory_error_in_fronts_leaves_without_fallback(monkeypatch):
+    system = assemble_system(FeSpace(unit_square(4), P1P1), _linear_case())
+    factored = []
+
+    def exhausted(a):
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "dgetrf", exhausted)
+    monkeypatch.setattr(solver, "splu",
+                        lambda K, **options: factored.append(options))
+    with pytest.raises(MemoryError):
+        solver.solve(system)
+    assert factored == []
+
+
+def _stable_pair_systems():
+    from stokes_stab.study import get_case
+    for name in ("SMOOTH_SQUARE", "NEUMANN_STRIP", "NONZERO_G"):
+        case = get_case(name)
+        space = FeSpace(case.make_mesh(16), P2P1)
+        yield pytest.param(space, case.problem(alpha=0.0), id=name)
+
+
+@pytest.mark.parametrize("space,problem", _stable_pair_systems())
+def test_stable_pair_factors_by_fronts_without_stabilization(space, problem):
+    # P2P1 is inf-sup stable, so alpha = 0 is a valid run: the pressure
+    # blocks of the fronts are not definite, and partial pivoting inside
+    # each front block still carries the factorization
+    _check_fast_path(assemble_system(space, problem))
+
+
+@pytest.mark.parametrize("name", ["SMOOTH_SQUARE", "NEUMANN_STRIP"])
+def test_tiny_alpha_equal_order_falls_back(name):
+    # at alpha = 1e-8 the constant-pressure mode leaves a front pivot
+    # below 1e-14 of the largest; COLAMD's partial pivoting takes over
+    from stokes_stab.study import get_case
+    case = get_case(name)
+    system = assemble_system(FeSpace(case.make_mesh(16), P1P1),
+                             case.problem(alpha=1e-8))
+    fronts = solver._Fronts(system.matrix, system.groups)
+    assert fronts.pivots.min() < 1e-14 * fronts.pivots.max()
+    sol = solver.solve(system)
+    assert sol.diagnostics["ordering"] == "colamd"
+    assert sol.diagnostics["fallback"] is True
+    assert sol.residual <= 1e-9
+
+
+@pytest.mark.parametrize("boundary", [None, {"right": "N"}],
+                         ids=["bordered", "neumann"])
+def test_fronts_hold_every_entry_and_child(boundary):
+    mesh = unit_square(8) if boundary is None \
+        else unit_square(8, boundary=boundary)
+    system = assemble_system(FeSpace(mesh, P2P1), _linear_case())
+    K, groups = system.matrix, system.groups
+    n = K.shape[0]
+    ends = np.append(groups[1:], n)
+    fronts, kids, rel = solver._front_structure(K, groups)
+    gid = np.repeat(np.arange(len(groups)), ends - groups)
+    for g, (start, end) in enumerate(zip(groups, ends)):
+        f = fronts[g]
+        assert np.array_equal(f[:end - start], np.arange(start, end))
+        assert np.all(np.diff(f) > 0)
+        # every stored entry of K on or below the group, in its columns
+        rows = K[:, start:end].tocoo().row
+        assert np.all(np.isin(rows[rows >= start], f))
+        for c in kids[g]:
+            below = fronts[c][ends[c] - groups[c]:]
+            assert gid[below[0]] == g
+            assert np.array_equal(f[rel[c]], below)
+    # one tree: every group but the last has a parent, and the last
+    # (the root) holds the mean-pressure border when there is one
+    parents = [gid[f[e - s]] for f, s, e in zip(fronts, groups, ends)
+               if len(f) > e - s]
+    assert len(parents) == len(groups) - 1
+    assert len(fronts[-1]) == ends[-1] - groups[-1]
+    assert system.bordered == (boundary is None)
+    assert gid[n - 1] == len(groups) - 1
+
+
+def _openblas_counts():
+    return [get() for get, _ in solver._loaded_openblas()]
+
+
+def test_blas_on_one_thread_inside_the_factor(monkeypatch):
+    controls = solver._loaded_openblas()
+    assert controls, "numpy and scipy load OpenBLAS"
+    system = assemble_system(FeSpace(unit_square(8), P2P1), _linear_case())
+    saved = _openblas_counts()
+    real = solver.dgetrf
+    inside = []
+
+    def spying(a):
+        inside.append(_openblas_counts())
+        return real(a)
+
+    monkeypatch.setattr(solver, "dgetrf", spying)
+    try:
+        for _, set_ in controls:
+            set_(2)
+        before = _openblas_counts()
+        solver.solve(system)
+        after = _openblas_counts()
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+    assert inside and all(c == [1] * len(controls) for c in inside)
+    assert after == before
+
+
+def test_solve_runs_where_proc_maps_is_unreadable(monkeypatch):
+    import builtins
+    system = assemble_system(FeSpace(unit_square(8), P1P1), _linear_case())
+    ref = solver.solve(system)
+    real_open = builtins.open
+
+    def guarded(file, *args, **kwargs):
+        if file == "/proc/self/maps":
+            raise OSError("unreadable")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", guarded)
+    solver._loaded_openblas.cache_clear()
+    try:
+        assert solver._loaded_openblas() == []
+        sol = solver.solve(system)
+    finally:
+        solver._loaded_openblas.cache_clear()
+    assert sol.diagnostics == ref.diagnostics
+    assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.p, ref.p)
 
 
 def test_memory_error_leaves_without_fallback(monkeypatch):
@@ -345,16 +480,17 @@ def test_nested_dissection_takes_the_thinner_separator():
 
 
 def test_neumann_p2p1_fill_does_not_grow():
-    # 43874 is the factor fill of this system in the node-graph order
-    # with separators from the thinner side (65450 in the dof-graph
-    # order with upper-side separators); a change of the order or of
-    # A_uu's stored entries must not make the factor denser
+    # 28863 entries are stored by the fronts of this system in the
+    # node-graph order with separators from the thinner side (SuperLU's
+    # L + U held 43874 in that order, 65450 in the dof-graph order with
+    # upper-side separators); a change of the order or of A_uu's stored
+    # entries must not make the factor denser
     from stokes_stab import study
     case = study.get_case("NEUMANN_STRIP")
     space = FeSpace(case.make_mesh(8), P2P1)
     sol = solver.solve(assemble_system(space, case.problem()))
-    assert sol.diagnostics["ordering"] == "nested_dissection"
-    assert sol.diagnostics["fill_nnz"] <= 43874
+    assert sol.diagnostics["ordering"] == "multifrontal"
+    assert sol.diagnostics["fill_nnz"] <= 28863
 
 
 def test_node_order_computed_once_per_space(monkeypatch):
