@@ -328,10 +328,7 @@ def main(argv=None):
         "audit": cmd_audit,
     }
     try:
-        # numpy's and scipy's OpenBLAS pools fight over the cores when
-        # both run threads; one thread each for the whole command
-        with solver._one_blas_thread():
-            return dispatch[args.command](cfg)
+        return dispatch[args.command](cfg)
     except (ConfigError, KeyError) as exc:
         return _fail(EXIT_CONFIG, "config", exc)
     except (forms.InadmissibleAlphaError, ValueError) as exc:

@@ -474,7 +474,6 @@ class AssembledSystem:
     order), followed by the border at index len(free_dofs). groups
     holds the first row of each nested-dissection group of that order,
     the fronts solver.solve factors; the border belongs to the last.
-    None factors the matrix as one front.
     """
 
     matrix: sp.csc_matrix
@@ -486,9 +485,9 @@ class AssembledSystem:
     n_p: int
     alpha: float
     c_i: float
+    groups: np.ndarray
     bordered: bool = False
     dirichlet_values: np.ndarray = None
-    groups: np.ndarray = None
 
 
 def _saddle_order(space, free, bordered):
@@ -618,6 +617,6 @@ def assemble_system(space, problem):
         matrix=K, rhs=b, order=order, free_dofs=free,
         n_u_free=len(space.free_velocity_dofs),
         n_u=space.n_u, n_p=space.n_p,
-        alpha=alpha, c_i=c_i, bordered=bordered,
-        dirichlet_values=lift, groups=groups,
+        alpha=alpha, c_i=c_i, groups=groups, bordered=bordered,
+        dirichlet_values=lift,
     )

@@ -493,6 +493,8 @@ class _Fronts:
             F[at] = K.data[a:b]
             for c in kids[g]:
                 r = rel[c]
+                # no index repeats, but numpy 2's add.at beats F[i] += u
+                # (4.9 against 10.0 us for a 49 x 49 update)
                 np.add.at(F, (r[:, None] * nf + (r + 1)).ravel(),
                           updates.pop(c).ravel())
             F = F[1:].reshape(nf, nf)
@@ -537,22 +539,18 @@ def solve(system):
     """Factorize and solve, with a residual check and one refinement step.
 
     The system's matrix is factored by fronts on its nested-dissection
-    groups (_Fronts; without groups, as one front), and by SuperLU with
-    COLAMD when that fails its pivot or residual check
-    (_solve_or_fall_back). Raises SolverError, with the failure
-    localized to a block of the system, when both factorizations fail,
-    or the relative residual stays above 1e-9 after one step of
-    iterative refinement.
+    groups (_Fronts), and by SuperLU with COLAMD when that fails its
+    pivot or residual check (_solve_or_fall_back). Raises SolverError,
+    with the failure localized to a block of the system, when both
+    factorizations fail, or the relative residual stays above 1e-9
+    after one step of iterative refinement.
     """
-    K = system.matrix
-    groups = system.groups
-    if groups is None:
-        groups = np.zeros(1, dtype=int)
+    K, b = system.matrix, system.rhs
     _release_free_heap()
     try:
         x, res, stats = _solve_or_fall_back(
-            lambda: _front_solve(K, system.rhs, groups), "multifrontal",
-            K, system.rhs, system.order)
+            lambda: _front_solve(K, b, system.groups), "multifrontal",
+            K, b, system.order)
     except SolverError as exc:
         raise SolverError(_diagnose(system, str(exc)),
                           exc.blas_output) from None

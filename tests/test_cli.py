@@ -186,35 +186,6 @@ def test_solve_writes_single_row_table(tmp_path):
     assert abs(alpha - (1 / 84) / 4) < 1e-10
 
 
-def test_command_runs_blas_on_one_thread(tmp_path, monkeypatch):
-    # the whole command, assembly and estimator too, holds every
-    # OpenBLAS at one thread, and gives each its count back at the end
-    controls = solver._loaded_openblas()
-    assert controls, "numpy and scipy load OpenBLAS"
-    saved = [get() for get, _ in controls]
-    seen = []
-    real = study._solve_level
-
-    def spying(*args):
-        seen.append([get() for get, _ in controls])
-        return real(*args)
-
-    monkeypatch.setattr(study, "_solve_level", spying)
-    try:
-        for _, set_ in controls:
-            set_(2)
-        before = [get() for get, _ in controls]
-        code = run_cli("uniform-study", "--case", "SMOOTH_SQUARE", "--n0",
-                       "2", "--levels", "2", "--out", str(tmp_path))
-        after = [get() for get, _ in controls]
-    finally:
-        for (_, set_), count in zip(controls, saved):
-            set_(count)
-    assert code == 0
-    assert seen == [[1] * len(controls)] * 2
-    assert after == before
-
-
 def test_config_file_and_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(
