@@ -307,6 +307,18 @@ def velocity_gradients(space, coefs, ref_pts, elems=None):
     return np.ascontiguousarray(G.transpose(3, 0, 1, 2))
 
 
+def strain_squared(G):
+    """|sym G|^2 at each point of (..., 2, 2) gradients G, taken from
+    the components as G00^2 + G11^2 + (G01 + G10)^2 / 2, so no array
+    of G's shape is built."""
+    out = G[..., 0, 1] + G[..., 1, 0]
+    out *= out
+    out *= 0.5
+    out += G[..., 0, 0] ** 2
+    out += G[..., 1, 1] ** 2
+    return out
+
+
 def pressure_values(space, coefs, ref_pts, elems=None):
     val, _ = scalar_basis(1, ref_pts)
     return (val * space.local_pressure_coefs(coefs, elems)[:, None]).sum(-1)

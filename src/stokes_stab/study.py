@@ -257,16 +257,19 @@ def _set_up(case, pair, alpha, n0):
 def _solve_level(space, problem, where):
     """Assemble, solve and estimate one level.
 
-    Returns the solution and its ErrorReport; the assembled system and
-    its factorization are dropped here.
+    Returns the solution and its ErrorReport. The assembled system is
+    held only by solver.solve, so it and its factorization are freed
+    when the solve returns; the heap pages they held go back to the
+    system before the estimator runs, so the estimator and the error
+    norms do not come on top of them.
     """
-    system = forms.assemble_system(space, problem)
     try:
-        sol = solver.solve(system)
+        sol = solver.solve(forms.assemble_system(space, problem))
     except solver.SolverError as exc:
         raise solver.SolverError(
             f"{where} ({space.mesh.n_triangles} triangles): {exc}") \
             from None
+    solver._release_free_heap()
     rep = estimator.global_report(sol, space, problem)
     return sol, rep
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,50 @@ def test_studies_solve_once_per_row(tmp_path, monkeypatch, args):
     assert run_cli(*args, "--out", str(tmp_path)) == 0
     rows = (tmp_path / "table.csv").read_text().splitlines()[1:]
     assert len(calls) == len(rows) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ("uniform-study", "--case", "NEUMANN_STRIP", "--pair", "P2P1",
+     "--levels", "2", "--n0", "2"),
+    ("solve", "--case", "SMOOTH_SQUARE", "--pair", "P1P1", "--n0", "4"),
+])
+def test_estimator_runs_after_the_system_is_freed(tmp_path, monkeypatch,
+                                                  args):
+    # the assembled system and its matrix are dead by the time the
+    # level's estimator runs, and the heap was trimmed since the solve
+    events, systems = [], []
+    real_assemble, real_solve = forms.assemble_system, solver.solve
+    real_release = solver._release_free_heap
+    real_report = estimator.global_report
+
+    def assemble(space, problem):
+        system = real_assemble(space, problem)
+        systems.append((weakref.ref(system), weakref.ref(system.matrix)))
+        return system
+
+    def solve(system):
+        sol = real_solve(system)
+        events.append("solve")
+        return sol
+
+    def release():
+        events.append("release")
+        real_release()
+
+    def report(solution, space, problem):
+        assert all(ref() is None for pair in systems for ref in pair)
+        events.append("report")
+        return real_report(solution, space, problem)
+
+    monkeypatch.setattr(forms, "assemble_system", assemble)
+    monkeypatch.setattr(solver, "solve", solve)
+    monkeypatch.setattr(solver, "_release_free_heap", release)
+    monkeypatch.setattr(estimator, "global_report", report)
+    assert run_cli(*args, "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "table.csv").read_text().splitlines()[1:]
+    # solve trims the heap before its factor, _solve_level after it
+    assert events == ["release", "solve", "release", "report"] * len(rows)
+    assert len(systems) == len(rows)
 
 
 def test_uniform_study_vtk_matches_direct_solve(tmp_path):

@@ -1,12 +1,13 @@
 """Direct solve, error norms, and the pressure Schur probe."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from stokes_stab import solver
+from stokes_stab import forms, solver
 from stokes_stab.forms import ExactSolution, StokesProblem, assemble_system
 from stokes_stab.mesh import unit_square
 from stokes_stab.space import FeSpace, P1P1, P2P1, interpolate
@@ -153,6 +154,32 @@ def test_norms_of_interpolation_error_positive():
         assert norms[key] >= 0.0
     # quadratic velocity is outside P1, so the error cannot vanish
     assert norms["err_H1_u"] > 1e-3
+
+
+@pytest.mark.parametrize("pair,bound", [(P1P1, 2.0), (P2P1, 2.75)],
+                         ids=["P1P1", "P2P1"])
+def test_norm_transients_stay_small(pair, bound):
+    # bytes allocated at the peak of functional_norms, in units of one
+    # (ne, nq, 2, 2) float64 array; a first call makes the rule_values
+    # entries of the exact fields, so the traced second call counts
+    # only the transients. P1P1 sits near 1.5 (the gradient error and
+    # two (ne, nq) arrays of strain_squared), P2P1 near 2.4
+    # (velocity_gradients' own temporaries). All three error arrays
+    # alive at once, or the symmetric gradient built as an array of its
+    # own, push both past 3
+    space = FeSpace(unit_square(32), pair)
+    problem = _quadratic_case()
+    sol = solver.solve(assemble_system(space, problem))
+    rule = forms.quadrature(forms.error_degree(pair.velocity_degree))
+    one = space.mesh.n_triangles * len(rule.weights) * 4 * 8
+    solver.functional_norms(space, sol, problem.exact)
+    tracemalloc.start()
+    try:
+        solver.functional_norms(space, sol, problem.exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * one
 
 
 SCHUR_ORACLE = {

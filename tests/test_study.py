@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stokes_stab import study
+from stokes_stab import forms, solver, study
 from stokes_stab.study import (
     adaptive_study,
     builtin_cases,
@@ -110,6 +110,23 @@ def test_uniform_study_shape_and_h_halving():
     # formatted table mentions every level
     text = str(t)
     assert "SMOOTH_SQUARE" in text and "P1P1" in text
+
+
+def test_levels_run_without_malloc_trim(monkeypatch):
+    # the path of a C library without malloc_trim: _release_free_heap
+    # does nothing, and solve and _solve_level give the same bits
+    _, space, problem = study._set_up("NEUMANN_STRIP", "P2P1", None, 4)
+    sol, rep = study._solve_level(space, problem, "level 0")
+    monkeypatch.setattr(solver, "_malloc_trim", None)
+    solved = solver.solve(forms.assemble_system(space, problem))
+    level, level_rep = study._solve_level(space, problem, "level 0")
+    for other in (solved, level):
+        assert np.array_equal(other.u, sol.u)
+        assert np.array_equal(other.p, sol.p)
+    assert level_rep.true_errors == rep.true_errors
+    assert np.array_equal(level_rep.eta_K, rep.eta_K)
+    assert np.array_equal(level_rep.eta_E, rep.eta_E)
+    assert np.array_equal(level_rep.osc_K_f, rep.osc_K_f)
 
 
 def test_uniform_study_rates_first_order_pair():
