@@ -216,6 +216,7 @@ def cmd_solve(cfg):
                                          cfg["alpha"], cfg["n0"])
     sol, rep = study._solve_level(space, problem, "solve")
     row = study.level_row(0, space, sol, rep)
+    solver._release_free_heap()
 
     out = _out_dir(cfg)
     label = f"{case.name} {space.pair.label}"
@@ -233,6 +234,7 @@ def cmd_uniform_study(cfg):
     pair = ElementPair.from_label(cfg["pair"])
     table = study.uniform_study(case, pair, cfg["levels"],
                                 alpha=cfg["alpha"], n0=cfg["n0"])
+    solver._release_free_heap()
     out = _out_dir(cfg)
     write_table_csv(out / "table.csv", table.rows)
     for row in table.rows:
@@ -251,6 +253,7 @@ def cmd_adaptive_study(cfg):
                                max_iters=cfg["max_iters"],
                                target_eta=cfg["target_eta"],
                                alpha=cfg["alpha"], n0=cfg["n0"])
+    solver._release_free_heap()
     out = _out_dir(cfg)
     for step in log.steps:
         _write_vtk_row(out, step.row, f"{case.name} {pair.label} "

@@ -17,8 +17,10 @@ osc_E(t) = h_E^{1/2} ||t - t_h||_E with t_h projected onto the
 boundary trace space. Both projections, mass matrix included, use the
 error rule (forms.error_degree) and one projection-misfit routine.
 
-f, g and the exact fields are read at quadrature points through
-forms.rule_values, which evaluates each once per space and rule.
+f and g are read at quadrature points through forms.rule_values,
+which evaluates each once per space and rule. The exact fields are
+read once per level, by solver.functional_norms, which hands the
+per-element errors the efficiency audit needs to the ErrorReport.
 """
 
 from dataclasses import dataclass
@@ -38,9 +40,12 @@ class ErrorReport:
 
     eta_K and eta_E are per-element / per-edge indicator values (not
     squared); osc_K_f and osc_E_t likewise. eta, osc_f, osc_t are the
-    global square-sum aggregates. true_errors and effectivity
+    global square-sum aggregates. true_errors, err2_K and effectivity
     (eta / (||e_u||_1 + ||e_p||_0)) are present when the problem
-    carries an exact solution.
+    carries an exact solution. err2_K is the (ne, 2) array of squared
+    strain and pressure errors of each element, ||D(u - u_h)||_K^2 and
+    ||p - p_h||_K^2, from solver.functional_norms; the report owns them,
+    and no cache keeps the exact-field values they were built from.
     """
 
     eta_K: np.ndarray
@@ -51,6 +56,7 @@ class ErrorReport:
     osc_f: float
     osc_t: float
     true_errors: dict = None
+    err2_K: np.ndarray = None
     effectivity: float = None
 
 
@@ -208,13 +214,17 @@ def global_report(solution, space, problem):
     osc_f = float(np.sqrt(np.sum(osc_K ** 2)))
     osc_t = float(np.sqrt(np.sum(osc_E ** 2)))
 
-    true_errors = effectivity = None
+    true_errors = err2_K = effectivity = None
     if problem.exact is not None:
-        true_errors = solver.functional_norms(space, solution, problem.exact)
+        # the estimator's freed pages, before the exact fields' arrays
+        solver._release_free_heap()
+        true_errors, err2_K = solver.functional_norms(
+            space, solution, problem.exact, elementwise=True)
         effectivity = eta / solver.combined_error(true_errors)
     return ErrorReport(eta_K=eta_K, eta_E=eta_E, osc_K_f=osc_K,
                        osc_E_t=osc_E, eta=eta, osc_f=osc_f, osc_t=osc_t,
-                       true_errors=true_errors, effectivity=effectivity)
+                       true_errors=true_errors, err2_K=err2_K,
+                       effectivity=effectivity)
 
 
 @dataclass
@@ -233,35 +243,32 @@ def efficiency_audit(solution, space, problem, report):
     The denominator collects the velocity strain error and pressure
     error over the patch of K and its edge neighbors, plus the local
     oscillation terms. Elements where both sides vanish (exact-in-space
-    solutions) are reported with the unit sentinel 1.0. eta_K and the
-    oscillations are read from report, the level's global_report.
+    solutions) are reported with the unit sentinel 1.0. The errors,
+    eta_K and the oscillations are read from report, the level's
+    global_report: the squared errors per element are report.err2_K,
+    built by solver.functional_norms, so the audit evaluates no exact
+    field. It reads the discrete solution only for the size of its
+    0/0 guard.
     """
-    if problem.exact is None:
+    if problem.exact is None or report.err2_K is None:
         raise ValueError("efficiency_audit needs problem.exact")
     rule = forms.quadrature(forms.error_degree(space.pair.velocity_degree))
     w, pts = rule.weights, rule.points
     mesh = space.mesh
     scale_el = 2.0 * mesh.areas
 
-    Gh = velocity_gradients(space, solution.u, pts)
-    ph = pressure_values(space, solution.p, pts)
-    eg = Gh - forms.rule_values(space, rule.degree, problem.exact.grad_u)
-    d2 = scale_el * (strain_squared(eg) @ w)
-    del eg
-    ep = ph - forms.rule_values(space, rule.degree, problem.exact.p)
-    p2 = scale_el * np.einsum("q,eq,eq->e", w, ep, ep)
-
     # element patch: self plus edge neighbors
-    flat = mesh.e2t[mesh.t2e].reshape(len(d2), -1)       # (nt, 6)
-    own_id = np.arange(len(d2))[:, None]
+    nt = mesh.n_triangles
+    flat = mesh.e2t[mesh.t2e].reshape(nt, -1)            # (nt, 6)
+    own_id = np.arange(nt)[:, None]
     take = (flat >= 0) & (flat != own_id)
     # columns: strain error, pressure error, oscillation, all squared
-    own = np.stack([d2, p2, report.osc_K_f ** 2], axis=1)
+    own = np.column_stack([report.err2_K, report.osc_K_f ** 2])
     patch = own.copy()
     for col in range(flat.shape[1]):
         patch += np.where(take[:, col, None], own[flat[:, col]], 0.0)
 
-    osc_t2 = np.zeros(len(d2))
+    osc_t2 = np.zeros(nt)
     for e in mesh.t2e.T:
         osc_t2 += report.osc_E_t[e] ** 2
 
@@ -269,6 +276,8 @@ def efficiency_audit(solution, space, problem, report):
     denom = root[:, 0] + root[:, 1] + root[:, 2] + np.sqrt(osc_t2)
 
     # 0/0 guard is relative to the size of the discrete solution itself
+    Gh = velocity_gradients(space, solution.u, pts)
+    ph = pressure_values(space, solution.p, pts)
     scale = float(
         np.sqrt((scale_el * (strain_squared(Gh) @ w)).sum())
         + np.sqrt((scale_el * np.einsum("q,eq,eq->e", w, ph, ph)).sum()))

@@ -147,9 +147,12 @@ def rule_values(space, degree, fn=None):
     themselves when fn is None.
 
     Each (degree, fn) is evaluated once per space and kept as long as
-    the space, so assembly, the estimator, the error norms and the
-    efficiency audit share one evaluation per rule. The key holds fn
-    itself, so a later callable cannot alias it.
+    the space, so assembly and the estimator share one evaluation of
+    the data per rule. The key holds fn itself, so a later callable
+    cannot alias it. The exact fields do not go through here: the
+    error norms (solver.functional_norms) read them once per level at
+    the points kept here and drop them, and the ErrorReport holds the
+    per-element errors built from them.
     """
     key = (degree, fn)
     if key not in space.rule_cache:

@@ -213,6 +213,14 @@ class TriMesh:
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
         return float(np.min(angles))
 
+    def drop_derived(self):
+        """Forget the cached geometry arrays (corner_coords, jacobians,
+        inv_jacobians_t and the other cached properties); each is
+        computed again if read."""
+        for name, attr in vars(TriMesh).items():
+            if isinstance(attr, cached_property):
+                self.__dict__.pop(name, None)
+
     def boundary_tag_dict(self):
         """Boundary tags as {(i, j): "D"|"N"} with i < j."""
         tagged = self.edge_tags != INTERIOR

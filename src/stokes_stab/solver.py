@@ -14,8 +14,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
 from . import forms
-from .space import (pressure_values, strain_squared, velocity_gradients,
-                    velocity_values)
+from .space import pressure_values, velocity_gradients, velocity_values
 
 
 class SolverError(Exception):
@@ -60,12 +59,17 @@ def _release_free_heap():
     top of the heap outgrows a threshold that rises with the largest
     block freed, up to 64 MB. Below it the pages freed by assembly and
     by the previous level stay resident, and the saddle factor comes on
-    top of them. It is called twice per level: by solve, before the
-    factor, and by study._solve_level between the solve and the
-    estimator, so the pages of the freed system and fronts are not
-    resident under the estimator and the error norms. The first call
-    lowers the peak resident set of the adaptive L-shape P1P1 loop
-    (22 levels) from 116 to 101 MB.
+    top of them. It is called three times per level of an exact case
+    and twice otherwise:
+    - by solve, before the factor (this lowers the peak resident set
+      of the adaptive L-shape P1P1 loop, 22 levels, from 116 to 101 MB);
+    - by study._solve_level, between the solve and the estimator, so
+      the pages of the freed system and fronts are not resident under
+      the estimator;
+    - by estimator.global_report, between the oscillations and the
+      error norms, when the problem has an exact solution.
+    The solve, uniform-study and adaptive-study commands call it once
+    more before they write their files.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
@@ -576,43 +580,72 @@ def solve(system):
     )
 
 
-def functional_norms(space, solution, exact):
+def functional_norms(space, solution, exact, elementwise=False):
     """Errors of a discrete solution against closed-form fields.
 
     Returns a dict with err_L2_u, err_H1_u (full norm), err_D_u
-    (symmetric-gradient seminorm) and err_L2_p.
+    (symmetric-gradient seminorm) and err_L2_p. With elementwise, it
+    also returns the (ne, 2) squared strain and pressure errors of each
+    element, ||D(u - u_h)||_K^2 and ||p - p_h||_K^2, as a second value.
+
+    Each exact field is evaluated here once, at the error rule's points
+    that forms.rule_values keeps, and its values are dropped once read:
+    no cache holds them. The values are only read, never written, since
+    a callable may keep the array it returns. The velocity and pressure
+    errors are built in the arrays of the discrete values, which this
+    function owns, and the gradient error one component at a time, so
+    no array of the gradient's size is built besides the exact and the
+    discrete gradients.
     """
     rule = forms.quadrature(forms.error_degree(space.pair.velocity_degree))
     w, pts = rule.weights, rule.points
+    xy = forms.rule_values(space, rule.degree)
     scale = 2.0 * space.mesh.areas
 
-    def error(values, fn):
-        # in place, unless values is P1's read-only gradient broadcast
-        exact_values = forms.rule_values(space, rule.degree, fn)
-        if not values.flags.writeable:
-            return values - exact_values
-        values -= exact_values
-        return values
+    def exact_values(fn):
+        return np.asarray(fn(xy[..., 0], xy[..., 1]), dtype=float)
 
-    def integral(sq):
-        return (scale * np.einsum("q,eq->e", w, sq)).sum()
+    def integrals(a, b, spec="q,eq,eq->e"):
+        # per element, the integral of the pointwise product of a and b
+        return scale * np.einsum(spec, w, a, b)
 
-    # one error array at a time
-    eu = error(velocity_values(space, solution.u, pts), exact.u)
-    l2u = integral(np.einsum("eqc,eqc->eq", eu, eu))
+    eu = velocity_values(space, solution.u, pts)
+    eu -= exact_values(exact.u)
+    l2u = integrals(eu, eu, "q,eqc,eqc->e").sum()
     del eu
-    eg = error(velocity_gradients(space, solution.u, pts), exact.grad_u)
-    h1semi = integral(np.einsum("eqcb,eqcb->eq", eg, eg))
-    dsemi = integral(strain_squared(eg))
-    del eg
-    ep = error(pressure_values(space, solution.p, pts), exact.p)
-    l2p = integral(ep ** 2)
-    return {
+
+    gx = exact_values(exact.grad_u)
+    gh = velocity_gradients(space, solution.u, pts)
+
+    def error(c, b):
+        return np.subtract(gx[..., c, b], gh[..., c, b])
+
+    def squared(c, b):
+        e = error(c, b)
+        return integrals(e, e)
+
+    # |e|^2 is the sum of all e_cb^2,
+    # |sym e|^2 = e_00^2 + e_11^2 + (e_01 + e_10)^2 / 2
+    diagonal = squared(0, 0) + squared(1, 1)
+    e01, e10 = error(0, 1), error(1, 0)
+    del gx, gh
+    h1semi = (diagonal + integrals(e01, e01) + integrals(e10, e10)).sum()
+    e01 += e10
+    strain = diagonal + 0.5 * integrals(e01, e01)
+    del e01, e10
+
+    ep = pressure_values(space, solution.p, pts)
+    ep -= exact_values(exact.p)
+    pressure = integrals(ep, ep)
+    norms = {
         "err_L2_u": float(np.sqrt(l2u)),
         "err_H1_u": float(np.sqrt(l2u + h1semi)),
-        "err_D_u": float(np.sqrt(dsemi)),
-        "err_L2_p": float(np.sqrt(l2p)),
+        "err_D_u": float(np.sqrt(strain.sum())),
+        "err_L2_p": float(np.sqrt(pressure.sum())),
     }
+    if elementwise:
+        return norms, np.column_stack([strain, pressure])
+    return norms
 
 
 def combined_error(norms):

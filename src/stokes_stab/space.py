@@ -286,7 +286,8 @@ def velocity_gradients(space, coefs, ref_pts, elems=None):
     G = P0 + xi_0 P1 + xi_1 P2 (P2 velocity) or G = P0 (P1 velocity,
     returned as a read-only broadcast). Shared and per-element points
     go through the same elementwise formula, with the element axis
-    innermost.
+    innermost, one point at a time into the result, so no other array
+    of the result's size is built.
     """
     tables = _gradient_tables(space.pair.velocity_degree)
     lc = space.local_velocity_coefs(coefs, elems).transpose(1, 2, 0)
@@ -297,14 +298,18 @@ def velocity_gradients(space, coefs, ref_pts, elems=None):
     C = sum(tables[:, i, None, :, None] * lc[i, None, :, None]
             for i in range(len(lc)))
     P = C[:, :, 0, None] * it[:, 0] + C[:, :, 1, None] * it[:, 1]
+    del C, lc
     ne, nq = P.shape[-1], np.shape(ref_pts)[-2]
     if len(tables) == 1:
         return np.broadcast_to(P[0].transpose(2, 0, 1)[:, None],
                                (ne, nq, 2, 2))
     # xi[a, q, 1, 1, e], or [a, q, 1, 1, 1] for shared points
     xi = np.asarray(ref_pts, dtype=float).T.reshape(2, nq, 1, 1, -1)
-    G = P[0] + xi[0] * P[1] + xi[1] * P[2]
-    return np.ascontiguousarray(G.transpose(3, 0, 1, 2))
+    G = np.empty((ne, nq, 2, 2))
+    for q in range(nq):
+        Gq = P[0] + xi[0, q] * P[1] + xi[1, q] * P[2]
+        G[:, q] = Gq.transpose(2, 0, 1)
+    return G
 
 
 def strain_squared(G):
@@ -320,8 +325,11 @@ def strain_squared(G):
 
 
 def pressure_values(space, coefs, ref_pts, elems=None):
+    """(ne, nq) values of the discrete pressure, contracted by a matmul
+    that builds no array but the result."""
     val, _ = scalar_basis(1, ref_pts)
-    return (val * space.local_pressure_coefs(coefs, elems)[:, None]).sum(-1)
+    lc = space.local_pressure_coefs(coefs, elems)
+    return (val @ lc[..., None])[..., 0]
 
 
 def element_residual(space, u, p):

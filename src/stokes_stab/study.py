@@ -431,4 +431,7 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
             break
         if it + 1 < max_iters:
             space = FeSpace(mesh.refine_marked(marked), space.pair)
+            # the step keeps the finished mesh for its vertices and
+            # triangles alone
+            mesh.drop_derived()
     return log

@@ -98,11 +98,14 @@ def test_studies_solve_once_per_row(tmp_path, monkeypatch, args):
 def test_estimator_runs_after_the_system_is_freed(tmp_path, monkeypatch,
                                                   args):
     # the assembled system and its matrix are dead by the time the
-    # level's estimator runs, and the heap was trimmed since the solve
+    # level's estimator runs, and the heap is trimmed before the factor,
+    # before the estimator, before the error norms and before the files
     events, systems = [], []
     real_assemble, real_solve = forms.assemble_system, solver.solve
     real_release = solver._release_free_heap
     real_report = estimator.global_report
+    real_norms = solver.functional_norms
+    real_write = cli._atomic_write
 
     def assemble(space, problem):
         system = real_assemble(space, problem)
@@ -123,14 +126,28 @@ def test_estimator_runs_after_the_system_is_freed(tmp_path, monkeypatch,
         events.append("report")
         return real_report(solution, space, problem)
 
+    def norms(*a, **kw):
+        events.append("norms")
+        return real_norms(*a, **kw)
+
+    def write(path, text):
+        events.append("write")
+        real_write(path, text)
+
     monkeypatch.setattr(forms, "assemble_system", assemble)
     monkeypatch.setattr(solver, "solve", solve)
     monkeypatch.setattr(solver, "_release_free_heap", release)
     monkeypatch.setattr(estimator, "global_report", report)
+    monkeypatch.setattr(solver, "functional_norms", norms)
+    monkeypatch.setattr(cli, "_atomic_write", write)
     assert run_cli(*args, "--out", str(tmp_path)) == 0
     rows = (tmp_path / "table.csv").read_text().splitlines()[1:]
-    # solve trims the heap before its factor, _solve_level after it
-    assert events == ["release", "solve", "release", "report"] * len(rows)
+    # per level: solve trims before its factor, _solve_level after it,
+    # global_report before the norms; the command once before it writes
+    # the table, a VTK file per level and the manifest
+    level = ["release", "solve", "release", "report", "release", "norms"]
+    assert events == (level * len(rows) + ["release"]
+                      + ["write"] * (len(rows) + 2))
     assert len(systems) == len(rows)
 
 

@@ -1,9 +1,11 @@
 """Residual estimator, data oscillation, and the efficiency audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stokes_stab import estimator, solver
+from stokes_stab import estimator, forms, solver
 from stokes_stab.forms import (
     ExactSolution,
     StokesProblem,
@@ -11,7 +13,9 @@ from stokes_stab.forms import (
 )
 from stokes_stab.mesh import unit_square
 from stokes_stab.solver import DiscreteSolution
-from stokes_stab.space import FeSpace, P1P1, P2P1
+from stokes_stab.space import (FeSpace, P1P1, P2P1, physical_points,
+                               scalar_basis, strain_squared,
+                               velocity_gradients)
 
 
 def _zero_solution(space):
@@ -264,3 +268,39 @@ def test_efficiency_audit_ratios_bounded():
     assert np.all(audit.ratios > 0)
     assert audit.max_ratio < 100.0
     assert audit.median_ratio < audit.max_ratio
+
+
+def _direct_err2_K(sol, space, problem):
+    """(ne, 2) squared strain and pressure errors of each element,
+    evaluated directly from the exact fields at the error rule."""
+    rule = forms.quadrature(forms.error_degree(space.pair.velocity_degree))
+    w, pts = rule.weights, rule.points
+    xy = physical_points(space.mesh, pts)
+    x, y = xy[..., 0], xy[..., 1]
+    val, _ = scalar_basis(1, pts)
+    ph = (val * space.local_pressure_coefs(sol.p)[:, None]).sum(-1)
+    eg = velocity_gradients(space, sol.u, pts) - problem.exact.grad_u(x, y)
+    ep = ph - problem.exact.p(x, y)
+    scale = 2.0 * space.mesh.areas
+    return np.column_stack([scale * (strain_squared(eg) @ w),
+                            scale * np.einsum("q,eq,eq->e", w, ep, ep)])
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
+def test_audit_reads_the_errors_of_the_report(pair):
+    # the per-element errors functional_norms hands to the report are
+    # those of the direct formula, and so are the audit ratios
+    space, problem, sol = _smooth_setup(pair)
+    report = estimator.global_report(sol, space, problem)
+    direct = _direct_err2_K(sol, space, problem)
+    assert report.err2_K.shape == (space.mesh.n_triangles, 2)
+    assert np.allclose(report.err2_K, direct, rtol=1e-13, atol=0)
+    ratios = estimator.efficiency_audit(sol, space, problem, report).ratios
+    old = estimator.efficiency_audit(
+        sol, space, problem, dataclasses.replace(report, err2_K=direct))
+    assert np.allclose(ratios, old.ratios, rtol=1e-13, atol=0)
+    norms = report.true_errors
+    assert np.isclose(norms["err_D_u"], np.sqrt(direct[:, 0].sum()),
+                      rtol=1e-13, atol=0)
+    assert np.isclose(norms["err_L2_p"], np.sqrt(direct[:, 1].sum()),
+                      rtol=1e-13, atol=0)

@@ -1,10 +1,11 @@
 """Each field is evaluated once per space and quadrature rule.
 
-forms.rule_values keeps the values of the data and the exact fields at
-the points of each rule on a space. One level of assembly, solve and
-estimation evaluates f on the load rule and on the error rule, g on
-the load rule, and every exact field on the error rule, each once; a
-following efficiency audit evaluates none of them again. (u is also
+forms.rule_values keeps the values of the data at the points of each
+rule on a space. One level of assembly, solve and estimation evaluates
+f on the load rule and on the error rule, g on the load rule, and every
+exact field on the error rule, each once; a following efficiency audit
+evaluates none of them again. The error norms read the exact fields at
+the cached points of the error rule and keep no values. (u is also
 evaluated at the Dirichlet nodes for the boundary values.)
 """
 
@@ -55,6 +56,19 @@ def test_one_level_evaluates_each_field_once_per_rule(pair, monkeypatch):
     assert u_sizes[0] == len(space.dirichlet_nodes) < space.n_nodes
     estimator.efficiency_audit(sol, space, problem, report)
     assert counts == expected
+
+
+@pytest.mark.parametrize("pair", ["P1P1", "P2P1"])
+def test_no_exact_field_stays_cached(pair):
+    case = study.get_case("NONZERO_G")
+    problem = case.problem()
+    space = FeSpace(case.make_mesh(4), pair)
+    sol = solver.solve(forms.assemble_system(space, problem))
+    estimator.global_report(sol, space, problem)
+    exact = {problem.exact.u, problem.exact.grad_u, problem.exact.p}
+    kept = {fn for _, fn in space.rule_cache}
+    assert {problem.f, problem.g, None} <= kept
+    assert not kept & exact
 
 
 def test_rule_values_are_read_only_and_shared():

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,17 @@ def test_element_geometry():
     c = m.corner_coords[0]
     x = c[0] + J @ np.array([1.0, 0.0])
     assert np.allclose(x, c[1])
+
+
+def test_drop_derived_recomputes_the_same_geometry():
+    m = unit_square(3).refine_marked([0, 4])
+    names = [name for name, attr in vars(TriMesh).items()
+             if isinstance(attr, cached_property)]
+    before = {name: getattr(m, name) for name in names}
+    m.drop_derived()
+    assert not set(names) & set(vars(m))
+    for name in names:
+        assert np.array_equal(getattr(m, name), before[name])
 
 
 def test_refine_uniform_counts_and_similarity():

@@ -161,12 +161,12 @@ def test_norms_of_interpolation_error_positive():
 def test_norm_transients_stay_small(pair, bound):
     # bytes allocated at the peak of functional_norms, in units of one
     # (ne, nq, 2, 2) float64 array; a first call makes the rule_values
-    # entries of the exact fields, so the traced second call counts
-    # only the transients. P1P1 sits near 1.5 (the gradient error and
-    # two (ne, nq) arrays of strain_squared), P2P1 near 2.4
-    # (velocity_gradients' own temporaries). All three error arrays
-    # alive at once, or the symmetric gradient built as an array of its
-    # own, push both past 3
+    # entry of the error rule's points, so the traced second call counts
+    # the exact fields' values and the transients. P1P1 sits near 1.7
+    # (the exact gradient and two (ne, nq) error components), P2P1 near
+    # 2.5 (the exact and the discrete gradients and two components).
+    # All three error arrays alive at once, or the symmetric gradient
+    # built as an array of its own, push both past 3
     space = FeSpace(unit_square(32), pair)
     problem = _quadratic_case()
     sol = solver.solve(assemble_system(space, problem))

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from stokes_stab import mesh as msh
+from stokes_stab import forms, mesh as msh
 from stokes_stab.space import (ElementPair, FeSpace, P1P1, P2P1, SpaceError,
                                _phys_hess, element_residual, interpolate,
                                physical_points, pressure_values, scalar_basis,
@@ -201,6 +203,32 @@ def test_per_element_points_match_shared_points(pair):
         assert np.array_equal(G[m_], velocity_gradients(s, u, ref[m_], [k])[0])
         assert np.array_equal(P[m_], pressure_values(s, p, ref[m_], [k])[0])
         assert np.array_equal(V[m_], velocity_values(s, u, ref[m_], [k])[0])
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_field_values_build_no_temporary_of_their_size():
+    # tracemalloc peak of one call at the P2P1 error rule, in units of
+    # one (ne, nq, 2, 2) float64 array: the gradients are one unit, and
+    # their per-element tables and per-point terms add about a quarter;
+    # a temporary of the result's size would make it 2 or more. The
+    # pressure values are a quarter unit, with nothing of that size
+    # beside them
+    s = FeSpace(msh.unit_square(32), P2P1)
+    rng = np.random.default_rng(3)
+    u, p = rng.standard_normal(s.n_u), rng.standard_normal(s.n_p)
+    pts = forms.quadrature(forms.error_degree(2)).points
+    one = s.mesh.n_triangles * len(pts) * 4 * 8
+    s.mesh.inv_jacobians_t    # cached before the trace
+    assert _traced_peak(velocity_gradients, s, u, pts) <= 1.5 * one
+    assert _traced_peak(pressure_values, s, p, pts) <= 0.375 * one
 
 
 def test_dof_continuity_across_edges():

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from stokes_stab import forms, solver, study
+from stokes_stab.mesh import TriMesh
 from stokes_stab.study import (
     adaptive_study,
     builtin_cases,
@@ -273,6 +275,17 @@ def test_adaptive_study_monotone_and_stopping():
                           target_eta=target)
     assert len(log2.steps) == 3
     assert log2.etas[-1] <= target
+
+
+def test_adaptive_steps_keep_no_derived_geometry():
+    # each finished iteration's mesh drops its cached geometry once the
+    # next mesh is built; the last keeps what its level computed
+    log = adaptive_study("LSHAPE_PEAK", "P1P1", theta=0.5, max_iters=3)
+    cached = {name for name, attr in vars(TriMesh).items()
+              if isinstance(attr, cached_property)}
+    for step in log.steps[:-1]:
+        assert not cached & set(vars(step.mesh))
+    assert "jacobians" in vars(log.steps[-1].mesh)
 
 
 def test_adaptive_study_validates_arguments():
