@@ -22,8 +22,8 @@ for s in log.steps:
         if len(s.marked) else np.empty((0, 2))
     near = float(np.mean(np.hypot(cent[:, 0], cent[:, 1]) <= 0.25)) \
         if len(cent) else 0.0
-    print(f"  iter {s.iteration:2d}: {s.n_triangles:5d} triangles, "
-          f"{s.n_dofs:6d} dofs, eta = {s.eta:.4e}, "
+    print(f"  iter {s.level:2d}: {s.mesh.n_triangles:5d} triangles, "
+          f"{s.n_u + s.n_p:6d} dofs, eta = {s.eta:.4e}, "
           f"marked {len(s.marked):4d} ({near:4.0%} within 0.25 of corner)")
 
 # nearly all marked elements sit in the corner ball: the estimator

@@ -57,7 +57,6 @@ from .estimator import (
 )
 from .study import (
     AdaptiveLog,
-    AdaptiveStep,
     ConvergenceTable,
     LevelRow,
     ManufacturedCase,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveLog",
-    "AdaptiveStep",
     "AssembledSystem",
     "AuditReport",
     "ConvergenceTable",

@@ -125,26 +125,22 @@ def _printed(x):
 def write_table_csv(path, rows):
     """Rows are study.LevelRow objects; `rate` is computed here.
 
-    The rate column is log2 of the ratio of successive combined errors
-    (eta when no closed form is available), computed from the printed
-    precision so the column is exactly recomputable from the file.
+    The rate column is study.log2_ratios of study.rate_measure, taken
+    of the printed values so the column is exactly recomputable from
+    the file; it is empty on the first row and where a value is not
+    positive.
     """
-    header = ("level,h,n_u,n_p,err_H1_u,err_L2_p,eta,osc_f,"
-              "effectivity,rate")
-    lines = [header]
-    prev = None
-    for row in rows:
-        cur = _printed(row.err_H1_u) + _printed(row.err_L2_p)
-        if math.isnan(cur):
-            cur = _printed(row.eta)
-        rate = ""
-        if prev is not None and prev > 0 and cur > 0:
-            rate = _fmt(math.log2(prev / cur))
-        prev = cur
+    printed = [{key: _printed(getattr(row, key))
+                for key in ("err_H1_u", "err_L2_p", "eta")} for row in rows]
+    rates = [math.nan] + study.log2_ratios(
+        [study.rate_measure(values) for values in printed])
+    lines = ["level,h,n_u,n_p,err_H1_u,err_L2_p,eta,osc_f,effectivity,rate"]
+    for row, rate in zip(rows, rates):
         lines.append(",".join([
             str(row.level), _fmt(row.h), str(row.n_u), str(row.n_p),
             _fmt(row.err_H1_u), _fmt(row.err_L2_p), _fmt(row.eta),
-            _fmt(row.osc_f), _fmt(row.effectivity), rate,
+            _fmt(row.osc_f), _fmt(row.effectivity),
+            "" if math.isnan(rate) else _fmt(rate),
         ]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -200,70 +196,58 @@ def write_manifest(path, cfg, command, alpha, c_i):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _out_dir(cfg):
+def write_outputs(cfg, command, rows, titles, alpha, c_i):
+    """Write a command's files into cfg["out"]: table.csv of rows,
+    solution_<level>.vtk of each row under its title, and manifest.txt.
+
+    The heap is trimmed first, so the levels' freed pages are not
+    resident under the files' text.
+    """
+    solver._release_free_heap()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_vtk_row(out, row, title):
-    write_vtk(out / f"solution_{row.level}.vtk", row.mesh, row.u, row.p,
-              row.eta_K, title=title)
+    write_table_csv(out / "table.csv", rows)
+    for row, title in zip(rows, titles):
+        write_vtk(out / f"solution_{row.level}.vtk", row.mesh, row.u, row.p,
+                  row.eta_K, title=title)
+    write_manifest(out / "manifest.txt", cfg, command, alpha, c_i)
 
 
 def cmd_solve(cfg):
     case, space, problem = study._set_up(cfg["case"], cfg["pair"],
                                          cfg["alpha"], cfg["n0"])
     sol, rep = study._solve_level(space, problem, "solve")
-    row = study.level_row(0, space, sol, rep)
-    solver._release_free_heap()
-
-    out = _out_dir(cfg)
     label = f"{case.name} {space.pair.label}"
-    write_table_csv(out / "table.csv", [row])
-    _write_vtk_row(out, row, label)
-    write_manifest(out / "manifest.txt", cfg, "solve", problem.alpha,
-                   space.c_i)
+    write_outputs(cfg, "solve", [study.level_row(0, space, sol, rep)],
+                  [label], problem.alpha, space.c_i)
     print(f"{label}: {space.mesh.n_triangles} triangles, "
           f"eta = {rep.eta:.6e}, residual = {sol.residual:.3e}")
     return EXIT_OK
 
 
 def cmd_uniform_study(cfg):
-    case = study.get_case(cfg["case"])
-    pair = ElementPair.from_label(cfg["pair"])
-    table = study.uniform_study(case, pair, cfg["levels"],
-                                alpha=cfg["alpha"], n0=cfg["n0"])
-    solver._release_free_heap()
-    out = _out_dir(cfg)
-    write_table_csv(out / "table.csv", table.rows)
-    for row in table.rows:
-        _write_vtk_row(out, row,
-                       f"{case.name} {pair.label} level {row.level}")
-    write_manifest(out / "manifest.txt", cfg, "uniform-study", table.alpha,
-                   table.c_i)
+    table = study.uniform_study(study.get_case(cfg["case"]), cfg["pair"],
+                                cfg["levels"], alpha=cfg["alpha"],
+                                n0=cfg["n0"])
+    write_outputs(cfg, "uniform-study", table.rows,
+                  [f"{table.case} {table.pair} level {row.level}"
+                   for row in table.rows], table.alpha, table.c_i)
     print(table)
     return EXIT_OK
 
 
 def cmd_adaptive_study(cfg):
-    case = study.get_case(cfg["case"])
-    pair = ElementPair.from_label(cfg["pair"])
-    log = study.adaptive_study(case, pair, theta=cfg["theta"],
-                               max_iters=cfg["max_iters"],
+    log = study.adaptive_study(study.get_case(cfg["case"]), cfg["pair"],
+                               theta=cfg["theta"], max_iters=cfg["max_iters"],
                                target_eta=cfg["target_eta"],
                                alpha=cfg["alpha"], n0=cfg["n0"])
-    solver._release_free_heap()
-    out = _out_dir(cfg)
-    for step in log.steps:
-        _write_vtk_row(out, step.row, f"{case.name} {pair.label} "
-                                      f"iteration {step.iteration}")
-        print(f"iter {step.iteration}: {step.n_triangles} triangles, "
-              f"{step.n_dofs} dofs, eta = {step.eta:.6e}, "
-              f"marked {len(step.marked)}")
-    write_table_csv(out / "table.csv", [step.row for step in log.steps])
-    write_manifest(out / "manifest.txt", cfg, "adaptive-study", log.alpha,
-                   log.c_i)
+    write_outputs(cfg, "adaptive-study", log.steps,
+                  [f"{log.case} {log.pair} iteration {row.level}"
+                   for row in log.steps], log.alpha, log.c_i)
+    for row in log.steps:
+        print(f"iter {row.level}: {row.mesh.n_triangles} triangles, "
+              f"{row.n_u + row.n_p} dofs, eta = {row.eta:.6e}, "
+              f"marked {len(row.marked)}")
     return EXIT_OK
 
 

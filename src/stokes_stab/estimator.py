@@ -23,6 +23,7 @@ read once per level, by solver.functional_norms, which hands the
 per-element errors the efficiency audit needs to the ErrorReport.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,11 @@ class ErrorReport:
     eta_K and eta_E are per-element / per-edge indicator values (not
     squared); osc_K_f and osc_E_t likewise. eta, osc_f, osc_t are the
     global square-sum aggregates. true_errors, err2_K and effectivity
-    (eta / (||e_u||_1 + ||e_p||_0)) are present when the problem
-    carries an exact solution. err2_K is the (ne, 2) array of squared
-    strain and pressure errors of each element, ||D(u - u_h)||_K^2 and
-    ||p - p_h||_K^2, from solver.functional_norms; the report owns them,
-    and no cache keeps the exact-field values they were built from.
+    (eta / (||e_u||_1 + ||e_p||_0), NaN where that sum is 0) are
+    present when the problem carries an exact solution. err2_K is the
+    (ne, 2) array of squared strain and pressure errors of each
+    element, ||D(u - u_h)||_K^2 and ||p - p_h||_K^2, from
+    solver.functional_norms; the report owns them.
     """
 
     eta_K: np.ndarray
@@ -152,7 +153,7 @@ def _projection_misfit(val, w, measure, cells, dv, slots):
     d_h is the global L2-projection of d onto the space they span. The
     mass matrix is scattered, in CSC, straight into the stable order of
     the nodes' nested-dissection slots (n,) and factored there by
-    solver.ordered_solve.
+    solver.ordered_solve, which returns d_h in that order too.
     """
     nn = cells.max() + 1
     m = measure[:, None, None]
@@ -163,8 +164,8 @@ def _projection_misfit(val, w, measure, cells, dv, slots):
     at = pos[cells]
     M = forms._scatter_csc(at, (wval.T @ val).T * m, nn)
     loc = (wval.T @ dv) * m
-    dh, _, _ = solver.ordered_solve(M, forms.scatter_add(at, loc, nn), order)
-    diff = dv - val @ dh[cells]
+    dh, _, _ = solver.ordered_solve(M, forms.scatter_add(at, loc, nn))
+    diff = dv - val @ dh[at]
     return measure * np.einsum("q,eqc,eqc->e", w, diff, diff)
 
 
@@ -220,7 +221,8 @@ def global_report(solution, space, problem):
         solver._release_free_heap()
         true_errors, err2_K = solver.functional_norms(
             space, solution, problem.exact, elementwise=True)
-        effectivity = eta / solver.combined_error(true_errors)
+        combined = solver.combined_error(true_errors)
+        effectivity = eta / combined if combined > 0 else math.nan
     return ErrorReport(eta_K=eta_K, eta_E=eta_E, osc_K_f=osc_K,
                        osc_E_t=osc_E, eta=eta, osc_f=osc_f, osc_t=osc_t,
                        true_errors=true_errors, err2_K=err2_K,

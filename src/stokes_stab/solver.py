@@ -57,19 +57,13 @@ def _release_free_heap():
 
     glibc returns freed heap memory only when the free block at the
     top of the heap outgrows a threshold that rises with the largest
-    block freed, up to 64 MB. Below it the pages freed by assembly and
-    by the previous level stay resident, and the saddle factor comes on
-    top of them. It is called three times per level of an exact case
-    and twice otherwise:
-    - by solve, before the factor (this lowers the peak resident set
-      of the adaptive L-shape P1P1 loop, 22 levels, from 116 to 101 MB);
-    - by study._solve_level, between the solve and the estimator, so
-      the pages of the freed system and fronts are not resident under
-      the estimator;
-    - by estimator.global_report, between the oscillations and the
-      error norms, when the problem has an exact solution.
-    The solve, uniform-study and adaptive-study commands call it once
-    more before they write their files.
+    block freed, up to 64 MB. Below it, the pages one phase of a level
+    freed (assembly, the factor, the estimator) stay resident, and the
+    next phase's arrays come on top of them. So the heap is trimmed at
+    the phase boundaries: without any trim, the peak resident set of a
+    3-level SMOOTH_SQUARE P1P1 study from n0 = 16 rises from 90 to
+    99-100 MB, and that of NEUMANN_STRIP P2P1 from 133-135 to 143 MB.
+    Each call costs about a millisecond.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
@@ -331,40 +325,37 @@ def _factor_and_solve(K, b, **options):
     return _checked_solve(K, b, lu.solve, pivots, lu.L.nnz + lu.U.nnz)
 
 
-def _solve_or_fall_back(first, ordering, K, b, order):
+def _solve_or_fall_back(first, ordering, K, b):
     """first() -> (x, residual, stats) for K x = b, K in elimination
     order; when it raises SolverError, the same K is factored again
     with SuperLU's default COLAMD ordering and partial pivoting.
-    Returns (x, relative residual, stats), x by unknown (x[order] is
-    the solution of K), stats as from _checked_solve plus the ordering
-    used and whether the fallback fired; raises the SolverError of the
-    COLAMD attempt when that fails too. Any other exception leaves at
-    once: a MemoryError, say, would only recur in a second
-    factorization.
+    Returns (x, relative residual, stats), x in K's row order, stats as
+    from _checked_solve plus the ordering used and whether the fallback
+    fired; raises the SolverError of the COLAMD attempt when that fails
+    too. Any other exception leaves at once: a MemoryError, say, would
+    only recur in a second factorization.
     """
     try:
-        xo, res, stats = first()
+        x, res, stats = first()
         fallback = False
     except SolverError:
-        xo, res, stats = _factor_and_solve(K, b)
+        x, res, stats = _factor_and_solve(K, b)
         ordering, fallback = "colamd", True
-    x = np.empty_like(xo)
-    x[order] = xo
     return x, res, {"ordering": ordering, "fallback": fallback, **stats}
 
 
-def ordered_solve(K, b, order):
+def ordered_solve(K, b):
     """Solve K x = b for a CSC matrix K given in its elimination order.
 
-    Row i of K and b is unknown order[i]. K is factored by SuperLU as
-    it is, with ORDERED_SPLU, and falls back to COLAMD as
-    _solve_or_fall_back does; the osc_K projection solves its mass
-    matrix here. Returns (x, relative residual, stats), x by unknown,
-    stats with the ordering "nested_dissection" or "colamd".
+    K is factored by SuperLU as it is, with ORDERED_SPLU, and falls
+    back to COLAMD as _solve_or_fall_back does; the osc_K projection
+    solves its mass matrix here. Returns (x, relative residual, stats),
+    x in K's row order, stats with the ordering "nested_dissection" or
+    "colamd".
     """
     return _solve_or_fall_back(
         lambda: _factor_and_solve(K, b, **ORDERED_SPLU),
-        "nested_dissection", K, b, order)
+        "nested_dissection", K, b)
 
 
 # ----------------------------------------------------------------------
@@ -556,12 +547,14 @@ def solve(system):
     K, b = system.matrix, system.rhs
     _release_free_heap()
     try:
-        x, res, stats = _solve_or_fall_back(
-            lambda: _front_solve(K, b, system.groups), "multifrontal",
-            K, b, system.order)
+        xo, res, stats = _solve_or_fall_back(
+            lambda: _front_solve(K, b, system.groups), "multifrontal", K, b)
     except SolverError as exc:
         raise SolverError(_diagnose(system, str(exc)),
                           exc.blas_output) from None
+    # row i of K is unknown system.order[i]
+    x = np.empty_like(xo)
+    x[system.order] = xo
 
     multiplier = None
     if system.bordered:
@@ -589,8 +582,8 @@ def functional_norms(space, solution, exact, elementwise=False):
     element, ||D(u - u_h)||_K^2 and ||p - p_h||_K^2, as a second value.
 
     Each exact field is evaluated here once, at the error rule's points
-    that forms.rule_values keeps, and its values are dropped once read:
-    no cache holds them. The values are only read, never written, since
+    that forms.rule_values keeps, and its values are dropped once read.
+    The values are only read, never written, since
     a callable may keep the array it returns. The velocity and pressure
     errors are built in the arrays of the discrete values, which this
     function owns, and the gradient error one component at a time, so

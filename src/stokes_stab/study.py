@@ -204,6 +204,8 @@ class LevelRow:
     """One table row, with the level's mesh and fields for output.
 
     The error columns and effectivity are NaN for estimator-only cases.
+    marked is the element set Dorfler marking picked on an adaptive
+    level, None on a uniform one.
     """
 
     level: int
@@ -219,10 +221,23 @@ class LevelRow:
     u: np.ndarray = field(default=None, repr=False, compare=False)
     p: np.ndarray = field(default=None, repr=False, compare=False)
     eta_K: np.ndarray = field(default=None, repr=False, compare=False)
+    marked: np.ndarray = field(default=None, repr=False, compare=False)
 
-    @property
-    def combined_error(self):
-        return self.err_H1_u + self.err_L2_p
+
+def rate_measure(values):
+    """The quantity whose ratios give a row's rate: the combined error
+    ||e_u||_1 + ||e_p||_0 of values (a mapping with err_H1_u, err_L2_p
+    and eta), or eta where the errors are NaN, as for cases without a
+    closed form."""
+    combined = solver.combined_error(values)
+    return values["eta"] if math.isnan(combined) else combined
+
+
+def log2_ratios(series):
+    """log2(s[i] / s[i + 1]) for each pair of neighbours in series; NaN
+    where either side is not positive."""
+    return [math.log2(a / b) if a > 0 and b > 0 else math.nan
+            for a, b in zip(series, series[1:])]
 
 
 def level_row(level, space, solution, report):
@@ -278,9 +293,9 @@ def _solve_level(space, problem, where):
 class ConvergenceTable:
     """Per-level study results plus observed rates.
 
-    rates[i] is the log2 ratio of combined errors between levels i and
-    i+1 (one fewer entry than rows). For estimator-only cases the error
-    columns are NaN and rates fall back to the estimator eta.
+    rates[i] is the log2 ratio of rate_measure between levels i and
+    i+1 (one fewer entry than rows), osc_rates that of osc_f; both are
+    NaN where a value is not positive.
     """
 
     case: str
@@ -289,21 +304,13 @@ class ConvergenceTable:
     c_i: float
     rows: list = field(default_factory=list)
 
-    def _rate_series(self):
-        if self.rows and math.isfinite(self.rows[0].err_H1_u):
-            return [r.combined_error for r in self.rows]
-        return [r.eta for r in self.rows]
-
     @property
     def rates(self):
-        s = self._rate_series()
-        return [math.log2(s[i] / s[i + 1]) for i in range(len(s) - 1)]
+        return log2_ratios([rate_measure(vars(r)) for r in self.rows])
 
     @property
     def osc_rates(self):
-        return [math.log2(self.rows[i].osc_f / self.rows[i + 1].osc_f)
-                for i in range(len(self.rows) - 1)
-                if self.rows[i + 1].osc_f > 0]
+        return log2_ratios([r.osc_f for r in self.rows])
 
     def __str__(self):
         head = (f"case {self.case}  pair {self.pair}  "
@@ -369,21 +376,8 @@ def dorfler_mark(mesh, eta_K, eta_E, theta):
 
 
 @dataclass
-class AdaptiveStep:
-    iteration: int
-    mesh: object
-    n_triangles: int
-    n_dofs: int
-    h_max: float
-    eta: float
-    eta_K: np.ndarray
-    marked: np.ndarray
-    row: LevelRow = field(repr=False)
-
-
-@dataclass
 class AdaptiveLog:
-    """Steps of the adaptive loop; c_i of the last."""
+    """Steps of the adaptive loop, one LevelRow each; c_i of the last."""
 
     case: str
     pair: str
@@ -398,7 +392,7 @@ class AdaptiveLog:
 
     @property
     def dofs(self):
-        return [s.n_dofs for s in self.steps]
+        return [s.n_u + s.n_p for s in self.steps]
 
 
 def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
@@ -421,17 +415,14 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
         sol, rep = _solve_level(space, problem, f"iteration {it}")
         log.c_i = space.c_i
         mesh = space.mesh
-        marked = dorfler_mark(mesh, rep.eta_K, rep.eta_E, theta)
         row = level_row(it, space, sol, rep)
-        log.steps.append(AdaptiveStep(
-            iteration=it, mesh=mesh, n_triangles=mesh.n_triangles,
-            n_dofs=row.n_u + row.n_p, h_max=row.h, eta=row.eta,
-            eta_K=row.eta_K, marked=marked, row=row))
+        row.marked = dorfler_mark(mesh, rep.eta_K, rep.eta_E, theta)
+        log.steps.append(row)
         if target_eta is not None and rep.eta <= target_eta:
             break
         if it + 1 < max_iters:
-            space = FeSpace(mesh.refine_marked(marked), space.pair)
-            # the step keeps the finished mesh for its vertices and
+            space = FeSpace(mesh.refine_marked(row.marked), space.pair)
+            # the row keeps the finished mesh for its vertices and
             # triangles alone
             mesh.drop_derived()
     return log

@@ -235,17 +235,30 @@ def test_vtk_structure(tmp_path):
 
 
 def test_solve_writes_single_row_table(tmp_path):
-    code = run_cli("solve", "--case", "SMOOTH_SQUARE", "--pair", "P2P1",
-                   "--n0", "2", "--out", str(tmp_path))
-    assert code == 0
-    rows = (tmp_path / "table.csv").read_text().splitlines()
+    run = ("--case", "SMOOTH_SQUARE", "--pair", "P2P1", "--n0", "2")
+    one, study_out = tmp_path / "solve", tmp_path / "study"
+    assert run_cli("solve", *run, "--out", str(one)) == 0
+    rows = (one / "table.csv").read_text().splitlines()
     assert len(rows) == 2
     assert rows[1].startswith("0,")
-    manifest = (tmp_path / "manifest.txt").read_text()
+    manifest = dict(l.split(" = ") for l in
+                    (one / "manifest.txt").read_text().splitlines())
     # P2 default alpha is a quarter of the inverse inequality constant
-    alpha = float(dict(l.split(" = ") for l in
-                       manifest.splitlines())["alpha"])
-    assert abs(alpha - (1 / 84) / 4) < 1e-10
+    assert abs(float(manifest["alpha"]) - (1 / 84) / 4) < 1e-10
+
+    # level 0 of a study of the same run: the same row and fields; only
+    # the VTK title and the manifest's command and levels may differ
+    assert run_cli("uniform-study", *run, "--levels", "2",
+                   "--out", str(study_out)) == 0
+    assert (study_out / "table.csv").read_text().splitlines()[:2] == rows
+    vtk = [(out / "solution_0.vtk").read_text().splitlines()
+           for out in (one, study_out)]
+    assert vtk[0][:1] + vtk[0][2:] == vtk[1][:1] + vtk[1][2:]
+    other = dict(l.split(" = ") for l in
+                 (study_out / "manifest.txt").read_text().splitlines())
+    for key in ("command", "levels"):
+        del manifest[key], other[key]
+    assert manifest == other
 
 
 def test_config_file_and_flag_override(tmp_path):

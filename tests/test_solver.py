@@ -211,16 +211,12 @@ def test_schur_probe_neumann_branch():
 # ----------------------------------------------------------------------
 # nested-dissection fast path against SuperLU's default COLAMD
 
-def _plain_solve(K, b, order):
-    # splu(K) with SuperLU's defaults, one solve, mapped back by order
-    x = np.empty_like(b)
-    x[order] = splu(K).solve(b)
-    return x
-
-
 def _plain_solution(system):
-    # the reference: the same matrix factored with SuperLU's defaults
-    return _plain_solve(system.matrix, system.rhs, system.order)
+    # the reference: the same matrix factored with SuperLU's defaults,
+    # one solve, mapped back to unknown order
+    x = np.empty_like(system.rhs)
+    x[system.order] = splu(system.matrix).solve(system.rhs)
+    return x
 
 
 def _solution_vector(system, sol):
@@ -440,7 +436,7 @@ def test_memory_error_leaves_without_fallback(monkeypatch):
 
     monkeypatch.setattr(solver, "splu", exhausted)
     with pytest.raises(MemoryError):
-        solver.ordered_solve(system.matrix, system.rhs, system.order)
+        solver.ordered_solve(system.matrix, system.rhs)
     assert calls == [solver.ORDERED_SPLU]
 
 
@@ -551,8 +547,8 @@ def _osc_K(space, problem, monkeypatch):
     stats = []
     real = solver.ordered_solve
 
-    def spy(K, b, order):
-        out = real(K, b, order)
+    def spy(K, b):
+        out = real(K, b)
         if K.shape[0] == space.n_nodes:
             stats.append(out[2])
         return out
@@ -570,8 +566,7 @@ def _plain_osc_K(space, problem, monkeypatch):
     from stokes_stab import estimator
     real = solver.ordered_solve
     monkeypatch.setattr(solver, "ordered_solve",
-                        lambda K, b, order: (_plain_solve(K, b, order),
-                                             None, None))
+                        lambda K, b: (splu(K).solve(b), None, None))
     osc_K, _ = estimator.oscillations(problem, space)
     monkeypatch.setattr(solver, "ordered_solve", real)
     return osc_K

@@ -114,6 +114,22 @@ def test_uniform_study_shape_and_h_halving():
     assert "SMOOTH_SQUARE" in text and "P1P1" in text
 
 
+def test_zero_error_study_reports_nan_rates_and_effectivity():
+    # zero data on the unit square: the discrete solution and every
+    # error are exactly 0, so no ratio of them is defined
+    sym = pytest.importorskip("sympy")
+    case = study.ManufacturedCase(
+        name="ZERO", domain="unit_square",
+        u_expr=(sym.Integer(0), sym.Integer(0)), p_expr=sym.Integer(0),
+        f_expr=None)
+    t = uniform_study(case, "P1P1", 2, n0=2)
+    assert [r.err_H1_u + r.err_L2_p for r in t.rows] == [0.0, 0.0]
+    assert all(math.isnan(r.effectivity) for r in t.rows)
+    assert len(t.rates) == len(t.osc_rates) == 1
+    assert math.isnan(t.rates[0]) and math.isnan(t.osc_rates[0])
+    assert "ZERO" in str(t)
+
+
 def test_levels_run_without_malloc_trim(monkeypatch):
     # the path of a C library without malloc_trim: _release_free_heap
     # does nothing, and solve and _solve_level give the same bits
@@ -266,7 +282,7 @@ def test_adaptive_study_monotone_and_stopping():
     assert increases <= 1
     assert etas[-1] < etas[0]
     assert all(b >= a for a, b in zip(log.dofs, log.dofs[1:]))
-    nts = [s.n_triangles for s in log.steps]
+    nts = [s.mesh.n_triangles for s in log.steps]
     assert all(b > a for a, b in zip(nts, nts[1:]))
 
     # target_eta cuts the loop short
