@@ -316,9 +316,8 @@ def main(argv=None):
     }
     try:
         return dispatch[args.command](cfg)
-    except (ConfigError, KeyError) as exc:
-        return _fail(EXIT_CONFIG, "config", exc)
-    except (forms.InadmissibleAlphaError, ValueError) as exc:
+    except (ConfigError, KeyError, forms.InadmissibleAlphaError,
+            ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", exc)
     except meshmod.MeshError as exc:
         return _fail(EXIT_MESH, "mesh", exc)

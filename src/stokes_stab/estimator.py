@@ -144,28 +144,21 @@ def edge_estimator(solution, space, problem):
 # ----------------------------------------------------------------------
 # oscillations
 
-def _projection_misfit(val, w, measure, cells, dv, slots):
+def _projection_misfit(val, w, measure, cells, dv):
     """Each cell's measure * sum_q w_q |d - d_h|^2.
 
     dv holds the (ncell, nq, 2) values of data d at the rule's points,
     val the (nq, nbf) reference basis values there, w the weights, and
     cells the nodes 0..n-1 of each cell's basis functions, all in use;
-    d_h is the global L2-projection of d onto the space they span. The
-    mass matrix is scattered, in CSC, straight into the stable order of
-    the nodes' nested-dissection slots (n,) and factored there by
-    solver.ordered_solve, which returns d_h in that order too.
+    d_h is the global L2-projection of d onto the space they span, its
+    mass matrix solved by solver.mass_solve.
     """
     nn = cells.max() + 1
     m = measure[:, None, None]
     wval = w[:, None] * val
-    order = np.argsort(slots, kind="stable")
-    pos = np.empty(nn, dtype=np.int32)
-    pos[order] = np.arange(nn)
-    at = pos[cells]
-    M = forms._scatter_csc(at, (wval.T @ val).T * m, nn)
-    loc = (wval.T @ dv) * m
-    dh, _, _ = solver.ordered_solve(M, forms.scatter_add(at, loc, nn))
-    diff = dv - val @ dh[at]
+    M = forms._scatter_matrix(cells, cells, (wval.T @ val) * m, (nn, nn))
+    dh = solver.mass_solve(M, forms.scatter_add(cells, (wval.T @ dv) * m, nn))
+    diff = dv - val @ dh[cells]
     return measure * np.einsum("q,eqc,eqc->e", w, diff, diff)
 
 
@@ -178,7 +171,7 @@ def oscillations(problem, space):
     val, _ = scalar_basis(k, rule.points)
     osc_K = mesh.diameters * np.sqrt(_projection_misfit(
         val, rule.weights, 2.0 * mesh.areas, space.elem_nodes,
-        forms.rule_values(space, rule.degree, problem.f), space.node_slots))
+        forms.rule_values(space, rule.degree, problem.f)))
 
     osc_E = np.zeros(mesh.n_edges)
     neumann = np.flatnonzero(mesh.edge_tags == NEUMANN)
@@ -193,13 +186,12 @@ def oscillations(problem, space):
                              4 * s * (1 - s)], axis=1)
             enodes = np.column_stack([mesh.edges[neumann],
                                       mesh.n_vertices + neumann])
-        nodes, local = np.unique(enodes, return_inverse=True)
+        _, local = np.unique(enodes, return_inverse=True)
         L = mesh.edge_lengths[neumann]
         xy = edge_points(mesh, neumann, s)
         tv = np.asarray(problem.t(xy[..., 0], xy[..., 1]), dtype=float)
         osc_E[neumann] = np.sqrt(L) * np.sqrt(_projection_misfit(
-            tval, w, L, local.reshape(enodes.shape), tv,
-            space.node_slots[nodes]))
+            tval, w, L, local.reshape(enodes.shape), tv))
     return osc_K, osc_E
 
 

@@ -57,8 +57,9 @@ class TriMesh:
             raise MeshError(f"vertices must be (nv, 2), got {vertices.shape}")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError(f"triangles must be (nt, 3), got {triangles.shape}")
-        if triangles.size and (triangles.min() < 0
-                               or triangles.max() >= len(vertices)):
+        if not len(triangles):
+            raise MeshError("mesh has no triangles")
+        if triangles.min() < 0 or triangles.max() >= len(vertices):
             raise MeshError("triangle vertex index out of range")
 
         self.vertices = vertices
@@ -69,7 +70,8 @@ class TriMesh:
 
         self._build_edges(boundary_tags, validate)
         if validate:
-            bad = np.flatnonzero(self.signed_areas <= 0.0)
+            # not "<= 0": a NaN area must fail too
+            bad = np.flatnonzero(~(self.signed_areas > 0.0))
             if bad.size:
                 raise MeshError(
                     f"triangles not counterclockwise: {bad.tolist()[:10]}")
@@ -350,7 +352,7 @@ class TriMesh:
         """
         checks = {}
 
-        bad_orient = np.flatnonzero(self.signed_areas <= 0.0)
+        bad_orient = np.flatnonzero(~(self.signed_areas > 0.0))
         checks["orientation"] = (bad_orient.size == 0,
                                  [f"triangle {k}" for k in bad_orient[:20]])
 
@@ -467,11 +469,22 @@ class TriMesh:
         validate=False defers structural checking to audit(), letting
         broken meshes be loaded for inspection.
         """
-        with open(path) as fh:
-            raw = fh.read().splitlines()
-        # (line number, text) of every line not blank once its comment is cut
-        lines = ((ln, text) for ln, text in enumerate(
-            (line.split("#", 1)[0].strip() for line in raw), 1) if text)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            raw = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            # the valid text before the bad byte, and a stand-in for it
+            ln = len((data[:exc.start].decode() + "x").splitlines())
+            raise MeshFormatError(
+                f"line {ln}: not UTF-8 text ({exc.reason})") from None
+
+        def numbered():
+            """(line number, text) of each line not blank, comment cut."""
+            return ((ln, text) for ln, text in enumerate(
+                (line.split("#", 1)[0].strip() for line in raw), 1) if text)
+
+        lines = numbered()
 
         def next_line():
             return next(lines, (len(raw), None))
@@ -537,6 +550,13 @@ class TriMesh:
 
         vertices = np.fromiter(read_block("vertices", "vertex", "x y",
                                           coordinates), (float, 2))
+        # float() takes "nan" and "inf"; caught on the array, at no cost
+        # per line (vertex k is content line 2 + k)
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            ln, line = list(numbered())[2 + bad[0]]
+            raise MeshFormatError(
+                f"line {ln}: non-finite coordinate in {line!r}")
         nv = len(vertices)
         triangles = np.fromiter(read_block("triangles", "triangle", "i j k",
                                            indices), (np.int64, 3))

@@ -1,4 +1,5 @@
-"""Direct solution of the assembled saddle system and solution norms."""
+"""Direct solution of the saddle system, CG solution of the mass
+matrices, and solution norms."""
 
 import contextlib
 import ctypes
@@ -10,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import cg, splu
 
 from . import forms
 from .space import pressure_values, velocity_gradients, velocity_values
@@ -69,8 +71,8 @@ def _release_free_heap():
         _malloc_trim(0)
 
 
-def _factorize(K, **options):
-    """splu(K, **options) with fd 1 sent to a temporary file while it runs.
+def _factorize(K):
+    """splu(K) with fd 1 sent to a temporary file while it runs.
 
     A failing factorization can make the BLAS input checker print
     " ** On entry to DGEMV ..." lines, straight to fd 1 or into the
@@ -83,14 +85,14 @@ def _factorize(K, **options):
     try:
         saved = os.dup(1)
     except OSError:
-        return splu(K, **options)
+        return splu(K)
     try:
         sys.stdout.flush()
         _flush_c_stdio()
         with tempfile.TemporaryFile() as sink:
             os.dup2(sink.fileno(), 1)
             try:
-                return splu(K, **options)
+                return splu(K)
             except RuntimeError as exc:
                 _flush_c_stdio()
                 sink.seek(0)
@@ -102,15 +104,6 @@ def _factorize(K, **options):
         os.close(saved)
 
 
-# ordered_solve: SuperLU factors the mass matrix of the osc_K
-# projection in the nested-dissection order it is given
-# (permc_spec="NATURAL") and keeps the diagonal pivot unless it is
-# below 1e-8 times the largest entry of its column. Relax and PanelSize
-# stay at their defaults: with scipy 1.17.1, panel_size=32 makes the
-# process segfault at exit (exit code 139, after a correct solve) and
-# relax=32 has corrupted the heap.
-ORDERED_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-8,
-                "options": {"SymmetricMode": True}}
 LEAF_SIZE = 32
 
 
@@ -303,21 +296,18 @@ def _checked_solve(K, b, lu_solve, pivots, stored):
     return x, res, stats
 
 
-def _factor_and_solve(K, b, **options):
-    """splu(K, **options) and _checked_solve with it.
+def _factor_and_solve(K, b):
+    """splu(K), with COLAMD and partial pivoting, and _checked_solve
+    with it.
 
-    K is factored as it is handed over. The pivot check costs memory:
-    the first read of lu.U makes SuperLU build CSC copies of both L and
-    U, which live as long as lu (13.5 MB next to 12 MB for the P2 mass
-    factor of osc_K at NEUMANN_STRIP P2P1 n = 64; resident set from
-    /proc/self/statm). scipy's SuperLU object offers only L, U, nnz,
-    perm_c, perm_r, shape and solve, so the diagonal cannot be read
-    without those copies. fill_nnz then reads lu.L at no further cost;
-    lu.nnz counts differently (1687 against L.nnz + U.nnz = 1094 on a
-    random 50 x 50 matrix).
+    The pivot check reads lu.U, and the first read makes SuperLU build
+    CSC copies of L and U that live as long as lu: scipy's SuperLU
+    object offers only L, U, nnz, perm_c, perm_r, shape and solve. So
+    fill_nnz reads lu.L at no further cost; lu.nnz counts differently
+    (1687 against L.nnz + U.nnz = 1094 on a random 50 x 50 matrix).
     """
     try:
-        lu = _factorize(K, **options)
+        lu = _factorize(K)
     except RuntimeError as exc:
         raise SolverError(str(exc),
                           getattr(exc, "blas_output", "")) from None
@@ -325,37 +315,30 @@ def _factor_and_solve(K, b, **options):
     return _checked_solve(K, b, lu.solve, pivots, lu.L.nnz + lu.U.nnz)
 
 
-def _solve_or_fall_back(first, ordering, K, b):
-    """first() -> (x, residual, stats) for K x = b, K in elimination
-    order; when it raises SolverError, the same K is factored again
-    with SuperLU's default COLAMD ordering and partial pivoting.
-    Returns (x, relative residual, stats), x in K's row order, stats as
-    from _checked_solve plus the ordering used and whether the fallback
-    fired; raises the SolverError of the COLAMD attempt when that fails
-    too. Any other exception leaves at once: a MemoryError, say, would
-    only recur in a second factorization.
+# CG steps per column in mass_solve: the Jacobi-scaled P1 and P2 mass
+# matrices take at most 34 on every mesh tried, graded ones included
+MASS_CG_STEPS = 100
+
+
+def mass_solve(M, b):
+    """Solve M x = b for a mass matrix M and b (n, k), column by column
+    by CG with the Jacobi preconditioner diag(M)^-1.
+
+    The Jacobi-scaled Galerkin mass matrix has a spectrum bounded
+    independently of h and of grading (Wathen 1987), so CG converges
+    in a fixed number of steps. A column short of a relative residual
+    of 1e-15 after MASS_CG_STEPS steps, or holding a non-finite value,
+    sends the system to _factor_and_solve; any other exception (a
+    MemoryError, say) leaves at once.
     """
-    try:
-        x, res, stats = first()
-        fallback = False
-    except SolverError:
-        x, res, stats = _factor_and_solve(K, b)
-        ordering, fallback = "colamd", True
-    return x, res, {"ordering": ordering, "fallback": fallback, **stats}
-
-
-def ordered_solve(K, b):
-    """Solve K x = b for a CSC matrix K given in its elimination order.
-
-    K is factored by SuperLU as it is, with ORDERED_SPLU, and falls
-    back to COLAMD as _solve_or_fall_back does; the osc_K projection
-    solves its mass matrix here. Returns (x, relative residual, stats),
-    x in K's row order, stats with the ordering "nested_dissection" or
-    "colamd".
-    """
-    return _solve_or_fall_back(
-        lambda: _factor_and_solve(K, b, **ORDERED_SPLU),
-        "nested_dissection", K, b)
+    jacobi = sp.diags(1.0 / M.diagonal())
+    x = np.empty_like(b)
+    for j in range(b.shape[1]):
+        x[:, j], info = cg(M, b[:, j], rtol=1e-15, atol=0.0,
+                           maxiter=MASS_CG_STEPS, M=jacobi)
+        if info != 0 or not np.all(np.isfinite(x[:, j])):
+            return _factor_and_solve(M.tocsc(), b)[0]
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -539,16 +522,20 @@ def solve(system):
 
     The system's matrix is factored by fronts on its nested-dissection
     groups (_Fronts), and by SuperLU with COLAMD when that fails its
-    pivot or residual check (_solve_or_fall_back). Raises SolverError,
-    with the failure localized to a block of the system, when both
-    factorizations fail, or the relative residual stays above 1e-9
-    after one step of iterative refinement.
+    pivot or residual check; any other exception (a MemoryError, say)
+    leaves at once. Raises SolverError, with the failure localized to a
+    block of the system, when both factorizations fail, or the relative
+    residual stays above 1e-9 after one step of iterative refinement.
     """
     K, b = system.matrix, system.rhs
     _release_free_heap()
+    ordering = "multifrontal"
     try:
-        xo, res, stats = _solve_or_fall_back(
-            lambda: _front_solve(K, b, system.groups), "multifrontal", K, b)
+        try:
+            xo, res, stats = _front_solve(K, b, system.groups)
+        except SolverError:
+            ordering = "colamd"
+            xo, res, stats = _factor_and_solve(K, b)
     except SolverError as exc:
         raise SolverError(_diagnose(system, str(exc)),
                           exc.blas_output) from None
@@ -569,7 +556,8 @@ def solve(system):
         u=full[:system.n_u], p=full[system.n_u:], residual=res,
         multiplier=multiplier,
         diagnostics={"n_unknowns": K.shape[0], "alpha": system.alpha,
-                     **stats},
+                     "ordering": ordering,
+                     "fallback": ordering == "colamd", **stats},
     )
 
 

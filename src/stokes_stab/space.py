@@ -137,7 +137,7 @@ class FeSpace:
         use: solver.nested_dissection of the element-node graph, each
         node weighted by its free dofs (two velocity dofs off the
         Dirichlet nodes, one pressure dof on the vertices). The saddle
-        solve and the L2 projection of osc_K are both ordered by it.
+        matrix is assembled in its order (forms._saddle_order).
         Read-only.
         """
         from . import solver  # solver imports this module

@@ -369,6 +369,24 @@ def test_audit_names_conformity_failure(tmp_path, capsys):
     assert "hangs on edge" in captured.out
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"trimesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 0\nboundary 0\n",
+     "line 7: mesh has no triangles"),
+    (b"trimesh v1\n# caf\xe9\nvertices 0\n",
+     "line 2: not UTF-8 text (invalid continuation byte)"),
+    (b"trimesh v1\nvertices 3\n0 0\n1 nan\n0 1\n",
+     "line 4: non-finite coordinate in '1 nan'"),
+], ids=["no-triangles", "not-utf8", "nan-coordinate"])
+def test_audit_of_unreadable_mesh_file_is_a_mesh_error(tmp_path, capsys,
+                                                       content, message):
+    meshfile = tmp_path / "bad.mesh"
+    meshfile.write_bytes(content)
+    assert run_cli("audit", "--case", str(meshfile)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"stokes-stab: mesh error: {message}\n"
+
+
 def test_audit_of_mesh_file_builds_no_case(tmp_path, monkeypatch):
     calls = []
     real = study.builtin_cases

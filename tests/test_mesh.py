@@ -237,6 +237,19 @@ def test_audit_detects_clockwise_triangle():
     assert not ok and "triangle 3" in issues[0]
 
 
+def test_nan_vertex_fails_orientation():
+    # a NaN area is not positive, though "area <= 0" is False for it
+    m = unit_square(2)
+    v = m.vertices.copy()
+    v[4] = np.nan
+    with pytest.raises(MeshError, match="not counterclockwise"):
+        TriMesh(v, m.triangles, m.boundary_tag_dict())
+    rep = TriMesh(v, m.triangles, m.boundary_tag_dict(),
+                  validate=False).audit()
+    ok, issues = rep.checks["orientation"]
+    assert not ok and len(issues) == np.sum(m.triangles == 4)
+
+
 def test_audit_detects_hanging_node():
     m = unit_square(1)
     v = np.vstack([m.vertices, [[0.5, 0.5]]])
@@ -478,6 +491,16 @@ _MALFORMED = [
     ("mesh-error-clockwise",
      _TRI3.replace("0 1 2", "1 0 2") + "boundary 3\n0 1 D\n1 2 D\n0 2 D\n",
      "line 11: triangles not counterclockwise: [0]"),
+    ("not-utf8", b"trimesh v1\nvertices 1\n0 \xff0\n",
+     "line 3: not UTF-8 text (invalid start byte)"),
+    ("not-utf8-first-byte", b"\x80trimesh v1\n",
+     "line 1: not UTF-8 text (invalid start byte)"),
+    ("nan-coordinate", "trimesh v1\nvertices 2\n0 0\n0 nan\n",
+     "line 4: non-finite coordinate in '0 nan'"),
+    ("inf-coordinate", "trimesh v1\nvertices 3\n0 0\n\n# x\n1 inf\n0 1\n",
+     "line 6: non-finite coordinate in '1 inf'"),
+    ("no-triangles", "trimesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 0\n"
+     "boundary 0\n", "line 7: mesh has no triangles"),
     # the first defect in file order is the one reported
     ("first-defect-wins", "trimesh v1\nvertices 2\n0 x\n0 0 0\n",
      "line 3: bad coordinate in '0 x'"),
@@ -499,7 +522,8 @@ _MALFORMED = [
 ])
 def test_read_rejects_malformed(tmp_path, content, fragment):
     path = tmp_path / "bad.txt"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes)
+                     else content.encode())
     with pytest.raises(MeshFormatError) as err:
         TriMesh.read(path)
     assert fragment in str(err.value)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stokes_stab import estimator, forms, solver
+from stokes_stab import forms, solver
 from stokes_stab.forms import ExactSolution, StokesProblem, assemble_system
 from stokes_stab.mesh import unit_square
-from stokes_stab.space import FeSpace, P1P1, P2P1, point_values, scalar_basis
+from stokes_stab.space import FeSpace, P1P1, P2P1, point_values
 from stokes_stab.study import get_case
 
 
@@ -178,32 +178,3 @@ def test_splu_gets_the_assembled_matrix(monkeypatch):
     for K in seen:
         assert K.format == "csc"
         assert np.shares_memory(K.data, system.matrix.data)
-
-
-@pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
-def test_osc_K_mass_matrix_arrives_in_csc_and_node_order(pair, monkeypatch):
-    space = FeSpace(_graded_lshape(), pair)
-    seen = []
-    real = solver.ordered_solve
-
-    def spy(K, b):
-        if K.shape[0] == space.n_nodes:
-            seen.append(K)
-        return real(K, b)
-
-    monkeypatch.setattr(solver, "ordered_solve", spy)
-    estimator.oscillations(get_case("LSHAPE_PEAK").problem(), space)
-    K, = seen
-    assert K.format == "csc"
-    order = np.argsort(space.node_slots, kind="stable")
-    # the node mass matrix in node numbering, permuted by copies
-    rule = forms.quadrature(forms.error_degree(pair.velocity_degree))
-    val, _ = scalar_basis(pair.velocity_degree, rule.points)
-    mass = ((rule.weights[:, None] * val).T @ val)[None] \
-        * (2.0 * space.mesh.areas)[:, None, None]
-    nodes = space.elem_nodes
-    M = forms._scatter_matrix(nodes, nodes, mass, (space.n_nodes,) * 2)
-    M = M[order][:, order].tocsc()
-    assert np.array_equal(K.indptr, M.indptr)
-    assert np.array_equal(K.indices, M.indices)
-    assert np.array_equal(K.data, M.data)

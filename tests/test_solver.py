@@ -425,19 +425,19 @@ def test_solve_runs_where_proc_maps_is_unreadable(monkeypatch):
 
 
 def test_memory_error_leaves_without_fallback(monkeypatch):
-    # running out of memory is not a failed factorization: a second,
-    # COLAMD factorization would only need more of it
-    system = assemble_system(FeSpace(unit_square(4), P1P1), _linear_case())
+    # running out of memory is not a failed solve: a SuperLU
+    # factorization of the mass matrix would only need more of it
+    M = forms.pressure_mass(FeSpace(unit_square(4), P1P1))
     calls = []
 
-    def exhausted(K, **options):
-        calls.append(options)
+    def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(solver, "splu", exhausted)
+    monkeypatch.setattr(solver, "cg", exhausted)
+    monkeypatch.setattr(solver, "splu", lambda *args: calls.append(args))
     with pytest.raises(MemoryError):
-        solver.ordered_solve(system.matrix, system.rhs)
-    assert calls == [solver.ORDERED_SPLU]
+        solver.mass_solve(M, np.ones((M.shape[0], 2)))
+    assert calls == []
 
 
 def test_solver_diagnostics():
@@ -517,8 +517,8 @@ def test_neumann_p2p1_fill_does_not_grow():
 
 
 def test_node_order_computed_once_per_space(monkeypatch):
-    # the saddle solves and the osc_K and osc_E projections share one
-    # nested dissection of the space's element-node graph
+    # the saddle solves of a space share one nested dissection of its
+    # element-node graph, and the estimator's projections need none
     from stokes_stab import estimator, study
     calls = []
     real = solver.nested_dissection
@@ -539,68 +539,79 @@ def test_node_order_computed_once_per_space(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the osc_K projection in the same order, against plain COLAMD
-
-def _osc_K(space, problem, monkeypatch):
-    """osc_K and the stats of its mass-matrix solve."""
-    from stokes_stab import estimator
-    stats = []
-    real = solver.ordered_solve
-
-    def spy(K, b):
-        out = real(K, b)
-        if K.shape[0] == space.n_nodes:
-            stats.append(out[2])
-        return out
-
-    monkeypatch.setattr(solver, "ordered_solve", spy)
-    osc_K, _ = estimator.oscillations(problem, space)
-    monkeypatch.setattr(solver, "ordered_solve", real)
-    (mass_stats,) = stats
-    return osc_K, mass_stats
-
+# the osc_K projection by CG, against plain COLAMD
 
 def _plain_osc_K(space, problem, monkeypatch):
     # the reference: the mass matrix solved by splu with SuperLU's
     # defaults, one solve, no checks
     from stokes_stab import estimator
-    real = solver.ordered_solve
-    monkeypatch.setattr(solver, "ordered_solve",
-                        lambda K, b: (splu(K).solve(b), None, None))
-    osc_K, _ = estimator.oscillations(problem, space)
-    monkeypatch.setattr(solver, "ordered_solve", real)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "mass_solve",
+                  lambda M, b: splu(M.tocsc()).solve(b))
+        osc_K, _ = estimator.oscillations(problem, space)
     return osc_K
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
 def test_ordered_projection_matches_colamd(graded_lshape_mesh, pair,
                                            monkeypatch):
+    from stokes_stab import estimator
     from stokes_stab.study import get_case
     space = FeSpace(graded_lshape_mesh, pair)
     problem = get_case("LSHAPE_PEAK").problem()
     ref = _plain_osc_K(space, problem, monkeypatch)
-    osc_K, stats = _osc_K(space, problem, monkeypatch)
-    assert stats["ordering"] == "nested_dissection"
-    assert stats["fallback"] is False
+    osc_K, _ = estimator.oscillations(problem, space)
     assert np.max(np.abs(osc_K - ref)) <= 1e-13 * np.max(ref)
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
 def test_projection_failure_falls_back_to_colamd(graded_lshape_mesh, pair,
                                                  monkeypatch):
+    # a CG that reports no convergence, or one that returns NaN: the
+    # mass matrix goes to SuperLU with COLAMD, whose single solve is
+    # the reference's
+    from stokes_stab import estimator
     from stokes_stab.study import get_case
     space = FeSpace(graded_lshape_mesh, pair)
     problem = get_case("LSHAPE_PEAK").problem()
     ref = _plain_osc_K(space, problem, monkeypatch)
-    real = solver.splu
+    real_cg, real_factor = solver.cg, solver._factor_and_solve
+    fallbacks = []
 
-    def failing(K, **options):
-        if options.get("permc_spec") == "NATURAL":
-            raise RuntimeError("Factor is exactly singular")
-        return real(K, **options)
+    def factor(K, b):
+        fallbacks.append(K.shape)
+        return real_factor(K, b)
 
-    monkeypatch.setattr(solver, "splu", failing)
-    osc_K, stats = _osc_K(space, problem, monkeypatch)
-    assert stats["ordering"] == "colamd"
-    assert stats["fallback"] is True
-    assert np.array_equal(osc_K, ref)
+    monkeypatch.setattr(solver, "_factor_and_solve", factor)
+    for fault in (lambda x, info: (x, 1),
+                  lambda x, info: (np.full_like(x, np.nan), info)):
+        monkeypatch.setattr(solver, "cg",
+                            lambda *a, fault=fault, **kw:
+                            fault(*real_cg(*a, **kw)))
+        fallbacks.clear()
+        osc_K, _ = estimator.oscillations(problem, space)
+        assert fallbacks == [(space.n_nodes, space.n_nodes)]
+        assert np.array_equal(osc_K, ref)
+
+
+def test_oscillations_need_no_factorization(graded_lshape_mesh,
+                                            monkeypatch):
+    # the CG projections converge on a graded mesh and on the P2 trace
+    # of the Neumann edges: the SuperLU fallback must not mask a
+    # regression of the normal path
+    from stokes_stab import estimator
+    from stokes_stab.study import get_case
+
+    def refused(*args, **kwargs):
+        raise AssertionError("mass matrix sent to SuperLU")
+
+    monkeypatch.setattr(solver, "_factor_and_solve", refused)
+    monkeypatch.setattr(solver, "splu", refused)
+    lshape, strip = get_case("LSHAPE_PEAK"), get_case("NEUMANN_STRIP")
+    for mesh, pair, case in [(graded_lshape_mesh, P1P1, lshape),
+                             (graded_lshape_mesh, P2P1, lshape),
+                             (strip.make_mesh(16), P2P1, strip)]:
+        osc_K, osc_E = estimator.oscillations(case.problem(),
+                                              FeSpace(mesh, pair))
+        assert np.all(np.isfinite(osc_K)) and osc_K.max() > 0.0
+    assert osc_E.max() > 0.0
