@@ -258,7 +258,8 @@ def cmd_audit(cfg):
     except KeyError:
         case = None
     if case is not None:
-        target = case.make_mesh(cfg["n0"] or case.default_n0)
+        target = case.make_mesh(case.default_n0 if cfg["n0"] is None
+                                else cfg["n0"])
         label = case.name
     else:
         if not Path(name).exists():
@@ -327,7 +328,7 @@ def main(argv=None):
         return _fail(EXIT_IO, "io", exc)
     except MemoryError as exc:
         run = (f"{args.command} --case {cfg['case']} --pair {cfg['pair']} "
-               f"--n0 {cfg['n0'] or 'default'}")
+               f"--n0 {'default' if cfg['n0'] is None else cfg['n0']}")
         return _fail(EXIT_MEMORY, "memory", f"{run}: {exc or 'out of memory'}")
 
 

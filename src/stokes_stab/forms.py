@@ -572,8 +572,8 @@ def assemble_system(space, problem):
     if alpha is None:
         alpha = default_alpha(space)
     alpha = float(alpha)
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     c_i = space.c_i
     if alpha >= c_i:
         raise InadmissibleAlphaError(

@@ -211,8 +211,8 @@ class DiscreteSolution:
     multiplier of the mean-pressure constraint when one was used.
     diagnostics records n_unknowns, alpha and how the factorization
     went: ordering ("multifrontal", or "colamd" when the fallback
-    fired), fill_nnz (the entries the factor stores: the fronts' LU
-    and W blocks, or nnz of SuperLU's L + U), pivot_ratio (smallest
+    fired), fill_nnz (the entries the factor stores: the fronts' W
+    blocks, or nnz of SuperLU's L + U), pivot_ratio (smallest
     over largest pivot), residual_initial (before refinement), refined
     and fallback.
     """
@@ -257,34 +257,36 @@ def _diagnose(system, reason):
     return "; ".join(msg)
 
 
-def _checked_solve(K, b, lu_solve, pivots, stored):
+def _checked_solve(K, b, lu_solve):
     """Solve K x = b with a factor of K, with the checks and one
     refinement.
 
-    lu_solve applies the factor's inverse, pivots (absolute values)
-    and stored (its entry count) describe it. A relative residual above
-    1e-12 gets one step of iterative refinement; a backward-stable
-    solve leaves about 1e-15, but the fronts pivot only inside their
-    own block, and where a front pivot is tiny (P1P1 at alpha = 1e-6:
-    4e-13 of the largest) the first solve can leave 2e-10 and a
-    solution 4e-9 off, which one step brings to 1e-15 and 2e-13.
+    lu_solve(r) returns (K^-1 r by the factor, the absolute values of
+    the factor's pivots, the factor's entry count); it may factor K
+    anew on each call, as long as each call gives the same factor. Its
+    pivots are checked before its first x is accepted. A relative
+    residual above 1e-12 gets one step of iterative refinement, a second
+    call on b - K x; a backward-stable solve leaves about 1e-15, but the
+    fronts pivot only inside their own block, and where a front pivot
+    is tiny (P1P1 at alpha = 1e-6: 4e-13 of the largest) the first
+    solve can leave 2e-10 and a solution 4e-9 off, which one step
+    brings to 1e-15 and 2e-13.
     Returns (x, relative residual, factorization stats); raises
     SolverError naming the check that failed, or a residual still above
     1e-9 after the step.
     """
+    x, pivots, stored = lu_solve(b)
     # a structurally nonsingular but numerically singular matrix can
     # slip through the factorization; a vanishing pivot means the solve
-    # would only produce garbage
+    # only produced garbage
     if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
         raise SolverError("factorization produced a zero pivot")
-
-    x = lu_solve(b)
     bnorm = max(float(np.linalg.norm(b)), 1e-30)
     if not np.all(np.isfinite(x)):
         raise SolverError("non-finite solution values")
     res = res_initial = float(np.linalg.norm(K @ x - b)) / bnorm
     if res > 1e-12:
-        x = x + lu_solve(b - K @ x)
+        x = x + lu_solve(b - K @ x)[0]
         res = float(np.linalg.norm(K @ x - b)) / bnorm
     if not np.all(np.isfinite(x)) or res > 1e-9:
         raise SolverError(f"relative residual {res:.3e} above 1e-9 after "
@@ -312,7 +314,8 @@ def _factor_and_solve(K, b):
         raise SolverError(str(exc),
                           getattr(exc, "blas_output", "")) from None
     pivots = np.abs(lu.U.diagonal())
-    return _checked_solve(K, b, lu.solve, pivots, lu.L.nnz + lu.U.nnz)
+    stored = lu.L.nnz + lu.U.nnz
+    return _checked_solve(K, b, lambda r: (lu.solve(r), pivots, stored))
 
 
 # CG steps per column in mass_solve: the Jacobi-scaled P1 and P2 mass
@@ -329,15 +332,21 @@ def mass_solve(M, b):
     in a fixed number of steps. A column short of a relative residual
     of 1e-15 after MASS_CG_STEPS steps, or holding a non-finite value,
     sends the system to _factor_and_solve; any other exception (a
-    MemoryError, say) leaves at once.
+    MemoryError, say) leaves at once. The CG steps run with every
+    OpenBLAS on one thread: their vector products are too short to
+    share. With the default threads on 2 CPUs, the solves of a 3-level
+    NEUMANN_STRIP P2P1 study from n0 = 16 took 35-49 ms in 7 of 8 fresh
+    processes and 435 ms in the eighth; on one thread, 29-38 ms in all
+    8.
     """
     jacobi = sp.diags(1.0 / M.diagonal())
     x = np.empty_like(b)
-    for j in range(b.shape[1]):
-        x[:, j], info = cg(M, b[:, j], rtol=1e-15, atol=0.0,
-                           maxiter=MASS_CG_STEPS, M=jacobi)
-        if info != 0 or not np.all(np.isfinite(x[:, j])):
-            return _factor_and_solve(M.tocsc(), b)[0]
+    with _one_blas_thread():
+        for j in range(b.shape[1]):
+            x[:, j], info = cg(M, b[:, j], rtol=1e-15, atol=0.0,
+                               maxiter=MASS_CG_STEPS, M=jacobi)
+            if info != 0 or not np.all(np.isfinite(x[:, j])):
+                return _factor_and_solve(M.tocsc(), b)[0]
     return x
 
 
@@ -437,95 +446,93 @@ def _front_structure(K, groups):
     return fronts, kids, rel
 
 
-class _Fronts:
-    """LU factors of the fronts of K, eliminated group by group.
+def _front_pass(K, b, groups):
+    """(K^-1 b, pivots, stored): the fronts of K factored group by
+    group, with the forward sweep run inside the same pass, then the
+    backward sweep.
 
-    The numeric pass assembles each front from its columns of K (its
-    own block F11 and the rows below, F21; the block above, F12, is
-    F21^T, as K is symmetric) plus its children's update matrices,
-    factors F11 by getrf (partial pivoting inside the block), keeps
-    that LU and W = F11^-1 F21^T (k x m for k own and m rows below),
-    and hands the update F22 - F21 W to its parent. The front is freed
-    then, so the factor holds k (k + m) entries per group and no copy
-    of L or U. pivots holds |U_ii| of every front, stored the entries
-    kept.
+    The pass assembles each front from its columns of K (its own block
+    F11 and the rows below, F21; the block above, F12, is F21^T, as K
+    is symmetric) plus its children's update matrices, factors F11 by
+    getrf (partial pivoting inside the block), forms W = F11^-1 F21^T
+    (k x m for k own and m rows below) and hands the update F22 - F21 W
+    to its parent. With F11 symmetric, K = [[I, 0], [W^T, I]] [[F11, 0],
+    [0, S]] [[I, W], [0, I]] for each front in turn, and b is at hand,
+    so the group's forward step runs at once: W^T x1 is subtracted from
+    the rows below and x1 solved with F11's LU. The LU and the front are
+    freed then, and W alone is kept, k m entries per group, for the
+    backward sweep, which subtracts W x2 from each group's unknowns in
+    reverse order. pivots holds |U_ii| of every front, stored the
+    entries of the W blocks.
 
     Nothing pivots across fronts: a front pivot that is tiny against
     its column shows in pivots, and _checked_solve refines or rejects.
+    Raises SolverError when a getrf meets an exactly zero pivot.
     """
-
-    def __init__(self, K, groups):
-        ends = np.append(groups[1:], K.shape[0])
-        fronts, kids, rel = _front_structure(K, groups)
-        self.pivots = np.empty(K.shape[0])
-        self.factors = []   # (start, end, rows below, LU, row swaps, W)
-        self.stored = 0
-        updates = {}
-        counts = np.diff(K.indptr)
-        for g, (start, end, f) in enumerate(zip(groups, ends, fronts)):
-            k, nf = end - start, len(f)
-            # entry (i, j) of the front at 1 + i nf + j; the entries of
-            # K above it (rows before f[0]) all go to slot 0
-            a, b = K.indptr[start], K.indptr[end]
-            at = f.searchsorted(K.indices[a:b], "right")
-            at *= nf
-            at += np.arange(1 - nf, 1 - nf + k).repeat(counts[start:end])
-            np.maximum(at, 0, out=at)
-            F = np.zeros(nf * nf + 1)
-            F[at] = K.data[a:b]
-            for c in kids[g]:
-                r = rel[c]
-                # no index repeats, but numpy 2's add.at beats F[i] += u
-                # (4.9 against 10.0 us for a 49 x 49 update)
-                np.add.at(F, (r[:, None] * nf + (r + 1)).ravel(),
-                          updates.pop(c).ravel())
-            F = F[1:].reshape(nf, nf)
-            lu, piv, info = dgetrf(F[:k, :k])
-            if info != 0:
-                raise SolverError("factorization produced a zero pivot")
-            np.abs(lu.diagonal(), out=self.pivots[start:end])
-            W = dgetrs(lu, piv, F[k:, :k].T)[0]
-            U = F[k:, :k] @ W
-            updates[g] = np.subtract(F[k:, k:], U, out=U)
-            self.factors.append((start, end, f[k:], lu, piv, W))
-            self.stored += int(k * nf)
-            del F
-
-    def solve(self, b):
-        """K^-1 b: one forward and one backward sweep over the groups.
-
-        With F11 symmetric, K = [[I, 0], [W^T, I]] [[F11, 0], [0, S]]
-        [[I, W], [0, I]] for each front in turn: the forward sweep
-        subtracts W^T b1 from the rows below and solves with F11, the
-        backward sweep subtracts W x2 from the group's unknowns.
-        """
-        x = np.array(b, dtype=float)
-        for start, end, rows, lu, piv, W in self.factors:
-            x[rows] -= W.T @ x[start:end]
-            x[start:end] = dgetrs(lu, piv, x[start:end])[0]
-        for start, end, rows, lu, piv, W in reversed(self.factors):
-            x[start:end] -= W @ x[rows]
-        return x
+    ends = np.append(groups[1:], K.shape[0])
+    fronts, kids, rel = _front_structure(K, groups)
+    x = np.array(b, dtype=float)
+    pivots = np.empty(K.shape[0])
+    factors = []   # (start, end, rows below, W)
+    stored = 0
+    updates = {}
+    counts = np.diff(K.indptr)
+    for g, (start, end, f) in enumerate(zip(groups, ends, fronts)):
+        k, nf = end - start, len(f)
+        # entry (i, j) of the front at 1 + i nf + j; the entries of
+        # K above it (rows before f[0]) all go to slot 0
+        a, z = K.indptr[start], K.indptr[end]
+        at = f.searchsorted(K.indices[a:z], "right")
+        at *= nf
+        at += np.arange(1 - nf, 1 - nf + k).repeat(counts[start:end])
+        np.maximum(at, 0, out=at)
+        F = np.zeros(nf * nf + 1)
+        F[at] = K.data[a:z]
+        for c in kids[g]:
+            r = rel[c]
+            # no index repeats, but numpy 2's add.at beats F[i] += u
+            # (4.9 against 10.0 us for a 49 x 49 update)
+            np.add.at(F, (r[:, None] * nf + (r + 1)).ravel(),
+                      updates.pop(c).ravel())
+        F = F[1:].reshape(nf, nf)
+        lu, piv, info = dgetrf(F[:k, :k])
+        if info != 0:
+            raise SolverError("factorization produced a zero pivot")
+        np.abs(lu.diagonal(), out=pivots[start:end])
+        W = dgetrs(lu, piv, F[k:, :k].T)[0]
+        U = F[k:, :k] @ W
+        updates[g] = np.subtract(F[k:, k:], U, out=U)
+        rows = f[k:]
+        x[rows] -= W.T @ x[start:end]
+        x[start:end] = dgetrs(lu, piv, x[start:end])[0]
+        factors.append((start, end, rows, W))
+        stored += int(k * (nf - k))
+        del F, lu
+    for start, end, rows, W in reversed(factors):
+        x[start:end] -= W @ x[rows]
+    return x, pivots, stored
 
 
 def _front_solve(K, b, groups):
-    """Factor K by fronts on groups and _checked_solve with it, every
+    """_checked_solve of K x = b by _front_pass on groups, every
     OpenBLAS on one thread."""
     with _one_blas_thread():
-        fronts = _Fronts(K, groups)
-        return _checked_solve(K, b, fronts.solve, fronts.pivots,
-                              fronts.stored)
+        return _checked_solve(K, b, lambda r: _front_pass(K, r, groups))
 
 
 def solve(system):
     """Factorize and solve, with a residual check and one refinement step.
 
     The system's matrix is factored by fronts on its nested-dissection
-    groups (_Fronts), and by SuperLU with COLAMD when that fails its
-    pivot or residual check; any other exception (a MemoryError, say)
-    leaves at once. Raises SolverError, with the failure localized to a
-    block of the system, when both factorizations fail, or the relative
-    residual stays above 1e-9 after one step of iterative refinement.
+    groups, with the forward sweep inside the factorization and only
+    the W blocks kept (_front_pass); a refinement step runs that pass
+    again on the residual. SuperLU with COLAMD takes over when the
+    fronts fail their pivot or residual check; any other exception (a
+    MemoryError, say) leaves at once. diagnostics["fill_nnz"] counts
+    the W entries, or SuperLU's L + U. Raises SolverError, with the
+    failure localized to a block of the system, when both
+    factorizations fail, or the relative residual stays above 1e-9
+    after one step of iterative refinement.
     """
     K, b = system.matrix, system.rhs
     _release_free_heap()

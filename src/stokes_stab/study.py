@@ -263,7 +263,8 @@ def _set_up(case, pair, alpha, n0):
     forms.default_alpha)."""
     if isinstance(case, str):
         case = get_case(case)
-    space = FeSpace(case.make_mesh(n0 or case.default_n0), pair)
+    space = FeSpace(case.make_mesh(case.default_n0 if n0 is None else n0),
+                    pair)
     if alpha is None:
         alpha = forms.default_alpha(space)
     return case, space, case.problem(alpha=alpha)
@@ -407,6 +408,8 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
         raise ValueError(f"theta must be in (0, 1), got {theta}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if target_eta is not None and not math.isfinite(target_eta):
+        raise ValueError(f"target_eta must be finite, got {target_eta}")
     case, space, problem = _set_up(case, pair, alpha, n0)
     log = AdaptiveLog(case=case.name, pair=space.pair.label,
                       alpha=problem.alpha, theta=theta)

@@ -306,6 +306,34 @@ def test_inadmissible_alpha_exit_code(tmp_path, capsys):
     assert "C_I" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,message", [
+    (("solve", "--alpha", "nan"), "alpha must be nonnegative and finite"),
+    (("adaptive-study", "--target-eta", "nan", "--max-iters", "2"),
+     "target_eta must be finite"),
+], ids=["alpha", "target_eta"])
+def test_non_finite_option_is_a_config_error(tmp_path, capsys, args,
+                                             message):
+    # nan passes every comparison test: alpha = nan assembled a NaN
+    # matrix and failed in the solver, target_eta = nan never stopped
+    # the adaptive loop
+    code = run_cli(*args, "--case", "SMOOTH_SQUARE", "--pair", "P1P1",
+                   "--n0", "2", "--out", str(tmp_path))
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"stokes-stab: config error: {message}, got nan\n"
+    assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_n0_zero_is_a_mesh_error(tmp_path, capsys, command):
+    # only an absent n0 means the case's default mesh
+    code = run_cli(command, "--case", "SMOOTH_SQUARE", "--n0", "0",
+                   "--out", str(tmp_path))
+    assert code == cli.EXIT_MESH
+    assert capsys.readouterr().err == \
+        "stokes-stab: mesh error: unit_square needs n >= 1, got 0\n"
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     code = run_cli("solve", "--case", "SMOOTH_SQUARE", "--pair", "P1P1",
                    "--alpha", "0", "--n0", "4", "--out", str(tmp_path))

@@ -332,12 +332,76 @@ def test_tiny_alpha_equal_order_falls_back(name):
     case = get_case(name)
     system = assemble_system(FeSpace(case.make_mesh(16), P1P1),
                              case.problem(alpha=1e-8))
-    fronts = solver._Fronts(system.matrix, system.groups)
-    assert fronts.pivots.min() < 1e-14 * fronts.pivots.max()
+    _, pivots, _ = solver._front_pass(system.matrix, system.rhs,
+                                      system.groups)
+    assert pivots.min() < 1e-14 * pivots.max()
     sol = solver.solve(system)
     assert sol.diagnostics["ordering"] == "colamd"
     assert sol.diagnostics["fallback"] is True
     assert sol.residual <= 1e-9
+
+
+def _stored_factor_solver(K, groups):
+    """The reference for solver._front_pass: the fronts' LU and W blocks
+    all stored, then per right-hand side one forward and one backward
+    sweep. Returns the solve function and the |U_ii| of the fronts."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+    ends = np.append(groups[1:], K.shape[0])
+    fronts, kids, rel = solver._front_structure(K, groups)
+    factors, updates, pivots = [], {}, []
+    for g, (start, end, f) in enumerate(zip(groups, ends, fronts)):
+        k = end - start
+        # only F11 and F21 come from K; F22 holds the children's updates
+        F = np.zeros((len(f), len(f)))
+        F[:, :k] = K[f][:, start:end].toarray()
+        for c in kids[g]:
+            F[np.ix_(rel[c], rel[c])] += updates.pop(c)
+        lu, piv, info = dgetrf(F[:k, :k])
+        assert info == 0
+        pivots.append(np.abs(lu.diagonal()))
+        W = dgetrs(lu, piv, F[k:, :k].T)[0]
+        updates[g] = F[k:, k:] - F[k:, :k] @ W
+        factors.append((start, end, f[k:], lu, piv, W))
+
+    def solve(b):
+        x = np.array(b, dtype=float)
+        for start, end, rows, lu, piv, W in factors:
+            x[rows] -= W.T @ x[start:end]
+            x[start:end] = dgetrs(lu, piv, x[start:end])[0]
+        for start, end, rows, _, _, W in reversed(factors):
+            x[start:end] -= W @ x[rows]
+        return x
+
+    return solve, np.concatenate(pivots)
+
+
+def _fused_pass_systems():
+    from stokes_stab.study import get_case
+    for name, pair, alpha, refined in (
+            ("NEUMANN_STRIP", P2P1, None, False),
+            ("SMOOTH_SQUARE", P1P1, None, False),   # bordered
+            ("SMOOTH_SQUARE", P1P1, 1e-6, True)):
+        case = get_case(name)
+        system = assemble_system(FeSpace(case.make_mesh(16), pair),
+                                 case.problem(alpha=alpha))
+        yield pytest.param(system, refined,
+                           id=f"{name}-{pair.label}-{alpha}")
+
+
+@pytest.mark.parametrize("system,refined", _fused_pass_systems())
+def test_fused_pass_matches_stored_factor_sweeps(system, refined):
+    # the forward sweep inside the factorization does every operation
+    # on x in the order of a forward sweep after it, and a refinement
+    # that runs the pass again equals one with the stored factor
+    K, b = system.matrix, system.rhs
+    x, res, stats = solver._front_solve(K, b, system.groups)
+    with solver._one_blas_thread():
+        oracle, pivots = _stored_factor_solver(K, system.groups)
+        ref_x, ref_res, ref_stats = solver._checked_solve(
+            K, b, lambda r: (oracle(r), pivots, stats["fill_nnz"]))
+    assert np.array_equal(x, ref_x)
+    assert res == ref_res and stats == ref_stats
+    assert stats["refined"] is refined
 
 
 @pytest.mark.parametrize("boundary", [None, {"right": "N"}],
@@ -376,30 +440,44 @@ def _openblas_counts():
     return [get() for get, _ in solver._loaded_openblas()]
 
 
-def test_blas_on_one_thread_inside_the_factor(monkeypatch):
+def _check_one_blas_thread_inside(monkeypatch, name, run):
+    # every call of solver.<name> inside run() sees each OpenBLAS at one
+    # thread, and run() leaves them all at the two they had before it
     controls = solver._loaded_openblas()
     assert controls, "numpy and scipy load OpenBLAS"
-    system = assemble_system(FeSpace(unit_square(8), P2P1), _linear_case())
     saved = _openblas_counts()
-    real = solver.dgetrf
+    real = getattr(solver, name)
     inside = []
 
-    def spying(a):
+    def spying(*args, **kwargs):
         inside.append(_openblas_counts())
-        return real(a)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "dgetrf", spying)
+    monkeypatch.setattr(solver, name, spying)
     try:
         for _, set_ in controls:
             set_(2)
         before = _openblas_counts()
-        solver.solve(system)
+        run()
         after = _openblas_counts()
     finally:
         for (_, set_), count in zip(controls, saved):
             set_(count)
     assert inside and all(c == [1] * len(controls) for c in inside)
     assert after == before
+
+
+def test_blas_on_one_thread_inside_the_factor(monkeypatch):
+    system = assemble_system(FeSpace(unit_square(8), P2P1), _linear_case())
+    _check_one_blas_thread_inside(monkeypatch, "dgetrf",
+                                  lambda: solver.solve(system))
+
+
+def test_blas_on_one_thread_inside_mass_solve(monkeypatch):
+    M = forms.pressure_mass(FeSpace(unit_square(8), P2P1))
+    _check_one_blas_thread_inside(
+        monkeypatch, "cg",
+        lambda: solver.mass_solve(M, np.ones((M.shape[0], 2))))
 
 
 def test_solve_runs_where_proc_maps_is_unreadable(monkeypatch):
@@ -503,17 +581,66 @@ def test_nested_dissection_takes_the_thinner_separator():
 
 
 def test_neumann_p2p1_fill_does_not_grow():
-    # 28863 entries are stored by the fronts of this system in the
-    # node-graph order with separators from the thinner side (SuperLU's
-    # L + U held 43874 in that order, 65450 in the dof-graph order with
-    # upper-side separators); a change of the order or of A_uu's stored
-    # entries must not make the factor denser
+    # the fronts of this system keep 17066 entries of W in the
+    # node-graph order with separators from the thinner side (28863
+    # with each front's LU kept beside W; SuperLU's L + U held 43874 in
+    # that order, 65450 in the dof-graph order with upper-side
+    # separators); a change of the order or of A_uu's stored entries
+    # must not make the factor denser
     from stokes_stab import study
     case = study.get_case("NEUMANN_STRIP")
     space = FeSpace(case.make_mesh(8), P2P1)
-    sol = solver.solve(assemble_system(space, case.problem()))
+    system = assemble_system(space, case.problem())
+    sol = solver.solve(system)
     assert sol.diagnostics["ordering"] == "multifrontal"
-    assert sol.diagnostics["fill_nnz"] <= 28863
+    # fill_nnz is the k x m of W of every group with k own rows and m
+    # rows below
+    fronts, _, _ = solver._front_structure(system.matrix, system.groups)
+    ends = np.append(system.groups[1:], system.matrix.shape[0])
+    ks = ends - system.groups
+    assert sol.diagnostics["fill_nnz"] == sum(
+        int(k) * (len(f) - int(k)) for k, f in zip(ks, fronts))
+    assert sol.diagnostics["fill_nnz"] <= 17066
+
+
+def test_front_solve_keeps_only_w():
+    # NEUMANN_STRIP P2P1 n = 32, 9153 unknowns: the fused pass peaks at
+    # 7.02 MB under tracemalloc (W itself is 4.52 MB); storing each
+    # front's LU beside W for a later forward sweep peaked at 8.66 MB
+    from stokes_stab import study
+    case = study.get_case("NEUMANN_STRIP")
+    system = assemble_system(FeSpace(case.make_mesh(32), P2P1),
+                             case.problem())
+    tracemalloc.start()
+    try:
+        solver._front_solve(system.matrix, system.rhs, system.groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5e6
+
+
+def test_refinement_frees_the_first_pass():
+    # P1P1 at alpha = 1e-6 refines; the second pass may add a few
+    # vectors of the system's size to the peak of one pass, not the
+    # first pass's W blocks (1.2 MB here)
+    from stokes_stab import study
+    case = study.get_case("SMOOTH_SQUARE")
+    system = assemble_system(FeSpace(case.make_mesh(32), P1P1),
+                             case.problem(alpha=1e-6))
+    K, b, groups = system.matrix, system.rhs, system.groups
+    peaks = []
+    for run in (lambda: solver._front_pass(K, b, groups),
+                lambda: solver._front_solve(K, b, groups)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert result[2]["refined"] is True
+    assert peaks[1] <= peaks[0] + 4 * 8 * K.shape[0]
+    assert 8 * result[2]["fill_nnz"] > 10 * 4 * 8 * K.shape[0]
 
 
 def test_node_order_computed_once_per_space(monkeypatch):

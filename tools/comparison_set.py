@@ -6,7 +6,9 @@ the package:
     python tools/comparison_set.py OUT
 
 The set is 8 `uniform-study` runs (4 cases x 2 pairs, n0 4, 3 levels),
-3 `solve` runs, the 3 study commands of the benchmark and
+3 `solve` runs at the default alpha, 2 equal-order `solve` runs at a
+tiny alpha (1e-6 takes the fronts' refinement step, 1e-8 falls back to
+COLAMD), the 3 study commands of the benchmark and
 `audit --case LSHAPE_PEAK`. Command NAME writes into OUT/NAME/, with
 its standard output in OUT/NAME/stdout.txt. Two trees are then compared
 with
@@ -37,6 +39,10 @@ COMMANDS = (
       for case, pair, n0 in (("SMOOTH_SQUARE", "P1P1", "16"),
                              ("NEUMANN_STRIP", "P2P1", "16"),
                              ("NONZERO_G", "P2P1", "8"))),
+    *((f"solve_SMOOTH_SQUARE_P1P1_n0_16_alpha_{alpha}",
+       ("solve", "--case", "SMOOTH_SQUARE", "--pair", "P1P1", "--n0", "16",
+        "--alpha", alpha))
+      for alpha in ("1e-6", "1e-8")),
     # the study commands of perfbench/workloads.py
     ("bench_uniform_p1p1_dirichlet",
      ("uniform-study", "--case", "SMOOTH_SQUARE", "--pair", "P1P1",
