@@ -52,12 +52,19 @@ class ConfigError(Exception):
 
 
 def parse_config_file(path):
-    """Read `key = value` lines; '#' starts a comment."""
+    """Read `key = value` lines of UTF-8 text; '#' starts a comment."""
     out = {}
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the valid text before the bad byte, and a stand-in for it
+        lineno = len((data[:exc.start].decode() + "x").splitlines())
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text "
+                          f"({exc.reason})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -317,8 +324,10 @@ def main(argv=None):
     }
     try:
         return dispatch[args.command](cfg)
-    except (ConfigError, KeyError, forms.InadmissibleAlphaError,
-            ValueError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message
+        return _fail(EXIT_CONFIG, "config", " ".join(map(str, exc.args)))
+    except (ConfigError, forms.InadmissibleAlphaError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", exc)
     except meshmod.MeshError as exc:
         return _fail(EXIT_MESH, "mesh", exc)

@@ -466,55 +466,52 @@ def default_alpha(space):
 
 @dataclass
 class AssembledSystem:
-    """The saddle system as factored, with its constraint bookkeeping.
+    """The saddle system as factored, with its row map.
 
     matrix (CSC) and rhs hold the free dofs (Dirichlet velocity dofs
     eliminated, their values lifted into rhs) and, when bordered, one
     Lagrange multiplier pinning the pressure gauge: its row and column
-    hold the pressure means int psi_j. They are in elimination order:
-    row i is unknown order[i] of free_dofs (the full ordering's free
-    dofs, velocity interleaved first, then pressure, in increasing
-    order), followed by the border at index len(free_dofs). groups
-    holds the first row of each nested-dissection group of that order,
-    the fronts solver.solve factors; the border belongs to the last.
+    hold the pressure means int psi_j. rows (n_dofs + 1,) is the row of
+    each dof of the full ordering (velocity interleaved, then
+    pressure), -1 on the Dirichlet dofs; its last entry is the border's
+    row, the last row, or -1 when there is no border. groups holds the
+    first row of each nested-dissection group, the fronts solver.solve
+    factors; the border belongs to the last.
     """
 
     matrix: sp.csc_matrix
     rhs: np.ndarray
-    order: np.ndarray
-    free_dofs: np.ndarray
-    n_u_free: int
-    n_u: int
-    n_p: int
-    alpha: float
-    c_i: float
+    rows: np.ndarray
     groups: np.ndarray
-    bordered: bool = False
+    n_u: int
+    alpha: float
     dirichlet_values: np.ndarray = None
+
+    @property
+    def bordered(self):
+        return bool(self.rows[-1] >= 0)
 
 
 def _saddle_order(space, free, bordered):
-    """(order, pos, groups) of the saddle matrix.
+    """(rows, groups) of the saddle matrix.
 
-    order sorts the free dofs stably by the nested-dissection slot of
-    their node (FeSpace.node_slots), so a group keeps its velocity
-    dofs by node, then its pressure dofs; the border, index len(free),
-    comes last. pos (n_dofs + 1,) int32 is the row of each dof, the
-    border's at n_dofs, and -1 on the Dirichlet dofs. groups holds the
-    row where each distinct slot starts.
+    The free dofs go in stable order of the nested-dissection slot of
+    their node (FeSpace.node_slots), so a group keeps its velocity dofs
+    by node, then its pressure dofs; the border comes last. rows
+    (n_dofs + 1,) int32 is the row of each dof, the border's at n_dofs,
+    and -1 on the Dirichlet dofs (and at n_dofs without a border).
+    groups holds the row where each distinct slot starts.
     """
     n_u = space.n_u
     nodes = np.where(free < n_u, free // 2, free - n_u)
     slots = space.node_slots[nodes]
     order = np.argsort(slots, kind="stable")
     groups = np.flatnonzero(np.diff(slots[order], prepend=-1))
-    rows = free
+    rows = np.full(space.n_dofs + 1, -1, dtype=np.int32)
+    rows[free[order]] = np.arange(len(free))
     if bordered:
-        order = np.append(order, len(free))
-        rows = np.append(free, space.n_dofs)
-    pos = np.full(space.n_dofs + 1, -1, dtype=np.int32)
-    pos[rows[order]] = np.arange(len(order))
-    return order, pos, groups
+        rows[-1] = len(free)
+    return rows, groups
 
 
 def _saddle_local(space, alpha, bordered):
@@ -583,7 +580,7 @@ def assemble_system(space, problem):
     bordered = not space.mesh.has_neumann
     free = np.concatenate([space.free_velocity_dofs,
                            space.n_u + np.arange(space.n_p)])
-    order, pos, groups = _saddle_order(space, free, bordered)
+    rows, groups = _saddle_order(space, free, bordered)
     rhs = assemble_F(space, problem)
     if alpha != 0.0:
         rhs = rhs - alpha * assemble_Lh(space, problem)
@@ -607,19 +604,15 @@ def assemble_system(space, problem):
     # drop the Dirichlet rows and columns in place: zero them and send
     # them to the element's first pressure dof, where they add exact
     # zeros to entries the element stores anyway
-    idx = pos[dofs]
+    idx = rows[dofs]
     dirichlet = idx < 0
     T[dirichlet] = 0.0
     T.transpose(0, 2, 1)[dirichlet] = 0.0
     idx[dirichlet] = np.broadcast_to(idx[:, nv, None], idx.shape)[dirichlet]
-    K = _scatter_csc(idx, T, len(order))
-    b = np.zeros(len(order))
-    b[pos[free]] = rhs[free]
-
-    return AssembledSystem(
-        matrix=K, rhs=b, order=order, free_dofs=free,
-        n_u_free=len(space.free_velocity_dofs),
-        n_u=space.n_u, n_p=space.n_p,
-        alpha=alpha, c_i=c_i, groups=groups, bordered=bordered,
-        dirichlet_values=lift,
-    )
+    n = len(free) + bordered
+    K = _scatter_csc(idx, T, n)
+    b = np.zeros(n)
+    b[rows[free]] = rhs[free]
+    return AssembledSystem(matrix=K, rhs=b, rows=rows, groups=groups,
+                           n_u=space.n_u, alpha=alpha,
+                           dirichlet_values=lift)

@@ -60,11 +60,14 @@ def _release_free_heap():
     glibc returns freed heap memory only when the free block at the
     top of the heap outgrows a threshold that rises with the largest
     block freed, up to 64 MB. Below it, the pages one phase of a level
-    freed (assembly, the factor, the estimator) stay resident, and the
-    next phase's arrays come on top of them. So the heap is trimmed at
-    the phase boundaries: without any trim, the peak resident set of a
+    freed (the saddle solve, the oscillations, the levels) stay
+    resident, and the next phase's arrays come on top of them. So the
+    heap is trimmed after each solve (study._solve_level), before the
+    error norms (estimator.global_report) and before the output files
+    (cli.write_outputs): without any trim, the peak resident set of a
     3-level SMOOTH_SQUARE P1P1 study from n0 = 16 rises from 90 to
     99-100 MB, and that of NEUMANN_STRIP P2P1 from 133-135 to 143 MB.
+    A trim before the factorization left both peaks where they were.
     Each call costs about a millisecond.
     """
     if _malloc_trim is not None:
@@ -226,11 +229,9 @@ class DiscreteSolution:
 
 def _blocks(system):
     """Rows of system.matrix of the free velocity dofs and of the
-    pressure dofs, each in the order of system.free_dofs."""
-    at = np.empty_like(system.order)
-    at[system.order] = np.arange(len(at))
-    nuf = system.n_u_free
-    return at[:nuf], at[nuf:nuf + system.n_p]
+    pressure dofs, each in increasing dof order."""
+    vel = system.rows[:system.n_u]
+    return vel[vel >= 0], system.rows[system.n_u:-1]
 
 
 def _diagnose(system, reason):
@@ -446,10 +447,10 @@ def _front_structure(K, groups):
     return fronts, kids, rel
 
 
-def _front_pass(K, b, groups):
+def _front_pass(K, b, groups, structure):
     """(K^-1 b, pivots, stored): the fronts of K factored group by
     group, with the forward sweep run inside the same pass, then the
-    backward sweep.
+    backward sweep. structure is _front_structure(K, groups).
 
     The pass assembles each front from its columns of K (its own block
     F11 and the rows below, F21; the block above, F12, is F21^T, as K
@@ -470,7 +471,7 @@ def _front_pass(K, b, groups):
     Raises SolverError when a getrf meets an exactly zero pivot.
     """
     ends = np.append(groups[1:], K.shape[0])
-    fronts, kids, rel = _front_structure(K, groups)
+    fronts, kids, rel = structure
     x = np.array(b, dtype=float)
     pivots = np.empty(K.shape[0])
     factors = []   # (start, end, rows below, W)
@@ -515,9 +516,12 @@ def _front_pass(K, b, groups):
 
 def _front_solve(K, b, groups):
     """_checked_solve of K x = b by _front_pass on groups, every
-    OpenBLAS on one thread."""
+    OpenBLAS on one thread; a refinement step's pass reuses the first
+    pass's symbolic structure."""
     with _one_blas_thread():
-        return _checked_solve(K, b, lambda r: _front_pass(K, r, groups))
+        structure = _front_structure(K, groups)
+        return _checked_solve(
+            K, b, lambda r: _front_pass(K, r, groups, structure))
 
 
 def solve(system):
@@ -535,7 +539,6 @@ def solve(system):
     after one step of iterative refinement.
     """
     K, b = system.matrix, system.rhs
-    _release_free_heap()
     ordering = "multifrontal"
     try:
         try:
@@ -546,22 +549,15 @@ def solve(system):
     except SolverError as exc:
         raise SolverError(_diagnose(system, str(exc)),
                           exc.blas_output) from None
-    # row i of K is unknown system.order[i]
-    x = np.empty_like(xo)
-    x[system.order] = xo
-
-    multiplier = None
-    if system.bordered:
-        multiplier = float(x[-1])
-        x = x[:-1]
-
-    full = np.zeros(system.n_u + system.n_p)
+    rows = system.rows[:-1]
+    free = rows >= 0
+    full = np.zeros(len(rows))
     if system.dirichlet_values is not None:
         full[:system.n_u] = system.dirichlet_values
-    full[system.free_dofs] = x
+    full[free] = xo[rows[free]]
     return DiscreteSolution(
         u=full[:system.n_u], p=full[system.n_u:], residual=res,
-        multiplier=multiplier,
+        multiplier=float(xo[-1]) if system.bordered else None,
         diagnostics={"n_unknowns": K.shape[0], "alpha": system.alpha,
                      "ordering": ordering,
                      "fallback": ordering == "colamd", **stats},

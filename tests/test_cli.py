@@ -81,7 +81,7 @@ def test_studies_solve_once_per_row(tmp_path, monkeypatch, args):
     real = solver.solve
 
     def counting(system):
-        calls.append(system.n_u + system.n_p)
+        calls.append(len(system.rows) - 1)
         return real(system)
 
     monkeypatch.setattr(solver, "solve", counting)
@@ -98,8 +98,8 @@ def test_studies_solve_once_per_row(tmp_path, monkeypatch, args):
 def test_estimator_runs_after_the_system_is_freed(tmp_path, monkeypatch,
                                                   args):
     # the assembled system and its matrix are dead by the time the
-    # level's estimator runs, and the heap is trimmed before the factor,
-    # before the estimator, before the error norms and before the files
+    # level's estimator runs, and the heap is trimmed after the solve,
+    # before the error norms and before the files
     events, systems = [], []
     real_assemble, real_solve = forms.assemble_system, solver.solve
     real_release = solver._release_free_heap
@@ -142,10 +142,10 @@ def test_estimator_runs_after_the_system_is_freed(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "_atomic_write", write)
     assert run_cli(*args, "--out", str(tmp_path)) == 0
     rows = (tmp_path / "table.csv").read_text().splitlines()[1:]
-    # per level: solve trims before its factor, _solve_level after it,
-    # global_report before the norms; the command once before it writes
-    # the table, a VTK file per level and the manifest
-    level = ["release", "solve", "release", "report", "release", "norms"]
+    # per level: _solve_level trims after the solve, global_report
+    # before the norms; the command once before it writes the table, a
+    # VTK file per level and the manifest
+    level = ["solve", "release", "report", "release", "norms"]
     assert events == (level * len(rows) + ["release"]
                       + ["write"] * (len(rows) + 2))
     assert len(systems) == len(rows)
@@ -297,6 +297,28 @@ def test_unknown_case_rejected(capsys):
     assert run_cli("audit", "--case", "SMOOTH_SQARE") == 2
     err = capsys.readouterr().err
     assert "SMOOTH_SQARE" in err and "SMOOTH_SQUARE" in err
+
+
+def test_unknown_case_message_is_not_quoted(capsys):
+    assert run_cli("solve", "--case", "NOPE") == 2
+    assert capsys.readouterr().err == (
+        "stokes-stab: config error: unknown case 'NOPE'; available: "
+        f"{', '.join(study.CASE_NAMES)}\n")
+
+
+@pytest.mark.parametrize("content,lineno,reason", [
+    (b"\xff\xfe", 1, "invalid start byte"),
+    (b"pair = P1P1\n# caf\xe9\n", 2, "invalid continuation byte"),
+], ids=["first-line", "comment"])
+def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys, content,
+                                                lineno, reason):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(content)
+    assert run_cli("solve", "--config", str(cfgfile)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"stokes-stab: config error: {cfgfile}:{lineno}: "
+                            f"not UTF-8 text ({reason})\n")
 
 
 def test_inadmissible_alpha_exit_code(tmp_path, capsys):

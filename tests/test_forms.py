@@ -259,7 +259,7 @@ def test_inverse_constant_computed_once_per_space(monkeypatch):
     alpha = default_alpha(space)
     problem = StokesProblem(f=lambda x, y: np.stack([x, y], axis=-1))
     system = assemble_system(space, problem)
-    assert system.c_i == space.c_i == 4.0 * alpha
+    assert system.alpha == alpha and space.c_i == 4.0 * alpha
     assert calls == [space]
 
 

@@ -97,8 +97,11 @@ def test_one_scatter_matches_block_assembly(pair, make_mesh, alpha, lift):
     system = assemble_system(space, problem)
     K0, b0, free, perm = _block_system(space, problem, system.alpha)
     assert (system.dirichlet_values is not None) == lift
-    assert np.array_equal(system.free_dofs, free)
-    assert np.array_equal(system.order, perm)
+    # row i of K0 is unknown perm[i] of the free dofs and the border
+    unknowns = np.append(free, space.n_dofs)[perm]
+    rows = np.full(space.n_dofs + 1, -1)
+    rows[unknowns] = np.arange(len(perm))
+    assert np.array_equal(system.rows, rows)
 
     K = system.matrix
     assert K.format == "csc" and K.has_sorted_indices

@@ -213,16 +213,18 @@ def test_schur_probe_neumann_branch():
 
 def _plain_solution(system):
     # the reference: the same matrix factored with SuperLU's defaults,
-    # one solve, mapped back to unknown order
-    x = np.empty_like(system.rhs)
-    x[system.order] = splu(system.matrix).solve(system.rhs)
-    return x
+    # one solve, in row order
+    return splu(system.matrix).solve(system.rhs)
 
 
 def _solution_vector(system, sol):
-    x = np.concatenate([sol.u, sol.p])[system.free_dofs]
+    # the solution's free dofs and multiplier, each at its row; a row
+    # that none of them reaches stays NaN
+    x = np.full(len(system.rhs), np.nan)
+    dofs = np.flatnonzero(system.rows[:-1] >= 0)
+    x[system.rows[dofs]] = np.concatenate([sol.u, sol.p])[dofs]
     if sol.multiplier is not None:
-        x = np.append(x, sol.multiplier)
+        x[-1] = sol.multiplier
     return x
 
 
@@ -332,8 +334,9 @@ def test_tiny_alpha_equal_order_falls_back(name):
     case = get_case(name)
     system = assemble_system(FeSpace(case.make_mesh(16), P1P1),
                              case.problem(alpha=1e-8))
-    _, pivots, _ = solver._front_pass(system.matrix, system.rhs,
-                                      system.groups)
+    K, groups = system.matrix, system.groups
+    _, pivots, _ = solver._front_pass(K, system.rhs, groups,
+                                      solver._front_structure(K, groups))
     assert pivots.min() < 1e-14 * pivots.max()
     sol = solver.solve(system)
     assert sol.diagnostics["ordering"] == "colamd"
@@ -519,9 +522,11 @@ def test_memory_error_leaves_without_fallback(monkeypatch):
 
 
 def test_solver_diagnostics():
-    system = assemble_system(FeSpace(unit_square(8), P1P1), _linear_case())
+    space = FeSpace(unit_square(8), P1P1)
+    system = assemble_system(space, _linear_case())
     diag = solver.solve(system).diagnostics
-    assert diag["n_unknowns"] == len(system.free_dofs) + 1
+    assert diag["n_unknowns"] == \
+        len(space.free_velocity_dofs) + space.n_p + 1
     assert diag["alpha"] == system.alpha
     assert diag["fill_nnz"] > system.matrix.nnz // 2
     assert 0.0 < diag["pivot_ratio"] <= 1.0
@@ -533,13 +538,20 @@ def test_solver_diagnostics():
 def test_saddle_order_is_permutation_with_border_last(boundary):
     mesh = unit_square(16) if boundary is None \
         else unit_square(16, boundary=boundary)
-    system = assemble_system(FeSpace(mesh, P2P1), _linear_case())
-    perm = system.order
-    n = len(system.free_dofs) + system.bordered
+    space = FeSpace(mesh, P2P1)
+    system = assemble_system(space, _linear_case())
+    rows = system.rows
     assert system.bordered == (boundary is None)
-    assert np.array_equal(np.sort(perm), np.arange(n))
-    if system.bordered:
-        assert perm[-1] == n - 1
+    # exactly the free dofs have a row
+    free = np.concatenate([space.free_velocity_dofs,
+                           space.n_u + np.arange(space.n_p)])
+    assert np.array_equal(np.flatnonzero(rows[:-1] >= 0), free)
+    # the rows of the free dofs and the border are 0..n-1, once each
+    n = len(free) + system.bordered
+    assert system.matrix.shape == (n, n)
+    assert np.array_equal(np.sort(rows[rows >= 0]), np.arange(n))
+    # the border, when there is one, is the last row
+    assert rows[-1] == (n - 1 if system.bordered else -1)
 
 
 def test_nested_dissection_cuts_grid_at_median_column():
@@ -630,7 +642,8 @@ def test_refinement_frees_the_first_pass():
                              case.problem(alpha=1e-6))
     K, b, groups = system.matrix, system.rhs, system.groups
     peaks = []
-    for run in (lambda: solver._front_pass(K, b, groups),
+    for run in (lambda: solver._front_pass(
+                    K, b, groups, solver._front_structure(K, groups)),
                 lambda: solver._front_solve(K, b, groups)):
         tracemalloc.start()
         try:
@@ -641,6 +654,26 @@ def test_refinement_frees_the_first_pass():
     assert result[2]["refined"] is True
     assert peaks[1] <= peaks[0] + 4 * 8 * K.shape[0]
     assert 8 * result[2]["fill_nnz"] > 10 * 4 * 8 * K.shape[0]
+
+
+def test_refining_solve_runs_one_symbolic_pass(monkeypatch):
+    # the fronts' structure depends on K and the groups alone, so the
+    # refinement step's pass reuses the first pass's
+    from stokes_stab import study
+    case = study.get_case("SMOOTH_SQUARE")
+    system = assemble_system(FeSpace(case.make_mesh(16), P1P1),
+                             case.problem(alpha=1e-6))
+    calls = []
+    real = solver._front_structure
+
+    def counting(K, groups):
+        calls.append(groups)
+        return real(K, groups)
+
+    monkeypatch.setattr(solver, "_front_structure", counting)
+    diag = solver.solve(system).diagnostics
+    assert diag["ordering"] == "multifrontal" and diag["refined"] is True
+    assert len(calls) == 1
 
 
 def test_node_order_computed_once_per_space(monkeypatch):

@@ -8,10 +8,11 @@ the package:
 The set is 8 `uniform-study` runs (4 cases x 2 pairs, n0 4, 3 levels),
 3 `solve` runs at the default alpha, 2 equal-order `solve` runs at a
 tiny alpha (1e-6 takes the fronts' refinement step, 1e-8 falls back to
-COLAMD), the 3 study commands of the benchmark and
-`audit --case LSHAPE_PEAK`. Command NAME writes into OUT/NAME/, with
-its standard output in OUT/NAME/stdout.txt. Two trees are then compared
-with
+COLAMD), the 3 study commands of the benchmark, a P2P1
+`adaptive-study` of LSHAPE_PEAK (Dirichlet midpoint nodes and the
+mean-pressure border on graded meshes) and `audit --case LSHAPE_PEAK`.
+Command NAME writes into OUT/NAME/, with its standard output in
+OUT/NAME/stdout.txt. Two trees are then compared with
 
     python tools/compare_outputs.py OUT_A OUT_B
 
@@ -53,6 +54,9 @@ COMMANDS = (
     ("bench_adaptive_lshape_p1p1",
      ("adaptive-study", "--case", "LSHAPE_PEAK", "--pair", "P1P1",
       "--theta", "0.5", "--target-eta", "0.16", "--max-iters", "40")),
+    ("adaptive_LSHAPE_PEAK_P2P1",
+     ("adaptive-study", "--case", "LSHAPE_PEAK", "--pair", "P2P1",
+      "--max-iters", "4")),
     ("audit_LSHAPE_PEAK", ("audit", "--case", "LSHAPE_PEAK")),
 )
 
