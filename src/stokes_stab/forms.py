@@ -301,8 +301,9 @@ def scatter_add(index, values, n):
     return sums[0] if len(sums) == 1 else np.stack(sums, axis=1)
 
 
-def _divergence_local(space):
-    """(ne, 2nbf, 3) element matrices -(div phi_a, psi_l)_K of A_up.
+def _divergence_local(space, elems=None):
+    """(ne, 2nbf, 3) element matrices -(div phi_a, psi_l)_K of A_up,
+    for all elements or those listed in elems.
 
     -(div phi_i e_c, psi_l)_K = -2|K| it[c, a] (dphi_i/da, psi_l)_ref.
     """
@@ -310,7 +311,9 @@ def _divergence_local(space):
     _, gref = scalar_basis(space.pair.velocity_degree, rule.points)
     pval, _ = scalar_basis(1, rule.points)
     d_ref = np.einsum("q,qia,ql->ail", rule.weights, gref, pval)
-    it = space.mesh.inv_jacobians_t * (-2.0 * space.mesh.areas)[:, None, None]
+    sel = slice(None) if elems is None else elems
+    it = space.mesh.inv_jacobians_t[sel] \
+        * (-2.0 * space.mesh.areas[sel])[:, None, None]
     return (it[:, None, :, 0, None] * d_ref[0, :, None]
             + it[:, None, :, 1, None] * d_ref[1, :, None]).reshape(
         -1, 2 * space.n_basis, 3)
@@ -432,14 +435,14 @@ def estimate_CI(space):
     MeshError when an element is too degenerate to separate the rigid
     motions. FeSpace.c_i keeps the value of a space.
 
-    An element's pencils, area and diameter depend only on its
-    Jacobian, so one element per distinct Jacobian is examined.
+    An element's pencils depend only on its Jacobian and diameter, so
+    one element per shape class (TriMesh.shape_representatives) is
+    examined.
     """
     if space.pair.velocity_degree == 1:
         return math.inf
-    _, elems = np.unique(space.mesh.jacobians.reshape(-1, 4), axis=0,
-                         return_index=True)
-    M_A, M_D = inverse_inequality_pencils(space, elems=elems)
+    M_A, M_D = inverse_inequality_pencils(
+        space, elems=space.mesh.shape_representatives)
     wD, V = np.linalg.eigh(M_D)
     # kernel of M_D is exactly the 3 rigid motions; deflate them
     gap_ok = wD[:, 3] > 1e-8 * wD[:, -1]
@@ -524,31 +527,35 @@ def _saddle_local(space, alpha, bordered):
     pressure dofs for P2 and the pressure dofs alone for P1. Returns
     (dofs (ne, nloc), T (ne, nloc, nloc)) with T[e] the transpose of
     element e's matrix.
+
+    Each block depends on K through J_K and h_K alone, so the blocks
+    are built on one element per shape class
+    (TriMesh.shape_representatives) and T is gathered from them once;
+    each T[e] is, bit for bit, the matrix built on e itself.
     """
-    # the kernels before T, so T is not alive while _residual_local
-    # builds its products
-    A = _strain_local(space)
-    B = _divergence_local(space)
-    S = _residual_local(space) if alpha != 0.0 else None
+    mesh = space.mesh
+    reps = mesh.shape_representatives
     vd = _velocity_dofs(space)
     ne, nv = vd.shape
     nloc = nv + 3 + bordered
     dofs = np.empty((ne, nloc), dtype=np.int64)
     dofs[:, :nv] = vd
-    dofs[:, nv:nv + 3] = space.n_u + space.mesh.triangles
-    T = np.zeros((ne, nloc, nloc))
-    T[:, :nv, :nv] = A.transpose(0, 2, 1)
+    dofs[:, nv:nv + 3] = space.n_u + mesh.triangles
+    T = np.zeros((len(reps), nloc, nloc))
+    T[:, :nv, :nv] = _strain_local(space, reps).transpose(0, 2, 1)
+    B = _divergence_local(space, reps)
     T[:, :nv, nv:nv + 3] = B
     T[:, nv:nv + 3, :nv] = B.transpose(0, 2, 1)
-    if S is not None:
+    if alpha != 0.0:
+        S = _residual_local(space, reps)
         r = slice(nv + 3 - S.shape[1], nv + 3)
         S *= alpha
         T[:, r, r] -= S
     if bordered:
         dofs[:, -1] = space.n_dofs
         T[:, -1, nv:nv + 3] = T[:, nv:nv + 3, -1] = \
-            (space.mesh.areas / 3.0)[:, None]
-    return dofs, T
+            (mesh.areas[reps] / 3.0)[:, None]
+    return dofs, T[mesh.shape_classes]
 
 
 def assemble_system(space, problem):

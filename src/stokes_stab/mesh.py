@@ -203,6 +203,35 @@ class TriMesh:
         return self.edge_lengths[self.t2e].max(axis=1)
 
     @cached_property
+    def shape_classes(self):
+        """(nt,) shape class of each triangle, numbered in order of first
+        appearance.
+
+        Triangles share a class when their Jacobians and diameters agree
+        byte for byte: every element kernel depends on the triangle
+        through these alone (diameters come from the vertices, not from
+        the Jacobian, so they can differ in the last bit where the
+        Jacobians agree). Bytes, not values, so -0.0 and 0.0 fall apart
+        and a kernel evaluated on one member of a class is, bit for bit,
+        that of every other.
+        """
+        key = np.empty((self.n_triangles, 5))
+        key[:, :4] = self.jacobians.reshape(-1, 4)
+        key[:, 4] = self.diameters
+        _, first, cls = np.unique(key.view(np.dtype((np.void, 40))).ravel(),
+                                  return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        return rank[cls]
+
+    @cached_property
+    def shape_representatives(self):
+        """(n_classes,) first triangle of each shape class, ascending:
+        where shape_classes first exceeds all classes before it."""
+        seen = np.maximum.accumulate(self.shape_classes)
+        return np.flatnonzero(np.diff(seen, prepend=-1))
+
+    @cached_property
     def min_angle_deg(self):
         """Smallest interior angle over all triangles, in degrees."""
         c = self.corner_coords

@@ -160,22 +160,26 @@ class FeSpace:
         in the velocity dof order of the element, and row 2nbf+l is
         grad psi_l. div D of P1 velocity is zero, so for P1 R holds the
         three pressure rows alone. S_h, L_h, C_I and eta_K all use it.
+        R depends on the element through J_K alone, so it is built on
+        one element per shape class (TriMesh.shape_representatives) and
+        gathered: each element's R is, bit for bit, its own.
         """
-        it = self.mesh.inv_jacobians_t
-        grad_psi = _DLAM @ it.transpose(0, 2, 1)
+        reps = self.mesh.shape_representatives
+        grad_psi = _DLAM @ self.mesh.inv_jacobians_t[reps].transpose(0, 2, 1)
         if self.pair.velocity_degree == 1:
-            grad_psi.flags.writeable = False
-            return grad_psi
-        nbf = self.n_basis
-        R = np.empty((len(it), 2 * nbf + 3, 2))
-        # for Hessian H of phi: div D(phi e_0) = (H00 + H11/2, H01/2)
-        # and div D(phi e_1) = (H01/2, H00/2 + H11)
-        H = _phys_hess(self)
-        R[:, 0:2 * nbf:2, 0] = -(H[..., 0, 0] + 0.5 * H[..., 1, 1])
-        R[:, 0:2 * nbf:2, 1] = -0.5 * H[..., 0, 1]
-        R[:, 1:2 * nbf:2, 0] = -0.5 * H[..., 0, 1]
-        R[:, 1:2 * nbf:2, 1] = -(0.5 * H[..., 0, 0] + H[..., 1, 1])
-        R[:, 2 * nbf:] = grad_psi
+            R = grad_psi
+        else:
+            nbf = self.n_basis
+            R = np.empty((len(reps), 2 * nbf + 3, 2))
+            # for Hessian H of phi: div D(phi e_0) = (H00 + H11/2, H01/2)
+            # and div D(phi e_1) = (H01/2, H00/2 + H11)
+            H = _phys_hess(self, reps)
+            R[:, 0:2 * nbf:2, 0] = -(H[..., 0, 0] + 0.5 * H[..., 1, 1])
+            R[:, 0:2 * nbf:2, 1] = -0.5 * H[..., 0, 1]
+            R[:, 1:2 * nbf:2, 0] = -0.5 * H[..., 0, 1]
+            R[:, 1:2 * nbf:2, 1] = -(0.5 * H[..., 0, 0] + H[..., 1, 1])
+            R[:, 2 * nbf:] = grad_psi
+        R = R[self.mesh.shape_classes]
         R.flags.writeable = False
         return R
 
@@ -245,10 +249,13 @@ def edge_reference_points(mesh, elems, edge_ids, s):
             + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
 
 
-def _phys_hess(space):
+def _phys_hess(space, elems=None):
     """(ne, nbf, 2, 2) physical Hessians of the P2 scalar velocity
-    basis, constant on each element."""
+    basis, constant on each element, for all elements or those listed
+    in elems (residual_operator passes one per shape class)."""
     it = space.mesh.inv_jacobians_t
+    if elems is not None:
+        it = it[elems]
     # corner i is l_i (2 l_i - 1), midpoint 3+i is 4 l_j l_k: with a, b
     # the gradients of (l_i, l_i) and (l_j, l_k), the reference Hessians
     # are 4 a b^T on the corners and 4 (a b^T + b a^T) on the midpoints

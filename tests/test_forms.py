@@ -389,3 +389,134 @@ def test_quadrature_degrees_recorded():
     assert qd["volume_matrix"] == 4
     assert qd["volume_load"] == 6
     assert qd["edge"] == 6
+
+
+# ----------------------------------------------------------------------
+# element kernels built once per shape class, then gathered
+
+def _jittered_mesh():
+    # every element has its own Jacobian, so its own shape class
+    base = unit_square(4)
+    rng = np.random.default_rng(5)
+    v = base.vertices.copy()
+    inner = np.all((v > 0.0) & (v < 1.0), axis=1)
+    v[inner] += rng.uniform(-0.05, 0.05, size=(inner.sum(), 2))
+    return TriMesh(v, base.triangles, base.boundary_tag_dict())
+
+
+def _signed_zero_mesh():
+    # x = -0.0 at the vertex (0, 0.5) gives one element the Jacobian
+    # entry -0.0 where its congruent neighbours hold 0.0
+    base = unit_square(4)
+    v = base.vertices.copy()
+    v[2] = (-0.0, 0.5)
+    return TriMesh(v, base.triangles, base.boundary_tag_dict())
+
+
+def _translates_mesh():
+    # equal Jacobians; the diameters (edge v1-v2) differ in the last bit
+    p = np.array([[0.163, 0.29], [0.499, 0.039], [0.494, 0.844]])
+    return TriMesh(np.vstack([p, p + [0.22, 0.21]]), [[0, 1, 2], [3, 4, 5]],
+                   {e: "D" for e in [(0, 1), (1, 2), (0, 2),
+                                     (3, 4), (4, 5), (3, 5)]})
+
+
+def _graded_lshape_mesh():
+    mesh = get_case("LSHAPE_PEAK").make_mesh(4)
+    for _ in range(4):
+        mesh = mesh.refine_marked(np.arange(0, mesh.n_triangles, 3))
+    return mesh
+
+
+SHAPE_MESHES = {
+    "uniform": lambda: unit_square(4),
+    "graded_lshape": _graded_lshape_mesh,
+    "jittered": _jittered_mesh,
+    "signed_zero": _signed_zero_mesh,
+    "translates": _translates_mesh,
+}
+
+
+def _per_element_copy(mesh):
+    """The same mesh with every element its own shape class, so every
+    kernel is built on every element: the per-element reference."""
+    ref = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_tag_dict())
+    every = np.arange(mesh.n_triangles)
+    ref.__dict__.update(shape_classes=every, shape_representatives=every)
+    return ref
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+def test_shape_meshes_cover_one_class_to_one_per_element():
+    n_classes = {name: len(make().shape_representatives)
+                 for name, make in SHAPE_MESHES.items()}
+    assert n_classes["uniform"] == 2
+    assert 2 < n_classes["graded_lshape"] < _graded_lshape_mesh().n_triangles
+    assert n_classes["jittered"] == _jittered_mesh().n_triangles
+    # one class more than the values of the Jacobians and diameters give
+    assert n_classes["signed_zero"] == 3
+    assert n_classes["translates"] == 2
+
+
+@pytest.mark.parametrize("bordered", [True, False])
+@pytest.mark.parametrize("pair", [P1P1, P2P1])
+@pytest.mark.parametrize("mesh_name", sorted(SHAPE_MESHES))
+def test_saddle_element_matrices_equal_the_per_element_ones(mesh_name, pair,
+                                                            bordered):
+    mesh = SHAPE_MESHES[mesh_name]()
+    alpha = 0.3 * default_alpha(FeSpace(mesh, pair))
+    dofs, T = forms._saddle_local(FeSpace(mesh, pair), alpha, bordered)
+    ref_dofs, ref_T = forms._saddle_local(
+        FeSpace(_per_element_copy(mesh), pair), alpha, bordered)
+    assert np.array_equal(dofs, ref_dofs)
+    assert _same_bits(T, ref_T)
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1])
+@pytest.mark.parametrize("mesh_name", sorted(SHAPE_MESHES))
+def test_residual_operator_equals_the_per_element_one(mesh_name, pair):
+    mesh = SHAPE_MESHES[mesh_name]()
+    R = FeSpace(mesh, pair).residual_operator
+    ref = FeSpace(_per_element_copy(mesh), pair).residual_operator
+    assert _same_bits(R, ref)
+    assert not R.flags.writeable
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1])
+@pytest.mark.parametrize("case", ["LSHAPE_PEAK", "NEUMANN_STRIP"])
+def test_saddle_system_equals_the_per_element_one(case, pair):
+    # bordered (LSHAPE_PEAK, lifted Dirichlet data) and Neumann
+    # (NEUMANN_STRIP): the gathered matrices pass the Dirichlet
+    # elimination and the scatter to the same system, bit for bit
+    case = get_case(case)
+    mesh = case.make_mesh(4)
+    mesh = mesh.refine_marked(np.arange(0, mesh.n_triangles, 3))
+    problem = case.problem()
+    system = assemble_system(FeSpace(mesh, pair), problem)
+    ref = assemble_system(FeSpace(_per_element_copy(mesh), pair), problem)
+    assert system.bordered == (not mesh.has_neumann)
+    for name in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(system.matrix, name),
+                          getattr(ref.matrix, name))
+    assert _same_bits(system.rhs, ref.rhs)
+
+
+def test_saddle_kernels_run_on_the_shape_classes_alone(monkeypatch):
+    # unit_square(32) has 2048 elements in 2 shape classes: the strain
+    # and residual kernels see at most one element per class
+    sizes = []
+    for name in ("_strain_local", "_residual_local"):
+        def counted(space, elems=None, real=getattr(forms, name)):
+            sizes.append(space.mesh.n_triangles if elems is None
+                         else len(elems))
+            return real(space, elems)
+        monkeypatch.setattr(forms, name, counted)
+    mesh = unit_square(32)
+    problem = StokesProblem(f=lambda x, y: np.stack([x, y], axis=-1))
+    assemble_system(FeSpace(mesh, P2P1), problem)
+    assert len(sizes) == 4   # C_I's pencils and the saddle matrices
+    assert max(sizes) <= 2 == len(mesh.shape_representatives)

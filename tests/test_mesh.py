@@ -120,6 +120,35 @@ def test_drop_derived_recomputes_the_same_geometry():
         assert np.array_equal(getattr(m, name), before[name])
 
 
+def test_shape_classes_key_the_bytes_of_jacobian_and_diameter():
+    m = unit_square(6)
+    cls, reps = m.shape_classes, m.shape_representatives
+    # numbered in order of first appearance, each led by its first element
+    assert np.array_equal(cls[reps], np.arange(len(reps)))
+    assert np.array_equal(reps, [np.flatnonzero(cls == c)[0]
+                                 for c in range(len(reps))])
+    key = np.hstack([m.jacobians.reshape(-1, 4), m.diameters[:, None]])
+    assert np.array_equal(key.view(np.int64), key[reps[cls]].view(np.int64))
+    assert len(reps) == len(np.unique(key[reps].view(np.int64), axis=0))
+
+    # translates of one triangle: equal Jacobians, but the diameter (the
+    # edge v1-v2, taken from the vertices) rounds apart in its last bit
+    p = np.array([[0.163, 0.29], [0.499, 0.039], [0.494, 0.844]])
+    m = TriMesh(np.vstack([p, p + [0.22, 0.21]]), [[0, 1, 2], [3, 4, 5]],
+                {e: "D" for e in [(0, 1), (1, 2), (0, 2),
+                                  (3, 4), (4, 5), (3, 5)]})
+    assert m.jacobians[0].tobytes() == m.jacobians[1].tobytes()
+    assert m.diameters[0] != m.diameters[1]
+    assert m.shape_classes.tolist() == [0, 1]
+
+    # -0.0 and 0.0 are distinct bytes
+    v = unit_square(2).vertices.copy()
+    v[1] = (-0.0, 0.5)
+    m = TriMesh(v, unit_square(2).triangles, unit_square(2).boundary_tag_dict())
+    assert np.any(np.signbit(m.jacobians) & (m.jacobians == 0.0))
+    assert len(m.shape_representatives) == 3
+
+
 def test_refine_uniform_counts_and_similarity():
     m = unit_square(2)
     r = m.refine_uniform()

@@ -5,8 +5,11 @@ the package:
 
     python tools/comparison_set.py OUT
 
-The set is 8 `uniform-study` runs (4 cases x 2 pairs, n0 4, 3 levels),
-3 `solve` runs at the default alpha, 2 equal-order `solve` runs at a
+The set is 19 commands: 8 `uniform-study` runs (4 cases x 2 pairs,
+n0 4, 3 levels), a P2P1 `uniform-study` of NEUMANN_STRIP on the
+non-dyadic unit_square(6) (rounding splits its 72 elements into 32
+shape classes, some of which differ in their last bits alone), 3
+`solve` runs at the default alpha, 2 equal-order `solve` runs at a
 tiny alpha (1e-6 takes the fronts' refinement step, 1e-8 falls back to
 COLAMD), the 3 study commands of the benchmark, a P2P1
 `adaptive-study` of LSHAPE_PEAK (Dirichlet midpoint nodes and the
@@ -35,6 +38,9 @@ COMMANDS = (
        ("uniform-study", "--case", case, "--pair", pair, "--n0", "4",
         "--levels", "3"))
       for case in CASES for pair in ("P1P1", "P2P1")),
+    ("uniform_NEUMANN_STRIP_P2P1_n0_6",
+     ("uniform-study", "--case", "NEUMANN_STRIP", "--pair", "P2P1",
+      "--n0", "6", "--levels", "2")),
     *((f"solve_{case}_{pair}_n0_{n0}",
        ("solve", "--case", case, "--pair", pair, "--n0", n0))
       for case, pair, n0 in (("SMOOTH_SQUARE", "P1P1", "16"),
