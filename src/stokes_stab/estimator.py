@@ -199,7 +199,14 @@ def oscillations(problem, space):
 # aggregation
 
 def global_report(solution, space, problem):
-    """Assemble the full ErrorReport for one solved problem."""
+    """Assemble the full ErrorReport for one solved problem.
+
+    Where the problem has an exact solution, the heap is trimmed
+    between the oscillations and the error norms, so the exact fields'
+    arrays do not come on top of the estimator's freed pages: without
+    the trim, the P1P1 benchmark study peaks about 4 MB higher
+    (solver._release_free_heap). A problem without one makes no trim.
+    """
     eta_K = element_estimator(solution, space, problem)
     eta_E = edge_estimator(solution, space, problem)
     osc_K, osc_E = oscillations(problem, space)

@@ -493,7 +493,8 @@ class TriMesh:
 
     @staticmethod
     def read(path, validate=True):
-        """Read a mesh from the plain-text trimesh v1 format.
+        """Read a mesh from the plain-text trimesh v1 format, UTF-8
+        text that may start with a byte-order mark.
 
         validate=False defers structural checking to audit(), letting
         broken meshes be loaded for inspection.
@@ -501,10 +502,11 @@ class TriMesh:
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            raw = data.decode("utf-8").splitlines()
+            raw = data.decode("utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
-            # the valid text before the bad byte, and a stand-in for it
-            ln = len((data[:exc.start].decode() + "x").splitlines())
+            # the valid text before the bad byte, and a stand-in for it;
+            # exc.start indexes exc.object, the bytes after any BOM
+            ln = len((exc.object[:exc.start].decode() + "x").splitlines())
             raise MeshFormatError(
                 f"line {ln}: not UTF-8 text ({exc.reason})") from None
 
@@ -516,9 +518,12 @@ class TriMesh:
         lines = numbered()
 
         def next_line():
-            return next(lines, (len(raw), None))
+            return next(lines, (max(len(raw), 1), None))
 
         ln, line = next_line()
+        if line is None:
+            raise MeshFormatError(
+                f"line {ln}: expected 'trimesh v1' header, file ended")
         if line != "trimesh v1":
             raise MeshFormatError(f"line {ln}: expected 'trimesh v1' header, "
                                   f"got {line!r}")

@@ -59,15 +59,21 @@ def _release_free_heap():
 
     glibc returns freed heap memory only when the free block at the
     top of the heap outgrows a threshold that rises with the largest
-    block freed, up to 64 MB. Below it, the pages one phase of a level
-    freed (the saddle solve, the oscillations, the levels) stay
-    resident, and the next phase's arrays come on top of them. So the
-    heap is trimmed after each solve (study._solve_level), before the
-    error norms (estimator.global_report) and before the output files
-    (cli.write_outputs): without any trim, the peak resident set of a
-    3-level SMOOTH_SQUARE P1P1 study from n0 = 16 rises from 90 to
-    99-100 MB, and that of NEUMANN_STRIP P2P1 from 133-135 to 143 MB.
-    A trim before the factorization left both peaks where they were.
+    block freed, up to 64 MB. Below it, the pages a phase freed stay
+    resident, and a later phase's arrays can come on top of them. Two
+    calls remain, each measured to hold a peak down; each figure is
+    the ru_maxrss of fresh processes making one benchmark command (2
+    vCPUs):
+    - estimator.global_report, between the oscillations and the error
+      norms of a case with an exact solution. Without it, the 3-level
+      SMOOTH_SQUARE P1P1 study from n0 = 16 peaks at 91.9-94.0 MB
+      (median 92.7) instead of 88.5-89.7 (88.7), and the NEUMANN_STRIP
+      P2P1 one at 122.4-123.9 MB instead of 121.5-122.7.
+    - cli.write_outputs, before the files. Without it, 3 of 18 runs of
+      that P1P1 study peak at 91.9-93.1 MB and the rest at 88.6-89.8;
+      with it, all 18 stay within 88.5-90.6 MB.
+    A trim after each solve (study._solve_level) lowered no peak and
+    cost a minor fault per page it returned, so there is none there.
     Each call costs about a millisecond.
     """
     if _malloc_trim is not None:
@@ -308,11 +314,13 @@ def _factor_and_solve(K, b):
     object offers only L, U, nnz, perm_c, perm_r, shape and solve. So
     fill_nnz reads lu.L at no further cost; lu.nnz counts differently
     (1687 against L.nnz + U.nnz = 1094 on a random 50 x 50 matrix).
+    SuperLU's own RuntimeError names a line of its C source, so it
+    leaves as a fixed message.
     """
     try:
         lu = _factorize(K)
     except RuntimeError as exc:
-        raise SolverError(str(exc),
+        raise SolverError("matrix is singular to working precision",
                           getattr(exc, "blas_output", "")) from None
     pivots = np.abs(lu.U.diagonal())
     stored = lu.L.nnz + lu.U.nnz
@@ -533,22 +541,24 @@ def solve(system):
     again on the residual. SuperLU with COLAMD takes over when the
     fronts fail their pivot or residual check; any other exception (a
     MemoryError, say) leaves at once. diagnostics["fill_nnz"] counts
-    the W entries, or SuperLU's L + U. Raises SolverError, with the
-    failure localized to a block of the system, when both
-    factorizations fail, or the relative residual stays above 1e-9
-    after one step of iterative refinement.
+    the W entries, or SuperLU's L + U. Raises SolverError when both
+    factorizations fail their checks (a zero pivot, a non-finite solution,
+    a relative residual above 1e-9 after the refinement step), naming
+    each one's reason and localizing the failure to a block of the
+    system.
     """
     K, b = system.matrix, system.rhs
     ordering = "multifrontal"
     try:
+        xo, res, stats = _front_solve(K, b, system.groups)
+    except SolverError as fronts:
+        ordering = "colamd"
         try:
-            xo, res, stats = _front_solve(K, b, system.groups)
-        except SolverError:
-            ordering = "colamd"
             xo, res, stats = _factor_and_solve(K, b)
-    except SolverError as exc:
-        raise SolverError(_diagnose(system, str(exc)),
-                          exc.blas_output) from None
+        except SolverError as exc:
+            raise SolverError(
+                _diagnose(system, f"fronts: {fronts}; COLAMD: {exc}"),
+                exc.blas_output) from None
     rows = system.rows[:-1]
     free = rows >= 0
     full = np.zeros(len(rows))

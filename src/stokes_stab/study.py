@@ -100,14 +100,19 @@ class _Expr:
         case.__dict__[self.name] = value
 
 
+# outward unit normals of the unit-square sides
+OUTWARD_NORMALS = {"left": (-1, 0), "right": (1, 0), "bottom": (0, -1),
+                   "top": (0, 1)}
+
+
 @dataclass(frozen=True, eq=False)
 class ManufacturedCase:
     """One benchmark problem with symbolically derived data.
 
     u_expr/p_expr are sympy expressions (None for estimator-only
     cases, where f_expr must be given directly). neumann_side names
-    the unit-square side carrying the traction condition, with
-    neumann_normal its outward normal. Cases compare by identity.
+    the unit-square side carrying the traction condition, one of
+    OUTWARD_NORMALS. Cases compare by identity.
     """
 
     name: str
@@ -116,8 +121,18 @@ class ManufacturedCase:
     p_expr: object = _Expr()
     f_expr: tuple = _Expr()
     neumann_side: str = None
-    neumann_normal: tuple = None
     default_n0: int = 4
+
+    def __post_init__(self):
+        if (self.neumann_side is not None
+                and self.neumann_side not in OUTWARD_NORMALS):
+            raise ValueError(f"unknown neumann_side {self.neumann_side!r}; "
+                             f"expected one of {', '.join(OUTWARD_NORMALS)}")
+
+    @property
+    def neumann_normal(self):
+        """Outward unit normal of the Neumann side (None without one)."""
+        return OUTWARD_NORMALS.get(self.neumann_side)
 
     @property
     def has_exact(self):
@@ -182,7 +197,7 @@ def builtin_cases():
         ManufacturedCase(name="SMOOTH_SQUARE", domain="unit_square", **lazy),
         ManufacturedCase(
             name="NEUMANN_STRIP", domain="unit_square",
-            neumann_side="right", neumann_normal=(1, 0), **lazy),
+            neumann_side="right", **lazy),
         ManufacturedCase(name="NONZERO_G", domain="unit_square", **lazy),
         ManufacturedCase(name="LSHAPE_PEAK", domain="l_shape",
                          default_n0=16, **lazy),
@@ -275,9 +290,15 @@ def _solve_level(space, problem, where):
 
     Returns the solution and its ErrorReport. The assembled system is
     held only by solver.solve, so it and its factorization are freed
-    when the solve returns; the heap pages they held go back to the
-    system before the estimator runs, so the estimator and the error
-    norms do not come on top of them.
+    when the solve returns, before the estimator runs. Their heap pages
+    stay with the process, and the estimator's arrays reuse them.
+    Without a trim after the solve, the three benchmark study commands
+    peak within 0.3 MB of where they did with one (88.6, 121.5 and
+    83.2 MB with it, 88.7, 121.5 and 83.5 MB without, medians of 6
+    fresh processes) and take 10-29 % fewer minor faults. The one trim
+    inside a level is global_report's, before the error norms of a
+    case with an exact solution; it lowers the P1P1 study's peak by
+    about 4 MB (solver._release_free_heap).
     """
     try:
         sol = solver.solve(forms.assemble_system(space, problem))
@@ -285,7 +306,6 @@ def _solve_level(space, problem, where):
         raise solver.SolverError(
             f"{where} ({space.mesh.n_triangles} triangles): {exc}") \
             from None
-    solver._release_free_heap()
     rep = estimator.global_report(sol, space, problem)
     return sol, rep
 

@@ -1,4 +1,4 @@
-"""tools/comparison_set.py: its 19 commands have distinct names and
+"""tools/comparison_set.py: its 20 commands have distinct names and
 each is a valid call."""
 
 import importlib.util
@@ -14,7 +14,8 @@ def test_every_command_parses():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     names = [name for name, _ in tool.COMMANDS]
-    assert len(names) == len(set(names)) == 19
+    assert len(names) == len(set(names)) == 20
+    assert set(tool.EXIT) <= set(names)
     parser = cli.build_parser()
     for name, args in tool.COMMANDS:
         cfg = cli.resolve_config(parser.parse_args([*args, "--out", name]))

@@ -468,7 +468,9 @@ _TRI3 = "trimesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n"
 
 # (id, file text, the whole message read() raises)
 _MALFORMED = [
-    ("empty-file", "", "line 0: expected 'trimesh v1' header, got None"),
+    ("empty-file", "", "line 1: expected 'trimesh v1' header, file ended"),
+    ("comment-only", "# no mesh here\n\n",
+     "line 2: expected 'trimesh v1' header, file ended"),
     ("no-vertices-line", "trimesh v1\n# nothing else\n",
      "line 2: missing 'vertices N' line"),
     ("wrong-keyword", "trimesh v1\nverts 3\n",
@@ -524,6 +526,9 @@ _MALFORMED = [
      "line 3: not UTF-8 text (invalid start byte)"),
     ("not-utf8-first-byte", b"\x80trimesh v1\n",
      "line 1: not UTF-8 text (invalid start byte)"),
+    ("not-utf8-after-bom",
+     b"\xef\xbb\xbftrimesh v1\nvertices 1\n0 \xff0\n",
+     "line 3: not UTF-8 text (invalid start byte)"),
     ("nan-coordinate", "trimesh v1\nvertices 2\n0 0\n0 nan\n",
      "line 4: non-finite coordinate in '0 nan'"),
     ("inf-coordinate", "trimesh v1\nvertices 3\n0 0\n\n# x\n1 inf\n0 1\n",
@@ -578,6 +583,17 @@ def test_read_skips_comments_and_blank_lines(tmp_path):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.boundary_tag_dict() == b.boundary_tag_dict()
     assert a.boundary_tag_dict()[(1, 2)] == "N"
+
+
+def test_read_accepts_byte_order_mark(tmp_path):
+    mesh = unit_square(2, {"right": "N"})
+    mesh.write(tmp_path / "plain.txt")
+    text = (tmp_path / "plain.txt").read_bytes()
+    (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbf" + text)
+    a = TriMesh.read(tmp_path / "bom.txt")
+    for name in ("vertices", "triangles", "edges", "edge_tags"):
+        assert np.array_equal(getattr(a, name), getattr(mesh, name)), name
+    assert a.boundary_tag_dict() == mesh.boundary_tag_dict()
 
 
 def _auditmesh():

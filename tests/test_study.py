@@ -87,6 +87,32 @@ def test_neumann_traction_matches_stress():
     assert np.abs(t - c["t"](x, y)).max() < 1e-12
 
 
+def test_top_neumann_case_takes_its_normal_from_the_side():
+    sym = pytest.importorskip("sympy")
+    x, y = sym.symbols("x y")
+    case = study.ManufacturedCase(
+        name="TOP", domain="unit_square", u_expr=(y ** 2, x ** 2),
+        p_expr=x + y - 1, f_expr=None, neumann_side="top")
+    assert case.neumann_normal == (0, 1)
+    c = case._callables()
+    xs = np.linspace(0, 1, 33)
+    ys = np.ones_like(xs)
+    G = c["grad_u"](xs, ys)
+    sig = 0.5 * (G + np.swapaxes(G, -1, -2)) \
+        - c["p"](xs, ys)[:, None, None] * np.eye(2)
+    assert np.abs(sig @ np.array([0.0, 1.0]) - c["t"](xs, ys)).max() < 1e-12
+    # P2P1 holds u and p, so the traction on the top side is consistent
+    # exactly when the discrete solution is exact
+    table = uniform_study(case, "P2P1", 2, n0=2)
+    assert all(r.err_H1_u + r.err_L2_p < 1e-12 for r in table.rows)
+
+
+def test_unknown_neumann_side_is_rejected():
+    with pytest.raises(ValueError, match="left, right, bottom, top"):
+        study.ManufacturedCase(name="X", domain="unit_square",
+                               neumann_side="north")
+
+
 @pytest.mark.parametrize("name", ["SMOOTH_SQUARE", "NONZERO_G"])
 def test_dirichlet_case_pressure_has_zero_mean(name):
     from stokes_stab.forms import quadrature
@@ -131,8 +157,9 @@ def test_zero_error_study_reports_nan_rates_and_effectivity():
 
 
 def test_levels_run_without_malloc_trim(monkeypatch):
-    # the path of a C library without malloc_trim: _release_free_heap
-    # does nothing, and solve and _solve_level give the same bits
+    # the path of a C library without malloc_trim: _release_free_heap,
+    # which global_report calls before the error norms, does nothing,
+    # and a bare solve and _solve_level give the bits of a trimmed level
     _, space, problem = study._set_up("NEUMANN_STRIP", "P2P1", None, 4)
     sol, rep = study._solve_level(space, problem, "level 0")
     monkeypatch.setattr(solver, "_malloc_trim", None)

@@ -5,25 +5,28 @@ the package:
 
     python tools/comparison_set.py OUT
 
-The set is 19 commands: 8 `uniform-study` runs (4 cases x 2 pairs,
+The set is 20 commands: 8 `uniform-study` runs (4 cases x 2 pairs,
 n0 4, 3 levels), a P2P1 `uniform-study` of NEUMANN_STRIP on the
 non-dyadic unit_square(6) (rounding splits its 72 elements into 32
 shape classes, some of which differ in their last bits alone), 3
 `solve` runs at the default alpha, 2 equal-order `solve` runs at a
 tiny alpha (1e-6 takes the fronts' refinement step, 1e-8 falls back to
-COLAMD), the 3 study commands of the benchmark, a P2P1
-`adaptive-study` of LSHAPE_PEAK (Dirichlet midpoint nodes and the
-mean-pressure border on graded meshes) and `audit --case LSHAPE_PEAK`.
-Command NAME writes into OUT/NAME/, with its standard output in
-OUT/NAME/stdout.txt. Two trees are then compared with
+COLAMD), one at alpha 0, which both factorizations reject (exit 4),
+the 3 study commands of the benchmark, a P2P1 `adaptive-study` of
+LSHAPE_PEAK (Dirichlet midpoint nodes and the mean-pressure border on
+graded meshes) and `audit --case LSHAPE_PEAK`. Command NAME writes
+into OUT/NAME/, with its standard output in OUT/NAME/stdout.txt, its
+standard error in OUT/NAME/stderr.txt and its exit code in
+OUT/NAME/exit.txt. Two trees are then compared with
 
     python tools/compare_outputs.py OUT_A OUT_B
 
-Exits 0 when every command exits 0, 1 otherwise.
+Exits 0 when every command exits with its expected code (EXIT, else
+0), 1 otherwise.
 """
 
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -50,6 +53,9 @@ COMMANDS = (
        ("solve", "--case", "SMOOTH_SQUARE", "--pair", "P1P1", "--n0", "16",
         "--alpha", alpha))
       for alpha in ("1e-6", "1e-8")),
+    ("solve_SMOOTH_SQUARE_P1P1_n0_4_alpha_0",
+     ("solve", "--case", "SMOOTH_SQUARE", "--pair", "P1P1", "--n0", "4",
+      "--alpha", "0")),
     # the study commands of perfbench/workloads.py
     ("bench_uniform_p1p1_dirichlet",
      ("uniform-study", "--case", "SMOOTH_SQUARE", "--pair", "P1P1",
@@ -66,6 +72,9 @@ COMMANDS = (
     ("audit_LSHAPE_PEAK", ("audit", "--case", "LSHAPE_PEAK")),
 )
 
+# exit codes of the commands expected to fail, by name
+EXIT = {"solve_SMOOTH_SQUARE_P1P1_n0_4_alpha_0": cli.EXIT_SOLVER}
+
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
@@ -76,10 +85,15 @@ def main(argv=None):
     for name, args in COMMANDS:
         where = Path(argv[0]) / name
         where.mkdir(parents=True, exist_ok=True)
-        with open(where / "stdout.txt", "w") as out, redirect_stdout(out):
+        with open(where / "stdout.txt", "w") as out, \
+                open(where / "stderr.txt", "w") as err, \
+                redirect_stdout(out), redirect_stderr(err):
             code = cli.main([*args, "--out", str(where)])
-        print(f"{name}: exit {code}")
-        failed += code != cli.EXIT_OK
+        (where / "exit.txt").write_text(f"{code}\n")
+        expected = EXIT.get(name, cli.EXIT_OK)
+        print(f"{name}: exit {code}"
+              + ("" if code == expected else f", expected {expected}"))
+        failed += code != expected
     return 1 if failed else 0
 
 
