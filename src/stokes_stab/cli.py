@@ -158,30 +158,25 @@ def write_vtk(path, mesh, u, p, eta_K, title="stokes-stab output"):
     """Legacy ASCII unstructured-grid file with the solution fields."""
     nv = mesh.n_vertices
     nt = mesh.n_triangles
-    out = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} double",
-        *(" ".join(map(repr, xy)) + " 0.0" for xy in mesh.vertices.tolist()),
-        f"CELLS {nt} {4 * nt}",
-        *("3 " + " ".join(map(repr, t)) for t in mesh.triangles.tolist()),
-        f"CELL_TYPES {nt}",
-        *["5"] * nt,
-        f"POINT_DATA {nv}",
-        "VECTORS velocity double",
-        *(" ".join(map(repr, v)) + " 0.0"
-          for v in u[:2 * nv].reshape(nv, 2).tolist()),
-        "SCALARS pressure double 1",
-        "LOOKUP_TABLE default",
-        *map(repr, p[:nv].tolist()),
-        f"CELL_DATA {nt}",
-        "SCALARS eta_K double 1",
-        "LOOKUP_TABLE default",
-        *map(repr, eta_K[:nt].tolist()),
-    ]
-    _atomic_write(path, "\n".join(out) + "\n")
+
+    def rows(form, values, n):
+        # one % over the flat values: %r of a float is its repr
+        return form * n % tuple(values.ravel().tolist())
+
+    # the title is concatenated, never formatted: it may hold a %
+    _atomic_write(path, "".join([
+        "# vtk DataFile Version 3.0\n", title, "\nASCII\n",
+        "DATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {nv} double\n", rows("%r %r 0.0\n", mesh.vertices, nv),
+        f"CELLS {nt} {4 * nt}\n", rows("3 %r %r %r\n", mesh.triangles, nt),
+        f"CELL_TYPES {nt}\n", "5\n" * nt,
+        f"POINT_DATA {nv}\n", "VECTORS velocity double\n",
+        rows("%r %r 0.0\n", u[:2 * nv], nv),
+        "SCALARS pressure double 1\nLOOKUP_TABLE default\n",
+        rows("%r\n", p[:nv], nv),
+        f"CELL_DATA {nt}\n", "SCALARS eta_K double 1\nLOOKUP_TABLE default\n",
+        rows("%r\n", eta_K[:nt], nt),
+    ]))
 
 
 def write_manifest(path, cfg, command, alpha, c_i):

@@ -422,30 +422,31 @@ class TriMesh:
         return AuditReport(checks)
 
     def _coincident_vertices(self):
-        """First 20 pairs (i, j), i < j, closer than 1e-12 in x and in y."""
+        """First 20 pairs (i, j), i < j, closer than 1e-12 in x and in y.
+
+        Each finite vertex is tested against those in its box grown
+        past the tolerance; one that is not finite is close to none.
+        """
         x, y = self.vertices.T
-        order = np.argsort(x, kind="stable")
-        sx = x[order]
-        # window of later vertices in x order, grown past the tolerance;
-        # the exact test below decides
-        start = np.arange(1, len(sx) + 1)
-        stop = np.searchsorted(sx, sx + 2e-12, side="right")
+        ids = np.flatnonzero(np.isfinite(self.vertices).all(axis=1))
+        box = self.vertices[ids]
         found = np.empty((0, 2), dtype=np.int64)
-        for q, pos in _window_pairs(start, stop):
-            a, b = order[q], order[pos]
+        for q, b in _box_pairs(self.vertices, box - 2e-12, box + 2e-12):
+            # each pair once; most are a vertex and itself
+            a = ids[q]
+            later = a < b
+            a, b = a[later], b[later]
             close = ((np.abs(x[b] - x[a]) < 1e-12)
                      & (np.abs(y[b] - y[a]) < 1e-12))
-            a, b = a[close], b[close]
-            found = _first_pairs(found, np.minimum(a, b), np.maximum(a, b))
+            found = _first_pairs(found, a[close], b[close])
         return [(int(i), int(j)) for i, j in found]
 
     def _hanging_nodes(self):
         """Vertices lying strictly inside an edge of some triangle.
 
         Only vertices inside an edge's bounding box, grown by twice the
-        tolerance, are tested; they are found by binary search in the
-        vertices sorted by x. The first 20 hits in (edge, vertex) order
-        are reported.
+        tolerance, are tested; _box_pairs finds them. The first 20 hits
+        in (edge, vertex) order are reported.
         """
         pa = self.vertices[self.edges[:, 0]]
         pb = self.vertices[self.edges[:, 1]]
@@ -453,24 +454,24 @@ class TriMesh:
         L2 = np.einsum("ed,ed->e", d, d)
         scale = math.sqrt(L2.max()) if len(L2) else 1.0
         tol = 1e-9 * scale
-
-        x, y = self.vertices.T
-        order = np.argsort(x, kind="stable")
+        if not tol > 0:
+            # 0, or NaN from an edge of NaN length: "dist < tol" fails
+            return []
+        # no bound is NaN: that would take a NaN end, and so a NaN tol
         lo = np.minimum(pa, pb) - 2 * tol
         hi = np.maximum(pa, pb) + 2 * tol
-        start = np.searchsorted(x[order], lo[:, 0], side="left")
-        stop = np.searchsorted(x[order], hi[:, 0], side="right")
         found = np.empty((0, 2), dtype=np.int64)
-        for e, pos in _window_pairs(start, stop):
-            v = order[pos]
-            box = (y[v] >= lo[e, 1]) & (y[v] <= hi[e, 1])
-            e, v = e[box], v[box]
+        # a vertex that is not finite fails the test (t is NaN or
+        # infinite), so _box_pairs may skip it
+        for e, v in _box_pairs(self.vertices, lo, hi):
+            # most pairs are an edge and one of its ends: dropped first
+            other = (v != self.edges[e, 0]) & (v != self.edges[e, 1])
+            e, v = e[other], v[other]
             rel = self.vertices[v] - pa[e]
             t = np.einsum("kd,kd->k", rel, d[e]) / L2[e]
             perp = rel - t[:, None] * d[e]
             dist = np.hypot(perp[:, 0], perp[:, 1])
-            on = ((dist < tol) & (t > 1e-9) & (t < 1 - 1e-9)
-                  & (v != self.edges[e, 0]) & (v != self.edges[e, 1]))
+            on = (dist < tol) & (t > 1e-9) & (t < 1 - 1e-9)
             found = _first_pairs(found, e[on], v[on])
         return [f"vertex {v} hangs on edge "
                 f"{(int(self.edges[e, 0]), int(self.edges[e, 1]))}"
@@ -498,6 +499,12 @@ class TriMesh:
 
         validate=False defers structural checking to audit(), letting
         broken meshes be loaded for inspection.
+
+        The format and every message are defined by a line-by-line
+        parser. The vertex and triangle blocks first go whole through
+        np.loadtxt, which accepts a strict subset of what float() and
+        int() accept, with equal values; a block it rejects is parsed
+        again line by line, which then names the first defect.
         """
         with open(path, "rb") as fh:
             data = fh.read()
@@ -509,16 +516,31 @@ class TriMesh:
             ln = len((exc.object[:exc.start].decode() + "x").splitlines())
             raise MeshFormatError(
                 f"line {ln}: not UTF-8 text ({exc.reason})") from None
-
-        def numbered():
-            """(line number, text) of each line not blank, comment cut."""
-            return ((ln, text) for ln, text in enumerate(
-                (line.split("#", 1)[0].strip() for line in raw), 1) if text)
-
-        lines = numbered()
+        del data
+        end = max(len(raw), 1)  # the line named when the file ends early
+        # the content lines, comment cut and blanks dropped, and their
+        # line numbers; strip() returns a line with nothing to strip
+        # itself, so a file without comments is not copied
+        cut = [line.split("#", 1)[0].strip() if "#" in line
+               else line.strip() for line in raw]
+        del raw
+        numbers = np.flatnonzero(
+            np.fromiter(map(bool, cut), bool, len(cut))) + 1
+        lines = list(filter(None, cut))
+        del cut
+        at = 0  # index in lines of the next content line
 
         def next_line():
-            return next(lines, (max(len(raw), 1), None))
+            nonlocal at
+            if at == len(lines):
+                return end, None
+            at += 1
+            return int(numbers[at - 1]), lines[at - 1]
+
+        def defect(k, what):
+            """The error naming content line k and its text."""
+            return MeshFormatError(
+                f"line {numbers[k]}: {what} in {lines[k]!r}")
 
         ln, line = next_line()
         if line is None:
@@ -528,9 +550,8 @@ class TriMesh:
             raise MeshFormatError(f"line {ln}: expected 'trimesh v1' header, "
                                   f"got {line!r}")
 
-        def read_block(keyword, noun, form, parse):
-            """Yield parse(ln, line, fields) of each line of the
-            `keyword N` section, in file order."""
+        def count(keyword):
+            """N of the `keyword N` line."""
             ln, line = next_line()
             if line is None:
                 raise MeshFormatError(f"line {ln}: missing '{keyword} N' line")
@@ -545,6 +566,11 @@ class TriMesh:
                     f"line {ln}: bad count {parts[1]!r}") from None
             if n < 0:
                 raise MeshFormatError(f"line {ln}: negative count {n}")
+            return n
+
+        def parse_lines(n, noun, form, parse):
+            """Yield parse(ln, line, fields) of each of the next n
+            lines, in file order."""
             for k in range(n):
                 ln, line = next_line()
                 if line is None:
@@ -555,6 +581,25 @@ class TriMesh:
                     raise MeshFormatError(
                         f"line {ln}: expected '{form}', got {line!r}")
                 yield parse(ln, line, parts)
+
+        def read_array(keyword, noun, form, parse, dtype):
+            """The `keyword N` block as an (N, columns) array, and the
+            index in lines of its first row."""
+            nonlocal at
+            n = count(keyword)
+            first, width = at, len(form.split())
+            # a short block is left to parse_lines, which names its
+            # first defect or where the file ended
+            if 0 < n <= len(lines) - at:
+                try:
+                    rows = np.loadtxt(lines[at:at + n], dtype=dtype, ndmin=2)
+                except ValueError:
+                    rows = None
+                if rows is not None and rows.shape[1] == width:
+                    at += n
+                    return rows, first
+            return np.fromiter(parse_lines(n, noun, form, parse),
+                               (dtype, width)), first
 
         def coordinates(ln, line, parts):
             try:
@@ -582,21 +627,24 @@ class TriMesh:
                     f"got {parts[2]!r}")
             return ln, (min(i, j), max(i, j)), parts[2]
 
-        vertices = np.fromiter(read_block("vertices", "vertex", "x y",
-                                          coordinates), (float, 2))
+        vertices, first = read_array("vertices", "vertex", "x y",
+                                     coordinates, float)
         # float() takes "nan" and "inf"; caught on the array, at no cost
-        # per line (vertex k is content line 2 + k)
+        # per line
         bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
         if bad.size:
-            ln, line = list(numbered())[2 + bad[0]]
-            raise MeshFormatError(
-                f"line {ln}: non-finite coordinate in {line!r}")
+            raise defect(first + bad[0], "non-finite coordinate")
         nv = len(vertices)
-        triangles = np.fromiter(read_block("triangles", "triangle", "i j k",
-                                           indices), (np.int64, 3))
+        triangles, first = read_array("triangles", "triangle", "i j k",
+                                      indices, np.int64)
+        # indices() checks the range of the rows it parses; loadtxt's
+        # rows are checked here
+        bad = np.flatnonzero(((triangles < 0) | (triangles >= nv)).any(axis=1))
+        if bad.size:
+            raise defect(first + bad[0], "vertex index out of range")
         tags = {}
-        for ln, key, tag in read_block("boundary", "boundary", "i j TAG",
-                                       boundary_edge):
+        for ln, key, tag in parse_lines(count("boundary"), "boundary",
+                                        "i j TAG", boundary_edge):
             if key in tags:
                 raise MeshFormatError(f"line {ln}: edge {key} tagged twice")
             tags[key] = tag
@@ -640,6 +688,71 @@ def _window_pairs(start, stop):
         k = np.arange(k0, min(k0 + _PAIR_BUDGET, offsets[-1]))
         q = np.searchsorted(offsets, k, side="right") - 1
         yield q, start[q] + (k - offsets[q])
+
+
+def _strip_windows(points, lo, hi):
+    """Windows of the finite points in the boxes lo[q] <= . <= hi[q],
+    up to x.
+
+    Returns (order, box, start, stop): order holds the indices of the
+    finite points, sorted by (x-strip, y); for each (box, strip) pair,
+    in ascending box order, box names the box and start:stop the range
+    of order holding the strip's points with y in the box. The strips
+    are equal, at least as wide as the mean box and at most one per
+    point (also where the mean is 0 or the x-range overflows), so a box
+    meets at most 2 + (its width) / (mean width) of them. No bound is
+    NaN.
+    """
+    ids = np.flatnonzero(np.isfinite(points).all(axis=1))
+    n = len(ids)
+    if not n:
+        none = np.empty(0, dtype=np.int64)
+        return none, none, none, none
+    x, y = points[ids].T
+    x0 = float(x.min())
+    span = float(x.max()) - x0
+    width = float(np.mean(hi[:, 0] - lo[:, 0]))
+    ns = max(1, int(span / width)) if span < width * n else n
+    bounds = x0 + span / ns * np.arange(1, ns)
+
+    def strip(v):
+        # monotone in v, so a box's points lie in its strips strip(lo)
+        # to strip(hi)
+        return np.searchsorted(bounds, v, side="right")
+
+    # sort key strip * n + (rank of y): the y-range of a box is a range
+    # of ranks, and so a range of the order within each strip
+    by_y = np.argsort(y, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_y] = np.arange(n)
+    key = strip(x) * n + rank
+    order = np.argsort(key)
+    key = key[order]
+    r_lo = np.searchsorted(y[by_y], lo[:, 1], side="left")
+    r_hi = np.searchsorted(y[by_y], hi[:, 1], side="right")
+    s_lo = strip(lo[:, 0])
+    per = strip(hi[:, 0]) - s_lo + 1
+    box = np.repeat(np.arange(len(lo)), per)
+    # the strip of each window: s_lo of its box, plus its rank there
+    s = np.arange(len(box)) - np.repeat(np.cumsum(per) - per - s_lo, per)
+    start = np.searchsorted(key, s * n + r_lo[box])
+    stop = np.searchsorted(key, s * n + r_hi[box])
+    return ids[order], box, start, stop
+
+
+def _box_pairs(points, lo, hi):
+    """Yield (q, p) index arrays of every finite point p in every closed
+    box lo[q] <= . <= hi[q], in ascending q.
+
+    The candidates are drawn from _window_pairs over _strip_windows, so
+    each slice holds at most _PAIR_BUDGET of them. No bound is NaN.
+    """
+    order, box, start, stop = _strip_windows(points, lo, hi)
+    x = points[:, 0]
+    for w, pos in _window_pairs(start, stop):
+        q, p = box[w], order[pos]
+        inside = (x[p] >= lo[q, 0]) & (x[p] <= hi[q, 0])
+        yield q[inside], p[inside]
 
 
 def _first_pairs(found, a, b):

@@ -240,6 +240,49 @@ def test_vtk_structure(tmp_path):
         assert len(row.split()) == 3
 
 
+def _write_vtk_by_line(path, mesh, u, p, eta_K, title):
+    """write_vtk as it was: one generator and join per line."""
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    out = [
+        "# vtk DataFile Version 3.0", title, "ASCII",
+        "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double",
+        *(" ".join(map(repr, xy)) + " 0.0" for xy in mesh.vertices.tolist()),
+        f"CELLS {nt} {4 * nt}",
+        *("3 " + " ".join(map(repr, t)) for t in mesh.triangles.tolist()),
+        f"CELL_TYPES {nt}", *["5"] * nt,
+        f"POINT_DATA {nv}", "VECTORS velocity double",
+        *(" ".join(map(repr, v)) + " 0.0"
+          for v in u[:2 * nv].reshape(nv, 2).tolist()),
+        "SCALARS pressure double 1", "LOOKUP_TABLE default",
+        *map(repr, p[:nv].tolist()),
+        f"CELL_DATA {nt}", "SCALARS eta_K double 1", "LOOKUP_TABLE default",
+        *map(repr, eta_K[:nt].tolist()),
+    ]
+    Path(path).write_text("\n".join(out) + "\n")
+
+
+def test_vtk_matches_the_line_by_line_writer(tmp_path):
+    mesh = unit_square(3).refine_marked([0, 5])
+    odd = [np.nan, np.inf, -np.inf, -0.0, 1e16, 1e-5, 5e-324, -1 / 3]
+    rng = np.random.default_rng(4)
+
+    def field(n):
+        # the odd values first, then random ones; longer than needed, as
+        # the solution vectors hold more than the vertex values
+        return np.concatenate([odd, rng.normal(size=n)])
+
+    args = (mesh, field(2 * mesh.n_vertices + 5), field(mesh.n_vertices),
+            field(mesh.n_triangles)[::-1].copy())
+    title = "100% %s %r %(x)s title"
+    cli.write_vtk(tmp_path / "new.vtk", *args, title=title)
+    _write_vtk_by_line(tmp_path / "old.vtk", *args, title=title)
+    new = (tmp_path / "new.vtk").read_bytes()
+    assert new == (tmp_path / "old.vtk").read_bytes()
+    for text in (b"nan", b"inf", b"-inf", b"-0.0", b"1e+16", b"1e-05",
+                 b"5e-324", b"100% %s %r %(x)s title"):
+        assert text in new
+
+
 def test_solve_writes_single_row_table(tmp_path):
     run = ("--case", "SMOOTH_SQUARE", "--pair", "P2P1", "--n0", "2")
     one, study_out = tmp_path / "solve", tmp_path / "study"

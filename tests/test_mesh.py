@@ -413,17 +413,81 @@ def _one_column(n):
     return TriMesh(v, tris, {}, validate=False)
 
 
+def _graded_put_back(seed):
+    # refined toward the reentrant corner five times, so edge lengths
+    # span a factor of 32, then some parents put back over their children
+    rng = np.random.default_rng(seed)
+    m = l_shape(4)
+    for _ in range(5):
+        centers = m.corner_coords.mean(axis=1)
+        m = m.refine_marked(np.hypot(*centers.T) < 0.3)
+    fine = m.refine_uniform()
+    back = rng.random(m.n_triangles) < 0.2
+    tris = np.vstack([fine.triangles[~back[fine.parents]],
+                      m.triangles[back]])
+    return TriMesh(fine.vertices, tris, {}, validate=False)
+
+
+def _with_nan_vertex(mesh, used):
+    """mesh with a NaN vertex appended, on no triangle, or taking the
+    place of vertex 0 in every triangle."""
+    tris = np.where(mesh.triangles == 0, mesh.n_vertices, mesh.triangles)
+    return TriMesh(np.vstack([mesh.vertices, [[np.nan, 0.5]]]),
+                   tris if used else mesh.triangles, {}, validate=False)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("build, min_hits", [
     (lambda: _parents_put_back(2), 21),
     (lambda: _unused_midpoints(3), 1),
     (lambda: unit_square(3), 0),
+    (lambda: _graded_put_back(4), 21),
+    (lambda: _with_nan_vertex(_parents_put_back(2), used=False), 21),
+    (lambda: _with_nan_vertex(_parents_put_back(2), used=True), 0),
 ], ids=["parents-back-over-cap", "unused-midpoints",
-        "conforming"])
+        "conforming", "graded-parents-back", "unused-nan-vertex",
+        "nan-vertex"])
 def test_hanging_nodes_match_all_pairs(build, min_hits):
     m = build()
     expect = _hanging_by_all_pairs(m)
     assert len(expect) >= min_hits
     assert m._hanging_nodes() == expect[:20]
+
+
+def _pairs_drawn(monkeypatch, scan):
+    """The number of candidate pairs scan() draws from _window_pairs."""
+    drawn = []
+    real = meshmod._window_pairs
+
+    def counting(start, stop):
+        for q, pos in real(start, stop):
+            drawn.append(len(q))
+            yield q, pos
+
+    with monkeypatch.context() as patch:
+        patch.setattr(meshmod, "_window_pairs", counting)
+        scan()
+    return sum(drawn)
+
+
+def test_audit_scans_draw_pairs_in_proportion_to_mesh_size(monkeypatch,
+                                                          tmp_path):
+    # the benchmark's jittered L-shape at two sizes, and structured
+    # squares whose vertices share x by columns
+    per_edge, per_vertex = [], []
+    for cells in (39, 78):
+        bench = _auditmesh()
+        bench.CELLS = cells
+        (tmp_path / "mesh.txt").write_text(bench.generate(0)[0])
+        m = TriMesh.read(tmp_path / "mesh.txt")
+        per_edge.append(_pairs_drawn(monkeypatch, m._hanging_nodes)
+                        / m.n_edges)
+    for n in (16, 64):
+        m = unit_square(n)
+        per_vertex.append(_pairs_drawn(monkeypatch, m._coincident_vertices)
+                          / m.n_vertices)
+    assert per_edge[1] < 1.1 * per_edge[0] < 10
+    assert per_vertex[1] < 1.1 * per_vertex[0] < 10
 
 
 def test_hanging_nodes_in_slices_of_one_column(monkeypatch):
@@ -495,6 +559,17 @@ _MALFORMED = [
      "line 7: expected 'i j k', got '0 1 2 3'"),
     ("triangle-bad-index", _TRI3.replace("0 1 2", "0 1 2.0"),
      "line 7: bad vertex index in '0 1 2.0'"),
+    ("triangle-exponent-index", _TRI3.replace("0 1 2", "0 1e0 2"),
+     "line 7: bad vertex index in '0 1e0 2'"),
+    # int() takes it, np.loadtxt does not: the line parser names it
+    ("triangle-20-digit-index",
+     _TRI3.replace("0 1 2", "0 1 99999999999999999999"),
+     "line 7: vertex index out of range in '0 1 99999999999999999999'"),
+    # np.loadtxt reads this block; the range check on its rows names
+    # the line
+    ("second-triangle-out-of-range",
+     _TRI3.replace("triangles 1\n0 1 2", "triangles 2\n+0 1 2\n0 3 1"),
+     "line 8: vertex index out of range in '0 3 1'"),
     ("triangle-negative-index", _TRI3.replace("0 1 2", "0 -1 2"),
      "line 7: vertex index out of range in '0 -1 2'"),
     ("triangle-index-past-end", _TRI3.replace("0 1 2", "0 1 3"),
@@ -541,6 +616,7 @@ _MALFORMED = [
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("content,fragment", [
     ("trimeshv1\n", "header"),
     ("trimesh v1\nvertices 2\n0 0\n1 junk\n", "line 4"),
@@ -596,6 +672,38 @@ def test_read_accepts_byte_order_mark(tmp_path):
     assert a.boundary_tag_dict() == mesh.boundary_tag_dict()
 
 
+def _respelled(rows, old, new):
+    """rows with the first token old, in the first row holding it,
+    written as new."""
+    k = next(k for k, row in enumerate(rows) if old in row.split())
+    tokens = rows[k].split()
+    tokens[tokens.index(old)] = new
+    return rows[:k] + [" ".join(tokens)] + rows[k + 1:]
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_takes_the_numbers_int_and_float_take(tmp_path):
+    # int() and float() take these spellings; np.loadtxt rejects all
+    # but the plus sign, so each block is read again line by line
+    mesh = unit_square(3, {"top": "N"})
+    mesh.write(tmp_path / "plain.txt")
+    lines = (tmp_path / "plain.txt").read_text().splitlines()
+    first = 3 + mesh.n_vertices
+    rows = lines[first:first + mesh.n_triangles]
+    rows[0] = "+" + rows[0]
+    for old, new in (("10", "1_0"), ("3", "\u0663")):
+        rows = _respelled(rows, old, new)
+    lines[first:first + mesh.n_triangles] = rows
+    lines[2 + 5] = "1_0.5 \u0661.\u0665"
+    (tmp_path / "spelled.txt").write_text("\n".join(lines) + "\n")
+    back = TriMesh.read(tmp_path / "spelled.txt", validate=False)
+    expect = mesh.vertices.copy()
+    expect[5] = (10.5, 1.5)
+    assert np.array_equal(back.vertices, expect)
+    assert np.array_equal(back.triangles, mesh.triangles)
+    assert back.boundary_tag_dict() == mesh.boundary_tag_dict()
+
+
 def _auditmesh():
     spec = importlib.util.spec_from_file_location(
         "perfbench_auditmesh", ROOT / "perfbench" / "auditmesh.py")
@@ -604,6 +712,7 @@ def _auditmesh():
     return module
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", [0, 17])
 def test_read_benchmark_mesh_roundtrip(tmp_path, seed):
     text, vertices, triangles = _auditmesh().generate(seed)

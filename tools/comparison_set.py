@@ -5,7 +5,7 @@ the package:
 
     python tools/comparison_set.py OUT
 
-The set is 20 commands: 8 `uniform-study` runs (4 cases x 2 pairs,
+The set is 22 commands: 8 `uniform-study` runs (4 cases x 2 pairs,
 n0 4, 3 levels), a P2P1 `uniform-study` of NEUMANN_STRIP on the
 non-dyadic unit_square(6) (rounding splits its 72 elements into 32
 shape classes, some of which differ in their last bits alone), 3
@@ -14,10 +14,12 @@ tiny alpha (1e-6 takes the fronts' refinement step, 1e-8 falls back to
 COLAMD), one at alpha 0, which both factorizations reject (exit 4),
 the 3 study commands of the benchmark, a P2P1 `adaptive-study` of
 LSHAPE_PEAK (Dirichlet midpoint nodes and the mean-pressure border on
-graded meshes) and `audit --case LSHAPE_PEAK`. Command NAME writes
-into OUT/NAME/, with its standard output in OUT/NAME/stdout.txt, its
-standard error in OUT/NAME/stderr.txt and its exit code in
-OUT/NAME/exit.txt. Two trees are then compared with
+graded meshes), `audit --case LSHAPE_PEAK` and the audits of two mesh
+files in tests/data: a conforming graded L-shape, and a mesh with
+hanging nodes, comments, blank lines and a byte-order mark (exit 3).
+Command NAME writes into OUT/NAME/, with its standard output in
+OUT/NAME/stdout.txt, its standard error in OUT/NAME/stderr.txt and
+its exit code in OUT/NAME/exit.txt. Two trees are then compared with
 
     python tools/compare_outputs.py OUT_A OUT_B
 
@@ -70,10 +72,14 @@ COMMANDS = (
      ("adaptive-study", "--case", "LSHAPE_PEAK", "--pair", "P2P1",
       "--max-iters", "4")),
     ("audit_LSHAPE_PEAK", ("audit", "--case", "LSHAPE_PEAK")),
+    *((f"audit_file_{name}",
+       ("audit", "--case", f"tests/data/mesh_{name}.txt"))
+      for name in ("lshape_neumann", "hanging_nodes")),
 )
 
 # exit codes of the commands expected to fail, by name
-EXIT = {"solve_SMOOTH_SQUARE_P1P1_n0_4_alpha_0": cli.EXIT_SOLVER}
+EXIT = {"solve_SMOOTH_SQUARE_P1P1_n0_4_alpha_0": cli.EXIT_SOLVER,
+        "audit_file_hanging_nodes": cli.EXIT_MESH}
 
 
 def main(argv=None):
