@@ -8,6 +8,7 @@ quality bounded over arbitrarily many refinement rounds.
 """
 
 import math
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -503,8 +504,9 @@ class TriMesh:
         The format and every message are defined by a line-by-line
         parser. The vertex and triangle blocks first go whole through
         np.loadtxt, which accepts a strict subset of what float() and
-        int() accept, with equal values; a block it rejects is parsed
-        again line by line, which then names the first defect.
+        int() accept, with equal values; a block it rejects or warns
+        about is parsed again line by line, which then names the first
+        defect.
         """
         with open(path, "rb") as fh:
             data = fh.read()
@@ -591,9 +593,17 @@ class TriMesh:
             # a short block is left to parse_lines, which names its
             # first defect or where the file ended
             if 0 < n <= len(lines) - at:
+                # numpy before 2.4 reads an int64 token such as "2.0"
+                # or "2.7" through float() and truncates it, with only
+                # a DeprecationWarning; any warning sends the block to
+                # parse_lines, whatever the numpy version or the
+                # caller's warning filters
                 try:
-                    rows = np.loadtxt(lines[at:at + n], dtype=dtype, ndmin=2)
-                except ValueError:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        rows = np.loadtxt(lines[at:at + n], dtype=dtype,
+                                          ndmin=2)
+                except (ValueError, Warning):
                     rows = None
                 if rows is not None and rows.shape[1] == width:
                     at += n

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from functools import cached_property
 from pathlib import Path
 
@@ -637,6 +638,38 @@ def test_read_rejects_malformed(tmp_path, content, fragment):
     with pytest.raises(MeshFormatError) as err:
         TriMesh.read(path)
     assert fragment in str(err.value)
+
+
+def _int_via_float_loadtxt(real):
+    """np.loadtxt as numpy 1.23 to 2.3 run it: an int64 token that
+    int() rejects is read through float() and truncated, with only a
+    DeprecationWarning."""
+    def loadtxt(rows, dtype=float, ndmin=0):
+        if dtype is not np.int64:
+            return real(rows, dtype=dtype, ndmin=ndmin)
+        try:
+            return real(rows, dtype=dtype, ndmin=ndmin)
+        except ValueError:
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+            return real(rows, dtype=float, ndmin=ndmin).astype(np.int64)
+    return loadtxt
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("numpy_loadtxt", ["installed", "int-via-float"])
+@pytest.mark.parametrize("token", ["2.0", "2.7", "1e0", "nan"])
+def test_read_rejects_float_indices_with_warnings_ignored(
+        tmp_path, monkeypatch, numpy_loadtxt, token):
+    # warnings are ignored, as they are by default outside pytest, so
+    # a loadtxt that only warns about a token must still not be trusted
+    if numpy_loadtxt == "int-via-float":
+        monkeypatch.setattr(np, "loadtxt", _int_via_float_loadtxt(np.loadtxt))
+    path = tmp_path / "bad.txt"
+    path.write_text(_TRI3.replace("0 1 2", f"0 1 {token}"))
+    with pytest.raises(MeshFormatError) as err:
+        TriMesh.read(path)
+    assert str(err.value) == f"line 7: bad vertex index in '0 1 {token}'"
 
 
 def test_read_reports_line_numbers(tmp_path):
