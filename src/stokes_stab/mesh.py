@@ -445,20 +445,24 @@ class TriMesh:
     def _hanging_nodes(self):
         """Vertices lying strictly inside an edge of some triangle.
 
-        Only vertices inside an edge's bounding box, grown by twice the
+        Only edges with both ends finite are scanned, and the tolerance
+        is 1e-9 of the longest of them: an edge with a non-finite end (a
+        mesh built with validate=False) has no interior to hang on. Only
+        vertices inside an edge's bounding box, grown by twice the
         tolerance, are tested; _box_pairs finds them. The first 20 hits
         in (edge, vertex) order are reported.
         """
-        pa = self.vertices[self.edges[:, 0]]
-        pb = self.vertices[self.edges[:, 1]]
+        ends = self.edges
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():   # copy the edges only when some are cut
+            ends = ends[finite[ends].all(axis=1)]
+        pa, pb = self.vertices[ends[:, 0]], self.vertices[ends[:, 1]]
         d = pb - pa
         L2 = np.einsum("ed,ed->e", d, d)
-        scale = math.sqrt(L2.max()) if len(L2) else 1.0
-        tol = 1e-9 * scale
+        tol = 1e-9 * math.sqrt(L2.max()) if len(L2) else 0.0
         if not tol > 0:
-            # 0, or NaN from an edge of NaN length: "dist < tol" fails
+            # no such edge, or all of length 0: "dist < tol" fails
             return []
-        # no bound is NaN: that would take a NaN end, and so a NaN tol
         lo = np.minimum(pa, pb) - 2 * tol
         hi = np.maximum(pa, pb) + 2 * tol
         found = np.empty((0, 2), dtype=np.int64)
@@ -466,7 +470,7 @@ class TriMesh:
         # infinite), so _box_pairs may skip it
         for e, v in _box_pairs(self.vertices, lo, hi):
             # most pairs are an edge and one of its ends: dropped first
-            other = (v != self.edges[e, 0]) & (v != self.edges[e, 1])
+            other = (v != ends[e, 0]) & (v != ends[e, 1])
             e, v = e[other], v[other]
             rel = self.vertices[v] - pa[e]
             t = np.einsum("kd,kd->k", rel, d[e]) / L2[e]
@@ -474,8 +478,10 @@ class TriMesh:
             dist = np.hypot(perp[:, 0], perp[:, 1])
             on = (dist < tol) & (t > 1e-9) & (t < 1 - 1e-9)
             found = _first_pairs(found, e[on], v[on])
+        # ends keeps the edges in order, so its (edge, vertex) order is
+        # the mesh's
         return [f"vertex {v} hangs on edge "
-                f"{(int(self.edges[e, 0]), int(self.edges[e, 1]))}"
+                f"{(int(ends[e, 0]), int(ends[e, 1]))}"
                 for e, v in found]
 
     # ------------------------------------------------------------------

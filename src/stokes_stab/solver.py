@@ -8,6 +8,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -220,10 +221,12 @@ class DiscreteSolution:
     multiplier of the mean-pressure constraint when one was used.
     diagnostics records n_unknowns, alpha and how the factorization
     went: ordering ("multifrontal", or "colamd" when the fallback
-    fired), fill_nnz (the entries the factor stores: the fronts' W
-    blocks, or nnz of SuperLU's L + U), pivot_ratio (smallest
-    over largest pivot), residual_initial (before refinement), refined
-    and fallback.
+    fired), fill_nnz (the entries the factor stores: the W blocks
+    held, one per front class, or nnz of SuperLU's L + U), pivot_ratio
+    (smallest over largest pivot), residual_initial (before
+    refinement), refined and fallback. A multifrontal solve adds
+    fronts, the number of fronts (nested-dissection groups), and
+    fronts_factored, the number of front classes, each factored once.
     """
 
     u: np.ndarray
@@ -422,6 +425,40 @@ def _one_blas_thread():
             set_(count)
 
 
+class _Fronts(NamedTuple):
+    """The symbolic structure of the front factorization of a matrix.
+
+    fronts holds the rows of each group's front, kids its children
+    (ascending), and rel, for each child, the positions of its rows
+    below in its parent's front. classes holds each group's front
+    class, numbered in order of first appearance; last_member the last
+    group of each class, and last_reader the last group whose assembly
+    reads the class's update matrix (-1 when none does).
+    """
+
+    fronts: list
+    kids: list
+    rel: list
+    classes: list
+    last_member: list
+    last_reader: list
+
+
+def _front_key(K, counts, start, end, f, kids, classes, rel):
+    """What the assembly of a group's front in _front_pass reads, as a
+    key: k own rows, the front size nf and its children's classes;
+    then, as bytes, its columns' entry counts, the front positions of
+    their rows (searchsorted "right": 0 above the front) and their
+    values, and each child's positions in the front. The lengths of the
+    byte parts follow from k and the classes, so equal keys mean equal
+    inputs, and the fronts of equal keys are bit-identical."""
+    a, z = K.indptr[start], K.indptr[end]
+    at = f.searchsorted(K.indices[a:z], "right")
+    return (end - start, len(f), *(classes[c] for c in kids),
+            b"".join((counts[start:end], at, K.data[a:z],
+                      *(rel[c] for c in kids))))
+
+
 def _front_structure(K, groups):
     """Symbolic pass of the front factorization of K.
 
@@ -429,16 +466,30 @@ def _front_structure(K, groups):
     first at 0). The front of group g holds its own rows, then the
     rows below them that its columns of K or its children's fronts
     reach, ascending; its parent is the group of its first row below.
-    Returns (fronts, kids, rel): the rows of each group's front, its
-    children (ascending), and for each child the positions of its rows
-    below in its parent's front.
+
+    Each group also gets a front class, numbered in order of first
+    appearance: the groups of one class have equal _front_key, so they
+    assemble bit-identical fronts. A sieve key comes first: k, nf, the
+    children's classes, the number of the group's K entries and the
+    bytes of the first of them, all implied by the full key. A group
+    whose sieve key is new starts a class; only the others build their
+    full key, and once the full key of the first group of their sieve
+    key. So on a graded mesh, where nearly every front is its own
+    class, few full keys are built. The keys live only as long
+    as this pass. The classes read K's values, so the structure serves
+    only passes on this same K. Returns a _Fronts.
     """
     n = K.shape[0]
     ends = np.append(groups[1:], n)
     gid = np.repeat(np.arange(len(groups)), ends - groups)
+    counts = np.diff(K.indptr)
     fronts, kids, rel = [], [[] for _ in groups], [None] * len(groups)
+    classes, n_classes = [], 0
+    first, seen = {}, {}   # sieve key -> first group; full key -> class
+    groups, ends = groups.tolist(), ends.tolist()
     for g, (start, end) in enumerate(zip(groups, ends)):
-        rows = K.indices[K.indptr[start]:K.indptr[end]]
+        a, z = K.indptr[start], K.indptr[end]
+        rows = K.indices[a:z]
         parts = [np.arange(start, end, dtype=rows.dtype), rows[rows >= end]]
         parts += [fronts[c][ends[c] - groups[c]:] for c in kids[g]]
         f = np.concatenate(parts)
@@ -450,102 +501,143 @@ def _front_structure(K, groups):
         for c, below in zip(kids[g], parts[2:]):
             rel[c] = f.searchsorted(below)
         fronts.append(f)
+        sieve = (end - start, len(f), *(classes[c] for c in kids[g]),
+                 z - a, K.data[a:a + 1].tobytes())
+        h = first.setdefault(sieve, g)
+        if h == g:
+            cls = n_classes
+        else:
+            if h >= 0:   # the full key of the sieve key's first group
+                seen[_front_key(K, counts, groups[h], ends[h], fronts[h],
+                                kids[h], classes, rel)] = classes[h]
+                first[sieve] = -1
+            cls = seen.setdefault(
+                _front_key(K, counts, start, end, f, kids[g], classes, rel),
+                n_classes)
+        n_classes += cls == n_classes
+        classes.append(cls)
         if len(f) > end - start:
             kids[gid[f[end - start]]].append(g)
-    return fronts, kids, rel
+    del first, seen
+    last_member, last_reader = [None] * n_classes, [-1] * n_classes
+    for g, cls in enumerate(classes):
+        if last_member[cls] is None:   # the class's first group
+            for c in kids[g]:
+                last_reader[classes[c]] = g
+        last_member[cls] = g
+    return _Fronts(fronts, kids, rel, classes, last_member, last_reader)
 
 
 def _front_pass(K, b, groups, structure):
-    """(K^-1 b, pivots, stored): the fronts of K factored group by
-    group, with the forward sweep run inside the same pass, then the
-    backward sweep. structure is _front_structure(K, groups).
+    """(K^-1 b, pivots, stored): the fronts of K factored once per front
+    class, with the forward sweep run group by group inside the same
+    pass, then the backward sweep. structure is _front_structure(K,
+    groups) of this same K.
 
-    The pass assembles each front from its columns of K (its own block
-    F11 and the rows below, F21; the block above, F12, is F21^T, as K
-    is symmetric) plus its children's update matrices, factors F11 by
-    getrf (partial pivoting inside the block), forms W = F11^-1 F21^T
-    (k x m for k own and m rows below) and hands the update F22 - F21 W
-    to its parent. With F11 symmetric, K = [[I, 0], [W^T, I]] [[F11, 0],
-    [0, S]] [[I, W], [0, I]] for each front in turn, and b is at hand,
-    so the group's forward step runs at once: W^T x1 is subtracted from
-    the rows below and x1 solved with F11's LU. The LU and the front are
-    freed then, and W alone is kept, k m entries per group, for the
-    backward sweep, which subtracts W x2 from each group's unknowns in
-    reverse order. pivots holds |U_ii| of every front, stored the
-    entries of the W blocks.
+    The first group of each class assembles its front from its columns
+    of K (its own block F11 and the rows below, F21; the block above,
+    F12, is F21^T, as K is symmetric) plus its children's update
+    matrices, factors F11 by getrf (partial pivoting inside the block),
+    forms W = F11^-1 F21^T (k x m for k own and m rows below) and the
+    update F22 - F21 W, which the assembly of each parent's class reads.
+    The other groups of the class would assemble the same front bit for
+    bit, so they take its LU, pivots and W as they are. With F11
+    symmetric, K = [[I, 0], [W^T, I]] [[F11, 0], [0, S]] [[I, W], [0, I]]
+    for each front in turn, and b is at hand, so each group's forward
+    step runs at once: W^T x1 is subtracted from the rows below and x1
+    solved with F11's LU. A class's LU is freed after its last group's
+    step, its front at once and its update after the last assembly that
+    reads it; W alone is kept, k m entries per class, for the backward
+    sweep, which subtracts W x2 from each group's unknowns in reverse
+    order. pivots holds |U_ii| of every group's front, stored the
+    entries of the classes' W blocks.
 
     Nothing pivots across fronts: a front pivot that is tiny against
     its column shows in pivots, and _checked_solve refines or rejects.
     Raises SolverError when a getrf meets an exactly zero pivot.
     """
     ends = np.append(groups[1:], K.shape[0])
-    fronts, kids, rel = structure
+    fronts, kids, rel, classes, last_member, last_reader = structure
     x = np.array(b, dtype=float)
     pivots = np.empty(K.shape[0])
-    factors = []   # (start, end, rows below, W)
-    stored = 0
-    updates = {}
+    Ws, lus, updates = [], {}, {}   # by class
+    steps = []   # (start, end, rows below, W) of each group
     counts = np.diff(K.indptr)
-    for g, (start, end, f) in enumerate(zip(groups, ends, fronts)):
-        k, nf = end - start, len(f)
-        # entry (i, j) of the front at 1 + i nf + j; the entries of
-        # K above it (rows before f[0]) all go to slot 0
-        a, z = K.indptr[start], K.indptr[end]
-        at = f.searchsorted(K.indices[a:z], "right")
-        at *= nf
-        at += np.arange(1 - nf, 1 - nf + k).repeat(counts[start:end])
-        np.maximum(at, 0, out=at)
-        F = np.zeros(nf * nf + 1)
-        F[at] = K.data[a:z]
-        for c in kids[g]:
-            r = rel[c]
-            # no index repeats, but numpy 2's add.at beats F[i] += u
-            # (4.9 against 10.0 us for a 49 x 49 update)
-            np.add.at(F, (r[:, None] * nf + (r + 1)).ravel(),
-                      updates.pop(c).ravel())
-        F = F[1:].reshape(nf, nf)
-        lu, piv, info = dgetrf(F[:k, :k])
-        if info != 0:
-            raise SolverError("factorization produced a zero pivot")
+    for g, (start, end, f, cls) in enumerate(zip(
+            groups.tolist(), ends.tolist(), fronts, classes)):
+        k = end - start
+        if cls == len(Ws):   # the class's first group
+            nf = len(f)
+            # entry (i, j) of the front at 1 + i nf + j; the entries of
+            # K above it (rows before f[0]) all go to slot 0
+            a, z = K.indptr[start], K.indptr[end]
+            at = f.searchsorted(K.indices[a:z], "right")
+            at *= nf
+            at += np.arange(1 - nf, 1 - nf + k).repeat(counts[start:end])
+            np.maximum(at, 0, out=at)
+            F = np.zeros(nf * nf + 1)
+            F[at] = K.data[a:z]
+            for c in kids[g]:
+                r = rel[c]
+                # no index repeats, but numpy 2's add.at beats F[i] += u
+                # (4.9 against 10.0 us for a 49 x 49 update)
+                np.add.at(F, (r[:, None] * nf + (r + 1)).ravel(),
+                          updates[classes[c]].ravel())
+            for c in kids[g]:   # two children may share a class
+                if last_reader[classes[c]] == g:
+                    updates.pop(classes[c], None)
+            F = F[1:].reshape(nf, nf)
+            lu, piv, info = dgetrf(F[:k, :k])
+            if info != 0:
+                raise SolverError("factorization produced a zero pivot")
+            W = dgetrs(lu, piv, F[k:, :k].T)[0]
+            U = F[k:, :k] @ W
+            updates[cls] = np.subtract(F[k:, k:], U, out=U)
+            Ws.append(W)
+            lus[cls] = lu, piv
+            del F
+        W = Ws[cls]
+        lu, piv = lus.pop(cls) if last_member[cls] == g else lus[cls]
         np.abs(lu.diagonal(), out=pivots[start:end])
-        W = dgetrs(lu, piv, F[k:, :k].T)[0]
-        U = F[k:, :k] @ W
-        updates[g] = np.subtract(F[k:, k:], U, out=U)
         rows = f[k:]
         x[rows] -= W.T @ x[start:end]
         x[start:end] = dgetrs(lu, piv, x[start:end])[0]
-        factors.append((start, end, rows, W))
-        stored += int(k * (nf - k))
-        del F, lu
-    for start, end, rows, W in reversed(factors):
+        steps.append((start, end, rows, W))
+        del lu
+    for start, end, rows, W in reversed(steps):
         x[start:end] -= W @ x[rows]
-    return x, pivots, stored
+    return x, pivots, sum(W.size for W in Ws)
 
 
 def _front_solve(K, b, groups):
     """_checked_solve of K x = b by _front_pass on groups, every
     OpenBLAS on one thread; a refinement step's pass reuses the first
-    pass's symbolic structure."""
+    pass's symbolic structure, built from this K. Its stats add fronts,
+    the number of groups, and fronts_factored, the number of front
+    classes, each factored once."""
     with _one_blas_thread():
         structure = _front_structure(K, groups)
-        return _checked_solve(
+        x, res, stats = _checked_solve(
             K, b, lambda r: _front_pass(K, r, groups, structure))
+    stats.update(fronts=len(groups),
+                 fronts_factored=len(structure.last_member))
+    return x, res, stats
 
 
 def solve(system):
     """Factorize and solve, with a residual check and one refinement step.
 
     The system's matrix is factored by fronts on its nested-dissection
-    groups, with the forward sweep inside the factorization and only
-    the W blocks kept (_front_pass); a refinement step runs that pass
-    again on the residual. SuperLU with COLAMD takes over when the
-    fronts fail their pivot or residual check; any other exception (a
-    MemoryError, say) leaves at once. diagnostics["fill_nnz"] counts
-    the W entries, or SuperLU's L + U. Raises SolverError when both
-    factorizations fail their checks (a zero pivot, a non-finite solution,
-    a relative residual above 1e-9 after the refinement step), naming
-    each one's reason and localizing the failure to a block of the
-    system.
+    groups, each distinct front once, with the forward sweep inside the
+    factorization and only the W blocks kept (_front_pass); a
+    refinement step runs that pass again on the residual. SuperLU with
+    COLAMD takes over when the fronts fail their pivot or residual
+    check; any other exception (a MemoryError, say) leaves at once.
+    diagnostics["fill_nnz"] counts the W entries held, or SuperLU's
+    L + U. Raises SolverError when both factorizations fail their
+    checks (a zero pivot, a non-finite solution, a relative residual
+    above 1e-9 after the refinement step), naming each one's reason and
+    localizing the failure to a block of the system.
     """
     K, b = system.matrix, system.rhs
     ordering = "multifrontal"

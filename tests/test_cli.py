@@ -455,6 +455,25 @@ def test_solver_failure_streams_clean_at_process_exit(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_solve_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # the front classes are found through a dict of their keys; the
+    # outputs of two processes with different string hashing agree
+    # byte for byte
+    outputs = []
+    for seed in ("0", "4242"):
+        out = tmp_path / seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "stokes_stab.cli", "solve",
+             "--case", "NEUMANN_STRIP", "--pair", "P2P1", "--n0", "8",
+             "--out", str(out)],
+            capture_output=True, timeout=300,
+            env=dict(child_env(), PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        outputs.append({p.relative_to(out): p.read_bytes() for p in files})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_memory_error_exit_code(tmp_path):
     # the child caps its address space after importing, so the first
     # grid array of n0 = 100000 (10 GB of cell flags) cannot be

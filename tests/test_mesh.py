@@ -360,16 +360,21 @@ def test_e2t_matches_entrywise_fill_with_over_shared_edge():
 
 
 def _hanging_by_all_pairs(mesh):
-    """Hits of every vertex on every edge, in (edge, vertex) order."""
-    pa = mesh.vertices[mesh.edges[:, 0]]
-    d = mesh.vertices[mesh.edges[:, 1]] - pa
-    L2 = np.einsum("ed,ed->e", d, d)
-    tol = 1e-9 * math.sqrt(L2.max())
-    rel = mesh.vertices[None, :, :] - pa[:, None, :]
-    t = np.einsum("evd,ed->ev", rel, d) / L2[:, None]
-    perp = rel - t[:, :, None] * d[:, None, :]
-    on = ((np.hypot(perp[:, :, 0], perp[:, :, 1]) < tol)
-          & (t > 1e-9) & (t < 1 - 1e-9))
+    """Hits of every vertex on every edge with both ends finite, in
+    (edge, vertex) order; the tolerance is 1e-9 of the longest such
+    edge."""
+    finite = np.isfinite(mesh.vertices).all(axis=1)[mesh.edges].all(axis=1)
+    with np.errstate(invalid="ignore"):
+        pa = mesh.vertices[mesh.edges[:, 0]]
+        d = mesh.vertices[mesh.edges[:, 1]] - pa
+        L2 = np.einsum("ed,ed->e", d, d)
+        tol = 1e-9 * math.sqrt(L2[finite].max())
+        rel = mesh.vertices[None, :, :] - pa[:, None, :]
+        t = np.einsum("evd,ed->ev", rel, d) / L2[:, None]
+        perp = rel - t[:, :, None] * d[:, None, :]
+        on = ((np.hypot(perp[:, :, 0], perp[:, :, 1]) < tol)
+              & (t > 1e-9) & (t < 1 - 1e-9))
+    on[~finite] = False
     rows = np.arange(mesh.n_edges)
     on[rows, mesh.edges[:, 0]] = False
     on[rows, mesh.edges[:, 1]] = False
@@ -444,7 +449,7 @@ def _with_nan_vertex(mesh, used):
     (lambda: unit_square(3), 0),
     (lambda: _graded_put_back(4), 21),
     (lambda: _with_nan_vertex(_parents_put_back(2), used=False), 21),
-    (lambda: _with_nan_vertex(_parents_put_back(2), used=True), 0),
+    (lambda: _with_nan_vertex(_parents_put_back(2), used=True), 21),
 ], ids=["parents-back-over-cap", "unused-midpoints",
         "conforming", "graded-parents-back", "unused-nan-vertex",
         "nan-vertex"])
@@ -453,6 +458,29 @@ def test_hanging_nodes_match_all_pairs(build, min_hits):
     expect = _hanging_by_all_pairs(m)
     assert len(expect) >= min_hits
     assert m._hanging_nodes() == expect[:20]
+
+
+@pytest.mark.filterwarnings("error")
+def test_hanging_nodes_skip_edges_with_an_infinite_end(monkeypatch):
+    # one vertex of unit_square(40) moved to infinity: its edges have no
+    # interior and no finite length, so they neither hold a hit nor set
+    # the tolerance, and the scan draws no more pairs than on the
+    # finite mesh (an infinite tolerance made every pair a candidate)
+    m = unit_square(40)
+    v = m.vertices.copy()
+    v[0] = [np.inf, 0.0]
+    bad = TriMesh(v, m.triangles, {}, validate=False)
+    assert bad._hanging_nodes() == _hanging_by_all_pairs(bad)[:20] == []
+    drawn = _pairs_drawn(monkeypatch, bad._hanging_nodes)
+    assert drawn <= _pairs_drawn(monkeypatch, m._hanging_nodes)
+    # a vertex put on a finite edge is still found
+    a, b = m.edges[m.n_edges // 2].tolist()
+    v = v.copy()
+    v[-1] = 0.5 * (v[a] + v[b])
+    moved = TriMesh(v, m.triangles, {}, validate=False)
+    hits = moved._hanging_nodes()
+    assert hits == _hanging_by_all_pairs(moved)[:20]
+    assert f"vertex {m.n_vertices - 1} hangs on edge {(a, b)}" in hits
 
 
 def _pairs_drawn(monkeypatch, scan):
