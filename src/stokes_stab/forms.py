@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .mesh import NEUMANN, MeshError
 from .space import (edge_points, edge_reference_points, physical_points,
@@ -249,43 +250,94 @@ def _residual_local(space, elems=None):
     return RRt
 
 
-def _scatter_matrix(rows, cols, vals, shape):
-    """CSR sum of element matrices: out[rows[e, i], cols[e, j]] +=
-    vals[e, i, j].
+# element-matrix entries per block of _scatter_matrix: its transients
+# are a few times this many doubles, however large the mesh
+_BLOCK_ENTRIES = 1 << 16
 
-    It is the product P @ L of the 0/1 map P from element rows (e, i)
-    to global rows with the matrix L whose rows are the element rows,
-    so each entry sums term by term in element order, as scatter_add
-    does, whatever else its row holds. (COO to CSR conversion sums
-    duplicates in an order that depends on the whole row.) Entries
-    that sum to exactly zero are not stored.
+
+def _scatter_matrix(rows, cols, table, shape, classes=None):
+    """CSR sum of element matrices: out[rows[e, i], cols[e, j]] +=
+    table[classes[e], i, j] (table[e, i, j] when classes is None),
+    without the element rows where rows[e, i] < 0 and the entries where
+    cols[e, j] < 0.
+
+    The element rows (e, i) go stably by their row, in blocks of whole
+    rows of out that hold about _BLOCK_ENTRIES entries. Each block of
+    out is the product P @ L of the 0/1 map P from the block's element
+    rows to its rows with the matrix L of those element rows, gathered
+    from table, so each entry sums term by term in (e, i, j) order, as
+    scatter_add does, whatever else its row holds. (COO to CSR
+    conversion sums duplicates in an order that depends on the whole
+    row.) Entries that sum to exactly zero are not stored. A symbolic
+    pass over the blocks sizes out; the numeric pass writes each
+    block's product straight into out's arrays with the kernels of
+    scipy's own sparse product (scipy.sparse._sparsetools), so no array
+    of all the element matrices' entries is ever formed, and out is not
+    copied.
     """
-    ne, a, b = vals.shape
-    m = ne * a
-    P = sp.csc_matrix((np.ones(m), np.ravel(rows), np.arange(m + 1)),
-                      shape=(shape[0], m))
-    c = np.broadcast_to(cols[:, None, :], vals.shape).ravel()
-    L = sp.csr_matrix((vals.ravel(), c, np.arange(0, m * b + 1, b)),
-                      shape=(m, shape[1]))
-    out = P.tocsr() @ L
+    a, b = rows.shape[1], cols.shape[1]
+    m = rows.size
+    itype = np.int32 if max(shape[1], m * b) < 2 ** 31 else np.int64
+    cols = cols.astype(itype, copy=False)
+    flat = np.asarray(table, dtype=float).reshape(-1, b)
+    # the element rows by their row, stably: a counting sort (the CSC
+    # of the map from element rows to rows), the dropped element rows
+    # in an extra last row; elem and src name the element of each and
+    # its row of flat
+    target = np.where(np.ravel(rows) < 0, shape[0], np.ravel(rows))
+    ptr, order = np.empty(shape[0] + 2, dtype=itype), np.empty(m, dtype=itype)
+    _sparsetools.csr_tocsc(m, shape[0] + 1, np.arange(m + 1, dtype=itype),
+                           target.astype(itype, copy=False),
+                           np.ones(m, dtype=np.int8), ptr, order,
+                           np.empty(m, dtype=np.int8))
+    elem, src = np.divmod(order, a)
+    del target, order
+    src += a * (elem if classes is None else classes[elem].astype(itype))
+    # the elements with a dropped entry
+    cut = np.zeros(len(cols), dtype=bool)
+    cut[np.flatnonzero(np.ravel(cols) < 0) // b] = True
+    step = max(1, _BLOCK_ENTRIES // b)
+    blocks = [0]
+    while blocks[-1] < shape[0]:
+        r0 = blocks[-1]
+        r1 = int(np.searchsorted(ptr, ptr[r0] + step, side="right")) - 1
+        blocks.append(min(max(r1, r0 + 1), shape[0]))
+    blocks = list(zip(blocks[:-1], blocks[1:]))
+
+    def operands(r0, r1, numeric):
+        # P and L of the rows r0:r1, as sparsetools takes them (without
+        # values when not numeric); dropped entries add exact zeros to
+        # column 0
+        s0, s1 = ptr[r0], ptr[r1]
+        e = elem[s0:s1]
+        c = np.take(cols, e, axis=0)
+        hit = np.flatnonzero(cut[e])
+        vals = np.take(flat, src[s0:s1], axis=0) if numeric else None
+        if len(hit):
+            sub = c[hit]
+            c[hit] = np.maximum(sub, 0)
+            if numeric:
+                vals[hit] = np.where(sub < 0, 0.0, vals[hit])
+        Pp, Pj = ptr[r0:r1 + 1] - s0, np.arange(s1 - s0, dtype=itype)
+        Lp = np.arange(0, c.size + 1, b, dtype=itype)
+        if not numeric:
+            return Pp, Pj, Lp, c.ravel()
+        return Pp, Pj, np.ones(len(Pj)), Lp, c.ravel(), vals.ravel()
+
+    nnz = sum(_sparsetools.csr_matmat_maxnnz(r1 - r0, shape[1],
+                                             *operands(r0, r1, False))
+              for r0, r1 in blocks)
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=itype)
+    indptr = np.zeros(shape[0] + 1, dtype=itype)
+    for r0, r1 in blocks:
+        at = indptr[r0]
+        _sparsetools.csr_matmat(r1 - r0, shape[1], *operands(r0, r1, True),
+                                indptr[r0:r1 + 1], indices[at:], data[at:])
+        indptr[r0:r1 + 1] += at
+    nnz = indptr[-1]
+    out = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=shape)
     out.sort_indices()
     return out
-
-
-def _scatter_csc(dofs, vals_t, n):
-    """CSC n x n sum of square element matrices: out[dofs[e, i],
-    dofs[e, j]] += vals_t[e, j, i], each element's matrix given
-    transposed.
-
-    The CSR sum of the transposes is the CSC of the sum; its arrays
-    are taken over as they are, so the sum is exact also where an
-    element matrix is symmetric only up to rounding (the P2 strain
-    and mass kernels). Index arrays of the element rows and columns
-    are handed to scipy without a copy; nothing here compacts them in
-    place (as eliminate_zeros would), so dofs stays as given.
-    """
-    t = _scatter_matrix(dofs, dofs, vals_t, (n, n))
-    return sp.csc_matrix((t.data, t.indices, t.indptr), shape=(n, n))
 
 
 def scatter_add(index, values, n):
@@ -317,32 +369,6 @@ def _divergence_local(space, elems=None):
     return (it[:, None, :, 0, None] * d_ref[0, :, None]
             + it[:, None, :, 1, None] * d_ref[1, :, None]).reshape(
         -1, 2 * space.n_basis, 3)
-
-
-def assemble_B(space):
-    """Mixed Stokes form blocks (A_uu, A_up).
-
-    A_uu[a, b] = (D(phi_b), D(phi_a)); A_up[a, l] = -(div phi_a, psi_l).
-    The full unstabilized matrix is [[A_uu, A_up], [A_up^T, 0]].
-    """
-    vd = _velocity_dofs(space)
-    A_uu = _scatter_matrix(vd, vd, _strain_local(space),
-                           (space.n_u, space.n_u))
-    A_up = _scatter_matrix(vd, space.mesh.triangles, _divergence_local(space),
-                           (space.n_u, space.n_p))
-    return A_uu, A_up
-
-
-def assemble_Sh(space):
-    """Element-residual stabilization matrix on velocity+pressure dofs.
-
-    S[(v,q),(w,r)] = sum_K h_K^2 (-div D(w) + grad r,
-                                  -div D(v) + grad q)_K,
-    returned as one symmetric (n_u + n_p) square matrix.
-    """
-    dofs = space.residual_dofs
-    n = space.n_dofs
-    return _scatter_matrix(dofs, dofs, _residual_local(space), (n, n))
 
 
 def assemble_F(space, problem):
@@ -525,13 +551,13 @@ def _saddle_local(space, alpha, bordered):
     bordered by |K|/3 in the row and column of the mean-pressure dof
     (index n_dofs) when bordered; R R^T covers the velocity and
     pressure dofs for P2 and the pressure dofs alone for P1. Returns
-    (dofs (ne, nloc), T (ne, nloc, nloc)) with T[e] the transpose of
-    element e's matrix.
+    (dofs (ne, nloc), T (n_classes, nloc, nloc)) with T[c] the
+    transpose of the matrix of the elements of shape class c.
 
     Each block depends on K through J_K and h_K alone, so the blocks
     are built on one element per shape class
-    (TriMesh.shape_representatives) and T is gathered from them once;
-    each T[e] is, bit for bit, the matrix built on e itself.
+    (TriMesh.shape_representatives), and T[mesh.shape_classes[e]] is,
+    bit for bit, the matrix built on e itself.
     """
     mesh = space.mesh
     reps = mesh.shape_representatives
@@ -555,7 +581,7 @@ def _saddle_local(space, alpha, bordered):
         dofs[:, -1] = space.n_dofs
         T[:, -1, nv:nv + 3] = T[:, nv:nv + 3, -1] = \
             (mesh.areas[reps] / 3.0)[:, None]
-    return dofs, T[mesh.shape_classes]
+    return dofs, T
 
 
 def assemble_system(space, problem):
@@ -568,9 +594,9 @@ def assemble_system(space, problem):
     is no Neumann boundary to fix the pressure gauge.
 
     The matrix is one scatter of the element matrices, each already
-    B_K - alpha S_K, straight into its elimination order, in CSC,
-    Dirichlet rows and columns dropped: the matrix solver.solve
-    factors.
+    B_K - alpha S_K and read from its shape class's, straight into its
+    elimination order, in CSC, Dirichlet rows and columns dropped: the
+    matrix solver.solve factors.
     """
     alpha = problem.alpha
     if alpha is None:
@@ -603,21 +629,20 @@ def assemble_system(space, problem):
         if np.any(z):
             zl = z[dofs[:, :nv]]
             hit = np.flatnonzero(zl.any(axis=1))
-            # row i of element e's matrix times z is column i of T[e]
-            loc = (zl[hit, None, :] @ T[hit, :nv, :nv + 3])[:, 0]
+            # row i of element e's matrix times z is column i of its T
+            loc = (zl[hit, None, :]
+                   @ T[space.mesh.shape_classes[hit], :nv, :nv + 3])[:, 0]
             rhs -= scatter_add(dofs[hit, :nv + 3], loc, space.n_dofs)
             lift = z
 
-    # drop the Dirichlet rows and columns in place: zero them and send
-    # them to the element's first pressure dof, where they add exact
-    # zeros to entries the element stores anyway
+    # rows[dofs] is -1 on the Dirichlet dofs, whose rows and columns
+    # the scatter drops. It sums the transposed element matrices, so
+    # the CSR it gives is K in CSC, exact also where an element matrix
+    # is symmetric only up to rounding (the P2 strain kernel)
     idx = rows[dofs]
-    dirichlet = idx < 0
-    T[dirichlet] = 0.0
-    T.transpose(0, 2, 1)[dirichlet] = 0.0
-    idx[dirichlet] = np.broadcast_to(idx[:, nv, None], idx.shape)[dirichlet]
     n = len(free) + bordered
-    K = _scatter_csc(idx, T, n)
+    t = _scatter_matrix(idx, idx, T, (n, n), space.mesh.shape_classes)
+    K = sp.csc_matrix((t.data, t.indices, t.indptr), shape=(n, n))
     b = np.zeros(n)
     b[rows[free]] = rhs[free]
     return AssembledSystem(matrix=K, rhs=b, rows=rows, groups=groups,

@@ -234,8 +234,9 @@ class TriMesh:
 
     @cached_property
     def min_angle_deg(self):
-        """Smallest interior angle over all triangles, in degrees."""
-        c = self.corner_coords
+        """Smallest interior angle over all triangles, in degrees, the
+        same at every scale of the mesh (taken on _unit_scaled)."""
+        c = self._unit_scaled().corner_coords
         angles = []
         for i in range(3):
             a = c[:, (i + 1) % 3] - c[:, i]
@@ -378,11 +379,15 @@ class TriMesh:
         duplicate and unused vertices), boundary tag coverage, and a
         minimum-angle threshold. Runs on meshes built with
         validate=False, so broken inputs are reported instead of
-        rejected.
+        rejected. The geometric checks run on _unit_scaled, so a mesh
+        gets the same report at every scale: no product of coordinates
+        overflows or underflows, and the absolute tolerance of
+        coincident vertices is relative to the mesh's extent.
         """
         checks = {}
+        scaled = self._unit_scaled()
 
-        bad_orient = np.flatnonzero(~(self.signed_areas > 0.0))
+        bad_orient = np.flatnonzero(~(scaled.signed_areas > 0.0))
         checks["orientation"] = (bad_orient.size == 0,
                                  [f"triangle {k}" for k in bad_orient[:20]])
 
@@ -397,10 +402,10 @@ class TriMesh:
         for v in np.flatnonzero(~used)[:20]:
             conf.append(f"vertex {v} unused")
 
-        for i, j in self._coincident_vertices():
+        for i, j in scaled._coincident_vertices():
             conf.append(f"vertices {i} and {j} coincide")
 
-        conf.extend(self._hanging_nodes())
+        conf.extend(scaled._hanging_nodes())
         checks["conformity"] = (len(conf) == 0, conf[:20])
 
         tag_issues = []
@@ -421,6 +426,28 @@ class TriMesh:
             [] if ang >= min_angle_deg else
             [f"min angle {ang:.3f} deg below threshold {min_angle_deg}"])
         return AuditReport(checks)
+
+    def _unit_scaled(self):
+        """This mesh with its vertices scaled by the power of two that
+        puts the largest finite |coordinate| in [1, 2): self when that
+        power is 1 (or no coordinate is finite and nonzero), else a
+        mesh sharing this one's topology. The scaling is exact, so
+        angles, orientations and relative distances keep their bits
+        wherever no product of the unscaled coordinates overflows or
+        underflows.
+        """
+        v = self.vertices
+        big = np.max(np.abs(v), where=np.isfinite(v), initial=0.0)
+        shift = 1 - np.frexp(big)[1]
+        if big == 0.0 or shift == 0:
+            return self
+        scaled = object.__new__(TriMesh)
+        for name in ("triangles", "parents", "edges", "t2e", "e2t",
+                     "edge_counts", "edge_tags"):
+            setattr(scaled, name, getattr(self, name))
+        scaled.vertices = np.ldexp(v, shift)
+        scaled.vertices.flags.writeable = False
+        return scaled
 
     def _coincident_vertices(self):
         """First 20 pairs (i, j), i < j, closer than 1e-12 in x and in y.

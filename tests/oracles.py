@@ -1,0 +1,88 @@
+"""Whole-mesh assembly oracles that only the tests call.
+
+forms.assemble_system scatters the saddle matrix block by block, and
+only into its elimination order. The forms below build the blocks of
+the unstabilized and the stabilized operator (assemble_B, assemble_Sh)
+in plain dof numbering, and whole_mesh_scatter is the one-product
+matrix scatter that the blocked forms._scatter_matrix must reproduce
+bit for bit.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from stokes_stab import forms
+
+
+def whole_mesh_scatter(rows, cols, vals, shape):
+    """CSR sum of element matrices: out[rows[e, i], cols[e, j]] +=
+    vals[e, i, j], as one product P @ L over the whole mesh.
+
+    P is the 0/1 map from element rows (e, i) to global rows and L the
+    matrix whose rows are the element rows, so each entry sums term by
+    term in element order. Entries that sum to exactly zero are not
+    stored.
+    """
+    ne, a, b = vals.shape
+    m = ne * a
+    P = sp.csc_matrix((np.ones(m), np.ravel(rows), np.arange(m + 1)),
+                      shape=(shape[0], m))
+    c = np.broadcast_to(cols[:, None, :], vals.shape).ravel()
+    L = sp.csr_matrix((vals.ravel(), c, np.arange(0, m * b + 1, b)),
+                      shape=(m, shape[1]))
+    out = P.tocsr() @ L
+    out.sort_indices()
+    return out
+
+
+def saddle_matrix(space, alpha, bordered):
+    """The saddle matrix of forms.assemble_system, gathered for the
+    whole mesh and scattered in one product.
+
+    Every element matrix is gathered from its shape class's, its
+    Dirichlet rows and columns are zeroed and sent to the element's
+    first pressure dof, and the transposes are summed, so the CSR sum
+    read as CSC is the matrix.
+    """
+    free = np.concatenate([space.free_velocity_dofs,
+                           space.n_u + np.arange(space.n_p)])
+    rows, _ = forms._saddle_order(space, free, bordered)
+    dofs, T = forms._saddle_local(space, alpha, bordered)
+    T = T[space.mesh.shape_classes]
+    nv = 2 * space.n_basis
+    idx = rows[dofs]
+    dirichlet = idx < 0
+    T[dirichlet] = 0.0
+    T.transpose(0, 2, 1)[dirichlet] = 0.0
+    idx[dirichlet] = np.broadcast_to(idx[:, nv, None], idx.shape)[dirichlet]
+    n = len(free) + bordered
+    t = whole_mesh_scatter(idx, idx, T, (n, n))
+    return sp.csc_matrix((t.data, t.indices, t.indptr), shape=(n, n))
+
+
+def assemble_B(space):
+    """Mixed Stokes form blocks (A_uu, A_up).
+
+    A_uu[a, b] = (D(phi_b), D(phi_a)); A_up[a, l] = -(div phi_a, psi_l).
+    The full unstabilized matrix is [[A_uu, A_up], [A_up^T, 0]].
+    """
+    vd = forms._velocity_dofs(space)
+    A_uu = whole_mesh_scatter(vd, vd, forms._strain_local(space),
+                              (space.n_u, space.n_u))
+    A_up = whole_mesh_scatter(vd, space.mesh.triangles,
+                              forms._divergence_local(space),
+                              (space.n_u, space.n_p))
+    return A_uu, A_up
+
+
+def assemble_Sh(space):
+    """Element-residual stabilization matrix on velocity+pressure dofs.
+
+    S[(v,q),(w,r)] = sum_K h_K^2 (-div D(w) + grad r,
+                                  -div D(v) + grad q)_K,
+    returned as one symmetric (n_u + n_p) square matrix.
+    """
+    dofs = space.residual_dofs
+    n = space.n_dofs
+    return whole_mesh_scatter(dofs, dofs, forms._residual_local(space),
+                              (n, n))

@@ -1,0 +1,45 @@
+"""tools/ab.py on two copies of one source tree."""
+
+import importlib.util
+import re
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_copies_of_one_tree_match(tmp_path, capsys):
+    trees = []
+    for name in ("a", "b"):
+        shutil.copytree(ROOT / "src", tmp_path / name / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        trees.append(str(tmp_path / name))
+    code = _tool().main([*trees, "--pairs", "2", "--", "solve", "--case",
+                         "SMOOTH_SQUARE", "--pair", "P1P1", "--n0", "4"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "table.csv: identical" in out
+    medians = {}
+    for metric in ("wall_s", "peak_rss_mb"):
+        line = next(ln for ln in out.splitlines() if ln.startswith(metric))
+        assert re.search(r"B lower in [0-2]/2$", line)
+        medians[metric] = [float(v) for v in
+                           re.findall(r"[AB] ([0-9.]+) \[", line)]
+    # one program on both sides: the same peak to within the allocator's
+    # spread
+    a, b = medians["peak_rss_mb"]
+    assert abs(a - b) <= 0.1 * a
+
+
+def test_usage_errors(capsys):
+    tool = _tool()
+    assert tool.main(["a", "b"]) == 2
+    assert tool.main(["a", "b", "--pairs", "0", "--", "solve"]) == 2
+    assert tool.main(["a", "b", "--", "solve", "--out", "x"]) == 2

@@ -14,8 +14,6 @@ from stokes_stab import cli, estimator, forms, solver, study
 from stokes_stab.forms import (
     ExactSolution,
     StokesProblem,
-    assemble_B,
-    assemble_Sh,
     assemble_system,
     default_alpha,
     estimate_CI,
@@ -23,6 +21,8 @@ from stokes_stab.forms import (
 from stokes_stab.mesh import unit_square
 from stokes_stab.space import ElementPair, FeSpace, P1P1, P2P1
 from stokes_stab.study import adaptive_study, uniform_study
+
+from oracles import assemble_B, assemble_Sh
 
 
 def report(criterion, ok, detail):

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import time
 import warnings
 from functools import cached_property
 from pathlib import Path
@@ -534,6 +535,42 @@ def test_audit_reports_min_angle():
     rep = m.audit(min_angle_deg=10.0)
     assert not rep.checks["min_angle"][0]
     assert "FAIL" in str(rep)
+
+
+def _scaled(mesh, s):
+    return TriMesh(mesh.vertices * 10.0 ** s, mesh.triangles,
+                   mesh.boundary_tag_dict(), validate=False)
+
+
+def _audit_seconds(mesh, s):
+    best = math.inf
+    for _ in range(5):
+        m = _scaled(mesh, s)   # fresh, so no audit reads a cached array
+        start = time.perf_counter()
+        m.audit()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("name", ["unit_square", "hanging_nodes"])
+def test_audit_is_the_same_at_every_scale(name):
+    # the checks run on coordinates scaled by a power of two to unit
+    # size: at 1e-13 no vertices "coincide" by an absolute tolerance,
+    # and at 1e160 no squared length overflows to an infinite tolerance
+    # or a NaN angle, and nothing warns
+    mesh = unit_square(40) if name == "unit_square" \
+        else TriMesh.read(DATA / "mesh_hanging_nodes.txt", validate=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = {s: str(_scaled(mesh, s).audit())
+                   for s in (-150, -13, 0, 13, 160)}
+        angles = {s: _scaled(mesh, s).min_angle_deg for s in reports}
+    assert len(set(reports.values())) == 1, reports
+    assert ("FAIL" in reports[0]) == (name == "hanging_nodes")
+    assert max(angles.values()) - min(angles.values()) <= 1e-12
+    if name == "unit_square":
+        # and the scan stays that of a unit-size mesh
+        assert _audit_seconds(mesh, 160) <= 2 * _audit_seconds(mesh, 0)
 
 
 def test_audit_passes_on_generated_meshes():

@@ -1,6 +1,7 @@
 """The saddle matrix as factored: one scatter of the element matrices,
 in CSC and in elimination order, against the block assembly it
-replaced, and handed to SuperLU without a copy."""
+replaced and, bit for bit, against the whole-mesh product that the
+blocked scatter replaced, and handed to SuperLU without a copy."""
 
 import tracemalloc
 
@@ -10,9 +11,12 @@ import scipy.sparse as sp
 
 from stokes_stab import forms, solver
 from stokes_stab.forms import ExactSolution, StokesProblem, assemble_system
-from stokes_stab.mesh import unit_square
+from stokes_stab.mesh import TriMesh, unit_square
 from stokes_stab.space import FeSpace, P1P1, P2P1, point_values
-from stokes_stab.study import get_case
+from stokes_stab.study import CASE_NAMES, get_case
+
+from oracles import (assemble_B, assemble_Sh, saddle_matrix,
+                     whole_mesh_scatter)
 
 
 def _f(x, y):
@@ -37,11 +41,11 @@ def _block_system(space, problem, alpha):
     """The oracle, each step a copy: bmat of assemble_B minus alpha
     assemble_Sh, the Dirichlet lift, the free-dof slice, the
     mean-pressure border and the nested-dissection permutation."""
-    A_uu, A_up = forms.assemble_B(space)
+    A_uu, A_up = assemble_B(space)
     M = sp.bmat([[A_uu, A_up], [A_up.T, None]], format="csr")
     rhs = forms.assemble_F(space, problem)
     if alpha != 0.0:
-        M = (M - alpha * forms.assemble_Sh(space)).tocsr()
+        M = (M - alpha * assemble_Sh(space)).tocsr()
         rhs = rhs - alpha * forms.assemble_Lh(space, problem)
     if problem.exact is not None:
         z = np.zeros(space.n_dofs)
@@ -112,35 +116,120 @@ def test_one_scatter_matches_block_assembly(pair, make_mesh, alpha, lift):
     assert np.abs(system.rhs - b0).max() <= 1e-14 * scale
 
 
-def test_scatter_csc_is_the_exact_sum_and_keeps_its_indices():
-    # element matrices that are not symmetric: the CSC must be their
-    # sum, not the CSR of the transposes read the other way round
+def _with_sides(mesh, neumann):
+    """The mesh with every boundary edge Dirichlet, or with the edges
+    on its largest x Neumann."""
+    x = mesh.vertices[:, 0]
+    tags = {}
+    for (i, j) in mesh.boundary_tag_dict():
+        on_side = neumann and x[i] == x[j] == x.max()
+        tags[(i, j)] = "N" if on_side else "D"
+    return TriMesh(mesh.vertices, mesh.triangles, tags)
+
+
+def _graded(levels):
+    mesh = get_case("LSHAPE_PEAK").make_mesh(8)
+    for _ in range(levels):
+        near = np.linalg.norm(mesh.corner_coords.mean(axis=1), axis=1) < 0.3
+        mesh = mesh.refine_marked(near)
+    return mesh
+
+
+def _bit_cases():
+    out = []
+    for pair in (P1P1, P2P1):
+        for case in CASE_NAMES:
+            for neumann in (False, True):
+                side = "neumann" if neumann else "bordered"
+                out.append(pytest.param(
+                    pair, case, lambda c=case, nm=neumann: _with_sides(
+                        get_case(c).make_mesh(16), nm),
+                    id=f"{pair.label}-{case}-{side}"))
+        for levels in (1, 2, 3):
+            out.append(pytest.param(pair, "LSHAPE_PEAK",
+                                    lambda lv=levels: _graded(lv),
+                                    id=f"{pair.label}-graded{levels}"))
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("budget", ["default", "one-row"])
+@pytest.mark.parametrize("pair,case,make_mesh", _bit_cases())
+def test_blocked_scatter_keeps_the_whole_mesh_bits(pair, case, make_mesh,
+                                                   budget, monkeypatch):
+    # each block of K sums its entries in the (e, i, j) order of the
+    # one whole-mesh product, so data, indices and indptr are the same
+    # arrays, whether K spans one block, several, or one per row
+    if budget == "one-row":
+        monkeypatch.setattr(forms, "_BLOCK_ENTRIES", 1)
+    space = FeSpace(make_mesh(), pair)
+    system = assemble_system(space, get_case(case).problem())
+    K = system.matrix
+    ref = saddle_matrix(space, system.alpha, system.bordered)
+    assert K.format == "csc" and K.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(K, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("budget", [None, 1, 40])
+def test_scatter_matrix_is_the_exact_sum_and_keeps_its_indices(budget,
+                                                               monkeypatch):
+    # element matrices that are not symmetric and not square, read from
+    # a class table: out is their sum, row by row, without the dropped
+    # element rows (row -1) and entries (column -1), and equals the
+    # whole-mesh product bit for bit whatever the block size
+    if budget is not None:
+        monkeypatch.setattr(forms, "_BLOCK_ENTRIES", budget)
     rng = np.random.default_rng(5)
-    dofs = np.array([rng.permutation(9)[:4] for _ in range(30)],
+    rows = np.array([rng.permutation(9)[:4] for _ in range(30)],
                     dtype=np.int32)
-    kept = dofs.copy()
-    vals_t = rng.standard_normal((30, 4, 4))
-    K = forms._scatter_csc(dofs, vals_t, 9)
-    assert np.array_equal(dofs, kept)
-    dense = np.zeros((9, 9))
-    for d, v in zip(dofs, vals_t):
-        dense[np.ix_(d, d)] += v.T
-    assert K.format == "csc"
-    assert np.abs(K.toarray() - dense).max() <= 1e-14
+    cols = np.array([rng.permutation(7)[:3] for _ in range(30)],
+                    dtype=np.int64)
+    rows[rng.random(rows.shape) < 0.1] = -1
+    cols[rng.random(cols.shape) < 0.1] = -1
+    kept = rows.copy(), cols.copy()
+    table = rng.standard_normal((5, 4, 3))
+    classes = rng.integers(0, 5, 30)
+    out = forms._scatter_matrix(rows, cols, table, (9, 7), classes)
+    assert np.array_equal(rows, kept[0]) and np.array_equal(cols, kept[1])
+    vals = table[classes] * (rows >= 0)[:, :, None] * (cols >= 0)[:, None]
+    dense = np.zeros((9, 7))
+    for r, c, v in zip(rows, cols, vals):
+        for i in range(4):
+            for j in range(3):
+                if r[i] >= 0 and c[j] >= 0:
+                    dense[r[i], c[j]] += v[i, j]
+    assert out.format == "csr" and out.has_sorted_indices
+    assert np.abs(out.toarray() - dense).max() <= 1e-14
+    ref = whole_mesh_scatter(np.maximum(rows, 0), np.maximum(cols, 0),
+                             vals, (9, 7))
+    for name in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(out, name), getattr(ref, name)), name
+    # and the same sum read from a table of one matrix per element
+    again = forms._scatter_matrix(rows, cols, table[classes], (9, 7))
+    for name in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(again, name), getattr(out, name)), name
 
 
-@pytest.mark.parametrize("pair,bound", [(P1P1, 23.5), (P2P1, 26.0)],
-                         ids=["P1P1", "P2P1"])
+@pytest.mark.parametrize("pair,n,bound", [(P1P1, 32, 15.5), (P2P1, 32, 13.0),
+                                          (P2P1, 64, 11.5)],
+                         ids=["P1P1", "P2P1", "P2P1-n64"])
 @pytest.mark.parametrize("boundary", [None, {"right": "N"}],
                          ids=["bordered", "neumann"])
-def test_assembly_transients_stay_small(pair, bound, boundary):
+def test_assembly_transients_stay_small(pair, n, bound, boundary):
     # bytes allocated at the peak of assemble_system, per entry of the
-    # element matrices: 8 for their values, 4 for the int32 columns of
-    # the scatter, and the rest. Index arrays in int64, or a copy of
-    # the element matrices alive through the scatter, push it past the
-    # bound (P1P1 sits near 21, P2P1 near 24)
-    mesh = unit_square(32) if boundary is None \
-        else unit_square(32, boundary=boundary)
+    # element matrices. K is built block by block of its columns, so
+    # what the scatter holds beside K is one block and a few arrays per
+    # element row; an array of all the element matrices' entries (8
+    # bytes per entry for the values, 4 for the int32 columns) pushes
+    # it past the bound (at n = 32, P1P1 sits near 11-13, P2P1 near
+    # 10-11; at n = 64, where K spans more blocks, P2P1 near 9-9.5)
+    mesh = unit_square(n) if boundary is None \
+        else unit_square(n, boundary=boundary)
     space = FeSpace(mesh, pair)
     problem = StokesProblem(f=_f)
     system = assemble_system(space, problem)
