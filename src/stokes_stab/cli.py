@@ -203,13 +203,7 @@ def write_manifest(path, cfg, command, alpha, c_i):
 def write_outputs(cfg, command, rows, titles, alpha, c_i):
     """Write a command's files into cfg["out"]: table.csv of rows,
     solution_<level>.vtk of each row under its title, and manifest.txt.
-
-    The heap is trimmed first, once per command, so the levels' freed
-    pages are not resident under the files' text: without it, 3 of 18
-    runs of the P1P1 benchmark study peaked at 91.9-93.1 MB, against
-    at most 90.6 MB with it (solver._release_free_heap).
     """
-    solver._release_free_heap()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_table_csv(out / "table.csv", rows)

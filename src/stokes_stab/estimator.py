@@ -199,14 +199,7 @@ def oscillations(problem, space):
 # aggregation
 
 def global_report(solution, space, problem):
-    """Assemble the full ErrorReport for one solved problem.
-
-    Where the problem has an exact solution, the heap is trimmed
-    between the oscillations and the error norms, so the exact fields'
-    arrays do not come on top of the estimator's freed pages: without
-    the trim, the P1P1 benchmark study peaks about 4 MB higher
-    (solver._release_free_heap). A problem without one makes no trim.
-    """
+    """Assemble the full ErrorReport for one solved problem."""
     eta_K = element_estimator(solution, space, problem)
     eta_E = edge_estimator(solution, space, problem)
     osc_K, osc_E = oscillations(problem, space)
@@ -216,8 +209,6 @@ def global_report(solution, space, problem):
 
     true_errors = err2_K = effectivity = None
     if problem.exact is not None:
-        # the estimator's freed pages, before the exact fields' arrays
-        solver._release_free_heap()
         true_errors, err2_K = solver.functional_norms(
             space, solution, problem.exact, elementwise=True)
         combined = solver.combined_error(true_errors)

@@ -169,13 +169,11 @@ class TriMesh:
     @cached_property
     def jacobians(self):
         """(nt, 2, 2) affine map Jacobians, columns v1-v0 and v2-v0."""
-        c = self.corner_coords
-        return np.stack([c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]], axis=2)
+        return _jacobians(self.corner_coords)
 
     @cached_property
     def signed_areas(self):
-        J = self.jacobians
-        return 0.5 * (J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
+        return _signed_areas(self.jacobians)
 
     @cached_property
     def areas(self):
@@ -233,10 +231,23 @@ class TriMesh:
         return np.flatnonzero(np.diff(seen, prepend=-1))
 
     @cached_property
+    def unit_vertices(self):
+        """(nv, 2) read-only vertices scaled by the power of two that
+        puts the largest finite |coordinate| in [1, 2). The scaling is
+        exact, so angles, orientations and relative distances keep
+        their bits wherever no product of the unscaled coordinates
+        overflows or underflows."""
+        v = self.vertices
+        big = np.max(np.abs(v), where=np.isfinite(v), initial=0.0)
+        scaled = np.ldexp(v, 1 - np.frexp(big)[1])
+        scaled.flags.writeable = False
+        return scaled
+
+    @cached_property
     def min_angle_deg(self):
         """Smallest interior angle over all triangles, in degrees, the
-        same at every scale of the mesh (taken on _unit_scaled)."""
-        c = self._unit_scaled().corner_coords
+        same at every scale of the mesh (taken on unit_vertices)."""
+        c = self.unit_vertices[self.triangles]
         angles = []
         for i in range(3):
             a = c[:, (i + 1) % 3] - c[:, i]
@@ -379,15 +390,16 @@ class TriMesh:
         duplicate and unused vertices), boundary tag coverage, and a
         minimum-angle threshold. Runs on meshes built with
         validate=False, so broken inputs are reported instead of
-        rejected. The geometric checks run on _unit_scaled, so a mesh
+        rejected. The geometric checks run on unit_vertices, so a mesh
         gets the same report at every scale: no product of coordinates
         overflows or underflows, and the absolute tolerance of
         coincident vertices is relative to the mesh's extent.
         """
         checks = {}
-        scaled = self._unit_scaled()
+        unit = self.unit_vertices
 
-        bad_orient = np.flatnonzero(~(scaled.signed_areas > 0.0))
+        areas = _signed_areas(_jacobians(unit[self.triangles]))
+        bad_orient = np.flatnonzero(~(areas > 0.0))
         checks["orientation"] = (bad_orient.size == 0,
                                  [f"triangle {k}" for k in bad_orient[:20]])
 
@@ -402,10 +414,10 @@ class TriMesh:
         for v in np.flatnonzero(~used)[:20]:
             conf.append(f"vertex {v} unused")
 
-        for i, j in scaled._coincident_vertices():
+        for i, j in self._coincident_vertices(unit):
             conf.append(f"vertices {i} and {j} coincide")
 
-        conf.extend(scaled._hanging_nodes())
+        conf.extend(self._hanging_nodes(unit))
         checks["conformity"] = (len(conf) == 0, conf[:20])
 
         tag_issues = []
@@ -427,39 +439,19 @@ class TriMesh:
             [f"min angle {ang:.3f} deg below threshold {min_angle_deg}"])
         return AuditReport(checks)
 
-    def _unit_scaled(self):
-        """This mesh with its vertices scaled by the power of two that
-        puts the largest finite |coordinate| in [1, 2): self when that
-        power is 1 (or no coordinate is finite and nonzero), else a
-        mesh sharing this one's topology. The scaling is exact, so
-        angles, orientations and relative distances keep their bits
-        wherever no product of the unscaled coordinates overflows or
-        underflows.
-        """
-        v = self.vertices
-        big = np.max(np.abs(v), where=np.isfinite(v), initial=0.0)
-        shift = 1 - np.frexp(big)[1]
-        if big == 0.0 or shift == 0:
-            return self
-        scaled = object.__new__(TriMesh)
-        for name in ("triangles", "parents", "edges", "t2e", "e2t",
-                     "edge_counts", "edge_tags"):
-            setattr(scaled, name, getattr(self, name))
-        scaled.vertices = np.ldexp(v, shift)
-        scaled.vertices.flags.writeable = False
-        return scaled
-
-    def _coincident_vertices(self):
-        """First 20 pairs (i, j), i < j, closer than 1e-12 in x and in y.
+    @staticmethod
+    def _coincident_vertices(vertices):
+        """First 20 pairs (i, j), i < j, of the (nv, 2) vertices closer
+        than 1e-12 in x and in y.
 
         Each finite vertex is tested against those in its box grown
         past the tolerance; one that is not finite is close to none.
         """
-        x, y = self.vertices.T
-        ids = np.flatnonzero(np.isfinite(self.vertices).all(axis=1))
-        box = self.vertices[ids]
+        x, y = vertices.T
+        ids = np.flatnonzero(np.isfinite(vertices).all(axis=1))
+        box = vertices[ids]
         found = np.empty((0, 2), dtype=np.int64)
-        for q, b in _box_pairs(self.vertices, box - 2e-12, box + 2e-12):
+        for q, b in _box_pairs(vertices, box - 2e-12, box + 2e-12):
             # each pair once; most are a vertex and itself
             a = ids[q]
             later = a < b
@@ -469,8 +461,9 @@ class TriMesh:
             found = _first_pairs(found, a[close], b[close])
         return [(int(i), int(j)) for i, j in found]
 
-    def _hanging_nodes(self):
-        """Vertices lying strictly inside an edge of some triangle.
+    def _hanging_nodes(self, vertices):
+        """Vertices lying strictly inside an edge of some triangle, with
+        the mesh's vertices at the (nv, 2) coordinates given.
 
         Only edges with both ends finite are scanned, and the tolerance
         is 1e-9 of the longest of them: an edge with a non-finite end (a
@@ -480,10 +473,10 @@ class TriMesh:
         in (edge, vertex) order are reported.
         """
         ends = self.edges
-        finite = np.isfinite(self.vertices).all(axis=1)
+        finite = np.isfinite(vertices).all(axis=1)
         if not finite.all():   # copy the edges only when some are cut
             ends = ends[finite[ends].all(axis=1)]
-        pa, pb = self.vertices[ends[:, 0]], self.vertices[ends[:, 1]]
+        pa, pb = vertices[ends[:, 0]], vertices[ends[:, 1]]
         d = pb - pa
         L2 = np.einsum("ed,ed->e", d, d)
         tol = 1e-9 * math.sqrt(L2.max()) if len(L2) else 0.0
@@ -495,11 +488,11 @@ class TriMesh:
         found = np.empty((0, 2), dtype=np.int64)
         # a vertex that is not finite fails the test (t is NaN or
         # infinite), so _box_pairs may skip it
-        for e, v in _box_pairs(self.vertices, lo, hi):
+        for e, v in _box_pairs(vertices, lo, hi):
             # most pairs are an edge and one of its ends: dropped first
             other = (v != ends[e, 0]) & (v != ends[e, 1])
             e, v = e[other], v[other]
-            rel = self.vertices[v] - pa[e]
+            rel = vertices[v] - pa[e]
             t = np.einsum("kd,kd->k", rel, d[e]) / L2[e]
             perp = rel - t[:, None] * d[e]
             dist = np.hypot(perp[:, 0], perp[:, 1])
@@ -717,6 +710,17 @@ class AuditReport:
             lines.append(f"{name}: {'ok' if passed else 'FAIL'}")
             lines.extend(f"  {msg}" for msg in issues)
         return "\n".join(lines)
+
+
+def _jacobians(c):
+    """(nt, 2, 2) affine map Jacobians of triangles with (nt, 3, 2)
+    corners c, columns v1-v0 and v2-v0."""
+    return np.stack([c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]], axis=2)
+
+
+def _signed_areas(J):
+    """(nt,) signed areas of triangles with (nt, 2, 2) Jacobians J."""
+    return 0.5 * (J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
 
 
 def _window_pairs(start, stop):

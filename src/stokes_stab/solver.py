@@ -61,20 +61,14 @@ def _release_free_heap():
     glibc returns freed heap memory only when the free block at the
     top of the heap outgrows a threshold that rises with the largest
     block freed, up to 64 MB. Below it, the pages a phase freed stay
-    resident, and a later phase's arrays can come on top of them. Two
-    calls remain, each measured to hold a peak down; each figure is
-    the ru_maxrss of fresh processes making one benchmark command (2
-    vCPUs):
-    - estimator.global_report, between the oscillations and the error
-      norms of a case with an exact solution. Without it, the 3-level
-      SMOOTH_SQUARE P1P1 study from n0 = 16 peaks at 91.9-94.0 MB
-      (median 92.7) instead of 88.5-89.7 (88.7), and the NEUMANN_STRIP
-      P2P1 one at 122.4-123.9 MB instead of 121.5-122.7.
-    - cli.write_outputs, before the files. Without it, 3 of 18 runs of
-      that P1P1 study peak at 91.9-93.1 MB and the rest at 88.6-89.8;
-      with it, all 18 stay within 88.5-90.6 MB.
-    A trim after each solve (study._solve_level) lowered no peak and
-    cost a minor fault per page it returned, so there is none there.
+    resident, and a later phase's arrays can come on top of them. The
+    one call is on entry to functional_norms, so the exact fields'
+    arrays do not come on top of the estimator's freed pages. Without
+    it, fresh processes of the 3-level SMOOTH_SQUARE P1P1 study from
+    n0 = 16 peak at 90.6 MB instead of 87.6 (ru_maxrss medians, 10
+    pairs, 2 vCPUs), and the NEUMANN_STRIP P2P1 one at 112.6 MB
+    instead of 111.3. A trim after each solve or before the output
+    files lowered no peak and cost a minor fault per page it returned.
     Each call costs about a millisecond.
     """
     if _malloc_trim is not None:
@@ -683,6 +677,7 @@ def functional_norms(space, solution, exact, elementwise=False):
     no array of the gradient's size is built besides the exact and the
     discrete gradients.
     """
+    _release_free_heap()
     rule = forms.quadrature(forms.error_degree(space.pair.velocity_degree))
     w, pts = rule.weights, rule.points
     xy = forms.rule_values(space, rule.degree)

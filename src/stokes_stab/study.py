@@ -290,15 +290,7 @@ def _solve_level(space, problem, where):
 
     Returns the solution and its ErrorReport. The assembled system is
     held only by solver.solve, so it and its factorization are freed
-    when the solve returns, before the estimator runs. Their heap pages
-    stay with the process, and the estimator's arrays reuse them.
-    Without a trim after the solve, the three benchmark study commands
-    peak within 0.3 MB of where they did with one (88.6, 121.5 and
-    83.2 MB with it, 88.7, 121.5 and 83.5 MB without, medians of 6
-    fresh processes) and take 10-29 % fewer minor faults. The one trim
-    inside a level is global_report's, before the error norms of a
-    case with an exact solution; it lowers the P1P1 study's peak by
-    about 4 MB (solver._release_free_heap).
+    when the solve returns, before the estimator runs.
     """
     try:
         sol = solver.solve(forms.assemble_system(space, problem))

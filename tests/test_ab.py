@@ -26,16 +26,26 @@ def test_two_copies_of_one_tree_match(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "table.csv: identical" in out
+    lines = out.splitlines()
     medians = {}
-    for metric in ("wall_s", "peak_rss_mb"):
-        line = next(ln for ln in out.splitlines() if ln.startswith(metric))
+    for metric in ("wall_s", "peak_rss_mb", "cpu_s", "minflt"):
+        line = next(ln for ln in lines if ln.startswith(metric + ": "))
         assert re.search(r"B lower in [0-2]/2$", line)
         medians[metric] = [float(v) for v in
                            re.findall(r"[AB] ([0-9.]+) \[", line)]
+        assert len(medians[metric]) == 2 and min(medians[metric]) > 0
     # one program on both sides: the same peak to within the allocator's
-    # spread
+    # spread, and per-pair ratios B/A near 1 for wall time and peak
     a, b = medians["peak_rss_mb"]
     assert abs(a - b) <= 0.1 * a
+    # (wall time within a factor of 2, for a host's drift)
+    for metric, low, high in (("wall_s", 0.5, 2.0),
+                              ("peak_rss_mb", 0.9, 1.1)):
+        line = next(ln for ln in lines
+                    if ln.startswith(f"{metric} B/A per pair: "))
+        ratios = [float(v) for v in re.findall(r"[0-9.]+", line.split(":")[1])]
+        assert len(ratios) == 3
+        assert all(low <= r <= high for r in ratios), line
 
 
 def test_usage_errors(capsys):

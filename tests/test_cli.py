@@ -102,8 +102,8 @@ def test_studies_solve_once_per_row(tmp_path, monkeypatch, args):
 def test_estimator_runs_after_the_system_is_freed(tmp_path, monkeypatch,
                                                   args):
     # the assembled system and its matrix are dead by the time the
-    # level's estimator runs; the heap is trimmed before the error
-    # norms, where a case has them, and once before the files
+    # level's estimator runs; the heap is trimmed once per level, inside
+    # the error norms where a case has them, and not before the files
     events, systems = [], []
     real_assemble, real_solve = forms.assemble_system, solver.solve
     real_release = solver._release_free_heap
@@ -146,15 +146,34 @@ def test_estimator_runs_after_the_system_is_freed(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "_atomic_write", write)
     assert run_cli(*args, "--out", str(tmp_path)) == 0
     rows = (tmp_path / "table.csv").read_text().splitlines()[1:]
-    # per level: global_report trims before the norms of an exact case;
-    # the command once before it writes the table, a VTK file per level
-    # and the manifest
-    level = ["solve", "report", "release", "norms"]
+    # per level: functional_norms trims on entry, in an exact case; then
+    # the command writes the table, a VTK file per level and the manifest
+    level = ["solve", "report", "norms", "release"]
     if "LSHAPE_PEAK" in args:
         level = ["solve", "report"]
-    assert events == (level * len(rows) + ["release"]
-                      + ["write"] * (len(rows) + 2))
+    assert events == level * len(rows) + ["write"] * (len(rows) + 2)
     assert len(systems) == len(rows)
+
+
+def test_only_the_error_norms_trim_the_heap(tmp_path, monkeypatch):
+    # one functional_norms call trims once; the estimator of a case
+    # without an exact solution and the command's writer never trim
+    trims = []
+    monkeypatch.setattr(solver, "_release_free_heap",
+                        lambda: trims.append("release"))
+    _, space, problem = study._set_up("SMOOTH_SQUARE", "P1P1", None, 4)
+    sol = solver.solve(forms.assemble_system(space, problem))
+    solver.functional_norms(space, sol, problem.exact)
+    assert trims == ["release"]
+    _, space, problem = study._set_up("LSHAPE_PEAK", "P1P1", None, 4)
+    sol = solver.solve(forms.assemble_system(space, problem))
+    rep = estimator.global_report(sol, space, problem)
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["solve", "--case", "LSHAPE_PEAK", "--out", str(tmp_path)]))
+    cli.write_outputs(cfg, "solve", [study.level_row(0, space, sol, rep)],
+                      ["LSHAPE_PEAK P1P1"], problem.alpha, space.c_i)
+    assert trims == ["release"]
+    assert (tmp_path / "solution_0.vtk").exists()
 
 
 def test_uniform_study_vtk_matches_direct_solve(tmp_path):

@@ -326,7 +326,8 @@ def test_audit_reports_coincident_pairs_in_index_order():
              & (np.abs(y[:, None] - y[None, :]) < 1e-12))
     i, j = np.nonzero(np.triu(close, k=1))
     assert len(i) > 20
-    assert bad._coincident_vertices() == list(zip(i.tolist(), j.tolist()))[:20]
+    expect = list(zip(i.tolist(), j.tolist()))
+    assert bad._coincident_vertices(v) == expect[:20]
 
 
 def _e2t_by_loop(mesh):
@@ -458,7 +459,7 @@ def test_hanging_nodes_match_all_pairs(build, min_hits):
     m = build()
     expect = _hanging_by_all_pairs(m)
     assert len(expect) >= min_hits
-    assert m._hanging_nodes() == expect[:20]
+    assert m._hanging_nodes(m.vertices) == expect[:20]
 
 
 @pytest.mark.filterwarnings("error")
@@ -471,21 +472,23 @@ def test_hanging_nodes_skip_edges_with_an_infinite_end(monkeypatch):
     v = m.vertices.copy()
     v[0] = [np.inf, 0.0]
     bad = TriMesh(v, m.triangles, {}, validate=False)
-    assert bad._hanging_nodes() == _hanging_by_all_pairs(bad)[:20] == []
-    drawn = _pairs_drawn(monkeypatch, bad._hanging_nodes)
-    assert drawn <= _pairs_drawn(monkeypatch, m._hanging_nodes)
+    assert (bad._hanging_nodes(bad.vertices)
+            == _hanging_by_all_pairs(bad)[:20] == [])
+    drawn = _pairs_drawn(monkeypatch, bad._hanging_nodes, bad.vertices)
+    assert drawn <= _pairs_drawn(monkeypatch, m._hanging_nodes, m.vertices)
     # a vertex put on a finite edge is still found
     a, b = m.edges[m.n_edges // 2].tolist()
     v = v.copy()
     v[-1] = 0.5 * (v[a] + v[b])
     moved = TriMesh(v, m.triangles, {}, validate=False)
-    hits = moved._hanging_nodes()
+    hits = moved._hanging_nodes(moved.vertices)
     assert hits == _hanging_by_all_pairs(moved)[:20]
     assert f"vertex {m.n_vertices - 1} hangs on edge {(a, b)}" in hits
 
 
-def _pairs_drawn(monkeypatch, scan):
-    """The number of candidate pairs scan() draws from _window_pairs."""
+def _pairs_drawn(monkeypatch, scan, vertices):
+    """The number of candidate pairs scan(vertices) draws from
+    _window_pairs."""
     drawn = []
     real = meshmod._window_pairs
 
@@ -496,7 +499,7 @@ def _pairs_drawn(monkeypatch, scan):
 
     with monkeypatch.context() as patch:
         patch.setattr(meshmod, "_window_pairs", counting)
-        scan()
+        scan(vertices)
     return sum(drawn)
 
 
@@ -510,11 +513,13 @@ def test_audit_scans_draw_pairs_in_proportion_to_mesh_size(monkeypatch,
         bench.CELLS = cells
         (tmp_path / "mesh.txt").write_text(bench.generate(0)[0])
         m = TriMesh.read(tmp_path / "mesh.txt")
-        per_edge.append(_pairs_drawn(monkeypatch, m._hanging_nodes)
+        per_edge.append(_pairs_drawn(monkeypatch, m._hanging_nodes,
+                                     m.vertices)
                         / m.n_edges)
     for n in (16, 64):
         m = unit_square(n)
-        per_vertex.append(_pairs_drawn(monkeypatch, m._coincident_vertices)
+        per_vertex.append(_pairs_drawn(monkeypatch, m._coincident_vertices,
+                                       m.vertices)
                           / m.n_vertices)
     assert per_edge[1] < 1.1 * per_edge[0] < 10
     assert per_vertex[1] < 1.1 * per_vertex[0] < 10
@@ -526,7 +531,7 @@ def test_hanging_nodes_in_slices_of_one_column(monkeypatch):
     assert len(expect) > 20
     for budget in (7, 1000):
         monkeypatch.setattr(meshmod, "_PAIR_BUDGET", budget)
-        assert m._hanging_nodes() == expect[:20]
+        assert m._hanging_nodes(m.vertices) == expect[:20]
 
 
 def test_audit_reports_min_angle():

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import splu
 
 from stokes_stab import forms, solver
 from stokes_stab.forms import ExactSolution, StokesProblem, assemble_system
-from stokes_stab.mesh import unit_square
+from stokes_stab.mesh import TriMesh, unit_square
 from stokes_stab.space import FeSpace, P1P1, P2P1, interpolate
 
 
@@ -324,6 +324,33 @@ def test_stable_pair_factors_by_fronts_without_stabilization(space, problem):
     # blocks of the fronts are not definite, and partial pivoting inside
     # each front block still carries the factorization
     _check_fast_path(assemble_system(space, problem))
+
+
+@pytest.mark.xfail(raises=solver.SolverError, strict=True, reason=(
+    "the zero-pivot check is not scale-free: A is scale-free, B ~ s and "
+    "the pressure block ~ s^2, so the pivot ratio falls as s^2"))
+def test_solution_scales_with_the_mesh():
+    # on the mesh scaled by s with f_s(x, y) = F(x/s, y/s), the stabilized
+    # discrete solution is that of the unit mesh scaled: p_s = s p_1 and
+    # u_s = s^2 u_1 (so it is at s = 1e-4)
+    def F(x, y):
+        out = np.empty(x.shape + (2,))
+        out[..., 0] = 1.0 + y
+        out[..., 1] = x * x
+        return out
+
+    def solve(pair, s):
+        m = unit_square(8)
+        m = TriMesh(m.vertices * s, m.triangles, m.boundary_tag_dict())
+        problem = StokesProblem(f=lambda x, y: F(x / s, y / s))
+        return solver.solve(assemble_system(FeSpace(m, pair), problem))
+
+    s = 1e-6
+    for pair in (P1P1, P2P1):
+        unit, scaled = solve(pair, 1.0), solve(pair, s)
+        for got, want in ((scaled.p, s * unit.p), (scaled.u, s ** 2 * unit.u)):
+            assert (np.linalg.norm(got - want)
+                    <= 1e-8 * np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("name", ["SMOOTH_SQUARE", "NEUMANN_STRIP"])

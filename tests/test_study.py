@@ -158,7 +158,7 @@ def test_zero_error_study_reports_nan_rates_and_effectivity():
 
 def test_levels_run_without_malloc_trim(monkeypatch):
     # the path of a C library without malloc_trim: _release_free_heap,
-    # which global_report calls before the error norms, does nothing,
+    # which functional_norms calls on entry, does nothing,
     # and a bare solve and _solve_level give the bits of a trimmed level
     _, space, problem = study._set_up("NEUMANN_STRIP", "P2P1", None, 4)
     sol, rep = study._solve_level(space, problem, "level 0")

@@ -6,9 +6,11 @@ Runs `stokes-stab CLI ARGS --out DIR` N times from each tree's `src/`,
 each call in a fresh interpreter, A and B in pairs; the side that goes
 first alternates from pair to pair (A first in pairs 1, 3, ...), so a
 drift of the host reaches both sides alike. Per call it records the
-wall time from start to exit and the peak resident set of the process
-(ru_maxrss, from os.wait4). It prints, per metric, each side's median
-and quartiles and in how many pairs B was lower than A, then the
+wall time from start to exit and, from os.wait4, the process's CPU
+time (ru_utime + ru_stime), peak resident set (ru_maxrss) and minor
+page faults (ru_minflt). It prints, per metric, each side's median and
+quartiles and in how many pairs B was lower than A; for wall time and
+peak, the median and quartiles of the per-pair ratio B/A; then the
 comparison of the two sides' last table.csv by tools/compare_outputs.py.
 Each side writes into its own directory, with the standard output and
 error of its last call beside its --out directory.
@@ -39,9 +41,15 @@ def _compare_outputs():
     return module
 
 
+# each metric run_once records, in its order: name, print format, and
+# whether its per-pair ratio B/A is printed
+METRICS = (("wall_s", ".4g", True), ("peak_rss_mb", ".4g", True),
+           ("cpu_s", ".4g", False), ("minflt", ".0f", False))
+
+
 def run_once(tree, cli_args, side_dir):
-    """(exit code, wall s, peak RSS MB) of one call of the command from
-    tree's src/, its outputs in side_dir/out."""
+    """(exit code, (wall s, peak RSS MB, CPU s, minor faults)) of one
+    call of the command from tree's src/, its outputs in side_dir/out."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(Path(tree).resolve() / "src")
     argv = [sys.executable, "-c", RUN, *cli_args,
@@ -53,15 +61,17 @@ def run_once(tree, cli_args, side_dir):
     pid = os.posix_spawn(sys.executable, argv, env, file_actions=files)
     _, status, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - start
-    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024
+    return os.waitstatus_to_exitcode(status), (
+        wall, usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime,
+        usage.ru_minflt)
 
 
-def _spread(values):
+def _spread(values, fmt=".4g"):
     """Median [lower quartile, upper quartile] as text."""
     if len(values) < 2:
-        return f"{values[0]:.4g}"
+        return f"{values[0]:{fmt}}"
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
+    return f"{q2:{fmt}} [{q1:{fmt}}, {q3:{fmt}}]"
 
 
 def main(argv=None):
@@ -92,9 +102,9 @@ def main(argv=None):
             order = "AB" if k % 2 == 0 else "BA"
             codes = {side: None for side in trees}
             for side in order:
-                codes[side], wall, rss = run_once(trees[side], cli_args,
-                                                  dirs[side])
-                samples[side].append((wall, rss))
+                codes[side], sample = run_once(trees[side], cli_args,
+                                               dirs[side])
+                samples[side].append(sample)
             if codes["A"] != codes["B"] or codes["A"] != 0:
                 print(f"pair {k + 1}: exit codes A {codes['A']}, "
                       f"B {codes['B']}")
@@ -102,12 +112,15 @@ def main(argv=None):
 
         print(f"{args.pairs} pairs of: stokes-stab {' '.join(cli_args)}")
         print(f"A: {trees['A']}\nB: {trees['B']}")
-        for m, name in enumerate(("wall_s", "peak_rss_mb")):
+        for m, (name, fmt, ratio) in enumerate(METRICS):
             a = [s[m] for s in samples["A"]]
             b = [s[m] for s in samples["B"]]
             lower = sum(y < x for x, y in zip(a, b))
-            print(f"{name}: A {_spread(a)}  B {_spread(b)}  "
+            print(f"{name}: A {_spread(a, fmt)}  B {_spread(b, fmt)}  "
                   f"B lower in {lower}/{args.pairs}")
+            if ratio:
+                print(f"{name} B/A per pair: "
+                      f"{_spread([y / x for x, y in zip(a, b)])}")
 
         tables = [dirs[side] / "out" / "table.csv" for side in trees]
         report = "neither side wrote one"
