@@ -62,11 +62,8 @@ def parse_config_file(path):
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the valid text before the bad byte, and a stand-in for it;
-        # exc.start indexes exc.object, the bytes after any BOM
-        lineno = len((exc.object[:exc.start].decode() + "x").splitlines())
-        raise ConfigError(f"{path}:{lineno}: not UTF-8 text "
-                          f"({exc.reason})") from None
+        raise ConfigError(f"{path}:{meshmod.utf8_error_line(exc)}: not "
+                          f"UTF-8 text ({exc.reason})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

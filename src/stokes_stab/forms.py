@@ -200,17 +200,9 @@ class StokesProblem:
 # ----------------------------------------------------------------------
 # local assembly pieces
 
-def _velocity_dofs(space, elems=None):
-    en = space.elem_nodes if elems is None else space.elem_nodes[elems]
-    out = np.empty((len(en), 2 * en.shape[1]), dtype=np.int64)
-    out[:, 0::2] = 2 * en
-    out[:, 1::2] = 2 * en + 1
-    return out
-
-
-def _strain_local(space, elems=None):
-    """(ne, 2nbf, 2nbf) element matrices (D(phi_b), D(phi_a))_K, for
-    all elements or those listed in elems.
+def _strain_local(space):
+    """(n_classes, 2nbf, 2nbf) element matrices (D(phi_b), D(phi_a))_K,
+    one per shape class.
 
     Tensor representation (Kirby & Logg, ACM TOMS 2006), no quadrature
     axis: with it = J^{-T} and K_ref[a, A, i, j] = sum_q w_q dphi_i/da
@@ -222,9 +214,9 @@ def _strain_local(space, elems=None):
     _, gref = scalar_basis(space.pair.velocity_degree, rule.points)
     nbf = space.n_basis
     K_ref = np.einsum("q,qia,qjb->abij", rule.weights, gref, gref)
-    sel = slice(None) if elems is None else elems
+    reps = space.mesh.shape_representatives
     # |K| is 2|K| times the 1/2 of D's symmetrization
-    it, area = space.mesh.inv_jacobians_t[sel], space.mesh.areas[sel]
+    it, area = space.mesh.inv_jacobians_t[reps], space.mesh.areas[reps]
     geo = it[:, :, None, :, None] * it[:, None, :, None, :] \
         * area[:, None, None, None, None]
     t2 = (geo.reshape(-1, 4) @ K_ref.reshape(4, -1)).reshape(
@@ -235,15 +227,14 @@ def _strain_local(space, elems=None):
     return loc.reshape(-1, 2 * nbf, 2 * nbf)
 
 
-def _residual_local(space, elems=None):
+def _residual_local(space):
     """Element matrices |K| h_K^2 R R^T of S_h on space.residual_dofs,
-    R the element residual operator, for all elements or those listed
-    in elems. r_K is constant on K, so no quadrature is needed; R R^T
-    is the two-term sum over its columns."""
+    R the element residual operator, one per shape class. r_K is
+    constant on K, so no quadrature is needed; R R^T is the two-term
+    sum over its columns."""
     R = space.residual_operator
-    scale = space.mesh.areas * space.mesh.diameters ** 2
-    if elems is not None:
-        R, scale = R[elems], scale[elems]
+    reps = space.mesh.shape_representatives
+    scale = space.mesh.areas[reps] * space.mesh.diameters[reps] ** 2
     RRt = R[:, :, None, 0] * R[:, None, :, 0]
     RRt += R[:, :, None, 1] * R[:, None, :, 1]
     RRt *= scale[:, None, None]
@@ -353,9 +344,9 @@ def scatter_add(index, values, n):
     return sums[0] if len(sums) == 1 else np.stack(sums, axis=1)
 
 
-def _divergence_local(space, elems=None):
-    """(ne, 2nbf, 3) element matrices -(div phi_a, psi_l)_K of A_up,
-    for all elements or those listed in elems.
+def _divergence_local(space):
+    """(n_classes, 2nbf, 3) element matrices -(div phi_a, psi_l)_K of
+    A_up, one per shape class.
 
     -(div phi_i e_c, psi_l)_K = -2|K| it[c, a] (dphi_i/da, psi_l)_ref.
     """
@@ -363,9 +354,9 @@ def _divergence_local(space, elems=None):
     _, gref = scalar_basis(space.pair.velocity_degree, rule.points)
     pval, _ = scalar_basis(1, rule.points)
     d_ref = np.einsum("q,qia,ql->ail", rule.weights, gref, pval)
-    sel = slice(None) if elems is None else elems
-    it = space.mesh.inv_jacobians_t[sel] \
-        * (-2.0 * space.mesh.areas[sel])[:, None, None]
+    reps = space.mesh.shape_representatives
+    it = space.mesh.inv_jacobians_t[reps] \
+        * (-2.0 * space.mesh.areas[reps])[:, None, None]
     return (it[:, None, :, 0, None] * d_ref[0, :, None]
             + it[:, None, :, 1, None] * d_ref[1, :, None]).reshape(
         -1, 2 * space.n_basis, 3)
@@ -381,7 +372,8 @@ def assemble_F(space, problem):
     fv = rule_values(space, rule.degree, problem.f)
     val, _ = scalar_basis(space.pair.velocity_degree, rule.points)
     fu = ((w[:, None] * val).T @ fv) * scale[:, None, None]
-    out = scatter_add(_velocity_dofs(space), fu, space.n_u + space.n_p)
+    vd = space.element_dofs[:, :2 * space.n_basis]
+    out = scatter_add(vd, fu, space.n_dofs)
 
     if problem.g is not None:
         gv = rule_values(space, rule.degree, problem.g)
@@ -405,7 +397,8 @@ def _neumann_load(space, traction):
     tv = np.asarray(traction(xy[..., 0], xy[..., 1]), dtype=float)
     length = mesh.edge_lengths[edges]
     loc = np.einsum("q,eqc,eqi->eic", w, tv, val) * length[:, None, None]
-    return scatter_add(_velocity_dofs(space, elems), loc, space.n_u)
+    vd = space.element_dofs[elems, :2 * space.n_basis]
+    return scatter_add(vd, loc, space.n_u)
 
 
 def assemble_Lh(space, problem):
@@ -416,7 +409,8 @@ def assemble_Lh(space, problem):
     fv = rule_values(space, rule.degree, problem.f)
     int_f = np.einsum("q,eqr->er", rule.weights, fv) \
         * (2.0 * mesh.areas)[:, None]
-    loc = np.einsum("er,eir->ei", int_f, space.residual_operator) \
+    R = space.residual_operator[mesh.shape_classes]
+    loc = np.einsum("er,eir->ei", int_f, R) \
         * (mesh.diameters ** 2)[:, None]
     return scatter_add(space.residual_dofs, loc, space.n_dofs)
 
@@ -435,20 +429,20 @@ def pressure_mass(space):
 # ----------------------------------------------------------------------
 # inverse inequality constant
 
-def inverse_inequality_pencils(space, elems=None):
-    """Per-element matrices (M_A, M_D) of the inverse inequality.
+def inverse_inequality_pencils(space):
+    """Element matrices (M_A, M_D) of the inverse inequality, one per
+    shape class.
 
     For local velocity coefficients c, c^T M_A c = h_K^2 ||div D(v)||^2
-    and c^T M_D c = ||D(v)||^2 on element K. Shapes (ne, 2nbf, 2nbf),
-    for all elements or those listed in elems. They are the element
-    matrices that assemble_B (A_uu) and assemble_Sh (velocity block)
-    scatter.
+    and c^T M_D c = ||D(v)||^2 on element K. Shapes (n_classes, 2nbf,
+    2nbf). They are the velocity blocks of the element matrices of the
+    strain form and of S_h that the saddle matrix sums.
     """
-    M_D = _strain_local(space, elems)
+    M_D = _strain_local(space)
     if space.pair.velocity_degree == 1:
         return np.zeros_like(M_D), M_D
     nv = 2 * space.n_basis
-    return _residual_local(space, elems)[:, :nv, :nv], M_D
+    return _residual_local(space)[:, :nv, :nv], M_D
 
 
 def estimate_CI(space):
@@ -467,8 +461,7 @@ def estimate_CI(space):
     """
     if space.pair.velocity_degree == 1:
         return math.inf
-    M_A, M_D = inverse_inequality_pencils(
-        space, elems=space.mesh.shape_representatives)
+    M_A, M_D = inverse_inequality_pencils(space)
     wD, V = np.linalg.eigh(M_D)
     # kernel of M_D is exactly the 3 rigid motions; deflate them
     gap_ok = wD[:, 3] > 1e-8 * wD[:, -1]
@@ -505,7 +498,9 @@ class AssembledSystem:
     pressure), -1 on the Dirichlet dofs; its last entry is the border's
     row, the last row, or -1 when there is no border. groups holds the
     first row of each nested-dissection group, the fronts solver.solve
-    factors; the border belongs to the last.
+    factors; the border belongs to the last. The unknowns of the
+    pressure and border rows are p / pressure_scale and the multiplier
+    / pressure_scale (pressure_scale_of).
     """
 
     matrix: sp.csc_matrix
@@ -515,10 +510,29 @@ class AssembledSystem:
     n_u: int
     alpha: float
     dirichlet_values: np.ndarray = None
+    pressure_scale: float = 1.0
 
     @property
     def bordered(self):
         return bool(self.rows[-1] >= 0)
+
+
+def pressure_scale_of(mesh):
+    """The power of two sigma by which assemble_system multiplies the
+    pressure and border rows and columns of the saddle matrix and the
+    pressure rows of its right-hand side.
+
+    On a mesh of extent E (the largest of max - min vertex coordinate
+    over the axes) the strain block is free of E, B grows as E and the
+    pressure block and the border as E^2, so the pivots of the pressure
+    unknowns fall as E^2 against the velocity ones. sigma = 2^-k for
+    the binary exponent k of E (E in [2^k, 2^(k+1))) brings every block
+    to the size it has at E = 1, exactly; it is 1 for |k| <= 3, so a
+    mesh of extent 1/8 to 8 assembles unscaled.
+    """
+    v = mesh.vertices
+    k = math.frexp(float(np.max(v.max(axis=0) - v.min(axis=0))))[1] - 1
+    return 1.0 if abs(k) <= 3 else math.ldexp(1.0, -k)
 
 
 def _saddle_order(space, free, bordered):
@@ -561,24 +575,21 @@ def _saddle_local(space, alpha, bordered):
     """
     mesh = space.mesh
     reps = mesh.shape_representatives
-    vd = _velocity_dofs(space)
-    ne, nv = vd.shape
+    dofs = space.element_dofs
+    nv = 2 * space.n_basis
     nloc = nv + 3 + bordered
-    dofs = np.empty((ne, nloc), dtype=np.int64)
-    dofs[:, :nv] = vd
-    dofs[:, nv:nv + 3] = space.n_u + mesh.triangles
     T = np.zeros((len(reps), nloc, nloc))
-    T[:, :nv, :nv] = _strain_local(space, reps).transpose(0, 2, 1)
-    B = _divergence_local(space, reps)
+    T[:, :nv, :nv] = _strain_local(space).transpose(0, 2, 1)
+    B = _divergence_local(space)
     T[:, :nv, nv:nv + 3] = B
     T[:, nv:nv + 3, :nv] = B.transpose(0, 2, 1)
     if alpha != 0.0:
-        S = _residual_local(space, reps)
+        S = _residual_local(space)
         r = slice(nv + 3 - S.shape[1], nv + 3)
         S *= alpha
         T[:, r, r] -= S
     if bordered:
-        dofs[:, -1] = space.n_dofs
+        dofs = np.hstack([dofs, np.full((len(dofs), 1), space.n_dofs)])
         T[:, -1, nv:nv + 3] = T[:, nv:nv + 3, -1] = \
             (mesh.areas[reps] / 3.0)[:, None]
     return dofs, T
@@ -591,7 +602,9 @@ def assemble_system(space, problem):
     0 <= alpha < C_I, eliminates Dirichlet velocity dofs symmetrically
     (lifting inhomogeneous boundary values into the right-hand side),
     and borders the system by the mean-pressure constraint when there
-    is no Neumann boundary to fix the pressure gauge.
+    is no Neumann boundary to fix the pressure gauge. The pressure and
+    border rows and columns, and the pressure rows of the right-hand
+    side, are multiplied by pressure_scale_of(mesh).
 
     The matrix is one scatter of the element matrices, each already
     B_K - alpha S_K and read from its shape class's, straight into its
@@ -619,6 +632,10 @@ def assemble_system(space, problem):
         rhs = rhs - alpha * assemble_Lh(space, problem)
     dofs, T = _saddle_local(space, alpha, bordered)
     nv = 2 * space.n_basis
+    sigma = pressure_scale_of(space.mesh)
+    T[:, nv:] *= sigma
+    T[:, :, nv:] *= sigma
+    rhs[space.n_u:] *= sigma
 
     lift = None
     if problem.exact is not None and len(space.dirichlet_dofs):
@@ -647,4 +664,4 @@ def assemble_system(space, problem):
     b[rows[free]] = rhs[free]
     return AssembledSystem(matrix=K, rhs=b, rows=rows, groups=groups,
                            n_u=space.n_u, alpha=alpha,
-                           dirichlet_values=lift)
+                           dirichlet_values=lift, pressure_scale=sigma)

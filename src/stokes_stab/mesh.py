@@ -36,6 +36,14 @@ class MeshFormatError(MeshError):
     """Malformed mesh file; message carries the offending line number."""
 
 
+def utf8_error_line(exc):
+    """The line number of the first byte that a UTF-8 decode rejected,
+    from its UnicodeDecodeError: the valid text before the byte, and a
+    stand-in for it, split into lines. exc.start indexes exc.object,
+    the bytes after any byte-order mark."""
+    return len((exc.object[:exc.start].decode() + "x").splitlines())
+
+
 class TriMesh:
     """Immutable conforming triangulation of a polygonal domain.
 
@@ -539,11 +547,8 @@ class TriMesh:
         try:
             raw = data.decode("utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
-            # the valid text before the bad byte, and a stand-in for it;
-            # exc.start indexes exc.object, the bytes after any BOM
-            ln = len((exc.object[:exc.start].decode() + "x").splitlines())
-            raise MeshFormatError(
-                f"line {ln}: not UTF-8 text ({exc.reason})") from None
+            raise MeshFormatError(f"line {utf8_error_line(exc)}: not UTF-8 "
+                                  f"text ({exc.reason})") from None
         del data
         end = max(len(raw), 1)  # the line named when the file ends early
         # the content lines, comment cut and blanks dropped, and their

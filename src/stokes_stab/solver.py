@@ -550,15 +550,14 @@ def _front_pass(K, b, groups, structure):
     its column shows in pivots, and _checked_solve refines or rejects.
     Raises SolverError when a getrf meets an exactly zero pivot.
     """
-    ends = np.append(groups[1:], K.shape[0])
+    starts, ends = groups.tolist(), np.append(groups[1:], K.shape[0]).tolist()
     fronts, kids, rel, classes, last_member, last_reader = structure
     x = np.array(b, dtype=float)
     pivots = np.empty(K.shape[0])
     Ws, lus, updates = [], {}, {}   # by class
-    steps = []   # (start, end, rows below, W) of each group
     counts = np.diff(K.indptr)
-    for g, (start, end, f, cls) in enumerate(zip(
-            groups.tolist(), ends.tolist(), fronts, classes)):
+    for g, (start, end, f, cls) in enumerate(zip(starts, ends, fronts,
+                                                  classes)):
         k = end - start
         if cls == len(Ws):   # the class's first group
             nf = len(f)
@@ -596,10 +595,10 @@ def _front_pass(K, b, groups, structure):
         rows = f[k:]
         x[rows] -= W.T @ x[start:end]
         x[start:end] = dgetrs(lu, piv, x[start:end])[0]
-        steps.append((start, end, rows, W))
         del lu
-    for start, end, rows, W in reversed(steps):
-        x[start:end] -= W @ x[rows]
+    for g in reversed(range(len(starts))):
+        start, end = starts[g], ends[g]
+        x[start:end] -= Ws[classes[g]] @ x[fronts[g][end - start:]]
     return x, pivots, sum(W.size for W in Ws)
 
 
@@ -651,9 +650,11 @@ def solve(system):
     if system.dirichlet_values is not None:
         full[:system.n_u] = system.dirichlet_values
     full[free] = xo[rows[free]]
+    sigma = system.pressure_scale
+    full[system.n_u:] *= sigma
     return DiscreteSolution(
         u=full[:system.n_u], p=full[system.n_u:], residual=res,
-        multiplier=float(xo[-1]) if system.bordered else None,
+        multiplier=sigma * float(xo[-1]) if system.bordered else None,
         diagnostics={"n_unknowns": K.shape[0], "alpha": system.alpha,
                      "ordering": ordering,
                      "fallback": ordering == "colamd", **stats},
@@ -756,7 +757,9 @@ def schur_pressure_probe(space, problem):
     S = Bt.T @ lu.solve(Bt) + C
     S = 0.5 * (S + S.T)
     Mp = forms.pressure_mass(space).toarray()
-    vals = scipy.linalg.eigh(S, Mp, eigvals_only=True)
+    # S is that of the scaled pressure unknowns, sigma^2 times p's
+    vals = scipy.linalg.eigh(S, Mp, eigvals_only=True) \
+        / system.pressure_scale ** 2
     if system.bordered:
         # gauge mode: S annihilates constants in the enclosed case
         if not vals[0] < 1e-8 * max(vals[-1], 1e-30):

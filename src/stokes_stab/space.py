@@ -151,18 +151,18 @@ class FeSpace:
 
     @cached_property
     def residual_operator(self):
-        """Element residual operator R, read-only: (ne, 2nbf+3, 2) for
-        P2 velocity, (ne, 3, 2) for P1.
+        """Element residual operator R of each shape class, read-only:
+        (n_classes, 2nbf+3, 2) for P2 velocity, (n_classes, 3, 2) for P1.
 
         The element residual r_K(v, q) = -div D(v) + grad q is constant
         on each element, since div D of P2 and grad of P1 are. R maps
-        local coefficients to it: for P2, row 2i+c is -div D(phi_i e_c),
-        in the velocity dof order of the element, and row 2nbf+l is
-        grad psi_l. div D of P1 velocity is zero, so for P1 R holds the
-        three pressure rows alone. S_h, L_h, C_I and eta_K all use it.
-        R depends on the element through J_K alone, so it is built on
-        one element per shape class (TriMesh.shape_representatives) and
-        gathered: each element's R is, bit for bit, its own.
+        local coefficients, in the order of element_dofs, to it: for P2,
+        row 2i+c is -div D(phi_i e_c) and row 2nbf+l is grad psi_l. div
+        D of P1 velocity is zero, so for P1 R holds the three pressure
+        rows alone. S_h, L_h, C_I and eta_K all use it. R depends on the
+        element through J_K alone, so row c is built on
+        TriMesh.shape_representatives[c], and R[mesh.shape_classes[e]]
+        is, bit for bit, element e's own.
         """
         reps = self.mesh.shape_representatives
         grad_psi = _DLAM @ self.mesh.inv_jacobians_t[reps].transpose(0, 2, 1)
@@ -173,26 +173,30 @@ class FeSpace:
             R = np.empty((len(reps), 2 * nbf + 3, 2))
             # for Hessian H of phi: div D(phi e_0) = (H00 + H11/2, H01/2)
             # and div D(phi e_1) = (H01/2, H00/2 + H11)
-            H = _phys_hess(self, reps)
+            H = _phys_hess(self)
             R[:, 0:2 * nbf:2, 0] = -(H[..., 0, 0] + 0.5 * H[..., 1, 1])
             R[:, 0:2 * nbf:2, 1] = -0.5 * H[..., 0, 1]
             R[:, 1:2 * nbf:2, 0] = -0.5 * H[..., 0, 1]
             R[:, 1:2 * nbf:2, 1] = -(0.5 * H[..., 0, 0] + H[..., 1, 1])
             R[:, 2 * nbf:] = grad_psi
-        R = R[self.mesh.shape_classes]
         R.flags.writeable = False
         return R
 
     @property
-    def residual_dofs(self):
-        """Global dofs of the rows of residual_operator, (ne, 2nbf+3)
-        for P2 (the element's velocity dofs, then its pressure dofs) and
-        (ne, 3) for P1 (the pressure dofs alone)."""
-        dofs = self.n_u + self.mesh.triangles
-        if self.pair.velocity_degree == 1:
-            return dofs
+    def element_dofs(self):
+        """(ne, 2nbf+3) global dofs of each element, built on each read:
+        its velocity dofs interleaved (node 0 x, node 0 y, node 1 x,
+        ...), then its pressure dofs. The one element dof map."""
         vd = 2 * self.elem_nodes[:, :, None] + np.arange(2)
-        return np.hstack([vd.reshape(len(dofs), -1), dofs])
+        return np.hstack([vd.reshape(len(vd), -1),
+                          self.n_u + self.mesh.triangles])
+
+    @property
+    def residual_dofs(self):
+        """Global dofs of the rows of residual_operator: element_dofs
+        for P2, its three pressure columns for P1."""
+        dofs = self.element_dofs
+        return dofs if self.pair.velocity_degree == 2 else dofs[:, -3:]
 
     @cached_property
     def free_velocity_dofs(self):
@@ -249,13 +253,11 @@ def edge_reference_points(mesh, elems, edge_ids, s):
             + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
 
 
-def _phys_hess(space, elems=None):
-    """(ne, nbf, 2, 2) physical Hessians of the P2 scalar velocity
-    basis, constant on each element, for all elements or those listed
-    in elems (residual_operator passes one per shape class)."""
-    it = space.mesh.inv_jacobians_t
-    if elems is not None:
-        it = it[elems]
+def _phys_hess(space):
+    """(n_classes, nbf, 2, 2) physical Hessians of the P2 scalar
+    velocity basis, constant on each element, one per shape class
+    (on TriMesh.shape_representatives)."""
+    it = space.mesh.inv_jacobians_t[space.mesh.shape_representatives]
     # corner i is l_i (2 l_i - 1), midpoint 3+i is 4 l_j l_k: with a, b
     # the gradients of (l_i, l_i) and (l_j, l_k), the reference Hessians
     # are 4 a b^T on the corners and 4 (a b^T + b a^T) on the midpoints
@@ -343,7 +345,8 @@ def element_residual(space, u, p):
     """(ne, 2) element residuals r_K(u_h, p_h) = -div D(u_h) + grad p_h
     of velocity and pressure coefficient vectors, one per element."""
     lc = np.concatenate([u, p])[space.residual_dofs]
-    return (lc[:, None] @ space.residual_operator)[:, 0]
+    R = space.residual_operator[space.mesh.shape_classes]
+    return (lc[:, None] @ R)[:, 0]
 
 
 def interpolate(space, u=None, p=None):

@@ -5,13 +5,26 @@ only into its elimination order. The forms below build the blocks of
 the unstabilized and the stabilized operator (assemble_B, assemble_Sh)
 in plain dof numbering, and whole_mesh_scatter is the one-product
 matrix scatter that the blocked forms._scatter_matrix must reproduce
-bit for bit.
+bit for bit. The element kernels of src/ build one matrix per shape
+class; the oracles build every element's own, on _per_element_copy of
+the mesh.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from stokes_stab import forms
+from stokes_stab.mesh import TriMesh
+from stokes_stab.space import FeSpace
+
+
+def _per_element_copy(mesh):
+    """The same mesh with every element its own shape class, so every
+    kernel is built on every element: the per-element reference."""
+    ref = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_tag_dict())
+    every = np.arange(mesh.n_triangles)
+    ref.__dict__.update(shape_classes=every, shape_representatives=every)
+    return ref
 
 
 def whole_mesh_scatter(rows, cols, vals, shape):
@@ -40,9 +53,10 @@ def saddle_matrix(space, alpha, bordered):
     whole mesh and scattered in one product.
 
     Every element matrix is gathered from its shape class's, its
-    Dirichlet rows and columns are zeroed and sent to the element's
-    first pressure dof, and the transposes are summed, so the CSR sum
-    read as CSC is the matrix.
+    pressure and border rows and columns are scaled by
+    forms.pressure_scale_of, its Dirichlet rows and columns are zeroed
+    and sent to the element's first pressure dof, and the transposes
+    are summed, so the CSR sum read as CSC is the matrix.
     """
     free = np.concatenate([space.free_velocity_dofs,
                            space.n_u + np.arange(space.n_p)])
@@ -50,6 +64,9 @@ def saddle_matrix(space, alpha, bordered):
     dofs, T = forms._saddle_local(space, alpha, bordered)
     T = T[space.mesh.shape_classes]
     nv = 2 * space.n_basis
+    sigma = forms.pressure_scale_of(space.mesh)
+    T[:, nv:] *= sigma
+    T[:, :, nv:] *= sigma
     idx = rows[dofs]
     dirichlet = idx < 0
     T[dirichlet] = 0.0
@@ -66,11 +83,12 @@ def assemble_B(space):
     A_uu[a, b] = (D(phi_b), D(phi_a)); A_up[a, l] = -(div phi_a, psi_l).
     The full unstabilized matrix is [[A_uu, A_up], [A_up^T, 0]].
     """
-    vd = forms._velocity_dofs(space)
-    A_uu = whole_mesh_scatter(vd, vd, forms._strain_local(space),
+    ref = FeSpace(_per_element_copy(space.mesh), space.pair)
+    vd = ref.element_dofs[:, :2 * ref.n_basis]
+    A_uu = whole_mesh_scatter(vd, vd, forms._strain_local(ref),
                               (space.n_u, space.n_u))
     A_up = whole_mesh_scatter(vd, space.mesh.triangles,
-                              forms._divergence_local(space),
+                              forms._divergence_local(ref),
                               (space.n_u, space.n_p))
     return A_uu, A_up
 
@@ -82,7 +100,8 @@ def assemble_Sh(space):
                                   -div D(v) + grad q)_K,
     returned as one symmetric (n_u + n_p) square matrix.
     """
-    dofs = space.residual_dofs
+    ref = FeSpace(_per_element_copy(space.mesh), space.pair)
+    dofs = ref.residual_dofs
     n = space.n_dofs
-    return whole_mesh_scatter(dofs, dofs, forms._residual_local(space),
+    return whole_mesh_scatter(dofs, dofs, forms._residual_local(ref),
                               (n, n))

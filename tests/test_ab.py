@@ -5,6 +5,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -46,6 +48,29 @@ def test_two_copies_of_one_tree_match(tmp_path, capsys):
         ratios = [float(v) for v in re.findall(r"[0-9.]+", line.split(":")[1])]
         assert len(ratios) == 3
         assert all(low <= r <= high for r in ratios), line
+
+
+@pytest.mark.parametrize("drift,code,report", [
+    (0.0, 0, "identical"),
+    (1e-12, 0, "err 1e-12; largest drift 1e-12, within 1e-10"),
+    (1e-8, 1, "err 1e-08; largest drift 1e-08, above 1e-10"),
+])
+def test_tables_agree_within_the_tolerance(monkeypatch, capsys, drift, code,
+                                           report):
+    # B's table.csv has one column A's times 1 + drift: a drift of at
+    # most 1e-10 relative is the same answer, and is printed
+    tool = _tool()
+
+    def run_once(tree, cli_args, side_dir):
+        out = side_dir / "out"
+        out.mkdir(exist_ok=True)
+        err = 0.25 * (1.0 + drift) if tree == "b" else 0.25
+        (out / "table.csv").write_text(f"level,err\n0,{err!r}\n")
+        return 0, (1.0, 50.0, 0.5, 1000)
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    assert tool.main(["a", "b", "--pairs", "1", "--", "solve"]) == code
+    assert f"table.csv: {report}\n" in capsys.readouterr().out
 
 
 def test_usage_errors(capsys):

@@ -22,7 +22,7 @@ from stokes_stab.space import (FeSpace, P1P1, P2P1, element_residual,
                                interpolate, physical_points)
 from stokes_stab.study import get_case
 
-from oracles import assemble_B, assemble_Sh
+from oracles import _per_element_copy, assemble_B, assemble_Sh
 
 
 def _fact(n):
@@ -306,11 +306,14 @@ def test_p1_stabilization_uses_the_pressure_rows_alone():
     mesh = mesh.refine_marked(np.arange(0, mesh.n_triangles, 3))
     space = FeSpace(mesh, P1P1)
     R = space.residual_operator
-    assert R.shape == (mesh.n_triangles, 3, 2)
+    assert R.shape == (len(mesh.shape_representatives), 3, 2)
     full = np.zeros((mesh.n_triangles, 9, 2))
-    full[:, 6:] = R
-    dofs = np.hstack([forms._velocity_dofs(space),
-                      space.n_u + mesh.triangles])
+    full[:, 6:] = R[mesh.shape_classes]
+    # the element dof map: velocity interleaved, then pressure
+    en = space.elem_nodes
+    dofs = np.hstack([np.stack([2 * en, 2 * en + 1], axis=-1).reshape(
+        len(en), -1), space.n_u + mesh.triangles])
+    assert np.array_equal(space.element_dofs, dofs)
     assert np.array_equal(space.residual_dofs, dofs[:, 6:])
     loc = np.einsum("eir,ejr->eij", full, full) \
         * (mesh.areas * mesh.diameters ** 2)[:, None, None]
@@ -335,18 +338,20 @@ def test_p1_stabilization_uses_the_pressure_rows_alone():
 @pytest.mark.parametrize("case", ["LSHAPE_PEAK", "NEUMANN_STRIP"])
 def test_inverse_pencils_are_the_assembled_element_matrices(case, pair):
     # alpha < C_I is sufficient only if C_I comes from the forms the
-    # system assembles: scattered over all elements, M_D is A_uu and
-    # M_A the velocity block of S_h, bit for bit
+    # system assembles: read by shape class and scattered over all
+    # elements, M_D is A_uu and M_A the velocity block of S_h (both
+    # built per element), bit for bit
     mesh = get_case(case).make_mesh(4)
     mesh = mesh.refine_marked(np.arange(0, mesh.n_triangles, 3))
     space = FeSpace(mesh, pair)
     M_A, M_D = forms.inverse_inequality_pencils(space)
-    vd = forms._velocity_dofs(space)
-    shape = (space.n_u, space.n_u)
+    assert len(M_A) == len(M_D) == len(mesh.shape_representatives)
+    vd = space.element_dofs[:, :2 * space.n_basis]
+    shape, cls = (space.n_u, space.n_u), mesh.shape_classes
     A_uu, _ = assemble_B(space)
     S_uu = assemble_Sh(space)[:space.n_u, :space.n_u]
-    assert (forms._scatter_matrix(vd, vd, M_D, shape) - A_uu).nnz == 0
-    assert (forms._scatter_matrix(vd, vd, M_A, shape) - S_uu).nnz == 0
+    assert (forms._scatter_matrix(vd, vd, M_D, shape, cls) - A_uu).nnz == 0
+    assert (forms._scatter_matrix(vd, vd, M_A, shape, cls) - S_uu).nnz == 0
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1])
@@ -392,7 +397,7 @@ def test_quadrature_degrees_recorded():
 
 
 # ----------------------------------------------------------------------
-# element kernels built once per shape class, then gathered
+# element kernels built once per shape class, read through shape_classes
 
 def _jittered_mesh():
     # every element has its own Jacobian, so its own shape class
@@ -437,15 +442,6 @@ SHAPE_MESHES = {
 }
 
 
-def _per_element_copy(mesh):
-    """The same mesh with every element its own shape class, so every
-    kernel is built on every element: the per-element reference."""
-    ref = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_tag_dict())
-    every = np.arange(mesh.n_triangles)
-    ref.__dict__.update(shape_classes=every, shape_representatives=every)
-    return ref
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype \
         and a.tobytes() == b.tobytes()
@@ -482,11 +478,29 @@ def test_saddle_element_matrices_equal_the_per_element_ones(mesh_name, pair,
 @pytest.mark.parametrize("pair", [P1P1, P2P1])
 @pytest.mark.parametrize("mesh_name", sorted(SHAPE_MESHES))
 def test_residual_operator_equals_the_per_element_one(mesh_name, pair):
+    # read through shape_classes, the class table is the per-element
+    # operator (every element its own class) bit for bit
     mesh = SHAPE_MESHES[mesh_name]()
     R = FeSpace(mesh, pair).residual_operator
     ref = FeSpace(_per_element_copy(mesh), pair).residual_operator
-    assert _same_bits(R, ref)
+    assert _same_bits(R[mesh.shape_classes], ref)
     assert not R.flags.writeable
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1])
+@pytest.mark.parametrize("mesh_name", ["uniform", "graded_lshape"])
+def test_residual_operator_has_one_row_per_shape_class(mesh_name, pair):
+    # the space keeps the class table alone, also after an assembly that
+    # reads it for every element
+    mesh = SHAPE_MESHES[mesh_name]()
+    space = FeSpace(mesh, pair)
+    problem = StokesProblem(f=lambda x, y: np.stack([x, y], axis=-1))
+    assemble_system(space, problem)
+    R = space.__dict__["residual_operator"]
+    n_classes = len(mesh.shape_representatives)
+    assert n_classes < mesh.n_triangles
+    rows = 2 * space.n_basis + 3 if pair == P2P1 else 3
+    assert R.shape == (n_classes, rows, 2)
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1])
@@ -510,13 +524,13 @@ def test_saddle_system_equals_the_per_element_one(case, pair):
 
 def test_saddle_kernels_run_on_the_shape_classes_alone(monkeypatch):
     # unit_square(32) has 2048 elements in 2 shape classes: the strain
-    # and residual kernels see at most one element per class
+    # and residual kernels build one matrix per class
     sizes = []
     for name in ("_strain_local", "_residual_local"):
-        def counted(space, elems=None, real=getattr(forms, name)):
-            sizes.append(space.mesh.n_triangles if elems is None
-                         else len(elems))
-            return real(space, elems)
+        def counted(space, real=getattr(forms, name)):
+            out = real(space)
+            sizes.append(len(out))
+            return out
         monkeypatch.setattr(forms, name, counted)
     mesh = unit_square(32)
     problem = StokesProblem(f=lambda x, y: np.stack([x, y], axis=-1))

@@ -326,13 +326,14 @@ def test_stable_pair_factors_by_fronts_without_stabilization(space, problem):
     _check_fast_path(assemble_system(space, problem))
 
 
-@pytest.mark.xfail(raises=solver.SolverError, strict=True, reason=(
-    "the zero-pivot check is not scale-free: A is scale-free, B ~ s and "
-    "the pressure block ~ s^2, so the pivot ratio falls as s^2"))
-def test_solution_scales_with_the_mesh():
+@pytest.mark.parametrize("s", [1e-6, 1e8])
+def test_solution_scales_with_the_mesh(s):
     # on the mesh scaled by s with f_s(x, y) = F(x/s, y/s), the stabilized
     # discrete solution is that of the unit mesh scaled: p_s = s p_1 and
-    # u_s = s^2 u_1 (so it is at s = 1e-4)
+    # u_s = s^2 u_1. Unscaled, B ~ s and the pressure block ~ s^2 put the
+    # pressure pivots at s^2 of the velocity ones, which the zero-pivot
+    # check rejects; assemble_system scales the pressure unknowns. The
+    # Schur probe's eigenvalue is free of s
     def F(x, y):
         out = np.empty(x.shape + (2,))
         out[..., 0] = 1.0 + y
@@ -342,15 +343,19 @@ def test_solution_scales_with_the_mesh():
     def solve(pair, s):
         m = unit_square(8)
         m = TriMesh(m.vertices * s, m.triangles, m.boundary_tag_dict())
+        space = FeSpace(m, pair)
         problem = StokesProblem(f=lambda x, y: F(x / s, y / s))
-        return solver.solve(assemble_system(FeSpace(m, pair), problem))
+        return (solver.solve(assemble_system(space, problem)),
+                solver.schur_pressure_probe(space, problem))
 
-    s = 1e-6
     for pair in (P1P1, P2P1):
-        unit, scaled = solve(pair, 1.0), solve(pair, s)
+        unit, probe = solve(pair, 1.0)
+        scaled, scaled_probe = solve(pair, s)
+        assert scaled.diagnostics["ordering"] == "multifrontal"
         for got, want in ((scaled.p, s * unit.p), (scaled.u, s ** 2 * unit.u)):
             assert (np.linalg.norm(got - want)
                     <= 1e-8 * np.linalg.norm(want))
+        assert abs(scaled_probe - probe) <= 1e-8 * probe
 
 
 @pytest.mark.parametrize("name", ["SMOOTH_SQUARE", "NEUMANN_STRIP"])

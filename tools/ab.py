@@ -16,8 +16,9 @@ Each side writes into its own directory, with the standard output and
 error of its last call beside its --out directory.
 
 Exits 0 when every call of both sides exited with the same code in
-each pair and the tables are identical (or neither side wrote one), 1
-otherwise, 2 on a usage error.
+each pair and the tables agree within TABLE_TOLERANCE relative in every
+column (or neither side wrote one), 1 otherwise, 2 on a usage error.
+Tables that are not identical also get their largest drift printed.
 """
 
 import argparse
@@ -30,6 +31,9 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+# the largest relative drift of a table.csv column that counts as the
+# same answer
+TABLE_TOLERANCE = 1e-10
 RUN = "import sys; from stokes_stab import cli; sys.exit(cli.main(sys.argv[1:]))"
 
 
@@ -123,13 +127,24 @@ def main(argv=None):
                       f"{_spread([y / x for x, y in zip(a, b)])}")
 
         tables = [dirs[side] / "out" / "table.csv" for side in trees]
-        report = "neither side wrote one"
+        report, within = "neither side wrote one", True
         if any(t.exists() for t in tables):
-            report = dict(_compare_outputs().compare(
-                dirs["A"] / "out", dirs["B"] / "out")).get(
-                    Path("table.csv"))
+            tool = _compare_outputs()
+            report = dict(tool.compare(dirs["A"] / "out",
+                                       dirs["B"] / "out"))[Path("table.csv")]
+            drifts = None
+            if report != "identical" and all(t.exists() for t in tables):
+                drifts = tool.table_drifts(*tables)
+            if drifts is not None:
+                largest = max(drifts.values(), default=0.0)
+                within = largest <= TABLE_TOLERANCE
+                report += (f"; largest drift {largest:.3g}, "
+                           f"{'within' if within else 'above'} "
+                           f"{TABLE_TOLERANCE:g}")
+            else:
+                within = report == "identical"
         print(f"table.csv: {report}")
-    ok = same_codes and report in ("identical", "neither side wrote one")
+    ok = same_codes and within
     return 0 if ok else 1
 
 

@@ -25,32 +25,50 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _drift(a, b, scale):
-    """The largest |a - b| / scale (scale broadcasts against a; NaN
-    matches NaN) as text, "" when a and b are equal."""
-    if a.shape != b.shape:
-        return f"shape {a.shape} -> {b.shape}"
+def _max_drift(a, b, scale):
+    """The largest |a - b| / scale of two arrays of one shape (scale
+    broadcasts against a, a zero scale counts as 1; NaN matches NaN),
+    0.0 when a and b are equal."""
     diff = ~((a == b) | (np.isnan(a) & np.isnan(b)))
     if not diff.any():
-        return ""
+        return 0.0
     scale = np.broadcast_to(np.where(scale == 0, 1.0, scale), a.shape)
-    return f"{np.max(np.abs(a - b)[diff] / scale[diff]):.3g}"
+    return float(np.max(np.abs(a - b)[diff] / scale[diff]))
 
 
-def _table_drift(pa, pb):
+def _drift(a, b, scale):
+    """_max_drift as text, "" when a and b are equal."""
+    if a.shape != b.shape:
+        return f"shape {a.shape} -> {b.shape}"
+    rel = _max_drift(a, b, scale)
+    return f"{rel:.3g}" if rel else ""
+
+
+def table_drifts(pa, pb):
+    """{column: largest relative drift of B against A} of two table.csv
+    files, for the columns whose numbers differ; None when the files
+    differ in rows or columns."""
     rows_a = list(csv.DictReader(pa.open(newline="")))
     rows_b = list(csv.DictReader(pb.open(newline="")))
     if len(rows_a) != len(rows_b) or (rows_a and rows_a[0].keys()
                                       != rows_b[0].keys()):
-        return ["rows or columns differ"]
-    out = []
+        return None
+    out = {}
     for col in rows_a[0] if rows_a else ():
         a, b = (np.array([float(r[col] or "nan") for r in rows])
                 for rows in (rows_a, rows_b))
-        rel = _drift(a, b, np.abs(a))
+        rel = _max_drift(a, b, np.abs(a))
         if rel:
-            out.append(f"{col} {rel}")
-    return out or ["same numbers, other text"]
+            out[col] = rel
+    return out
+
+
+def _table_drift(pa, pb):
+    drifts = table_drifts(pa, pb)
+    if drifts is None:
+        return ["rows or columns differ"]
+    return ([f"{col} {rel:.3g}" for col, rel in drifts.items()]
+            or ["same numbers, other text"])
 
 
 def _vtk_blocks(path):
