@@ -30,8 +30,8 @@ import numpy as np
 
 from . import forms, solver
 from .mesh import INTERIOR, NEUMANN
-from .space import (edge_points, edge_reference_points, element_residual,
-                    pressure_values, scalar_basis, strain_squared,
+from .space import (edge_points, element_residual, pressure_values,
+                    scalar_basis, side_reference_points, strain_squared,
                     velocity_gradients)
 
 
@@ -82,41 +82,17 @@ def element_estimator(solution, space, problem):
     return np.sqrt(eta2)
 
 
-def _edge_side_stress(solution, space, elems, edge_ids, s):
-    """Stress sigma = D(u_h) - p_h I at edge points, seen from `elems`.
-
-    s are edge parameters in [0,1]; points run from the edge's first
-    to second vertex. Returns (ne, nq, 2, 2).
-    """
-    ref = edge_reference_points(space.mesh, elems, edge_ids, s)
-    G = velocity_gradients(space, solution.u, ref, elems)
-    D = 0.5 * (G + G.transpose(0, 1, 3, 2))
-    pv = pressure_values(space, solution.p, ref, elems)
-    return D - pv[..., None, None] * np.eye(2)
-
-
-def _edge_normals(mesh, edge_ids):
-    """Unit normals, oriented away from the first incident element."""
-    ends = mesh.edges[edge_ids]
-    d = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
-    n = np.column_stack([d[:, 1], -d[:, 0]])
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    first = mesh.e2t[edge_ids, 0]
-    cent = mesh.corner_coords[first].mean(axis=1)
-    mid = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
-    flip = np.einsum("md,md->m", mid - cent, n) < 0
-    n[flip] *= -1.0
-    return n
-
-
 def edge_estimator(solution, space, problem):
     """Edge traction indicators eta_E of all edges.
 
     Interior edges measure the jump of the normal stress across the
     edge, Neumann edges the defect against the prescribed traction,
-    Dirichlet edges are zero. One pass serves both kinds: the stress
-    seen from the first element, minus that from the second on
-    interior edges, times the normal, minus t on Neumann edges.
+    Dirichlet edges are zero. sigma = D(u_h) - p_h I is evaluated once,
+    on the whole mesh, at the points of the three sides of every
+    triangle (side_reference_points); each edge reads it at its slots
+    in mesh.t2e. The first triangle's sigma, minus the second's on
+    interior edges, times the unit normal out of the first, minus t on
+    Neumann edges, is the edge's flux.
     """
     mesh = space.mesh
     # |sigma n|^2, like the matrix, is a product of two derivatives
@@ -127,11 +103,29 @@ def edge_estimator(solution, space, problem):
     interior = (mesh.edge_tags == INTERIOR) & (mesh.e2t[:, 1] >= 0)
     edges = np.flatnonzero(interior | (mesh.edge_tags == NEUMANN))
     inner = interior[edges]
-    sig = _edge_side_stress(solution, space, mesh.e2t[edges, 0], edges, s)
-    both = edges[inner]
-    sig[inner] -= _edge_side_stress(solution, space, mesh.e2t[both, 1],
-                                    both, s)
-    flux = np.einsum("mqcb,mb->mqc", sig, _edge_normals(mesh, edges))
+    pts = side_reference_points(mesh, s).reshape(mesh.n_triangles, -1, 2)
+    # sigma in G's array (P1's broadcast copied); D(u_h) keeps G's diagonal
+    stress = np.require(velocity_gradients(space, solution.u, pts),
+                        requirements="W")
+    stress[..., 0, 1] = stress[..., 1, 0] = 0.5 * (stress[..., 0, 1]
+                                                   + stress[..., 1, 0])
+    pv = pressure_values(space, solution.p, pts)
+    stress[..., 0, 0] -= pv
+    stress[..., 1, 1] -= pv
+    del pts, pv
+    stress = stress.reshape(mesh.n_triangles, 3, len(s), 2, 2)
+    # each edge's triangles and its slots in them (k[:, 1] < 0 off inner)
+    k = mesh.e2t[edges]
+    slot = np.argmax(mesh.t2e[k] == edges[:, None, None], axis=2)
+    sig = stress[k[:, 0], slot[:, 0]]
+    sig[inner] -= stress[k[inner, 1], slot[inner, 1]]
+    # (dy, -dx) along the first triangle's side, which runs
+    # counterclockwise from corner slot+1 to slot+2, points out of it
+    ends = mesh.triangles[k[:, :1], (slot[:, :1] + [1, 2]) % 3]
+    d = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
+    n = np.column_stack([d[:, 1], -d[:, 0]])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    flux = np.einsum("mqcb,mb->mqc", sig, n)
     if problem.t is not None and not inner.all():
         xy = edge_points(mesh, edges[~inner], s)
         flux[~inner] -= np.asarray(problem.t(xy[..., 0], xy[..., 1]),

@@ -30,8 +30,8 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .mesh import NEUMANN, MeshError
-from .space import (edge_points, edge_reference_points, physical_points,
-                    point_values, scalar_basis)
+from .space import (edge_points, physical_points, point_values,
+                    scalar_basis, side_reference_points)
 
 
 class InadmissibleAlphaError(Exception):
@@ -387,12 +387,14 @@ def assemble_F(space, problem):
 
 
 def _neumann_load(space, traction):
+    """Traction load (t, v)_E of the Neumann edges, at their side points."""
     k = space.pair.velocity_degree
     s, w = edge_quadrature(quad_degrees(k)["edge"])
     mesh = space.mesh
     edges = np.flatnonzero(mesh.edge_tags == NEUMANN)
     elems = mesh.e2t[edges, 0]
-    val, _ = scalar_basis(k, edge_reference_points(mesh, elems, edges, s))
+    slots = np.argmax(mesh.t2e[elems] == edges[:, None], axis=1)
+    val, _ = scalar_basis(k, side_reference_points(mesh, s)[elems, slots])
     xy = edge_points(mesh, edges, s)
     tv = np.asarray(traction(xy[..., 0], xy[..., 1]), dtype=float)
     length = mesh.edge_lengths[edges]

@@ -254,16 +254,15 @@ class TriMesh:
     @cached_property
     def min_angle_deg(self):
         """Smallest interior angle over all triangles, in degrees, the
-        same at every scale of the mesh (taken on unit_vertices)."""
+        same at every scale of the mesh (taken on unit_vertices). An
+        angle beside a side of zero length counts as 0."""
         c = self.unit_vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            a = c[:, (i + 1) % 3] - c[:, i]
-            b = c[:, (i + 2) % 3] - c[:, i]
-            cosang = np.einsum("kd,kd->k", a, b) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return float(np.min(angles))
+        a = c[:, [1, 2, 0]] - c
+        b = c[:, [2, 0, 1]] - c
+        ab = np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2)
+        cosang = np.divide(np.einsum("kid,kid->ki", a, b), ab,
+                           out=np.ones_like(ab), where=ab != 0.0)
+        return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).min())
 
     def drop_derived(self):
         """Forget the cached geometry arrays (corner_coords, jacobians,

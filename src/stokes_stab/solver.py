@@ -237,27 +237,40 @@ def _blocks(system):
     return vel[vel >= 0], system.rows[system.n_u:-1]
 
 
+def _zero_pivot(pivots):
+    """The one pivot rule: a |pivot| <= 1e-14 max(largest, 1) is zero."""
+    return np.any(pivots <= 1e-14 * max(pivots.max(initial=0.0), 1.0))
+
+
+def _velocity_factor(system):
+    """SuperLU factor of the free velocity block; SolverError if singular."""
+    vel, _ = _blocks(system)
+    try:
+        lu = _factorize(system.matrix[vel][:, vel].tocsc())
+    except RuntimeError as exc:
+        raise SolverError("velocity block itself fails to factorize",
+                          getattr(exc, "blas_output", "")) from None
+    if _zero_pivot(np.abs(lu.U.diagonal())):
+        raise SolverError("velocity block itself is singular")
+    return lu
+
+
 def _diagnose(system, reason):
     """Try to localize a solve failure to a block of the saddle system."""
-    vel, _ = _blocks(system)
     msg = [f"linear solve failed: {reason}"]
     try:
-        A = system.matrix[vel][:, vel].tocsc()
-        lu = _factorize(A)
-        x = lu.solve(np.ones(len(vel)))
-        if np.all(np.isfinite(x)):
-            msg.append("velocity block factorizes cleanly; the failure "
-                       "sits in the pressure/saddle coupling")
-            if system.alpha == 0.0:
-                msg.append("alpha = 0: equal-order pairs are singular "
-                           "without stabilization")
-            elif not system.bordered:
-                msg.append("check the boundary tags: without a Neumann "
-                           "part the pressure gauge must be pinned")
-        else:
-            msg.append("velocity block itself is singular")
-    except RuntimeError:
-        msg.append("velocity block itself fails to factorize")
+        _velocity_factor(system)
+    except SolverError as exc:
+        msg.append(str(exc))
+    else:
+        msg.append("velocity block factorizes cleanly; the failure "
+                   "sits in the pressure/saddle coupling")
+        if system.alpha == 0.0:
+            msg.append("alpha = 0: equal-order pairs are singular "
+                       "without stabilization")
+        elif not system.bordered:
+            msg.append("check the boundary tags: without a Neumann "
+                       "part the pressure gauge must be pinned")
     return "; ".join(msg)
 
 
@@ -280,10 +293,7 @@ def _checked_solve(K, b, lu_solve):
     1e-9 after the step.
     """
     x, pivots, stored = lu_solve(b)
-    # a structurally nonsingular but numerically singular matrix can
-    # slip through the factorization; a vanishing pivot means the solve
-    # only produced garbage
-    if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
+    if _zero_pivot(pivots):
         raise SolverError("factorization produced a zero pivot")
     bnorm = max(float(np.linalg.norm(b)), 1e-30)
     if not np.all(np.isfinite(x)):
@@ -745,16 +755,13 @@ def schur_pressure_probe(space, problem):
     fixed by the gauge, not by the discretization). A mesh-independent
     lower bound on this value is the discrete counterpart of saddle
     stability. Dense linear algebra: intended for coarse probe meshes.
+    Raises SolverError when the velocity block is singular.
     """
     system = forms.assemble_system(space, problem)
     vel, pres = _blocks(system)
     K = system.matrix
-    A = K[vel][:, vel].tocsc()
     Bt = K[vel][:, pres].toarray()
-    C = -K[pres][:, pres].toarray()
-
-    lu = splu(A)
-    S = Bt.T @ lu.solve(Bt) + C
+    S = Bt.T @ _velocity_factor(system).solve(Bt) - K[pres][:, pres].toarray()
     S = 0.5 * (S + S.T)
     Mp = forms.pressure_mass(space).toarray()
     # S is that of the scaled pressure unknowns, sigma^2 times p's

@@ -54,7 +54,8 @@ def scalar_basis(degree, pts):
     """Reference-triangle Lagrange basis at pts (..., 2).
 
     Returns (values, gradients) with shapes (..., nbf) and
-    (..., nbf, 2). Basis order: the three corner functions, then for
+    (..., nbf, 2), the constant degree-1 gradients as a read-only
+    broadcast. Basis order: the three corner functions, then for
     degree 2 the midpoint function of the edge opposite each corner.
     """
     pts = np.asarray(pts, dtype=float)
@@ -64,7 +65,7 @@ def scalar_basis(degree, pts):
     base = pts.shape[:-1]
 
     if degree == 1:
-        return lam, np.tile(_DLAM, base + (1, 1))
+        return lam, np.broadcast_to(_DLAM, base + (3, 2))
 
     if degree == 2:
         val = np.empty(base + (6,))
@@ -204,26 +205,24 @@ class FeSpace:
         mask[self.dirichlet_dofs] = False
         return np.flatnonzero(mask)
 
-    def local_velocity_coefs(self, coefs, elems=None):
+    def local_velocity_coefs(self, coefs):
         """(ne, nbf, 2) view of a velocity coefficient vector."""
-        en = self.elem_nodes if elems is None else self.elem_nodes[elems]
-        return np.asarray(coefs).reshape(-1, 2)[en]
+        return np.asarray(coefs).reshape(-1, 2)[self.elem_nodes]
 
-    def local_pressure_coefs(self, coefs, elems=None):
-        tri = self.mesh.triangles if elems is None \
-            else self.mesh.triangles[elems]
-        return np.asarray(coefs)[tri]
+    def local_pressure_coefs(self, coefs):
+        return np.asarray(coefs)[self.mesh.triangles]
 
 
 # ----------------------------------------------------------------------
 # evaluation of discrete fields at reference points
 #
-# ref_pts is (nq, 2), shared by all elements, or (ne, nq, 2), one point
-# set per element; elems selects a subset of triangles (default all).
-# The maps are affine: grad_x = J^{-T} grad_ref, hess_x = J^{-T} hess_ref
-# J^{-1}. Fields are contracted with their local coefficients on the
-# reference element first; only that result is pulled back, as a sum of
-# two terms, and no reference table is broadcast over the elements.
+# Fields are evaluated on the whole mesh, at ref_pts (nq, 2) shared by
+# all elements or (ne, nq, 2), one point set per element (the side points
+# of side_reference_points). The maps are affine: grad_x = J^{-T}
+# grad_ref, hess_x = J^{-T} hess_ref J^{-1}. Fields are contracted with
+# their local coefficients on the reference element first; only that
+# result is pulled back, as a sum of two terms, and no reference table
+# is broadcast over the elements.
 
 def physical_points(mesh, ref_pts):
     """(ne, nq, 2) images of shared reference points (nq, 2) on every
@@ -241,16 +240,15 @@ def edge_points(mesh, edge_ids, s):
     return pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
 
 
-def edge_reference_points(mesh, elems, edge_ids, s):
-    """(ne, nq, 2) reference points of edge_points(mesh, edge_ids, s)
-    in the triangles elems, each of which has its edge among its sides."""
-    tri = mesh.triangles[elems]
-    ends = mesh.edges[edge_ids]
-    # local corner index of each edge endpoint inside its triangle
-    loc_a = np.argmax(tri == ends[:, 0][:, None], axis=1)
-    loc_b = np.argmax(tri == ends[:, 1][:, None], axis=1)
-    return (REF_VERTICES[loc_a][:, None, :] * (1.0 - s)[None, :, None]
-            + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
+def side_reference_points(mesh, s):
+    """(ne, 3, nq, 2): [k, l] are the reference points in triangle k of
+    edge_points(mesh, mesh.t2e[k, l], s): side l, opposite corner l, run
+    from its lower to its higher vertex number."""
+    a, b = REF_VERTICES[[1, 2, 0], None], REF_VERTICES[[2, 0, 1], None]
+    s = s[:, None]
+    up = mesh.triangles[:, [1, 2, 0]] < mesh.triangles[:, [2, 0, 1]]
+    return np.where(up[..., None, None], a * (1.0 - s) + b * s,
+                    b * (1.0 - s) + a * s)
 
 
 def _phys_hess(space):
@@ -271,10 +269,10 @@ def _phys_hess(space):
     return H.reshape(len(it), 2, 2, -1).transpose(0, 3, 1, 2)
 
 
-def velocity_values(space, coefs, ref_pts, elems=None):
+def velocity_values(space, coefs, ref_pts):
     """(ne, nq, 2) values of the discrete velocity."""
     val, _ = scalar_basis(space.pair.velocity_degree, ref_pts)
-    return val @ space.local_velocity_coefs(coefs, elems)
+    return val @ space.local_velocity_coefs(coefs)
 
 
 def _gradient_tables(degree):
@@ -287,7 +285,7 @@ def _gradient_tables(degree):
     return np.stack([g[0], g[1] - g[0], g[2] - g[0]])
 
 
-def velocity_gradients(space, coefs, ref_pts, elems=None):
+def velocity_gradients(space, coefs, ref_pts):
     """(ne, nq, 2, 2) gradients; [..., c, b] is d u_c / d x_b.
 
     The coefficients are contracted with the reference gradient tables
@@ -299,9 +297,8 @@ def velocity_gradients(space, coefs, ref_pts, elems=None):
     of the result's size is built.
     """
     tables = _gradient_tables(space.pair.velocity_degree)
-    lc = space.local_velocity_coefs(coefs, elems).transpose(1, 2, 0)
-    it = space.mesh.inv_jacobians_t
-    it = (it if elems is None else it[elems]).transpose(1, 2, 0)
+    lc = space.local_velocity_coefs(coefs).transpose(1, 2, 0)
+    it = space.mesh.inv_jacobians_t.transpose(1, 2, 0)
     # C[k, c, a, e] = sum_i tables[k, i, a] lc[i, c, e], then
     # P[k, c, b, e] = sum_a C[k, c, a, e] it[b, a, e]
     C = sum(tables[:, i, None, :, None] * lc[i, None, :, None]
@@ -333,11 +330,11 @@ def strain_squared(G):
     return out
 
 
-def pressure_values(space, coefs, ref_pts, elems=None):
+def pressure_values(space, coefs, ref_pts):
     """(ne, nq) values of the discrete pressure, contracted by a matmul
-    that builds no array but the result."""
+    that builds no array but the result and the basis values."""
     val, _ = scalar_basis(1, ref_pts)
-    lc = space.local_pressure_coefs(coefs, elems)
+    lc = space.local_pressure_coefs(coefs)
     return (val @ lc[..., None])[..., 0]
 
 

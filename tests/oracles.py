@@ -7,15 +7,20 @@ in plain dof numbering, and whole_mesh_scatter is the one-product
 matrix scatter that the blocked forms._scatter_matrix must reproduce
 bit for bit. The element kernels of src/ build one matrix per shape
 class; the oracles build every element's own, on _per_element_copy of
-the mesh.
+the mesh. estimator.edge_estimator reads every edge from one whole-mesh
+table of side stresses; edge_estimator_per_side evaluates each (edge,
+side) pair on its own.
 """
+
+import copy
 
 import numpy as np
 import scipy.sparse as sp
 
 from stokes_stab import forms
-from stokes_stab.mesh import TriMesh
-from stokes_stab.space import FeSpace
+from stokes_stab.mesh import INTERIOR, NEUMANN, REF_VERTICES, TriMesh
+from stokes_stab.space import (FeSpace, edge_points, pressure_values,
+                               velocity_gradients)
 
 
 def _per_element_copy(mesh):
@@ -105,3 +110,70 @@ def assemble_Sh(space):
     n = space.n_dofs
     return whole_mesh_scatter(dofs, dofs, forms._residual_local(ref),
                               (n, n))
+
+
+def _restricted(space, elems):
+    """A copy of space whose triangles are space's triangles elems, in
+    that order, repeats allowed, as space.py's field evaluations read
+    them."""
+    mesh = copy.copy(space.mesh)
+    mesh.triangles = space.mesh.triangles[elems]
+    mesh.__dict__["inv_jacobians_t"] = space.mesh.inv_jacobians_t[elems]
+    sub = copy.copy(space)
+    sub.mesh = mesh
+    sub.elem_nodes = space.elem_nodes[elems]
+    return sub
+
+
+def edge_estimator_per_side(solution, space, problem):
+    """estimator.edge_estimator, one stress evaluation per (edge, side).
+
+    The reference points of each edge in each of its triangles come from
+    a search of the triangle's corners for the edge's ends, the stress
+    is evaluated on the first triangles of the interior and Neumann
+    edges and on the second triangles of the interior ones, and each
+    normal is turned away from the centroid of the edge's first
+    triangle.
+    """
+    mesh = space.mesh
+    s, w = forms.edge_quadrature(
+        forms.quad_degrees(space.pair.velocity_degree)["volume_matrix"])
+    eta = np.zeros(mesh.n_edges)
+
+    def side_stress(elems, edge_ids):
+        tri = mesh.triangles[elems]
+        ends = mesh.edges[edge_ids]
+        loc_a = np.argmax(tri == ends[:, 0][:, None], axis=1)
+        loc_b = np.argmax(tri == ends[:, 1][:, None], axis=1)
+        ref = (REF_VERTICES[loc_a][:, None, :] * (1.0 - s)[None, :, None]
+               + REF_VERTICES[loc_b][:, None, :] * s[None, :, None])
+        sub = _restricted(space, elems)
+        G = velocity_gradients(sub, solution.u, ref)
+        D = 0.5 * (G + G.transpose(0, 1, 3, 2))
+        pv = pressure_values(sub, solution.p, ref)
+        return D - pv[..., None, None] * np.eye(2)
+
+    interior = (mesh.edge_tags == INTERIOR) & (mesh.e2t[:, 1] >= 0)
+    edges = np.flatnonzero(interior | (mesh.edge_tags == NEUMANN))
+    inner = interior[edges]
+    first = mesh.e2t[edges, 0]
+    sig = side_stress(first, edges)
+    both = edges[inner]
+    sig[inner] -= side_stress(mesh.e2t[both, 1], both)
+
+    ends = mesh.edges[edges]
+    d = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
+    n = np.column_stack([d[:, 1], -d[:, 0]])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    cent = mesh.corner_coords[first].mean(axis=1)
+    mid = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
+    n[np.einsum("md,md->m", mid - cent, n) < 0] *= -1.0
+
+    flux = np.einsum("mqcb,mb->mqc", sig, n)
+    if problem.t is not None and not inner.all():
+        xy = edge_points(mesh, edges[~inner], s)
+        flux[~inner] -= np.asarray(problem.t(xy[..., 0], xy[..., 1]),
+                                   dtype=float)
+    val = np.einsum("q,mqc,mqc->m", w, flux, flux)
+    eta[edges] = mesh.edge_lengths[edges] * np.sqrt(val)
+    return eta

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from stokes_stab import forms, mesh as msh
-from stokes_stab.space import (FeSpace, edge_reference_points,
-                               physical_points, pressure_values,
-                               scalar_basis, velocity_gradients,
-                               velocity_values)
+from stokes_stab.space import (FeSpace, physical_points, pressure_values,
+                               scalar_basis, side_reference_points,
+                               velocity_gradients, velocity_values)
 
 from oracles import assemble_B, whole_mesh_scatter
 
@@ -38,10 +37,9 @@ def _graded_lshape():
     return m
 
 
-def _oracle_grads(space, ref_pts, elems=None):
+def _oracle_grads(space, ref_pts):
     _, gref = scalar_basis(space.pair.velocity_degree, ref_pts)
     it = space.mesh.inv_jacobians_t
-    it = it if elems is None else it[elems]
     gref = np.broadcast_to(gref, (len(it),) + gref.shape[-3:])
     return np.einsum("eba,eqia->eqib", it, gref)
 
@@ -99,28 +97,25 @@ def test_affine_kernels_match_quadrature_axis_oracle(make_mesh, pair):
                   mesh.corner_coords[:, None, 0, :]
                   + np.einsum("eab,qb->eqa", mesh.jacobians, pts))
 
-    # shared points on all elements, then per-element edge points
-    edges = np.flatnonzero(mesh.e2t[:, 1] >= 0)
-    elems = mesh.e2t[edges, 1]
-    per_elem = edge_reference_points(mesh, elems, edges,
-                                     np.array([0.1, 0.5, 0.8]))
-    for ref, sel in ((pts, None), (per_elem, elems)):
-        lc = space.local_velocity_coefs(u, sel)
+    # shared points on all elements, then the per-element points of
+    # all three sides of every element
+    per_elem = side_reference_points(mesh, np.array([0.1, 0.5, 0.8]))
+    per_elem = per_elem.reshape(mesh.n_triangles, -1, 2)
+    lc = space.local_velocity_coefs(u)
+    pc = space.local_pressure_coefs(p)
+    for ref in (pts, per_elem):
         val, _ = scalar_basis(space.pair.velocity_degree, ref)
         val = np.broadcast_to(val, (len(lc),) + val.shape[-2:])
-        _assert_close(velocity_values(space, u, ref, sel),
+        _assert_close(velocity_values(space, u, ref),
                       np.einsum("eqi,eic->eqc", val, lc))
         # P2 from the affine tables P0 + xi_0 P1 + xi_1 P2, P1 constant
-        G = velocity_gradients(space, u, ref, sel)
+        G = velocity_gradients(space, u, ref)
         _assert_close(G, np.einsum("eqib,eic->eqcb",
-                                   _oracle_grads(space, ref, sel), lc))
+                                   _oracle_grads(space, ref), lc))
         if pair == "P1P1":
             assert np.array_equal(G, np.broadcast_to(G[:, :1], G.shape))
         pval, _ = scalar_basis(1, ref)
-        pc = space.local_pressure_coefs(p, sel)
         pval = np.broadcast_to(pval, (len(pc),) + pval.shape[-2:])
-        _assert_close(pressure_values(space, p, ref, sel),
+        _assert_close(pressure_values(space, p, ref),
                       np.einsum("eqi,ei->eq", pval, pc))
-    assert velocity_gradients(space, u, per_elem[:0], elems[:0]).shape \
-        == (0, 3, 2, 2)
 

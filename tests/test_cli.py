@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -547,6 +548,24 @@ def test_audit_of_unreadable_mesh_file_is_a_mesh_error(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"stokes-stab: mesh error: {message}\n"
+
+
+def test_audit_of_zero_length_side_warns_nothing(tmp_path, capsys):
+    # vertices 1 and 3 coincide, so triangle 1 has a side of length 0:
+    # its angles there count as 0 degrees, and numpy warns of no 0/0
+    meshfile = tmp_path / "coincident.mesh"
+    meshfile.write_text("trimesh v1\nvertices 4\n0 0\n1 0\n0 1\n1 0\n"
+                        "triangles 2\n0 1 2\n1 3 2\n"
+                        "boundary 3\n0 1 D\n1 2 D\n0 2 D\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("audit", "--case", str(meshfile)) == 3
+    assert caught == []
+    captured = capsys.readouterr()
+    assert "min angle 0.000 deg below threshold 10.0" in captured.out
+    assert captured.err == (
+        f"stokes-stab: mesh error: mesh audit of {meshfile} failed: "
+        "orientation, conformity, boundary_tags, min_angle\n")
 
 
 def test_audit_of_mesh_file_builds_no_case(tmp_path, monkeypatch):

@@ -17,6 +17,8 @@ from stokes_stab.space import (FeSpace, P1P1, P2P1, physical_points,
                                scalar_basis, strain_squared,
                                velocity_gradients)
 
+from oracles import edge_estimator_per_side
+
 
 def _zero_solution(space):
     return DiscreteSolution(u=np.zeros(space.n_u), p=np.zeros(space.n_p),
@@ -124,12 +126,12 @@ def test_edge_pass_calls_t_only_with_neumann_edges(monkeypatch):
         raise AssertionError("t evaluated without Neumann edges")
 
     calls = []
-    side_stress = estimator._edge_side_stress
+    gradients = estimator.velocity_gradients
 
-    def counted(*args):
-        calls.append(len(args[3]))
-        return side_stress(*args)
-    monkeypatch.setattr(estimator, "_edge_side_stress", counted)
+    def counted(space, coefs, ref_pts):
+        calls.append(np.shape(ref_pts))
+        return gradients(space, coefs, ref_pts)
+    monkeypatch.setattr(estimator, "velocity_gradients", counted)
 
     problem = StokesProblem(f=_const_f(1.0, 0.0), t=no_traction)
     for pair in (P1P1, P2P1):
@@ -146,15 +148,44 @@ def test_edge_pass_calls_t_only_with_neumann_edges(monkeypatch):
     eta_E = estimator.edge_estimator(_zero_solution(space), space, problem)
     assert np.array_equal(eta_E, np.zeros(3))
 
-    # with interior and Neumann edges: one stress evaluation on the first
-    # side of both kinds, one on the second side of the interior ones
+    # with interior and Neumann edges: one stress evaluation, on the
+    # whole mesh, at the points of all three sides of every triangle
     mesh = unit_square(2, boundary={"right": "N"})
     space = FeSpace(mesh, P2P1)
     calls.clear()
     estimator.edge_estimator(_zero_solution(space), space,
                              StokesProblem(f=None))
-    inner = np.sum((mesh.edge_tags == 0) & (mesh.e2t[:, 1] >= 0))
-    assert calls == [inner + np.sum(mesh.edge_tags == 2), inner]
+    s, _ = forms.edge_quadrature(forms.quad_degrees(2)["volume_matrix"])
+    assert calls == [(mesh.n_triangles, 3 * len(s), 2)]
+
+
+def _graded_square():
+    m = unit_square(4, boundary={"right": "N", "top": "N"})
+    for _ in range(4):
+        near = np.linalg.norm(m.corner_coords.mean(axis=1) - 1.0,
+                              axis=1) < 0.4
+        m = m.refine_marked(near)
+    return m
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: unit_square(5, boundary={"right": "N", "bottom": "N"}),
+    _graded_square])
+@pytest.mark.parametrize("pair", [P1P1, P2P1])
+def test_edge_estimator_matches_per_side_oracle(make_mesh, pair):
+    # the whole-mesh side table gives, bit for bit, the indicators of
+    # one evaluation per (edge, side), on interior and Neumann edges
+    mesh = make_mesh()
+    assert np.any(mesh.edge_tags == 2) and np.any(mesh.e2t[:, 1] >= 0)
+    space = FeSpace(mesh, pair)
+    rng = np.random.default_rng(11)
+    sol = DiscreteSolution(u=rng.standard_normal(space.n_u),
+                           p=rng.standard_normal(space.n_p), residual=0.0)
+    t = lambda x, y: np.stack([np.sin(3 * x), x * y], axis=-1)
+    for problem in (StokesProblem(f=None, t=t), StokesProblem(f=None)):
+        eta_E = estimator.edge_estimator(sol, space, problem)
+        assert np.array_equal(
+            eta_E, edge_estimator_per_side(sol, space, problem))
 
 
 def test_oscillation_vanishes_for_resolved_data():

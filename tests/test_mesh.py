@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import time
 import warnings
 from functools import cached_property
@@ -89,6 +90,32 @@ def test_construction_rejects_bad_input():
     flipped[0] = flipped[0][[1, 0, 2]]
     with pytest.raises(MeshError):
         TriMesh(m.vertices, flipped, m.boundary_tag_dict())
+
+
+_SQUARE_TAGS = {(0, 1): "D", (1, 2): "D", (2, 3): "N", (0, 3): "D"}
+
+
+@pytest.mark.parametrize("tags,message", [
+    ({**_SQUARE_TAGS, (1, 3): "D"}, "tagged edge (1, 3) not present in mesh"),
+    ({**_SQUARE_TAGS, (1, 2): "X"}, "unknown boundary tag 'X' on edge (1, 2)"),
+    ({**_SQUARE_TAGS, (1, 0): "N"}, "edge (0, 1) tagged more than once"),
+    ({**_SQUARE_TAGS, (2, 0): "D"},
+     "interior edges carry boundary tags: [(0, 2)]"),
+], ids=["not-in-mesh", "unknown-tag", "tagged-twice", "interior-tag"])
+def test_construction_names_bad_boundary_tags(tags, message):
+    # two triangles of the unit square; (0, 2) is their shared edge
+    v = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    tri = [[0, 1, 2], [0, 2, 3]]
+    with pytest.raises(MeshError) as err:
+        TriMesh(v, tri, tags)
+    assert str(err.value) == message
+    # without validation, a tag off the mesh is dropped and an interior
+    # tag kept; the tag's name and uniqueness are checked all the same
+    if message.startswith(("tagged edge", "interior")):
+        TriMesh(v, tri, tags, validate=False)
+    else:
+        with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+            TriMesh(v, tri, tags, validate=False)
 
 
 def test_immutability():
@@ -600,6 +627,9 @@ def test_file_roundtrip(tmp_path):
 
 
 _TRI3 = "trimesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n"
+# the unit square as two triangles sharing the edge (0, 2)
+_SQUARE2 = ("trimesh v1\nvertices 4\n0 0\n1 0\n1 1\n0 1\n"
+            "triangles 2\n0 1 2\n0 2 3\n")
 
 # (id, file text, the whole message read() raises)
 _MALFORMED = [
@@ -665,6 +695,12 @@ _MALFORMED = [
     # the TriMesh constructor's error, at the last line of the file
     ("mesh-error-untagged", _TRI3 + "boundary 1\n0 1 D\n\n# end\n",
      "line 11: untagged boundary edges: [(0, 2), (1, 2)]"),
+    ("mesh-error-tag-not-in-mesh",
+     _SQUARE2 + "boundary 5\n0 1 D\n1 2 D\n2 3 D\n0 3 D\n1 3 D\n",
+     "line 15: tagged edge (1, 3) not present in mesh"),
+    ("mesh-error-interior-tag",
+     _SQUARE2 + "boundary 5\n0 1 D\n1 2 D\n2 3 D\n0 3 D\n2 0 N\n",
+     "line 15: interior edges carry boundary tags: [(0, 2)]"),
     ("mesh-error-clockwise",
      _TRI3.replace("0 1 2", "1 0 2") + "boundary 3\n0 1 D\n1 2 D\n0 2 D\n",
      "line 11: triangles not counterclockwise: [0]"),

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from stokes_stab import forms, solver
@@ -133,6 +134,92 @@ def test_failed_factorization_keeps_blas_text_off_stdout(capfd):
     assert capfd.readouterr().out == ""
     assert "illegal value" in err.value.blas_output
     assert "illegal value" not in str(err.value)
+
+
+def _all_neumann_space(pair):
+    # every boundary edge Neumann, which the validating constructor
+    # refuses: the rigid motions, free of strain, make the velocity
+    # block singular
+    base = unit_square(4)
+    tags = {edge: "N" for edge in base.boundary_tag_dict()}
+    return FeSpace(TriMesh(base.vertices, base.triangles, tags,
+                           validate=False), pair)
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1])
+def test_singular_velocity_block_is_named(pair, capfd):
+    # SuperLU factors the block with pivots 1e-16 of the largest; the
+    # pivot rule of every solve rejects them in the diagnosis and the
+    # probe too
+    space = _all_neumann_space(pair)
+    problem = StokesProblem(f=_const_f(1.0, 0.0))
+    with pytest.raises(solver.SolverError) as err:
+        solver.solve(assemble_system(space, problem))
+    assert str(err.value).endswith("; velocity block itself is singular")
+    with pytest.raises(solver.SolverError,
+                       match="^velocity block itself is singular$"):
+        solver.schur_pressure_probe(space, problem)
+    assert capfd.readouterr().out == ""
+
+
+def test_schur_probe_factors_with_capture(monkeypatch):
+    # the probe's factorization goes through _factorize, whose failure
+    # leaves as a SolverError carrying the captured BLAS text
+    def failing(K):
+        exc = RuntimeError("Factor is exactly singular")
+        exc.blas_output = " ** On entry to DGEMV"
+        raise exc
+    monkeypatch.setattr(solver, "_factorize", failing)
+    space = FeSpace(unit_square(2), P1P1)
+    with pytest.raises(solver.SolverError) as err:
+        solver.schur_pressure_probe(space, _linear_case())
+    assert str(err.value) == "velocity block itself fails to factorize"
+    assert err.value.blas_output == " ** On entry to DGEMV"
+
+
+def test_zero_pivot_rule():
+    assert solver._zero_pivot(np.array([1e-14, 1.0]))
+    assert not solver._zero_pivot(np.array([2e-14, 1.0]))
+    # relative to 1 when every pivot is smaller
+    assert solver._zero_pivot(np.array([1e-15, 1e-3]))
+    assert solver._zero_pivot(np.array([4e-12, 1e3]))
+    # a factor of no rows (a velocity block without free dofs) has none
+    assert not solver._zero_pivot(np.array([]))
+
+
+def test_empty_velocity_block_factorizes_cleanly():
+    # unit_square(1) has no free velocity dofs: the diagnosis blames
+    # the saddle coupling, and the probe works on the pressure alone
+    space = FeSpace(unit_square(1), P1P1)
+    problem = StokesProblem(f=_const_f(1.0, 0.0), alpha=0.0)
+    with pytest.raises(solver.SolverError,
+                       match="velocity block factorizes cleanly"):
+        solver.solve(assemble_system(space, problem))
+    lam = solver.schur_pressure_probe(
+        space, StokesProblem(f=_const_f(1.0, 0.0)))
+    assert abs(lam - 2.4) < 1e-12
+
+
+def _fake_lu_solve(x):
+    # a factor whose every solve returns x, with healthy pivots
+    return lambda r: (np.array(x, dtype=float), np.ones(2), 2)
+
+
+def test_checked_solve_rejects_non_finite_values():
+    K = sp.identity(2, format="csr")
+    with pytest.raises(solver.SolverError,
+                       match="^non-finite solution values$"):
+        solver._checked_solve(K, np.ones(2), _fake_lu_solve([np.nan, 1.0]))
+
+
+def test_checked_solve_rejects_residual_after_refinement():
+    # x = (2, 2) for K = I, b = (1, 1) leaves residual 1; the refinement
+    # step adds (2, 2) more, and 3 stays above 1e-9
+    K = sp.identity(2, format="csr")
+    with pytest.raises(solver.SolverError) as err:
+        solver._checked_solve(K, np.ones(2), _fake_lu_solve([2.0, 2.0]))
+    assert str(err.value) == ("relative residual 3.000e+00 above 1e-9 "
+                              "after iterative refinement")
 
 
 def test_solve_keeps_stdout_around_factorization(capfd):

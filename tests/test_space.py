@@ -6,7 +6,8 @@ import pytest
 from stokes_stab import forms, mesh as msh
 from stokes_stab.space import (ElementPair, FeSpace, P1P1, P2P1, SpaceError,
                                _phys_hess, element_residual, interpolate,
-                               physical_points, pressure_values, scalar_basis,
+                               edge_points, physical_points, pressure_values,
+                               scalar_basis, side_reference_points,
                                velocity_gradients, velocity_values)
 
 
@@ -186,23 +187,23 @@ def test_stress_laplacian_oracle_both_components():
 
 @pytest.mark.parametrize("pair", ["P1P1", "P2P1"])
 def test_per_element_points_match_shared_points(pair):
-    # one point set per element gives, bit for bit, what a shared-points
-    # call restricted to that element gives
+    # one point set per element gives on each element, bit for bit, what
+    # a call with that element's points shared by all elements gives
     m = _jittered_square(3, seed=4)
     s = FeSpace(m, pair)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(s.n_u)
     p = rng.standard_normal(s.n_p)
-    elems = np.array([0, 5, 7, 12])
-    ref = rng.random((len(elems), 4, 2)) * 0.5
-    G = velocity_gradients(s, u, ref, elems)
-    P = pressure_values(s, p, ref, elems)
-    V = velocity_values(s, u, ref, elems)
-    assert G.shape == (len(elems), 4, 2, 2) and P.shape == (len(elems), 4)
-    for m_, k in enumerate(elems):
-        assert np.array_equal(G[m_], velocity_gradients(s, u, ref[m_], [k])[0])
-        assert np.array_equal(P[m_], pressure_values(s, p, ref[m_], [k])[0])
-        assert np.array_equal(V[m_], velocity_values(s, u, ref[m_], [k])[0])
+    ref = rng.random((m.n_triangles, 4, 2)) * 0.5
+    G = velocity_gradients(s, u, ref)
+    P = pressure_values(s, p, ref)
+    V = velocity_values(s, u, ref)
+    assert G.shape == (m.n_triangles, 4, 2, 2)
+    assert P.shape == (m.n_triangles, 4)
+    for k in (0, 5, 7, 12):
+        assert np.array_equal(G[k], velocity_gradients(s, u, ref[k])[k])
+        assert np.array_equal(P[k], pressure_values(s, p, ref[k])[k])
+        assert np.array_equal(V[k], velocity_values(s, u, ref[k])[k])
 
 
 def _traced_peak(fn, *args):
@@ -231,28 +232,37 @@ def test_field_values_build_no_temporary_of_their_size():
     assert _traced_peak(pressure_values, s, p, pts) <= 0.375 * one
 
 
+def test_side_points_run_along_the_edges():
+    # side l of triangle k maps onto edge t2e[k, l], from its first
+    # vertex to its second, as edge_points runs
+    m = _jittered_square(3, seed=2).refine_marked([0, 4])
+    ts = np.array([0.0, 0.21, 0.5, 1.0])
+    sides = side_reference_points(m, ts)
+    assert sides.shape == (m.n_triangles, 3, len(ts), 2)
+    J = m.jacobians
+    for l in range(3):
+        xy = m.corner_coords[:, None, 0] + np.einsum(
+            "eab,eqb->eqa", J, sides[:, l])
+        assert np.allclose(xy, edge_points(m, m.t2e[:, l], ts),
+                           rtol=0, atol=1e-14)
+
+
 def test_dof_continuity_across_edges():
     # evaluating from either side of every interior edge must agree
     rng = np.random.default_rng(5)
     m = msh.unit_square(2).refine_marked([0, 3]).refine_uniform()
     ts = np.array([0.21, 0.5, 0.87])
+    pts = side_reference_points(m, ts).reshape(m.n_triangles, -1, 2)
+    interior = np.flatnonzero(m.edge_tags == 0)
+    k = m.e2t[interior]
+    slot = np.argmax(m.t2e[k] == interior[:, None, None], axis=2)
     for pair in ("P1P1", "P2P1"):
         s = FeSpace(m, pair)
-        interior = np.flatnonzero(m.edge_tags == 0)
-        coefs = rng.standard_normal((100, s.n_u))
-        for e in interior:
-            k0, k1 = m.e2t[e]
-            vals = []
-            for k in (k0, k1):
-                tri = m.triangles[k]
-                loc_a = int(np.flatnonzero(tri == m.edges[e, 0])[0])
-                loc_b = int(np.flatnonzero(tri == m.edges[e, 1])[0])
-                ref = (msh.REF_VERTICES[loc_a][None] * (1 - ts[:, None])
-                       + msh.REF_VERTICES[loc_b][None] * ts[:, None])
-                v = np.stack([velocity_values(s, c, ref, elems=[k])[0]
-                              for c in coefs])
-                vals.append(v)
-            assert np.allclose(vals[0], vals[1], atol=1e-12)
+        for c in rng.standard_normal((100, s.n_u)):
+            v = velocity_values(s, c, pts).reshape(m.n_triangles, 3,
+                                                   len(ts), 2)
+            assert np.allclose(v[k[:, 0], slot[:, 0]],
+                               v[k[:, 1], slot[:, 1]], atol=1e-12)
 
 
 def test_interpolate_rejects_bad_shapes():
