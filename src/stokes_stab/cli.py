@@ -58,7 +58,8 @@ def parse_config_file(path):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror}") from None
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:

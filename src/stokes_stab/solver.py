@@ -215,10 +215,12 @@ class DiscreteSolution:
     multiplier of the mean-pressure constraint when one was used.
     diagnostics records n_unknowns, alpha and how the factorization
     went: ordering ("multifrontal", or "colamd" when the fallback
-    fired), fill_nnz (the entries the factor stores: the W blocks
-    held, one per front class, or nnz of SuperLU's L + U), pivot_ratio
-    (smallest over largest pivot), residual_initial (before
-    refinement), refined and fallback. A multifrontal solve adds
+    fired), fill_nnz (the W entries of the front factor, one block per
+    front class, whose LUs keep k^2 entries per class on top; or nnz of
+    SuperLU's L + U), pivot_ratio (smallest over largest pivot),
+    residual_initial (before refinement), refined (whether a
+    refinement step, two more sweeps over the factor, ran) and
+    fallback. A multifrontal solve adds
     fronts, the number of fronts (nested-dissection groups), and
     fronts_factored, the number of front classes, each factored once.
     """
@@ -274,33 +276,32 @@ def _diagnose(system, reason):
     return "; ".join(msg)
 
 
-def _checked_solve(K, b, lu_solve):
+def _checked_solve(K, b, solve, pivots, stored):
     """Solve K x = b with a factor of K, with the checks and one
     refinement.
 
-    lu_solve(r) returns (K^-1 r by the factor, the absolute values of
-    the factor's pivots, the factor's entry count); it may factor K
-    anew on each call, as long as each call gives the same factor. Its
-    pivots are checked before its first x is accepted. A relative
-    residual above 1e-12 gets one step of iterative refinement, a second
-    call on b - K x; a backward-stable solve leaves about 1e-15, but the
-    fronts pivot only inside their own block, and where a front pivot
-    is tiny (P1P1 at alpha = 1e-6: 4e-13 of the largest) the first
-    solve can leave 2e-10 and a solution 4e-9 off, which one step
+    solve(r) returns K^-1 r by the factor's stored sweeps, pivots holds
+    the absolute values of the factor's pivots and stored its entry
+    count. The pivots are checked before the first solve. A relative
+    residual above 1e-12 gets one step of iterative refinement, one
+    more solve on b - K x; a backward-stable solve leaves about 1e-15,
+    but the fronts pivot only inside their own block, and where a front
+    pivot is tiny (P1P1 at alpha = 1e-6: 4e-13 of the largest) the
+    first solve can leave 2e-10 and a solution 4e-9 off, which one step
     brings to 1e-15 and 2e-13.
     Returns (x, relative residual, factorization stats); raises
     SolverError naming the check that failed, or a residual still above
     1e-9 after the step.
     """
-    x, pivots, stored = lu_solve(b)
     if _zero_pivot(pivots):
         raise SolverError("factorization produced a zero pivot")
+    x = solve(b)
     bnorm = max(float(np.linalg.norm(b)), 1e-30)
     if not np.all(np.isfinite(x)):
         raise SolverError("non-finite solution values")
     res = res_initial = float(np.linalg.norm(K @ x - b)) / bnorm
     if res > 1e-12:
-        x = x + lu_solve(b - K @ x)[0]
+        x = x + solve(b - K @ x)
         res = float(np.linalg.norm(K @ x - b)) / bnorm
     if not np.all(np.isfinite(x)) or res > 1e-9:
         raise SolverError(f"relative residual {res:.3e} above 1e-9 after "
@@ -329,9 +330,8 @@ def _factor_and_solve(K, b):
     except RuntimeError as exc:
         raise SolverError("matrix is singular to working precision",
                           getattr(exc, "blas_output", "")) from None
-    pivots = np.abs(lu.U.diagonal())
-    stored = lu.L.nnz + lu.U.nnz
-    return _checked_solve(K, b, lambda r: (lu.solve(r), pivots, stored))
+    return _checked_solve(K, b, lu.solve, np.abs(lu.U.diagonal()),
+                          lu.L.nnz + lu.U.nnz)
 
 
 # CG steps per column in mass_solve: the Jacobi-scaled P1 and P2 mass
@@ -435,21 +435,20 @@ class _Fronts(NamedTuple):
     fronts holds the rows of each group's front, kids its children
     (ascending), and rel, for each child, the positions of its rows
     below in its parent's front. classes holds each group's front
-    class, numbered in order of first appearance; last_member the last
-    group of each class, and last_reader the last group whose assembly
-    reads the class's update matrix (-1 when none does).
+    class, numbered in order of first appearance, and last_reader, for
+    each class, the last group whose assembly reads the class's update
+    matrix (-1 when none does).
     """
 
     fronts: list
     kids: list
     rel: list
     classes: list
-    last_member: list
     last_reader: list
 
 
 def _front_key(K, counts, start, end, f, kids, classes, rel):
-    """What the assembly of a group's front in _front_pass reads, as a
+    """What the assembly of a group's front in _front_factor reads, as a
     key: k own rows, the front size nf and its children's classes;
     then, as bytes, its columns' entry counts, the front positions of
     their rows (searchsorted "right": 0 above the front) and their
@@ -488,7 +487,7 @@ def _front_structure(K, groups):
     gid = np.repeat(np.arange(len(groups)), ends - groups)
     counts = np.diff(K.indptr)
     fronts, kids, rel = [], [[] for _ in groups], [None] * len(groups)
-    classes, n_classes = [], 0
+    classes, last_reader, n_classes = [], [], 0
     first, seen = {}, {}   # sieve key -> first group; full key -> class
     groups, ends = groups.tolist(), ends.tolist()
     for g, (start, end) in enumerate(zip(groups, ends)):
@@ -518,112 +517,107 @@ def _front_structure(K, groups):
             cls = seen.setdefault(
                 _front_key(K, counts, start, end, f, kids[g], classes, rel),
                 n_classes)
-        n_classes += cls == n_classes
+        if cls == n_classes:   # the class's first group
+            n_classes += 1
+            last_reader.append(-1)
+            for c in kids[g]:
+                last_reader[classes[c]] = g
         classes.append(cls)
         if len(f) > end - start:
             kids[gid[f[end - start]]].append(g)
-    del first, seen
-    last_member, last_reader = [None] * n_classes, [-1] * n_classes
-    for g, cls in enumerate(classes):
-        if last_member[cls] is None:   # the class's first group
-            for c in kids[g]:
-                last_reader[classes[c]] = g
-        last_member[cls] = g
-    return _Fronts(fronts, kids, rel, classes, last_member, last_reader)
+    return _Fronts(fronts, kids, rel, classes, last_reader)
 
 
-def _front_pass(K, b, groups, structure):
-    """(K^-1 b, pivots, stored): the fronts of K factored once per front
-    class, with the forward sweep run group by group inside the same
-    pass, then the backward sweep. structure is _front_structure(K,
-    groups) of this same K.
+def _front_factor(K, groups):
+    """The front factorization of K on groups, each front class
+    factored once, as (solve, pivots, stored, classes).
 
-    The first group of each class assembles its front from its columns
-    of K (its own block F11 and the rows below, F21; the block above,
-    F12, is F21^T, as K is symmetric) plus its children's update
-    matrices, factors F11 by getrf (partial pivoting inside the block),
-    forms W = F11^-1 F21^T (k x m for k own and m rows below) and the
-    update F22 - F21 W, which the assembly of each parent's class reads.
-    The other groups of the class would assemble the same front bit for
-    bit, so they take its LU, pivots and W as they are. With F11
-    symmetric, K = [[I, 0], [W^T, I]] [[F11, 0], [0, S]] [[I, W], [0, I]]
-    for each front in turn, and b is at hand, so each group's forward
-    step runs at once: W^T x1 is subtracted from the rows below and x1
-    solved with F11's LU. A class's LU is freed after its last group's
-    step, its front at once and its update after the last assembly that
-    reads it; W alone is kept, k m entries per class, for the backward
-    sweep, which subtracts W x2 from each group's unknowns in reverse
-    order. pivots holds |U_ii| of every group's front, stored the
-    entries of the classes' W blocks.
+    _front_structure(K, groups) gives the fronts and their classes. The
+    first group of each class assembles its front from its columns of K
+    (its own block F11 and the rows below, F21; the block above, F12,
+    is F21^T, as K is symmetric) plus its children's update matrices,
+    factors F11 by getrf (partial pivoting inside the block), forms
+    W = F11^-1 F21^T (k x m for k own and m rows below) and the update
+    F22 - F21 W, which the assembly of each parent's class reads. The
+    other groups of the class would assemble the same front bit for
+    bit, so they take its factor as it is. A front is freed at once,
+    an update after the last assembly that reads it; each class keeps
+    its LU, pivots and W. With F11 symmetric,
+    K = [[I, 0], [W^T, I]] [[F11, 0], [0, S]] [[I, W], [0, I]] for each
+    front in turn, so solve(b) returns K^-1 b by a forward sweep, which
+    subtracts W^T x1 from each group's rows below and solves for x1
+    with F11's LU, then a backward sweep, which subtracts W x2 from
+    each group's unknowns in reverse order. pivots holds |U_ii| of
+    every class's front, stored the entries of the classes' W blocks
+    (their LUs hold k^2 each on top), and classes their number.
 
     Nothing pivots across fronts: a front pivot that is tiny against
     its column shows in pivots, and _checked_solve refines or rejects.
     Raises SolverError when a getrf meets an exactly zero pivot.
     """
     starts, ends = groups.tolist(), np.append(groups[1:], K.shape[0]).tolist()
-    fronts, kids, rel, classes, last_member, last_reader = structure
-    x = np.array(b, dtype=float)
-    pivots = np.empty(K.shape[0])
-    Ws, lus, updates = [], {}, {}   # by class
+    fronts, kids, rel, classes, last_reader = _front_structure(K, groups)
+    factors, updates = [], {}   # by class
     counts = np.diff(K.indptr)
     for g, (start, end, f, cls) in enumerate(zip(starts, ends, fronts,
                                                   classes)):
-        k = end - start
-        if cls == len(Ws):   # the class's first group
-            nf = len(f)
-            # entry (i, j) of the front at 1 + i nf + j; the entries of
-            # K above it (rows before f[0]) all go to slot 0
-            a, z = K.indptr[start], K.indptr[end]
-            at = f.searchsorted(K.indices[a:z], "right")
-            at *= nf
-            at += np.arange(1 - nf, 1 - nf + k).repeat(counts[start:end])
-            np.maximum(at, 0, out=at)
-            F = np.zeros(nf * nf + 1)
-            F[at] = K.data[a:z]
-            for c in kids[g]:
-                r = rel[c]
-                # no index repeats, but numpy 2's add.at beats F[i] += u
-                # (4.9 against 10.0 us for a 49 x 49 update)
-                np.add.at(F, (r[:, None] * nf + (r + 1)).ravel(),
-                          updates[classes[c]].ravel())
-            for c in kids[g]:   # two children may share a class
-                if last_reader[classes[c]] == g:
-                    updates.pop(classes[c], None)
-            F = F[1:].reshape(nf, nf)
-            lu, piv, info = dgetrf(F[:k, :k])
-            if info != 0:
-                raise SolverError("factorization produced a zero pivot")
-            W = dgetrs(lu, piv, F[k:, :k].T)[0]
-            U = F[k:, :k] @ W
-            updates[cls] = np.subtract(F[k:, k:], U, out=U)
-            Ws.append(W)
-            lus[cls] = lu, piv
-            del F
-        W = Ws[cls]
-        lu, piv = lus.pop(cls) if last_member[cls] == g else lus[cls]
-        np.abs(lu.diagonal(), out=pivots[start:end])
-        rows = f[k:]
-        x[rows] -= W.T @ x[start:end]
-        x[start:end] = dgetrs(lu, piv, x[start:end])[0]
-        del lu
-    for g in reversed(range(len(starts))):
-        start, end = starts[g], ends[g]
-        x[start:end] -= Ws[classes[g]] @ x[fronts[g][end - start:]]
-    return x, pivots, sum(W.size for W in Ws)
+        if cls < len(factors):   # not the class's first group
+            continue
+        k, nf = end - start, len(f)
+        # entry (i, j) of the front at 1 + i nf + j; the entries of K
+        # above it (rows before f[0]) all go to slot 0
+        a, z = K.indptr[start], K.indptr[end]
+        at = f.searchsorted(K.indices[a:z], "right")
+        at *= nf
+        at += np.arange(1 - nf, 1 - nf + k).repeat(counts[start:end])
+        np.maximum(at, 0, out=at)
+        F = np.zeros(nf * nf + 1)
+        F[at] = K.data[a:z]
+        for c in kids[g]:
+            r = rel[c]
+            # no index repeats, but numpy 2's add.at beats F[i] += u
+            # (4.9 against 10.0 us for a 49 x 49 update)
+            np.add.at(F, (r[:, None] * nf + (r + 1)).ravel(),
+                      updates[classes[c]].ravel())
+        for c in kids[g]:   # two children may share a class
+            if last_reader[classes[c]] == g:
+                updates.pop(classes[c], None)
+        F = F[1:].reshape(nf, nf)
+        lu, piv, info = dgetrf(F[:k, :k])
+        if info != 0:
+            raise SolverError("factorization produced a zero pivot")
+        W = dgetrs(lu, piv, F[k:, :k].T)[0]
+        U = F[k:, :k] @ W
+        updates[cls] = np.subtract(F[k:, k:], U, out=U)
+        factors.append((lu, piv, W))
+        del F
+    del updates
+    pivots = np.abs(np.concatenate([lu.diagonal() for lu, _, _ in factors]))
+    stored = sum(W.size for _, _, W in factors)
+    steps = [(start, end, f[end - start:], *factors[cls])
+             for start, end, f, cls in zip(starts, ends, fronts, classes)]
+
+    def solve(b):
+        x = np.array(b, dtype=float)
+        for start, end, rows, lu, piv, W in steps:
+            x[rows] -= W.T @ x[start:end]
+            x[start:end] = dgetrs(lu, piv, x[start:end])[0]
+        for start, end, rows, _, _, W in reversed(steps):
+            x[start:end] -= W @ x[rows]
+        return x
+
+    return solve, pivots, stored, len(factors)
 
 
 def _front_solve(K, b, groups):
-    """_checked_solve of K x = b by _front_pass on groups, every
-    OpenBLAS on one thread; a refinement step's pass reuses the first
-    pass's symbolic structure, built from this K. Its stats add fronts,
-    the number of groups, and fronts_factored, the number of front
-    classes, each factored once."""
+    """_checked_solve of K x = b by _front_factor on groups, every
+    OpenBLAS on one thread through the factorization and the sweeps.
+    Its stats add fronts, the number of groups, and fronts_factored,
+    the number of front classes, each factored once."""
     with _one_blas_thread():
-        structure = _front_structure(K, groups)
-        x, res, stats = _checked_solve(
-            K, b, lambda r: _front_pass(K, r, groups, structure))
-    stats.update(fronts=len(groups),
-                 fronts_factored=len(structure.last_member))
+        solve, pivots, stored, classes = _front_factor(K, groups)
+        x, res, stats = _checked_solve(K, b, solve, pivots, stored)
+    stats.update(fronts=len(groups), fronts_factored=classes)
     return x, res, stats
 
 
@@ -631,16 +625,18 @@ def solve(system):
     """Factorize and solve, with a residual check and one refinement step.
 
     The system's matrix is factored by fronts on its nested-dissection
-    groups, each distinct front once, with the forward sweep inside the
-    factorization and only the W blocks kept (_front_pass); a
-    refinement step runs that pass again on the residual. SuperLU with
-    COLAMD takes over when the fronts fail their pivot or residual
-    check; any other exception (a MemoryError, say) leaves at once.
-    diagnostics["fill_nnz"] counts the W entries held, or SuperLU's
-    L + U. Raises SolverError when both factorizations fail their
-    checks (a zero pivot, a non-finite solution, a relative residual
-    above 1e-9 after the refinement step), naming each one's reason and
-    localizing the failure to a block of the system.
+    groups, each distinct front once (_front_factor). The factor keeps
+    each front class's W and the LU of its own block, so the solve is a
+    forward and a backward sweep over them, and a refinement step is
+    two more sweeps on the residual. SuperLU with COLAMD takes over
+    when the fronts fail their pivot or residual check; any other
+    exception (a MemoryError, say) leaves at once.
+    diagnostics["fill_nnz"] counts the W entries held, the class LUs'
+    k^2 entries per class on top, or SuperLU's L + U. Raises
+    SolverError when both factorizations fail their checks (a zero
+    pivot, a non-finite solution, a relative residual above 1e-9 after
+    the refinement step), naming each one's reason and localizing the
+    failure to a block of the system.
     """
     K, b = system.matrix, system.rhs
     ordering = "multifrontal"

@@ -357,6 +357,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown key" in err and "levls" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read config file {cfg}: No such file or directory"),
+    ("\n  # a note\n\nn0 = x\n", "{cfg}:4: bad value 'x' for n0"),
+    ("pair = P1P1\nlevels 3\n",
+     "{cfg}:2: expected 'key = value', got 'levels 3'"),
+    ("n0 = x\n", "{cfg}:1: bad value 'x' for n0"),
+    ("alpha = big\n", "alpha must be a number or 'auto', got 'big'"),
+], ids=["missing", "blank-and-comment-lines", "no-equals", "bad-int",
+        "bad-alpha"])
+def test_config_file_failure_is_one_line(tmp_path, capsys, text, message):
+    # a missing file names its path once; blank and comment-only lines
+    # are skipped but keep the line count
+    cfgfile = tmp_path / "run.cfg"
+    if text is not None:
+        cfgfile.write_text(text)
+    code = run_cli("solve", "--config", str(cfgfile), "--out",
+                   str(tmp_path / "out"))
+    assert code == cli.EXIT_CONFIG == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"stokes-stab: config error: {message.format(cfg=cfgfile)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_may_start_with_byte_order_mark(tmp_path):
     text = "case = NEUMANN_STRIP\npair = P2P1\nn0 = 2\n"
     plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"

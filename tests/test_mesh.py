@@ -245,13 +245,28 @@ def test_refine_marked_splits_the_full_rescan_closure(seed):
         m = r
 
 
-def test_refine_marked_rejects_edge_of_three_triangles():
-    # the closure reads e2t, which keeps two triangles per edge
+def _edge_of_three_triangles():
+    # edge (0, 1) is shared by all three triangles
     v = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.6, 0.8]])
     t = np.array([[0, 1, 2], [1, 0, 3], [4, 0, 1]])
-    m = TriMesh(v, t, {}, validate=False)
+    return TriMesh(v, t, {}, validate=False)
+
+
+def test_refine_marked_rejects_edge_of_three_triangles():
+    # the closure reads e2t, which keeps two triangles per edge; the
+    # marked indices are checked first
+    m = _edge_of_three_triangles()
+    with pytest.raises(MeshError,
+                       match="^marked triangle index out of range$"):
+        m.refine_marked([5])
     with pytest.raises(MeshError, match="three or more triangles"):
         m.refine_marked([0])
+
+
+def test_audit_names_an_edge_of_three_triangles():
+    ok, issues = _edge_of_three_triangles().audit().checks["conformity"]
+    assert not ok
+    assert "edge (0, 1) shared by 3 triangles" in issues
 
 
 def test_boundary_tags_inherited():

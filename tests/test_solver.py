@@ -200,16 +200,26 @@ def test_empty_velocity_block_factorizes_cleanly():
     assert abs(lam - 2.4) < 1e-12
 
 
-def _fake_lu_solve(x):
-    # a factor whose every solve returns x, with healthy pivots
-    return lambda r: (np.array(x, dtype=float), np.ones(2), 2)
+def _fake_factor(x):
+    # a factor with healthy pivots whose every solve returns x
+    return lambda r: np.array(x, dtype=float), np.ones(2), 2
 
 
 def test_checked_solve_rejects_non_finite_values():
     K = sp.identity(2, format="csr")
     with pytest.raises(solver.SolverError,
                        match="^non-finite solution values$"):
-        solver._checked_solve(K, np.ones(2), _fake_lu_solve([np.nan, 1.0]))
+        solver._checked_solve(K, np.ones(2), *_fake_factor([np.nan, 1.0]))
+
+
+def test_checked_solve_reads_the_pivots_before_solving():
+    K = sp.identity(2, format="csr")
+    solves = []
+    with pytest.raises(solver.SolverError,
+                       match="^factorization produced a zero pivot$"):
+        solver._checked_solve(K, np.ones(2), solves.append,
+                              np.array([0.0, 1.0]), 2)
+    assert solves == []
 
 
 def test_checked_solve_rejects_residual_after_refinement():
@@ -217,7 +227,7 @@ def test_checked_solve_rejects_residual_after_refinement():
     # step adds (2, 2) more, and 3 stays above 1e-9
     K = sp.identity(2, format="csr")
     with pytest.raises(solver.SolverError) as err:
-        solver._checked_solve(K, np.ones(2), _fake_lu_solve([2.0, 2.0]))
+        solver._checked_solve(K, np.ones(2), *_fake_factor([2.0, 2.0]))
     assert str(err.value) == ("relative residual 3.000e+00 above 1e-9 "
                               "after iterative refinement")
 
@@ -453,9 +463,7 @@ def test_tiny_alpha_equal_order_falls_back(name):
     case = get_case(name)
     system = assemble_system(FeSpace(case.make_mesh(16), P1P1),
                              case.problem(alpha=1e-8))
-    K, groups = system.matrix, system.groups
-    _, pivots, _ = solver._front_pass(K, system.rhs, groups,
-                                      solver._front_structure(K, groups))
+    _, pivots, _, _ = solver._front_factor(system.matrix, system.groups)
     assert pivots.min() < 1e-14 * pivots.max()
     sol = solver.solve(system)
     assert sol.diagnostics["ordering"] == "colamd"
@@ -464,7 +472,7 @@ def test_tiny_alpha_equal_order_falls_back(name):
 
 
 def _stored_factor_solver(K, groups):
-    """The reference for solver._front_pass: every group's front
+    """The reference for solver._front_factor: every group's front
     assembled and factored, its LU and W blocks all stored, then per
     right-hand side one forward and one backward sweep. Returns the
     solve function, the |U_ii| of the fronts and the factor of each
@@ -505,7 +513,7 @@ def _same_factor(a, b):
                and p.tobytes() == q.tobytes() for p, q in zip(a, b))
 
 
-def _fused_pass_systems():
+def _stored_factor_systems():
     from stokes_stab.study import get_case
     for name, pair, alpha, refined in (
             ("NEUMANN_STRIP", P2P1, None, False),
@@ -518,13 +526,12 @@ def _fused_pass_systems():
                            id=f"{name}-{pair.label}-{alpha}")
 
 
-@pytest.mark.parametrize("system,refined", _fused_pass_systems())
-def test_fused_pass_matches_stored_factor_sweeps(system, refined):
-    # the forward sweep inside the factorization does every operation
-    # on x in the order of a forward sweep after it, a refinement that
-    # runs the pass again equals one with the stored factor, and the
-    # groups of one front class share a factor that each of them,
-    # factored on its own, gives bit for bit
+@pytest.mark.parametrize("system,refined", _stored_factor_systems())
+def test_stored_factor_matches_every_group_oracle(system, refined):
+    # the groups of one front class share a factor that each of them,
+    # factored on its own, gives bit for bit, and the sweeps over the
+    # class factors, refinement included, give the oracle's x and
+    # stats bit for bit
     K, b, groups = system.matrix, system.rhs, system.groups
     x, res, stats = solver._front_solve(K, b, groups)
     classes = solver._front_structure(K, groups).classes
@@ -536,7 +543,7 @@ def test_fused_pass_matches_stored_factor_sweeps(system, refined):
                                 factors[g])
         stored = sum(factors[g][2].size for g in first.values())
         ref_x, ref_res, ref_stats = solver._checked_solve(
-            K, b, lambda r: (oracle(r), pivots, stored))
+            K, b, oracle, pivots, stored)
     assert np.array_equal(x, ref_x)
     assert res == ref_res
     assert stats == {**ref_stats, "fronts": len(groups),
@@ -595,12 +602,13 @@ def test_moved_vertex_gives_its_fronts_their_own_classes():
     assert all(sizes[structure.classes[g]] == 1 for g in own)
     plain = _neumann_p2p1_system(mesh)
     plain = solver._front_structure(plain.matrix, plain.groups)
-    assert len(plain.last_member) < len(structure.last_member) < len(groups)
+    assert (len(set(plain.classes)) < len(set(structure.classes))
+            < len(groups))
     x, res, stats = solver._front_solve(K, b, groups)
     with solver._one_blas_thread():
         oracle, pivots, _ = _stored_factor_solver(K, groups)
         ref_x, ref_res, _ = solver._checked_solve(
-            K, b, lambda r: (oracle(r), pivots, stats["fill_nnz"]))
+            K, b, oracle, pivots, stats["fill_nnz"])
     assert np.array_equal(x, ref_x) and res == ref_res
 
 
@@ -640,7 +648,7 @@ def test_one_changed_entry_splits_its_class_and_those_above():
     with solver._one_blas_thread():
         oracle, pivots, _ = _stored_factor_solver(K, groups)
         ref_x, ref_res, _ = solver._checked_solve(
-            K, b, lambda r: (oracle(r), pivots, stats["fill_nnz"]))
+            K, b, oracle, pivots, stats["fill_nnz"])
     assert np.array_equal(x, ref_x) and res == ref_res
 
 
@@ -844,11 +852,11 @@ def test_nested_dissection_takes_the_thinner_separator():
 
 def test_neumann_p2p1_fill_does_not_grow():
     # the fronts of this system keep 17066 entries of W in the
-    # node-graph order with separators from the thinner side (28863
-    # with each front's LU kept beside W; SuperLU's L + U held 43874 in
-    # that order, 65450 in the dof-graph order with upper-side
-    # separators); a change of the order or of A_uu's stored entries
-    # must not make the factor denser
+    # node-graph order with separators from the thinner side, and their
+    # class LUs 11797 on top (SuperLU's L + U held 43874 in that order,
+    # 65450 in the dof-graph order with upper-side separators); a
+    # change of the order or of A_uu's stored entries must not make the
+    # factor denser
     from stokes_stab import study
     case = study.get_case("NEUMANN_STRIP")
     space = FeSpace(case.make_mesh(8), P2P1)
@@ -869,9 +877,9 @@ def test_neumann_p2p1_fill_does_not_grow():
 
 
 def test_front_solve_keeps_only_w():
-    # NEUMANN_STRIP P2P1 n = 32, 9153 unknowns: the fused pass peaks at
-    # 7.02 MB under tracemalloc (W itself is 4.52 MB); storing each
-    # front's LU beside W for a later forward sweep peaked at 8.66 MB
+    # NEUMANN_STRIP P2P1 n = 32, 9153 unknowns: the factor and its
+    # sweeps peak at about 5.5 MB under tracemalloc, with W at 2.47 MB
+    # and the class LUs at 1.03 MB
     from stokes_stab import study
     case = study.get_case("NEUMANN_STRIP")
     system = assemble_system(FeSpace(case.make_mesh(32), P2P1),
@@ -886,18 +894,22 @@ def test_front_solve_keeps_only_w():
 
 
 def test_refinement_frees_the_first_pass():
-    # P1P1 at alpha = 1e-6 refines; the second pass may add a few
-    # vectors of the system's size to the peak of one pass (it adds
-    # 3.0), not the first pass's W blocks (0.87 MB here, 36 vectors)
+    # P1P1 at alpha = 1e-6 refines; its step, two more sweeps over the
+    # stored factor, may add a few vectors of the system's size to the
+    # peak of one factorization and one solve (it adds 0.02), not a
+    # second factor (W alone is 0.87 MB here, 36 vectors)
     from stokes_stab import study
     case = study.get_case("SMOOTH_SQUARE")
     system = assemble_system(FeSpace(case.make_mesh(32), P1P1),
                              case.problem(alpha=1e-6))
     K, b, groups = system.matrix, system.rhs, system.groups
+
+    def bare():
+        solve = solver._front_factor(K, groups)[0]
+        return solve(b)
+
     peaks = []
-    for run in (lambda: solver._front_pass(
-                    K, b, groups, solver._front_structure(K, groups)),
-                lambda: solver._front_solve(K, b, groups)):
+    for run in (bare, lambda: solver._front_solve(K, b, groups)):
         tracemalloc.start()
         try:
             result = run()
@@ -910,13 +922,35 @@ def test_refinement_frees_the_first_pass():
     assert 8 * result[2]["fill_nnz"] > 8 * slack
 
 
-def test_refining_solve_runs_one_symbolic_pass(monkeypatch):
-    # the fronts' structure depends on K and the groups alone, so the
-    # refinement step's pass reuses the first pass's
+def _refining_system():
+    # SMOOTH_SQUARE P1P1 at alpha = 1e-6: a tiny front pivot leaves a
+    # first residual above 1e-12
     from stokes_stab import study
     case = study.get_case("SMOOTH_SQUARE")
-    system = assemble_system(FeSpace(case.make_mesh(16), P1P1),
-                             case.problem(alpha=1e-6))
+    return assemble_system(FeSpace(case.make_mesh(16), P1P1),
+                           case.problem(alpha=1e-6))
+
+
+def test_refining_solve_factors_each_class_once(monkeypatch):
+    # the refinement step sweeps the stored factor: getrf runs once per
+    # front class in all, not once more for the residual
+    real = solver.dgetrf
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(solver, "dgetrf", counting)
+    diag = solver.solve(_refining_system()).diagnostics
+    assert diag["ordering"] == "multifrontal" and diag["refined"] is True
+    assert len(calls) == diag["fronts_factored"]
+
+
+def test_refining_solve_runs_one_symbolic_pass(monkeypatch):
+    # the fronts' structure depends on K and the groups alone, and the
+    # refinement step reuses the one factor built on it
+    system = _refining_system()
     calls = []
     real = solver._front_structure
 
