@@ -329,7 +329,8 @@ def main(argv=None):
     except MemoryError as exc:
         run = (f"{args.command} --case {cfg['case']} --pair {cfg['pair']} "
                f"--n0 {'default' if cfg['n0'] is None else cfg['n0']}")
-        return _fail(EXIT_MEMORY, "memory", f"{run}: {exc or 'out of memory'}")
+        return _fail(EXIT_MEMORY, "memory",
+                     f"{run}: {str(exc) or 'out of memory'}")
 
 
 if __name__ == "__main__":

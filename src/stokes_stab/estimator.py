@@ -138,22 +138,26 @@ def edge_estimator(solution, space, problem):
 # ----------------------------------------------------------------------
 # oscillations
 
-def _projection_misfit(val, w, measure, cells, dv):
+def _projection_misfit(val, w, measure, cells, classes, dv):
     """Each cell's measure * sum_q w_q |d - d_h|^2.
 
     dv holds the (ncell, nq, 2) values of data d at the rule's points,
-    val the (nq, nbf) reference basis values there, w the weights, and
-    cells the nodes 0..n-1 of each cell's basis functions, all in use;
-    d_h is the global L2-projection of d onto the space they span, its
-    mass matrix solved by solver.mass_solve.
+    val the (nq, nbf) reference basis values there, w the weights,
+    cells the nodes 0..n-1 of each cell's basis functions, all in use,
+    classes the class of each cell and measure the measure of each
+    class; d_h is the global L2-projection of d onto the space they
+    span, its mass matrix scattered from one element matrix per class
+    and solved by solver.mass_solve.
     """
     nn = cells.max() + 1
-    m = measure[:, None, None]
     wval = w[:, None] * val
-    M = forms._scatter_matrix(cells, cells, (wval.T @ val) * m, (nn, nn))
-    dh = solver.mass_solve(M, forms.scatter_add(cells, (wval.T @ dv) * m, nn))
+    M = forms._scatter_matrix(cells, cells, (wval.T @ val)
+                              * measure[:, None, None], (nn, nn), classes)
+    m = measure[classes]
+    dh = solver.mass_solve(M, forms.scatter_add(
+        cells, (wval.T @ dv) * m[:, None, None], nn))
     diff = dv - val @ dh[cells]
-    return measure * np.einsum("q,eqc,eqc->e", w, diff, diff)
+    return m * np.einsum("q,eqc,eqc->e", w, diff, diff)
 
 
 def oscillations(problem, space):
@@ -164,7 +168,8 @@ def oscillations(problem, space):
     mesh = space.mesh
     val, _ = scalar_basis(k, rule.points)
     osc_K = mesh.diameters * np.sqrt(_projection_misfit(
-        val, rule.weights, 2.0 * mesh.areas, space.elem_nodes,
+        val, rule.weights, 2.0 * mesh.areas[mesh.shape_representatives],
+        space.elem_nodes, mesh.shape_classes,
         forms.rule_values(space, rule.degree, problem.f)))
 
     osc_E = np.zeros(mesh.n_edges)
@@ -185,7 +190,7 @@ def oscillations(problem, space):
         xy = edge_points(mesh, neumann, s)
         tv = np.asarray(problem.t(xy[..., 0], xy[..., 1]), dtype=float)
         osc_E[neumann] = np.sqrt(L) * np.sqrt(_projection_misfit(
-            tval, w, L, local.reshape(enodes.shape), tv))
+            tval, w, L, local.reshape(enodes.shape), np.arange(len(L)), tv))
     return osc_K, osc_E
 
 
@@ -254,9 +259,7 @@ def efficiency_audit(solution, space, problem, report):
     for col in range(flat.shape[1]):
         patch += np.where(take[:, col, None], own[flat[:, col]], 0.0)
 
-    osc_t2 = np.zeros(nt)
-    for e in mesh.t2e.T:
-        osc_t2 += report.osc_E_t[e] ** 2
+    osc_t2 = np.sum(report.osc_E_t[mesh.t2e] ** 2, axis=1)
 
     root = np.sqrt(patch)
     denom = root[:, 0] + root[:, 1] + root[:, 2] + np.sqrt(osc_t2)

@@ -76,19 +76,17 @@ _GAUSS_JACOBI = (
 def quadrature(degree):
     """Positive-weight rule exact for polynomials up to `degree` (1..10).
 
-    Conical product construction: Gauss-Legendre in the first collapsed
-    coordinate times Gauss-Jacobi (weight 1-b) in the second, mapped by
+    Conical product construction: the Gauss-Legendre rule of
+    edge_quadrature(degree) in the first collapsed coordinate times
+    Gauss-Jacobi (weight 1-b) in the second, mapped by
     (a, b) -> (a(1-b), b). Every weight is positive at every degree.
     """
     if not isinstance(degree, (int, np.integer)):
         raise ValueError(f"quadrature degree must be an int, got {degree!r}")
     if not 1 <= degree <= 10:
         raise ValueError(f"quadrature degree must be in 1..10, got {degree}")
-    m = (degree + 2) // 2
-    xg, wg = np.polynomial.legendre.leggauss(m)
-    a = 0.5 * (xg + 1.0)
-    wa = 0.5 * wg
-    xj, wj = map(np.array, _GAUSS_JACOBI[m - 1])
+    a, wa = edge_quadrature(degree)
+    xj, wj = map(np.array, _GAUSS_JACOBI[len(a) - 1])
     b = 0.5 * (xj + 1.0)
     wb = 0.25 * wj
     A, B = np.meshgrid(a, b, indexing="ij")
@@ -246,10 +244,10 @@ def _residual_local(space):
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _scatter_matrix(rows, cols, table, shape, classes=None):
+def _scatter_matrix(rows, cols, table, shape, classes):
     """CSR sum of element matrices: out[rows[e, i], cols[e, j]] +=
-    table[classes[e], i, j] (table[e, i, j] when classes is None),
-    without the element rows where rows[e, i] < 0 and the entries where
+    table[classes[e], i, j], table holding one matrix per class, without
+    the element rows where rows[e, i] < 0 and the entries where
     cols[e, j] < 0.
 
     The element rows (e, i) go stably by their row, in blocks of whole
@@ -283,7 +281,7 @@ def _scatter_matrix(rows, cols, table, shape, classes=None):
                            np.empty(m, dtype=np.int8))
     elem, src = np.divmod(order, a)
     del target, order
-    src += a * (elem if classes is None else classes[elem].astype(itype))
+    src += a * classes[elem].astype(itype)
     # the elements with a dropped entry
     cut = np.zeros(len(cols), dtype=bool)
     cut[np.flatnonzero(np.ravel(cols) < 0) // b] = True
@@ -418,14 +416,14 @@ def assemble_Lh(space, problem):
 
 
 def pressure_mass(space):
-    """P1 pressure mass matrix (n_p x n_p)."""
+    """P1 pressure mass matrix (n_p x n_p), from a shape-class table."""
     rule = quadrature(2)
-    w, pts = rule.weights, rule.points
-    val, _ = scalar_basis(1, pts)
-    loc = np.einsum("q,ql,qm->lm", w, val, val)
-    loc = loc[None] * (2.0 * space.mesh.areas)[:, None, None]
-    tri = space.mesh.triangles
-    return _scatter_matrix(tri, tri, loc, (space.n_p, space.n_p))
+    val, _ = scalar_basis(1, rule.points)
+    mesh = space.mesh
+    loc = np.einsum("q,ql,qm->lm", rule.weights, val, val) \
+        * (2.0 * mesh.areas[mesh.shape_representatives])[:, None, None]
+    return _scatter_matrix(mesh.triangles, mesh.triangles, loc,
+                           (space.n_p, space.n_p), mesh.shape_classes)
 
 
 # ----------------------------------------------------------------------

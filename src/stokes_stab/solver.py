@@ -270,9 +270,6 @@ def _diagnose(system, reason):
         if system.alpha == 0.0:
             msg.append("alpha = 0: equal-order pairs are singular "
                        "without stabilization")
-        elif not system.bordered:
-            msg.append("check the boundary tags: without a Neumann "
-                       "part the pressure gauge must be pinned")
     return "; ".join(msg)
 
 
@@ -633,12 +630,16 @@ def solve(system):
     exception (a MemoryError, say) leaves at once.
     diagnostics["fill_nnz"] counts the W entries held, the class LUs'
     k^2 entries per class on top, or SuperLU's L + U. Raises
-    SolverError when both factorizations fail their checks (a zero
+    SolverError before any factorization when the right-hand side is
+    not finite, and when both factorizations fail their checks (a zero
     pivot, a non-finite solution, a relative residual above 1e-9 after
     the refinement step), naming each one's reason and localizing the
     failure to a block of the system.
     """
     K, b = system.matrix, system.rhs
+    if not np.all(np.isfinite(b)):
+        raise SolverError("non-finite right-hand side: the problem data "
+                          "(f, g, t or the boundary values) is not finite")
     ordering = "multifrontal"
     try:
         xo, res, stats = _front_solve(K, b, system.groups)

@@ -252,17 +252,12 @@ def side_reference_points(mesh, s):
 
 
 def _phys_hess(space):
-    """(n_classes, nbf, 2, 2) physical Hessians of the P2 scalar
-    velocity basis, constant on each element, one per shape class
-    (on TriMesh.shape_representatives)."""
+    """(n_classes, nbf, 2, 2) physical P2 basis Hessians, constant on
+    each element, one per shape class (TriMesh.shape_representatives),
+    pulled back from the slopes gx, gy of _gradient_tables(2)."""
     it = space.mesh.inv_jacobians_t[space.mesh.shape_representatives]
-    # corner i is l_i (2 l_i - 1), midpoint 3+i is 4 l_j l_k: with a, b
-    # the gradients of (l_i, l_i) and (l_j, l_k), the reference Hessians
-    # are 4 a b^T on the corners and 4 (a b^T + b a^T) on the midpoints
-    a, b = _DLAM[[0, 1, 2, 1, 2, 0]], _DLAM[[0, 1, 2, 2, 0, 1]]
-    href = 4.0 * (a[:, :, None] * b[:, None, :]
-                  + b[:, :, None] * a[:, None, :])
-    href[:3] /= 2.0
+    _, gx, gy = _gradient_tables(2)
+    href = np.stack([gx, gy], -1)
     # H[e, i, c, d] = sum_ab it[e, c, a] it[e, d, b] href[i, a, b]
     geo = it[:, :, None, :, None] * it[:, None, :, None, :]
     H = geo.reshape(-1, 4) @ href.reshape(-1, 4).T

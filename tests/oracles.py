@@ -9,7 +9,9 @@ bit for bit. The element kernels of src/ build one matrix per shape
 class; the oracles build every element's own, on _per_element_copy of
 the mesh. estimator.edge_estimator reads every edge from one whole-mesh
 table of side stresses; edge_estimator_per_side evaluates each (edge,
-side) pair on its own.
+side) pair on its own. space._phys_hess reads the P2 reference
+Hessians off the gradient tables; p2_hessians_by_hand writes them out
+from the closed form of the basis.
 """
 
 import copy
@@ -177,3 +179,24 @@ def edge_estimator_per_side(solution, space, problem):
     val = np.einsum("q,mqc,mqc->m", w, flux, flux)
     eta[edges] = mesh.edge_lengths[edges] * np.sqrt(val)
     return eta
+
+
+def p2_hessians_by_hand(space):
+    """space._phys_hess from the closed form of the P2 basis.
+
+    Corner i is l_i (2 l_i - 1) and midpoint 3+i is 4 l_j l_k. With a,
+    b the gradients of (l_i, l_i) and (l_j, l_k), the reference
+    Hessians are 4 a b^T on the corners and 4 (a b^T + b a^T) on the
+    midpoints, pulled back on the shape representatives by the same
+    product as _phys_hess's.
+    """
+    it = space.mesh.inv_jacobians_t[space.mesh.shape_representatives]
+    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    a, b = dlam[[0, 1, 2, 1, 2, 0]], dlam[[0, 1, 2, 2, 0, 1]]
+    href = 4.0 * (a[:, :, None] * b[:, None, :]
+                  + b[:, :, None] * a[:, None, :])
+    href[:3] /= 2.0
+    # H[e, i, c, d] = sum_ab it[e, c, a] it[e, d, b] href[i, a, b]
+    geo = it[:, :, None, :, None] * it[:, None, :, None, :]
+    H = geo.reshape(-1, 4) @ href.reshape(-1, 4).T
+    return H.reshape(len(it), 2, 2, -1).transpose(0, 3, 1, 2)

@@ -541,6 +541,29 @@ def test_memory_error_exit_code(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("exc,reason", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("cannot allocate"), "cannot allocate"),
+], ids=["bare", "with-message"])
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, exc,
+                                  reason):
+    # a bare MemoryError has no text of its own; the line names the run
+    # either way, with the default n0 as "default"
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(study, "uniform_study", exhausted)
+    code = run_cli("uniform-study", "--case", "SMOOTH_SQUARE", "--pair",
+                   "P1P1", "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_MEMORY == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "stokes-stab: memory error: uniform-study --case SMOOTH_SQUARE "
+        f"--pair P1P1 --n0 default: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_audit_passes_builtin_case(capsys):
     assert run_cli("audit", "--case", "LSHAPE_PEAK", "--n0", "4") == 0
     out = capsys.readouterr().out

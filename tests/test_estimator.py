@@ -267,6 +267,9 @@ def test_global_report_without_exact_solution():
     assert rep.true_errors is None
     assert rep.effectivity is None
     assert rep.eta > 0
+    with pytest.raises(ValueError) as err:
+        estimator.efficiency_audit(sol, space, problem, rep)
+    assert str(err.value) == "efficiency_audit needs problem.exact"
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1])

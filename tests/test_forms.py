@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stokes_stab import forms
+from stokes_stab import estimator, forms
 from stokes_stab.forms import (
     InadmissibleAlphaError,
     StokesProblem,
@@ -17,7 +17,7 @@ from stokes_stab.forms import (
     estimate_CI,
     quadrature,
 )
-from stokes_stab.mesh import MeshError, TriMesh, unit_square
+from stokes_stab.mesh import NEUMANN, MeshError, TriMesh, unit_square
 from stokes_stab.space import (FeSpace, P1P1, P2P1, element_residual,
                                interpolate, physical_points)
 from stokes_stab.study import get_case
@@ -73,6 +73,17 @@ def test_edge_quadrature_exactness(degree):
     for k in range(degree + 1):
         got = float(np.sum(w * pts ** k))
         assert abs(got - 1 / (k + 1)) < 1e-14
+
+
+@pytest.mark.parametrize("rule,degree,message", [
+    (quadrature, 1.5, "quadrature degree must be an int, got 1.5"),
+    (quadrature, 11, "quadrature degree must be in 1..10, got 11"),
+    (edge_quadrature, 21, "edge quadrature degree must be in 1..20, got 21"),
+], ids=["non-int", "above-10", "edge-above-20"])
+def test_quadrature_rejects_bad_degrees(rule, degree, message):
+    with pytest.raises(ValueError) as err:
+        rule(degree)
+    assert str(err.value) == message
 
 
 def _linear_field(space, coefs_fn):
@@ -264,6 +275,38 @@ def test_inverse_constant_computed_once_per_space(monkeypatch):
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1])
+def test_every_scatter_reads_a_class_table(pair, monkeypatch):
+    # element data is stored per shape class: every matrix scatter
+    # passes a class map, no volume table (the saddle matrix, the
+    # pressure mass matrix, the osc_K mass matrix) holds more matrices
+    # than the mesh has shape classes, and the osc_E trace has one
+    # class per Neumann edge
+    mesh = get_case("NEUMANN_STRIP").make_mesh(4)
+    mesh = mesh.refine_marked(np.arange(0, mesh.n_triangles, 3))
+    space = FeSpace(mesh, pair)
+    problem = get_case("NEUMANN_STRIP").problem()
+    real, calls = forms._scatter_matrix, []
+
+    def spy(rows, cols, table, shape, classes):
+        calls.append((len(rows), len(table), classes))
+        return real(rows, cols, table, shape, classes)
+
+    monkeypatch.setattr(forms, "_scatter_matrix", spy)
+    forms.pressure_mass(space)
+    estimator.oscillations(problem, space)
+    assemble_system(space, problem)
+    volume = [c for c in calls if c[0] == mesh.n_triangles]
+    edge = [c for c in calls if c[0] != mesh.n_triangles]
+    assert len(volume) == 3 and len(edge) == 1
+    for _, n, classes in volume:
+        assert n == len(mesh.shape_representatives)
+        assert np.array_equal(classes, mesh.shape_classes)
+    n_neumann = int(np.sum(mesh.edge_tags == NEUMANN))
+    assert edge[0][:2] == (n_neumann, n_neumann)
+    assert np.array_equal(edge[0][2], np.arange(n_neumann))
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1])
 def test_system_matrix_symmetric(pair):
     space = FeSpace(unit_square(2), pair)
     problem = StokesProblem(f=lambda x, y: np.stack([x, y], axis=-1))
@@ -318,7 +361,8 @@ def test_p1_stabilization_uses_the_pressure_rows_alone():
     loc = np.einsum("eir,ejr->eij", full, full) \
         * (mesh.areas * mesh.diameters ** 2)[:, None, None]
     S_old = forms._scatter_matrix(dofs, dofs, loc,
-                                  (space.n_dofs, space.n_dofs))
+                                  (space.n_dofs, space.n_dofs),
+                                  np.arange(len(dofs)))
     S = assemble_Sh(space)
     assert np.array_equal(S.indptr, S_old.indptr)
     assert np.array_equal(S.indices, S_old.indices)

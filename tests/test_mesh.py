@@ -92,6 +92,24 @@ def test_construction_rejects_bad_input():
         TriMesh(m.vertices, flipped, m.boundary_tag_dict())
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: TriMesh(np.zeros((3, 3)), [[0, 1, 2]], {}),
+     "vertices must be (nv, 2), got (3, 3)"),
+    (lambda: TriMesh(np.zeros((3, 2)), [[0, 1, 2, 0]], {}),
+     "triangles must be (nt, 3), got (1, 4)"),
+    (lambda: unit_square(2, "N"), "boundary must be None or a side->tag dict"),
+    (lambda: unit_square(2, {"left": "X"}),
+     "boundary tags must be D or N, got ['X']"),
+    (lambda: l_shape(2, "N"), "l_shape boundary must be None or a callable"),
+    (lambda: l_shape(2, lambda x, y: "X"), "boundary callable returned 'X'"),
+], ids=["vertices-shape", "triangles-shape", "square-not-dict",
+        "square-tag", "lshape-not-callable", "lshape-tag"])
+def test_constructors_name_bad_arguments(build, message):
+    with pytest.raises(MeshError) as err:
+        build()
+    assert str(err.value) == message
+
+
 _SQUARE_TAGS = {(0, 1): "D", (1, 2): "D", (2, 3): "N", (0, 3): "D"}
 
 

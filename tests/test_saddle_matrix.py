@@ -209,8 +209,10 @@ def test_scatter_matrix_is_the_exact_sum_and_keeps_its_indices(budget,
                              vals, (9, 7))
     for name in ("data", "indices", "indptr"):
         assert _same_bits(getattr(out, name), getattr(ref, name)), name
-    # and the same sum read from a table of one matrix per element
-    again = forms._scatter_matrix(rows, cols, table[classes], (9, 7))
+    # and the same sum read from a table of one matrix per element,
+    # each element its own class
+    again = forms._scatter_matrix(rows, cols, table[classes], (9, 7),
+                                  np.arange(len(rows)))
     for name in ("data", "indices", "indptr"):
         assert _same_bits(getattr(again, name), getattr(out, name)), name
 

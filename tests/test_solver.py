@@ -124,6 +124,29 @@ def test_unstabilized_equal_order_fails():
     assert "alpha = 0" in msg
 
 
+@pytest.mark.parametrize("pair", [P1P1, P2P1])
+@pytest.mark.parametrize("boundary", [None, {"right": "N"}],
+                         ids=["dirichlet", "neumann"])
+def test_non_finite_rhs_is_named_before_any_factorization(pair, boundary,
+                                                          monkeypatch):
+    # NaN data gives a NaN right-hand side; no factorization can mend
+    # that, and the boundary tags are not at fault
+    space = FeSpace(unit_square(4, boundary), pair)
+    problem = StokesProblem(f=_const_f(np.nan, 0.0))
+    system = assemble_system(space, problem)
+    factored = []
+    monkeypatch.setattr(solver, "dgetrf",
+                        lambda a: factored.append("dgetrf"))
+    monkeypatch.setattr(solver, "splu",
+                        lambda K, **options: factored.append("splu"))
+    with pytest.raises(solver.SolverError) as err:
+        solver.solve(system)
+    assert str(err.value) == (
+        "non-finite right-hand side: the problem data (f, g, t or the "
+        "boundary values) is not finite")
+    assert factored == []
+
+
 def test_failed_factorization_keeps_blas_text_off_stdout(capfd):
     # the BLAS input checker complains while splu fails on the singular
     # saddle block; the text belongs on the error, never on fd 1

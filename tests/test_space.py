@@ -10,6 +10,8 @@ from stokes_stab.space import (ElementPair, FeSpace, P1P1, P2P1, SpaceError,
                                scalar_basis, side_reference_points,
                                velocity_gradients, velocity_values)
 
+from oracles import p2_hessians_by_hand
+
 
 def test_element_pair_labels():
     assert ElementPair.from_label("P1P1") == P1P1
@@ -44,6 +46,28 @@ def _reference_hessians():
     ref = msh.TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
                       {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
     return _phys_hess(FeSpace(ref, "P2P1"))[0]
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: msh.unit_square(6),
+    lambda: msh.l_shape(4).refine_marked(np.arange(0, 24, 3)),
+], ids=["unit-square-6", "graded-l-shape"])
+def test_p2_hessians_match_the_hand_formula(make_mesh):
+    # read off the gradient tables, the reference Hessians are those of
+    # the closed form of the basis, and so are their pullbacks, bit for
+    # bit, on a mesh whose classes differ in their last bits alone and
+    # on a graded one
+    space = FeSpace(make_mesh(), "P2P1")
+    H, ref = _phys_hess(space), p2_hessians_by_hand(space)
+    assert H.shape == ref.shape == (len(space.mesh.shape_representatives),
+                                    6, 2, 2)
+    assert H.tobytes() == ref.tobytes()
+
+
+def test_scalar_basis_rejects_degree_three():
+    with pytest.raises(SpaceError) as err:
+        scalar_basis(3, np.zeros((1, 2)))
+    assert str(err.value) == "unsupported basis degree 3"
 
 
 def test_p2_corner_hessian():
