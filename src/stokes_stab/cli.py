@@ -253,7 +253,7 @@ def cmd_audit(cfg):
     name = cfg["case"]
     try:
         case = study.get_case(name)
-    except KeyError:
+    except study.UnknownCaseError:
         case = None
     if case is not None:
         target = case.make_mesh(case.default_n0 if cfg["n0"] is None
@@ -315,10 +315,8 @@ def main(argv=None):
     }
     try:
         return dispatch[args.command](cfg)
-    except KeyError as exc:
-        # str() of a KeyError is the repr of its message
-        return _fail(EXIT_CONFIG, "config", " ".join(map(str, exc.args)))
-    except (ConfigError, forms.InadmissibleAlphaError, ValueError) as exc:
+    except (ConfigError, study.UnknownCaseError,
+            forms.InadmissibleAlphaError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", exc)
     except meshmod.MeshError as exc:
         return _fail(EXIT_MESH, "mesh", exc)

@@ -23,7 +23,7 @@ whole system symmetric (indefinite), so the pressure-pressure block is
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -488,25 +488,33 @@ def default_alpha(space):
 
 @dataclass
 class AssembledSystem:
-    """The saddle system as factored, with its row map.
+    """The saddle system as factored, in element form, with its row map.
 
-    matrix (CSC) and rhs hold the free dofs (Dirichlet velocity dofs
-    eliminated, their values lifted into rhs) and, when bordered, one
-    Lagrange multiplier pinning the pressure gauge: its row and column
-    hold the pressure means int psi_j. rows (n_dofs + 1,) is the row of
-    each dof of the full ordering (velocity interleaved, then
-    pressure), -1 on the Dirichlet dofs; its last entry is the border's
-    row, the last row, or -1 when there is no border. groups holds the
-    first row of each nested-dissection group, the fronts solver.solve
-    factors; the border belongs to the last. The unknowns of the
-    pressure and border rows are p / pressure_scale and the multiplier
-    / pressure_scale (pressure_scale_of).
+    The saddle matrix K is never stored whole: it is the sum of the
+    element matrices, element e adding table[classes[e]].T (table holds
+    the transposed matrix of each shape class, classes is
+    mesh.shape_classes) at rows element_rows[e] and the same columns,
+    without the rows and columns where element_rows is -1 (the
+    Dirichlet velocity dofs, eliminated, their values lifted into rhs).
+    rhs holds the free dofs and, when bordered, one Lagrange multiplier
+    pinning the pressure gauge, whose row and column hold the pressure
+    means int psi_j. rows (n_dofs + 1,) is the row of each dof of the
+    full ordering (velocity interleaved, then pressure), -1 on the
+    Dirichlet dofs; its last entry is the border's row, the last row,
+    or -1 when there is no border; element_rows is rows at each
+    element's dofs, the border last. groups holds the first row of
+    each nested-dissection group, the fronts solver.solve assembles
+    from the element matrices; the border belongs to the last. The
+    unknowns of the pressure and border rows are p / pressure_scale and
+    the multiplier / pressure_scale (pressure_scale_of).
     """
 
-    matrix: sp.csc_matrix
     rhs: np.ndarray
     rows: np.ndarray
     groups: np.ndarray
+    element_rows: np.ndarray
+    table: np.ndarray
+    classes: np.ndarray
     n_u: int
     alpha: float
     dirichlet_values: np.ndarray = None
@@ -515,6 +523,36 @@ class AssembledSystem:
     @property
     def bordered(self):
         return bool(self.rows[-1] >= 0)
+
+    @cached_property
+    def matrix(self):
+        """K in CSC, built on the first read by one _scatter_matrix of
+        the element matrices and kept: only the COLAMD fallback, its
+        diagnosis and the Schur probe read it. The scatter sums the
+        transposed element matrices, so the CSR it gives is K in CSC,
+        exact also where an element matrix is symmetric only up to
+        rounding (the P2 strain kernel)."""
+        n = len(self.rhs)
+        t = _scatter_matrix(self.element_rows, self.element_rows,
+                            self.table, (n, n), self.classes)
+        return sp.csc_matrix((t.data, t.indices, t.indptr), shape=(n, n))
+
+    def product(self, x):
+        """K @ x from the class tables: x gathered at the rows of the
+        elements, sorted by class (0 at a Dirichlet dof), times their
+        class's transposed matrix, one product per class, and
+        scatter-added, each row's sum taken term by term in that
+        order."""
+        order = np.argsort(self.classes, kind="stable")
+        bounds = np.searchsorted(self.classes[order],
+                                 np.arange(len(self.table) + 1))
+        rows = self.element_rows[order]
+        xe = np.append(x, 0.0)[rows]
+        for c, (a, z) in enumerate(zip(bounds[:-1], bounds[1:])):
+            xe[a:z] = xe[a:z] @ self.table[c]
+        rows = np.where(rows < 0, len(x), rows)
+        return np.bincount(rows.ravel(), xe.ravel(),
+                           minlength=len(x) + 1)[:-1]
 
 
 def pressure_scale_of(mesh):
@@ -606,10 +644,11 @@ def assemble_system(space, problem):
     border rows and columns, and the pressure rows of the right-hand
     side, are multiplied by pressure_scale_of(mesh).
 
-    The matrix is one scatter of the element matrices, each already
-    B_K - alpha S_K and read from its shape class's, straight into its
-    elimination order, in CSC, Dirichlet rows and columns dropped: the
-    matrix solver.solve factors.
+    The matrix stays in element form: one table of element matrices,
+    each already B_K - alpha S_K, per shape class, and each element's
+    rows in the elimination order, -1 on the Dirichlet dofs. The fronts
+    of solver.solve are assembled from them; the whole matrix is built
+    only when AssembledSystem.matrix is read.
     """
     alpha = problem.alpha
     if alpha is None:
@@ -652,16 +691,11 @@ def assemble_system(space, problem):
             rhs -= scatter_add(dofs[hit, :nv + 3], loc, space.n_dofs)
             lift = z
 
-    # rows[dofs] is -1 on the Dirichlet dofs, whose rows and columns
-    # the scatter drops. It sums the transposed element matrices, so
-    # the CSR it gives is K in CSC, exact also where an element matrix
-    # is symmetric only up to rounding (the P2 strain kernel)
-    idx = rows[dofs]
     n = len(free) + bordered
-    t = _scatter_matrix(idx, idx, T, (n, n), space.mesh.shape_classes)
-    K = sp.csc_matrix((t.data, t.indices, t.indptr), shape=(n, n))
     b = np.zeros(n)
     b[rows[free]] = rhs[free]
-    return AssembledSystem(matrix=K, rhs=b, rows=rows, groups=groups,
-                           n_u=space.n_u, alpha=alpha,
-                           dirichlet_values=lift, pressure_scale=sigma)
+    return AssembledSystem(rhs=b, rows=rows, groups=groups,
+                           element_rows=rows[dofs], table=T,
+                           classes=space.mesh.shape_classes, n_u=space.n_u,
+                           alpha=alpha, dirichlet_values=lift,
+                           pressure_scale=sigma)

@@ -273,19 +273,19 @@ def _diagnose(system, reason):
     return "; ".join(msg)
 
 
-def _checked_solve(K, b, solve, pivots, stored):
+def _checked_solve(product, b, solve, pivots, stored):
     """Solve K x = b with a factor of K, with the checks and one
     refinement.
 
-    solve(r) returns K^-1 r by the factor's stored sweeps, pivots holds
-    the absolute values of the factor's pivots and stored its entry
-    count. The pivots are checked before the first solve. A relative
-    residual above 1e-12 gets one step of iterative refinement, one
-    more solve on b - K x; a backward-stable solve leaves about 1e-15,
-    but the fronts pivot only inside their own block, and where a front
-    pivot is tiny (P1P1 at alpha = 1e-6: 4e-13 of the largest) the
-    first solve can leave 2e-10 and a solution 4e-9 off, which one step
-    brings to 1e-15 and 2e-13.
+    product(x) returns K x, solve(r) returns K^-1 r by the factor's
+    stored sweeps, pivots holds the absolute values of the factor's
+    pivots and stored its entry count. The pivots are checked before
+    the first solve. A relative residual above 1e-12 gets one step of
+    iterative refinement, one more solve on b - K x; a backward-stable
+    solve leaves about 1e-15, but the fronts pivot only inside their
+    own block, and where a front pivot is tiny (P1P1 at alpha = 1e-6:
+    4e-13 of the largest) the first solve can leave 2e-10 and a
+    solution 4e-9 off, which one step brings to 1e-15 and 2e-13.
     Returns (x, relative residual, factorization stats); raises
     SolverError naming the check that failed, or a residual still above
     1e-9 after the step.
@@ -296,10 +296,10 @@ def _checked_solve(K, b, solve, pivots, stored):
     bnorm = max(float(np.linalg.norm(b)), 1e-30)
     if not np.all(np.isfinite(x)):
         raise SolverError("non-finite solution values")
-    res = res_initial = float(np.linalg.norm(K @ x - b)) / bnorm
+    res = res_initial = float(np.linalg.norm(product(x) - b)) / bnorm
     if res > 1e-12:
-        x = x + solve(b - K @ x)
-        res = float(np.linalg.norm(K @ x - b)) / bnorm
+        x = x + solve(b - product(x))
+        res = float(np.linalg.norm(product(x) - b)) / bnorm
     if not np.all(np.isfinite(x)) or res > 1e-9:
         raise SolverError(f"relative residual {res:.3e} above 1e-9 after "
                           "iterative refinement")
@@ -327,7 +327,7 @@ def _factor_and_solve(K, b):
     except RuntimeError as exc:
         raise SolverError("matrix is singular to working precision",
                           getattr(exc, "blas_output", "")) from None
-    return _checked_solve(K, b, lu.solve, np.abs(lu.U.diagonal()),
+    return _checked_solve(K.dot, b, lu.solve, np.abs(lu.U.diagonal()),
                           lu.L.nnz + lu.U.nnz)
 
 
@@ -427,14 +427,17 @@ def _one_blas_thread():
 
 
 class _Fronts(NamedTuple):
-    """The symbolic structure of the front factorization of a matrix.
+    """The symbolic structure of the front factorization of a system.
 
     fronts holds the rows of each group's front, kids its children
     (ascending), and rel, for each child, the positions of its rows
     below in its parent's front. classes holds each group's front
     class, numbered in order of first appearance, and last_reader, for
     each class, the last group whose assembly reads the class's update
-    matrix (-1 when none does).
+    matrix (-1 when none does). elements holds, for each class, what
+    the assembly of its first group reads of the element matrices: the
+    shape classes of the group's elements and the front positions of
+    their rows, len(front) at a Dirichlet dof.
     """
 
     fronts: list
@@ -442,55 +445,48 @@ class _Fronts(NamedTuple):
     rel: list
     classes: list
     last_reader: list
+    elements: list
 
 
-def _front_key(K, counts, start, end, f, kids, classes, rel):
-    """What the assembly of a group's front in _front_factor reads, as a
-    key: k own rows, the front size nf and its children's classes;
-    then, as bytes, its columns' entry counts, the front positions of
-    their rows (searchsorted "right": 0 above the front) and their
-    values, and each child's positions in the front. The lengths of the
-    byte parts follow from k and the classes, so equal keys mean equal
-    inputs, and the fronts of equal keys are bit-identical."""
-    a, z = K.indptr[start], K.indptr[end]
-    at = f.searchsorted(K.indices[a:z], "right")
-    return (end - start, len(f), *(classes[c] for c in kids),
-            b"".join((counts[start:end], at, K.data[a:z],
-                      *(rel[c] for c in kids))))
+def _front_structure(system):
+    """Symbolic pass of the front factorization of an AssembledSystem.
 
-
-def _front_structure(K, groups):
-    """Symbolic pass of the front factorization of K.
-
-    The groups are the row ranges starting at groups (ascending, the
-    first at 0). The front of group g holds its own rows, then the
-    rows below them that its columns of K or its children's fronts
-    reach, ascending; its parent is the group of its first row below.
+    The groups are the row ranges starting at system.groups (ascending,
+    the first at 0). Each element goes to the group that eliminates its
+    first row, the elements of a group in index order. The front of
+    group g holds its own rows, then the rows below them that its
+    elements or its children's fronts reach, ascending; its parent is
+    the group of its first row below. A row whose entries of K sum to
+    exactly zero stays in the front: the rows come from the element
+    dofs, not from K.
 
     Each group also gets a front class, numbered in order of first
-    appearance: the groups of one class have equal _front_key, so they
-    assemble bit-identical fronts. A sieve key comes first: k, nf, the
-    children's classes, the number of the group's K entries and the
-    bytes of the first of them, all implied by the full key. A group
-    whose sieve key is new starts a class; only the others build their
-    full key, and once the full key of the first group of their sieve
-    key. So on a graded mesh, where nearly every front is its own
-    class, few full keys are built. The keys live only as long
-    as this pass. The classes read K's values, so the structure serves
-    only passes on this same K. Returns a _Fronts.
+    appearance: the groups of one class have equal keys, so they
+    assemble bit-identical fronts. The key is what the assembly in
+    _front_factor reads: k own rows, the front size nf, the number of
+    elements and its children's classes; then, as bytes, the elements'
+    shape classes, the front positions of their rows and each child's
+    positions in the front. The lengths of the byte parts follow from
+    the rest, so equal keys mean equal inputs. The keys live only as
+    long as this pass. Returns a _Fronts.
     """
-    n = K.shape[0]
+    n = len(system.rhs)
+    groups = system.groups
     ends = np.append(groups[1:], n)
     gid = np.repeat(np.arange(len(groups)), ends - groups)
-    counts = np.diff(K.indptr)
+    rows = system.element_rows
+    rows = np.where(rows < 0, n, rows)   # a Dirichlet dof sorts last
+    owner = gid[rows.min(axis=1)]
+    order = np.argsort(owner, kind="stable")
+    rows, shapes = rows[order], system.classes[order]
+    first = np.searchsorted(owner[order], np.arange(len(groups) + 1))
     fronts, kids, rel = [], [[] for _ in groups], [None] * len(groups)
-    classes, last_reader, n_classes = [], [], 0
-    first, seen = {}, {}   # sieve key -> first group; full key -> class
-    groups, ends = groups.tolist(), ends.tolist()
+    classes, last_reader, elements, seen = [], [], [], {}
+    groups, ends, first = groups.tolist(), ends.tolist(), first.tolist()
     for g, (start, end) in enumerate(zip(groups, ends)):
-        a, z = K.indptr[start], K.indptr[end]
-        rows = K.indices[a:z]
-        parts = [np.arange(start, end, dtype=rows.dtype), rows[rows >= end]]
+        a, z = first[g], first[g + 1]
+        er = rows[a:z]
+        parts = [np.arange(start, end, dtype=rows.dtype), er.ravel()]
         parts += [fronts[c][ends[c] - groups[c]:] for c in kids[g]]
         f = np.concatenate(parts)
         f.sort()
@@ -498,48 +494,44 @@ def _front_structure(K, groups):
         keep[0] = True
         np.not_equal(f[1:], f[:-1], out=keep[1:])
         f = f[keep]
+        if f[-1] == n:
+            f = f[:-1]
         for c, below in zip(kids[g], parts[2:]):
             rel[c] = f.searchsorted(below)
         fronts.append(f)
-        sieve = (end - start, len(f), *(classes[c] for c in kids[g]),
-                 z - a, K.data[a:a + 1].tobytes())
-        h = first.setdefault(sieve, g)
-        if h == g:
-            cls = n_classes
-        else:
-            if h >= 0:   # the full key of the sieve key's first group
-                seen[_front_key(K, counts, groups[h], ends[h], fronts[h],
-                                kids[h], classes, rel)] = classes[h]
-                first[sieve] = -1
-            cls = seen.setdefault(
-                _front_key(K, counts, start, end, f, kids[g], classes, rel),
-                n_classes)
-        if cls == n_classes:   # the class's first group
-            n_classes += 1
+        at = f.searchsorted(er)
+        key = (end - start, len(f), z - a, *(classes[c] for c in kids[g]),
+               b"".join((shapes[a:z], at, *(rel[c] for c in kids[g]))))
+        cls = seen.setdefault(key, len(elements))
+        if cls == len(elements):   # the class's first group
+            elements.append((shapes[a:z], at))
             last_reader.append(-1)
             for c in kids[g]:
                 last_reader[classes[c]] = g
         classes.append(cls)
         if len(f) > end - start:
             kids[gid[f[end - start]]].append(g)
-    return _Fronts(fronts, kids, rel, classes, last_reader)
+    return _Fronts(fronts, kids, rel, classes, last_reader, elements)
 
 
-def _front_factor(K, groups):
-    """The front factorization of K on groups, each front class
-    factored once, as (solve, pivots, stored, classes).
+def _front_factor(system):
+    """The front factorization of an AssembledSystem's matrix K from its
+    element matrices, each front class factored once, as (solve, pivots,
+    stored, classes).
 
-    _front_structure(K, groups) gives the fronts and their classes. The
-    first group of each class assembles its front from its columns of K
-    (its own block F11 and the rows below, F21; the block above, F12,
-    is F21^T, as K is symmetric) plus its children's update matrices,
-    factors F11 by getrf (partial pivoting inside the block), forms
+    _front_structure(system) gives the fronts, their classes and the
+    elements each class's first group assembles. That group sums its
+    elements' matrices (system.table by shape class, at their rows'
+    front positions, in element order; the entries of Dirichlet dofs go
+    to an extra last row and column of the front, which nothing reads)
+    plus its children's update matrices into its front, factors the own
+    block F11 by getrf (partial pivoting inside the block), forms
     W = F11^-1 F21^T (k x m for k own and m rows below) and the update
     F22 - F21 W, which the assembly of each parent's class reads. The
     other groups of the class would assemble the same front bit for
     bit, so they take its factor as it is. A front is freed at once,
     an update after the last assembly that reads it; each class keeps
-    its LU, pivots and W. With F11 symmetric,
+    its LU, pivots and W. With F11 symmetric (F12 = F21^T is not read),
     K = [[I, 0], [W^T, I]] [[F11, 0], [0, S]] [[I, W], [0, I]] for each
     front in turn, so solve(b) returns K^-1 b by a forward sweep, which
     subtracts W^T x1 from each group's rows below and solves for x1
@@ -552,40 +544,41 @@ def _front_factor(K, groups):
     its column shows in pivots, and _checked_solve refines or rejects.
     Raises SolverError when a getrf meets an exactly zero pivot.
     """
-    starts, ends = groups.tolist(), np.append(groups[1:], K.shape[0]).tolist()
-    fronts, kids, rel, classes, last_reader = _front_structure(K, groups)
+    groups = system.groups
+    starts = groups.tolist()
+    ends = np.append(groups[1:], len(system.rhs)).tolist()
+    fronts, kids, rel, classes, last_reader, elements = \
+        _front_structure(system)
     factors, updates = [], {}   # by class
-    counts = np.diff(K.indptr)
     for g, (start, end, f, cls) in enumerate(zip(starts, ends, fronts,
                                                   classes)):
         if cls < len(factors):   # not the class's first group
             continue
         k, nf = end - start, len(f)
-        # entry (i, j) of the front at 1 + i nf + j; the entries of K
-        # above it (rows before f[0]) all go to slot 0
-        a, z = K.indptr[start], K.indptr[end]
-        at = f.searchsorted(K.indices[a:z], "right")
-        at *= nf
-        at += np.arange(1 - nf, 1 - nf + k).repeat(counts[start:end])
-        np.maximum(at, 0, out=at)
-        F = np.zeros(nf * nf + 1)
-        F[at] = K.data[a:z]
+        shapes, at = elements[cls]
+        # entry (i, j) of an element's matrix, entry (j, i) of its
+        # class's table, goes to front entry (at[i], at[j]); row and
+        # column nf take the Dirichlet dofs'
+        idx = at[:, None, :] * (nf + 1) + at[:, :, None]
+        # (a group may own no element: bincount then gives integers)
+        F = np.bincount(idx.ravel(), system.table[shapes].ravel(),
+                        minlength=(nf + 1) ** 2).astype(float, copy=False)
         for c in kids[g]:
             r = rel[c]
             # no index repeats, but numpy 2's add.at beats F[i] += u
             # (4.9 against 10.0 us for a 49 x 49 update)
-            np.add.at(F, (r[:, None] * nf + (r + 1)).ravel(),
+            np.add.at(F, (r[:, None] * (nf + 1) + r).ravel(),
                       updates[classes[c]].ravel())
         for c in kids[g]:   # two children may share a class
             if last_reader[classes[c]] == g:
                 updates.pop(classes[c], None)
-        F = F[1:].reshape(nf, nf)
+        F = F.reshape(nf + 1, nf + 1)
         lu, piv, info = dgetrf(F[:k, :k])
         if info != 0:
             raise SolverError("factorization produced a zero pivot")
-        W = dgetrs(lu, piv, F[k:, :k].T)[0]
-        U = F[k:, :k] @ W
-        updates[cls] = np.subtract(F[k:, k:], U, out=U)
+        W = dgetrs(lu, piv, F[k:nf, :k].T)[0]
+        U = F[k:nf, :k] @ W
+        updates[cls] = np.subtract(F[k:nf, k:nf], U, out=U)
         factors.append((lu, piv, W))
         del F
     del updates
@@ -606,15 +599,17 @@ def _front_factor(K, groups):
     return solve, pivots, stored, len(factors)
 
 
-def _front_solve(K, b, groups):
-    """_checked_solve of K x = b by _front_factor on groups, every
+def _front_solve(system):
+    """_checked_solve of the system by _front_factor, its residuals
+    taken from the class tables (AssembledSystem.product), every
     OpenBLAS on one thread through the factorization and the sweeps.
     Its stats add fronts, the number of groups, and fronts_factored,
     the number of front classes, each factored once."""
     with _one_blas_thread():
-        solve, pivots, stored, classes = _front_factor(K, groups)
-        x, res, stats = _checked_solve(K, b, solve, pivots, stored)
-    stats.update(fronts=len(groups), fronts_factored=classes)
+        solve, pivots, stored, classes = _front_factor(system)
+        x, res, stats = _checked_solve(system.product, system.rhs, solve,
+                                       pivots, stored)
+    stats.update(fronts=len(system.groups), fronts_factored=classes)
     return x, res, stats
 
 
@@ -622,12 +617,15 @@ def solve(system):
     """Factorize and solve, with a residual check and one refinement step.
 
     The system's matrix is factored by fronts on its nested-dissection
-    groups, each distinct front once (_front_factor). The factor keeps
-    each front class's W and the LU of its own block, so the solve is a
-    forward and a backward sweep over them, and a refinement step is
-    two more sweeps on the residual. SuperLU with COLAMD takes over
-    when the fronts fail their pivot or residual check; any other
-    exception (a MemoryError, say) leaves at once.
+    groups, each front assembled from the element matrices and each
+    distinct front factored once (_front_factor); the residuals are
+    products with the class tables, so the whole matrix is not built.
+    The factor keeps each front class's W and the LU of its own block,
+    so the solve is a forward and a backward sweep over them, and a
+    refinement step is two more sweeps on the residual. SuperLU with
+    COLAMD takes over when the fronts fail their pivot or residual
+    check, on system.matrix, built then; any other exception (a
+    MemoryError, say) leaves at once.
     diagnostics["fill_nnz"] counts the W entries held, the class LUs'
     k^2 entries per class on top, or SuperLU's L + U. Raises
     SolverError before any factorization when the right-hand side is
@@ -636,17 +634,17 @@ def solve(system):
     the refinement step), naming each one's reason and localizing the
     failure to a block of the system.
     """
-    K, b = system.matrix, system.rhs
+    b = system.rhs
     if not np.all(np.isfinite(b)):
         raise SolverError("non-finite right-hand side: the problem data "
                           "(f, g, t or the boundary values) is not finite")
     ordering = "multifrontal"
     try:
-        xo, res, stats = _front_solve(K, b, system.groups)
+        xo, res, stats = _front_solve(system)
     except SolverError as fronts:
         ordering = "colamd"
         try:
-            xo, res, stats = _factor_and_solve(K, b)
+            xo, res, stats = _factor_and_solve(system.matrix, b)
         except SolverError as exc:
             raise SolverError(
                 _diagnose(system, f"fronts: {fronts}; COLAMD: {exc}"),
@@ -662,7 +660,7 @@ def solve(system):
     return DiscreteSolution(
         u=full[:system.n_u], p=full[system.n_u:], residual=res,
         multiplier=sigma * float(xo[-1]) if system.bordered else None,
-        diagnostics={"n_unknowns": K.shape[0], "alpha": system.alpha,
+        diagnostics={"n_unknowns": len(b), "alpha": system.alpha,
                      "ordering": ordering,
                      "fallback": ordering == "colamd", **stats},
     )

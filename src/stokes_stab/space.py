@@ -137,8 +137,8 @@ class FeSpace:
         """Nested-dissection group of each node, computed once on first
         use: solver.nested_dissection of the element-node graph, each
         node weighted by its free dofs (two velocity dofs off the
-        Dirichlet nodes, one pressure dof on the vertices). The saddle
-        matrix is assembled in its order (forms._saddle_order).
+        Dirichlet nodes, one pressure dof on the vertices). The rows of
+        the saddle system follow its order (forms._saddle_order).
         Read-only.
         """
         from . import solver  # solver imports this module

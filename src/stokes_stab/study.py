@@ -204,10 +204,20 @@ def builtin_cases():
     )
 
 
+class UnknownCaseError(KeyError):
+    """A case name that names no builtin case. It is a KeyError, as
+    get_case's failed lookup always was, but its own type, so the CLI
+    reports it as a config error and no other KeyError with it; its str
+    is the message, not the message's repr."""
+
+    def __str__(self):
+        return str(self.args[0])
+
+
 def get_case(name):
     if name not in CASE_NAMES:
-        raise KeyError(f"unknown case {name!r}; "
-                       f"available: {', '.join(CASE_NAMES)}")
+        raise UnknownCaseError(f"unknown case {name!r}; "
+                               f"available: {', '.join(CASE_NAMES)}")
     return builtin_cases()[CASE_NAMES.index(name)]
 
 

@@ -1,13 +1,16 @@
 """Whole-mesh assembly oracles that only the tests call.
 
-forms.assemble_system scatters the saddle matrix block by block, and
+AssembledSystem.matrix scatters the saddle matrix block by block, and
 only into its elimination order. The forms below build the blocks of
 the unstabilized and the stabilized operator (assemble_B, assemble_Sh)
 in plain dof numbering, and whole_mesh_scatter is the one-product
 matrix scatter that the blocked forms._scatter_matrix must reproduce
-bit for bit. The element kernels of src/ build one matrix per shape
-class; the oracles build every element's own, on _per_element_copy of
-the mesh. estimator.edge_estimator reads every edge from one whole-mesh
+bit for bit. solver.solve never builds that matrix: element_fronts
+assembles, factors and updates every front from the element input on
+its own, as the stored factor of the front classes must reproduce bit
+for bit. The element kernels of src/ build one matrix per shape class;
+the oracles build every element's own, on _per_element_copy of the
+mesh. estimator.edge_estimator reads every edge from one whole-mesh
 table of side stresses; edge_estimator_per_side evaluates each (edge,
 side) pair on its own. space._phys_hess reads the P2 reference
 Hessians off the gradient tables; p2_hessians_by_hand writes them out
@@ -18,6 +21,7 @@ import copy
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from stokes_stab import forms
 from stokes_stab.mesh import INTERIOR, NEUMANN, REF_VERTICES, TriMesh
@@ -82,6 +86,46 @@ def saddle_matrix(space, alpha, bordered):
     n = len(free) + bordered
     t = whole_mesh_scatter(idx, idx, T, (n, n))
     return sp.csc_matrix((t.data, t.indices, t.indptr), shape=(n, n))
+
+
+def element_fronts(system, structure):
+    """Every group's front of an AssembledSystem, assembled, factored
+    and updated on its own, front classes ignored.
+
+    Each element goes to the group of its first row, found by a search
+    of the groups; its matrix (its class's table entry, transposed) is
+    added at its rows' positions in the group's front one element at a
+    time in element order, its Dirichlet rows and columns left out, and
+    the children's updates follow, each at its rel positions. Yields,
+    per group in order, (F, lu, piv, W): the assembled front, getrf's
+    LU and pivots of its own block F11, W = F11^-1 F21^T; the update
+    F22 - F21 W goes to the parent.
+    """
+    n = len(system.rhs)
+    groups = system.groups
+    ends = np.append(groups[1:], n)
+    er = system.element_rows
+    owner = np.searchsorted(groups, np.where(er < 0, n, er).min(axis=1),
+                            side="right") - 1
+    updates = {}
+    for g, (start, end) in enumerate(zip(groups, ends)):
+        f = structure.fronts[g]
+        k = end - start
+        F = np.zeros((len(f), len(f)))
+        for e in np.flatnonzero(owner == g):
+            keep = er[e] >= 0
+            at = np.searchsorted(f, er[e][keep])
+            assert np.array_equal(f[at], er[e][keep])
+            F[np.ix_(at, at)] += system.table[system.classes[e]].T[
+                np.ix_(keep, keep)]
+        for c in structure.kids[g]:
+            F[np.ix_(structure.rel[c], structure.rel[c])] += updates.pop(c)
+        lu, piv, info = dgetrf(F[:k, :k])
+        assert info == 0
+        W = dgetrs(lu, piv, F[k:, :k].T)[0]
+        updates[g] = F[k:, k:] - F[k:, :k] @ W
+        yield F, lu, piv, W
+    assert not updates or list(updates) == [len(groups) - 1]
 
 
 def assemble_B(space):

@@ -102,7 +102,7 @@ def test_studies_solve_once_per_row(tmp_path, monkeypatch, args):
 ])
 def test_estimator_runs_after_the_system_is_freed(tmp_path, monkeypatch,
                                                   args):
-    # the assembled system and its matrix are dead by the time the
+    # the assembled system and its element table are dead by the time the
     # level's estimator runs; the heap is trimmed once per level, inside
     # the error norms where a case has them, and not before the files
     events, systems = [], []
@@ -114,7 +114,7 @@ def test_estimator_runs_after_the_system_is_freed(tmp_path, monkeypatch,
 
     def assemble(space, problem):
         system = real_assemble(space, problem)
-        systems.append((weakref.ref(system), weakref.ref(system.matrix)))
+        systems.append((weakref.ref(system), weakref.ref(system.table)))
         return system
 
     def solve(system):
@@ -407,6 +407,23 @@ def test_unknown_case_message_is_not_quoted(capsys):
     assert capsys.readouterr().err == (
         "stokes-stab: config error: unknown case 'NOPE'; available: "
         f"{', '.join(study.CASE_NAMES)}\n")
+
+
+def test_key_error_inside_the_solver_is_not_a_config_error(monkeypatch,
+                                                           capsys, tmp_path):
+    # only an unknown case name is a config error; a KeyError from the
+    # program's own lookups (the fronts key their dicts by class) is a
+    # fault of the program and leaves cli.main as itself
+    def broken(system):
+        raise KeyError(17)
+
+    monkeypatch.setattr(solver, "_front_factor", broken)
+    with pytest.raises(KeyError) as err:
+        run_cli("solve", "--case", "SMOOTH_SQUARE", "--n0", "2", "--out",
+                str(tmp_path))
+    assert err.value.args == (17,)
+    assert "config error" not in capsys.readouterr().err
+    assert not isinstance(err.value, study.UnknownCaseError)
 
 
 @pytest.mark.parametrize("content,lineno,reason", [

@@ -294,7 +294,7 @@ def test_every_scatter_reads_a_class_table(pair, monkeypatch):
     monkeypatch.setattr(forms, "_scatter_matrix", spy)
     forms.pressure_mass(space)
     estimator.oscillations(problem, space)
-    assemble_system(space, problem)
+    assemble_system(space, problem).matrix
     volume = [c for c in calls if c[0] == mesh.n_triangles]
     edge = [c for c in calls if c[0] != mesh.n_triangles]
     assert len(volume) == 3 and len(edge) == 1

@@ -1,7 +1,9 @@
-"""The saddle matrix as factored: one scatter of the element matrices,
-in CSC and in elimination order, against the block assembly it
-replaced and, bit for bit, against the whole-mesh product that the
-blocked scatter replaced, and handed to SuperLU without a copy."""
+"""The saddle matrix in element form: the matrix built on demand by one
+scatter of the element matrices, in CSC and in elimination order,
+against the block assembly it replaced and, bit for bit, against the
+whole-mesh product that the blocked scatter replaced, and handed to
+SuperLU without a copy; the class-table product and the element fronts
+against that whole-mesh matrix."""
 
 import tracemalloc
 
@@ -15,8 +17,8 @@ from stokes_stab.mesh import TriMesh, unit_square
 from stokes_stab.space import FeSpace, P1P1, P2P1, point_values
 from stokes_stab.study import CASE_NAMES, get_case
 
-from oracles import (assemble_B, assemble_Sh, saddle_matrix,
-                     whole_mesh_scatter)
+from oracles import (assemble_B, assemble_Sh, element_fronts,
+                     saddle_matrix, whole_mesh_scatter)
 
 
 def _f(x, y):
@@ -247,28 +249,97 @@ def test_assembly_transients_stay_small(pair, n, bound, boundary):
 
 
 def test_splu_gets_the_assembled_matrix(monkeypatch):
-    # the fronts read the assembled matrix, and so does the COLAMD
-    # factorization that takes over when a front fails
-    system = assemble_system(FeSpace(unit_square(8), P2P1),
-                             StokesProblem(f=_f))
-    seen = []
-    real_structure, real_splu = solver._front_structure, solver.splu
+    # the fronts read the element input and never build K; the COLAMD
+    # factorization that takes over when a front fails gets the matrix
+    # built for it then, and the diagnosis of a failure reads it too
+    space = FeSpace(unit_square(8), P2P1)
+    system = assemble_system(space, StokesProblem(f=_f))
+    seen, scatters = [], []
+    real_scatter, real_splu = forms._scatter_matrix, solver.splu
 
-    def structure_spy(K, groups):
-        seen.append(K)
-        return real_structure(K, groups)
+    def scatter_spy(rows, cols, table, shape, classes):
+        scatters.append(shape)
+        return real_scatter(rows, cols, table, shape, classes)
 
     def splu_spy(K, **options):
         seen.append(K)
         return real_splu(K, **options)
 
-    monkeypatch.setattr(solver, "_front_structure", structure_spy)
+    monkeypatch.setattr(forms, "_scatter_matrix", scatter_spy)
     monkeypatch.setattr(solver, "splu", splu_spy)
     assert solver.solve(system).diagnostics["ordering"] == "multifrontal"
+    assert scatters == [] and seen == [] and "matrix" not in vars(system)
     monkeypatch.setattr(solver, "dgetrf",
                         lambda a: (a, np.zeros(len(a), np.int32), 1))
     assert solver.solve(system).diagnostics["ordering"] == "colamd"
-    assert len(seen) == 3
-    for K in seen:
-        assert K.format == "csc"
-        assert np.shares_memory(K.data, system.matrix.data)
+    n = len(system.rhs)
+    assert scatters == [(n, n)] and len(seen) == 1
+    K = seen[0]
+    assert K.format == "csc" and K is system.matrix
+    ref = saddle_matrix(space, system.alpha, system.bordered)
+    for name in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(K, name), getattr(ref, name)), name
+
+
+def _product_cases():
+    out = []
+    for pair in (P1P1, P2P1):
+        out += [
+            pytest.param(pair, unit_square(6), StokesProblem(
+                f=_f, exact=_lifted()), id=f"{pair.label}-bordered-lift"),
+            pytest.param(pair, unit_square(6, boundary={"right": "N"}),
+                         StokesProblem(f=_f), id=f"{pair.label}-neumann"),
+            pytest.param(pair, _graded(2), get_case("LSHAPE_PEAK").problem(),
+                         id=f"{pair.label}-graded"),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("pair,mesh,problem", _product_cases())
+def test_class_table_product_is_the_oracle_matrix_product(pair, mesh,
+                                                          problem):
+    # the residual product of the fronts, gathered and scatter-added per
+    # shape class, against K @ x of the one whole-mesh product; at
+    # unit_square(6) rounding splits the 72 elements into 32 classes
+    space = FeSpace(mesh, pair)
+    system = assemble_system(space, problem)
+    if mesh.n_triangles == 72:
+        assert len(mesh.shape_representatives) == 32
+    assert (system.dirichlet_values is not None) == (problem.exact
+                                                     is not None)
+    K = saddle_matrix(space, system.alpha, system.bordered)
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal(K.shape[0]), system.rhs):
+        got, want = system.product(x), K @ x
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert "matrix" not in vars(system)
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
+@pytest.mark.parametrize("make_mesh", [
+    lambda: unit_square(4), lambda: unit_square(4, boundary={"right": "N"}),
+    lambda: _graded(1)], ids=["bordered", "neumann", "graded"])
+def test_every_element_front_is_its_schur_complement(pair, make_mesh):
+    # each front's own columns, assembled from its elements and its
+    # children's updates, are those of K (the oracle's) after the
+    # elimination of every row of the group's subtree below it
+    space = FeSpace(make_mesh(), pair)
+    system = assemble_system(space, StokesProblem(f=_f))
+    K = saddle_matrix(space, system.alpha, system.bordered).toarray()
+    structure = solver._front_structure(system)
+    groups = system.groups
+    ends = np.append(groups[1:], len(system.rhs))
+    below = [[] for _ in groups]   # the rows of each group's subtree
+    for g, (front, _, _, _) in enumerate(element_fronts(system, structure)):
+        own = np.arange(groups[g], ends[g])
+        d = np.array(below[g], dtype=int)
+        f = structure.fronts[g]
+        S = K[np.ix_(f, own)]
+        if len(d):
+            S = S - K[np.ix_(f, d)] @ np.linalg.solve(K[np.ix_(d, d)],
+                                                      K[np.ix_(d, own)])
+        k = len(own)
+        assert np.abs(front[:, :k] - S).max() <= 1e-13 * np.abs(K).max()
+        if len(f) > k:
+            parent = np.searchsorted(groups, f[k], side="right") - 1
+            below[parent] += below[g] + own.tolist()

@@ -13,6 +13,8 @@ from stokes_stab.forms import ExactSolution, StokesProblem, assemble_system
 from stokes_stab.mesh import TriMesh, unit_square
 from stokes_stab.space import FeSpace, P1P1, P2P1, interpolate
 
+from oracles import element_fronts
+
 
 def _const_f(cx, cy):
     def f(x, y):
@@ -232,7 +234,8 @@ def test_checked_solve_rejects_non_finite_values():
     K = sp.identity(2, format="csr")
     with pytest.raises(solver.SolverError,
                        match="^non-finite solution values$"):
-        solver._checked_solve(K, np.ones(2), *_fake_factor([np.nan, 1.0]))
+        solver._checked_solve(K.dot, np.ones(2),
+                              *_fake_factor([np.nan, 1.0]))
 
 
 def test_checked_solve_reads_the_pivots_before_solving():
@@ -240,7 +243,7 @@ def test_checked_solve_reads_the_pivots_before_solving():
     solves = []
     with pytest.raises(solver.SolverError,
                        match="^factorization produced a zero pivot$"):
-        solver._checked_solve(K, np.ones(2), solves.append,
+        solver._checked_solve(K.dot, np.ones(2), solves.append,
                               np.array([0.0, 1.0]), 2)
     assert solves == []
 
@@ -250,7 +253,8 @@ def test_checked_solve_rejects_residual_after_refinement():
     # step adds (2, 2) more, and 3 stays above 1e-9
     K = sp.identity(2, format="csr")
     with pytest.raises(solver.SolverError) as err:
-        solver._checked_solve(K, np.ones(2), *_fake_factor([2.0, 2.0]))
+        solver._checked_solve(K.dot, np.ones(2),
+                              *_fake_factor([2.0, 2.0]))
     assert str(err.value) == ("relative residual 3.000e+00 above 1e-9 "
                               "after iterative refinement")
 
@@ -481,54 +485,49 @@ def test_solution_scales_with_the_mesh(s):
 @pytest.mark.parametrize("name", ["SMOOTH_SQUARE", "NEUMANN_STRIP"])
 def test_tiny_alpha_equal_order_falls_back(name):
     # at alpha = 1e-8 the constant-pressure mode leaves a front pivot
-    # below 1e-14 of the largest; COLAMD's partial pivoting takes over
+    # below 1e-14 of the largest; COLAMD's partial pivoting takes over,
+    # on the matrix built for it (the fronts read the element input)
     from stokes_stab.study import get_case
     case = get_case(name)
     system = assemble_system(FeSpace(case.make_mesh(16), P1P1),
                              case.problem(alpha=1e-8))
-    _, pivots, _, _ = solver._front_factor(system.matrix, system.groups)
+    _, pivots, _, _ = solver._front_factor(system)
     assert pivots.min() < 1e-14 * pivots.max()
+    assert "matrix" not in vars(system)
     sol = solver.solve(system)
+    assert "matrix" in vars(system)
     assert sol.diagnostics["ordering"] == "colamd"
     assert sol.diagnostics["fallback"] is True
     assert sol.residual <= 1e-9
 
 
-def _stored_factor_solver(K, groups):
+def _stored_factor_solver(system):
     """The reference for solver._front_factor: every group's front
-    assembled and factored, its LU and W blocks all stored, then per
+    assembled from the element input and factored
+    (oracles.element_fronts), its LU and W blocks all stored, then per
     right-hand side one forward and one backward sweep. Returns the
     solve function, the |U_ii| of the fronts and the factor of each
     group as (lu, piv, W)."""
-    from scipy.linalg.lapack import dgetrf, dgetrs
-    ends = np.append(groups[1:], K.shape[0])
-    structure = solver._front_structure(K, groups)
-    fronts, kids, rel = structure.fronts, structure.kids, structure.rel
-    factors, updates, pivots = [], {}, []
-    for g, (start, end, f) in enumerate(zip(groups, ends, fronts)):
-        k = end - start
-        # only F11 and F21 come from K; F22 holds the children's updates
-        F = np.zeros((len(f), len(f)))
-        F[:, :k] = K[f][:, start:end].toarray()
-        for c in kids[g]:
-            F[np.ix_(rel[c], rel[c])] += updates.pop(c)
-        lu, piv, info = dgetrf(F[:k, :k])
-        assert info == 0
-        pivots.append(np.abs(lu.diagonal()))
-        W = dgetrs(lu, piv, F[k:, :k].T)[0]
-        updates[g] = F[k:, k:] - F[k:, :k] @ W
-        factors.append((start, end, f[k:], lu, piv, W))
+    from scipy.linalg.lapack import dgetrs
+    groups = system.groups
+    ends = np.append(groups[1:], len(system.rhs))
+    structure = solver._front_structure(system)
+    factors = [(lu, piv, W) for _, lu, piv, W
+               in element_fronts(system, structure)]
+    steps = [(start, end, f[end - start:], *factor) for start, end, f, factor
+             in zip(groups, ends, structure.fronts, factors)]
 
     def solve(b):
         x = np.array(b, dtype=float)
-        for start, end, rows, lu, piv, W in factors:
+        for start, end, rows, lu, piv, W in steps:
             x[rows] -= W.T @ x[start:end]
             x[start:end] = dgetrs(lu, piv, x[start:end])[0]
-        for start, end, rows, _, _, W in reversed(factors):
+        for start, end, rows, _, _, W in reversed(steps):
             x[start:end] -= W @ x[rows]
         return x
 
-    return solve, np.concatenate(pivots), [f[3:] for f in factors]
+    pivots = np.concatenate([np.abs(lu.diagonal()) for lu, _, _ in factors])
+    return solve, pivots, factors
 
 
 def _same_factor(a, b):
@@ -552,21 +551,21 @@ def _stored_factor_systems():
 @pytest.mark.parametrize("system,refined", _stored_factor_systems())
 def test_stored_factor_matches_every_group_oracle(system, refined):
     # the groups of one front class share a factor that each of them,
-    # factored on its own, gives bit for bit, and the sweeps over the
-    # class factors, refinement included, give the oracle's x and
-    # stats bit for bit
-    K, b, groups = system.matrix, system.rhs, system.groups
-    x, res, stats = solver._front_solve(K, b, groups)
-    classes = solver._front_structure(K, groups).classes
+    # assembled from its elements and factored on its own, gives bit
+    # for bit, and the sweeps over the class factors, refinement
+    # included, give the oracle's x and stats bit for bit
+    groups = system.groups
+    x, res, stats = solver._front_solve(system)
+    classes = solver._front_structure(system).classes
     with solver._one_blas_thread():
-        oracle, pivots, factors = _stored_factor_solver(K, groups)
+        oracle, pivots, factors = _stored_factor_solver(system)
         first = {}
         for g, cls in enumerate(classes):
             assert _same_factor(factors[first.setdefault(cls, g)],
                                 factors[g])
         stored = sum(factors[g][2].size for g in first.values())
         ref_x, ref_res, ref_stats = solver._checked_solve(
-            K, b, oracle, pivots, stored)
+            system.product, system.rhs, oracle, pivots, stored)
     assert np.array_equal(x, ref_x)
     assert res == ref_res
     assert stats == {**ref_stats, "fronts": len(groups),
@@ -596,11 +595,12 @@ def _ancestors(structure, groups, ends, members):
 
 def test_moved_vertex_gives_its_fronts_their_own_classes():
     # NEUMANN_STRIP P2P1 on unit_square(16) with one interior vertex
-    # moved: the groups holding a dof of the elements around it read
-    # entries of K no other group has, and every front above them reads
-    # an update no other front reads, so each of these is the only
-    # group of its class; the fronts elsewhere still share, and the
-    # solution equals the every-front oracle's bit for bit
+    # moved: the elements around it fall in shape classes of their own,
+    # a group holding a dof of them owns one of them or lies above one
+    # that does, and every front above an owner reads an update no other
+    # front reads, so each of these is the only group of its class; the
+    # fronts elsewhere still share, and the solution equals the
+    # every-front oracle's bit for bit
     from stokes_stab import study
     mesh = study.get_case("NEUMANN_STRIP").make_mesh(16)
     vertex = int(np.flatnonzero(np.all(mesh.vertices == [0.375, 0.625],
@@ -610,69 +610,84 @@ def test_moved_vertex_gives_its_fronts_their_own_classes():
     moved = type(mesh)(vertices, mesh.triangles, mesh.boundary_tag_dict())
     system = _neumann_p2p1_system(moved)
     space = FeSpace(moved, P2P1)
-    K, b, groups = system.matrix, system.rhs, system.groups
+    groups = system.groups
     patch = np.flatnonzero(np.any(moved.triangles == vertex, axis=1))
     nodes = space.elem_nodes[patch].ravel()
     dofs = np.concatenate([2 * nodes, 2 * nodes + 1,
                            space.n_u + moved.triangles[patch].ravel()])
     rows = system.rows[dofs]
-    ends = np.append(groups[1:], K.shape[0])
+    ends = np.append(groups[1:], len(system.rhs))
     gid = np.repeat(np.arange(len(groups)), ends - groups)
-    structure = solver._front_structure(K, groups)
+    structure = solver._front_structure(system)
     own = _ancestors(structure, groups, ends, gid[rows[rows >= 0]].tolist())
     sizes = np.bincount(structure.classes)
     assert len(own) > 2
     assert all(sizes[structure.classes[g]] == 1 for g in own)
-    plain = _neumann_p2p1_system(mesh)
-    plain = solver._front_structure(plain.matrix, plain.groups)
+    plain = solver._front_structure(_neumann_p2p1_system(mesh))
     assert (len(set(plain.classes)) < len(set(structure.classes))
             < len(groups))
-    x, res, stats = solver._front_solve(K, b, groups)
+    _check_against_oracle(system)
+
+
+def _check_against_oracle(system):
+    # the class-sharing solve and the every-front oracle give the same
+    # x and residual, bit for bit
+    x, res, stats = solver._front_solve(system)
     with solver._one_blas_thread():
-        oracle, pivots, _ = _stored_factor_solver(K, groups)
+        oracle, pivots, _ = _stored_factor_solver(system)
         ref_x, ref_res, _ = solver._checked_solve(
-            K, b, oracle, pivots, stats["fill_nnz"])
+            system.product, system.rhs, oracle, pivots, stats["fill_nnz"])
     assert np.array_equal(x, ref_x) and res == ref_res
 
 
+def _owners(system):
+    """The group of each element: that of its first row."""
+    groups = system.groups
+    n = len(system.rhs)
+    first = np.where(system.element_rows < 0, n, system.element_rows)
+    return np.searchsorted(groups, first.min(axis=1), side="right") - 1
+
+
 def test_one_changed_entry_splits_its_class_and_those_above():
-    # a diagonal entry of K changed in a group of a shared class whose
-    # parent's class is shared too: the group's key differs by a value
-    # other than the first of its columns, its parent's only by the
-    # class of that child, and each group from it to the root is then
-    # alone in its class; the solution equals the every-front oracle's
-    # bit for bit
+    # one element of a group in a shared class whose parent's class is
+    # shared too gets a shape class of its own, whose matrix differs
+    # from its old class's in one diagonal entry: the group's key
+    # differs by that element's class, its parent's only by the class
+    # of that child, and each group from it to the root is then alone in
+    # its class; the solution equals the every-front oracle's bit for
+    # bit
+    import dataclasses
     from stokes_stab import study
     system = _neumann_p2p1_system(
         study.get_case("NEUMANN_STRIP").make_mesh(16))
-    K, b, groups = system.matrix.copy(), system.rhs, system.groups
-    ends = np.append(groups[1:], K.shape[0])
+    groups = system.groups
+    ends = np.append(groups[1:], len(system.rhs))
     gid = np.repeat(np.arange(len(groups)), ends - groups)
-    before = solver._front_structure(K, groups)
+    before = solver._front_structure(system)
     sizes = np.bincount(before.classes)
+    owners = _owners(system)
 
     def parent(g):
         return int(gid[before.fronts[g][ends[g] - groups[g]]])
 
     g = next(g for g in range(len(groups) - 1)
              if sizes[before.classes[g]] > 1
-             and sizes[before.classes[parent(g)]] > 1)
-    j = ends[g] - 1
-    p = K.indptr[j] + np.flatnonzero(
-        K.indices[K.indptr[j]:K.indptr[j + 1]] == j)[0]
-    assert p != K.indptr[groups[g]]
-    K.data[p] *= 1.001
-    after = solver._front_structure(K, groups)
+             and sizes[before.classes[parent(g)]] > 1
+             and np.any(owners == g))
+    e = np.flatnonzero(owners == g)[-1]
+    i = np.flatnonzero(system.element_rows[e] >= 0)[0]
+    table = np.concatenate([system.table,
+                            system.table[system.classes[e]][None]])
+    table[-1, i, i] *= 1.001
+    classes = system.classes.copy()
+    classes[e] = len(table) - 1
+    changed = dataclasses.replace(system, table=table, classes=classes)
+    after = solver._front_structure(changed)
     above = _ancestors(after, groups, ends, [g])
     sizes = np.bincount(after.classes)
     assert parent(g) in above
     assert all(sizes[after.classes[h]] == 1 for h in above)
-    x, res, stats = solver._front_solve(K, b, groups)
-    with solver._one_blas_thread():
-        oracle, pivots, _ = _stored_factor_solver(K, groups)
-        ref_x, ref_res, _ = solver._checked_solve(
-            K, b, oracle, pivots, stats["fill_nnz"])
-    assert np.array_equal(x, ref_x) and res == ref_res
+    _check_against_oracle(changed)
 
 
 @pytest.mark.parametrize("boundary", [None, {"right": "N"}],
@@ -684,9 +699,10 @@ def test_fronts_hold_every_entry_and_child(boundary):
     K, groups = system.matrix, system.groups
     n = K.shape[0]
     ends = np.append(groups[1:], n)
-    structure = solver._front_structure(K, groups)
+    structure = solver._front_structure(system)
     fronts, kids, rel = structure.fronts, structure.kids, structure.rel
     gid = np.repeat(np.arange(len(groups)), ends - groups)
+    owners = _owners(system)
     for g, (start, end) in enumerate(zip(groups, ends)):
         f = fronts[g]
         assert np.array_equal(f[:end - start], np.arange(start, end))
@@ -694,6 +710,9 @@ def test_fronts_hold_every_entry_and_child(boundary):
         # every stored entry of K on or below the group, in its columns
         rows = K[:, start:end].tocoo().row
         assert np.all(np.isin(rows[rows >= start], f))
+        # and every row of the elements the group owns
+        er = system.element_rows[owners == g]
+        assert np.all(np.isin(er[er >= 0], f))
         for c in kids[g]:
             below = fronts[c][ends[c] - groups[c]:]
             assert gid[below[0]] == g
@@ -888,8 +907,8 @@ def test_neumann_p2p1_fill_does_not_grow():
     assert sol.diagnostics["ordering"] == "multifrontal"
     # fill_nnz is the k x m of W of every front class, whose first group
     # has k own rows and m rows below
-    structure = solver._front_structure(system.matrix, system.groups)
-    ends = np.append(system.groups[1:], system.matrix.shape[0])
+    structure = solver._front_structure(system)
+    ends = np.append(system.groups[1:], len(system.rhs))
     ks = ends - system.groups
     first = dict(zip(structure.classes[::-1],
                      range(len(ks) - 1, -1, -1)))
@@ -909,7 +928,7 @@ def test_front_solve_keeps_only_w():
                              case.problem())
     tracemalloc.start()
     try:
-        solver._front_solve(system.matrix, system.rhs, system.groups)
+        solver._front_solve(system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -925,14 +944,12 @@ def test_refinement_frees_the_first_pass():
     case = study.get_case("SMOOTH_SQUARE")
     system = assemble_system(FeSpace(case.make_mesh(32), P1P1),
                              case.problem(alpha=1e-6))
-    K, b, groups = system.matrix, system.rhs, system.groups
-
     def bare():
-        solve = solver._front_factor(K, groups)[0]
-        return solve(b)
+        solve = solver._front_factor(system)[0]
+        return solve(system.rhs)
 
     peaks = []
-    for run in (bare, lambda: solver._front_solve(K, b, groups)):
+    for run in (bare, lambda: solver._front_solve(system)):
         tracemalloc.start()
         try:
             result = run()
@@ -940,7 +957,7 @@ def test_refinement_frees_the_first_pass():
         finally:
             tracemalloc.stop()
     assert result[2]["refined"] is True
-    slack = 4 * 8 * K.shape[0]
+    slack = 4 * 8 * len(system.rhs)
     assert peaks[1] <= peaks[0] + slack
     assert 8 * result[2]["fill_nnz"] > 8 * slack
 
@@ -971,15 +988,15 @@ def test_refining_solve_factors_each_class_once(monkeypatch):
 
 
 def test_refining_solve_runs_one_symbolic_pass(monkeypatch):
-    # the fronts' structure depends on K and the groups alone, and the
-    # refinement step reuses the one factor built on it
+    # the fronts' structure depends on the element input and the groups
+    # alone, and the refinement step reuses the one factor built on it
     system = _refining_system()
     calls = []
     real = solver._front_structure
 
-    def counting(K, groups):
-        calls.append(groups)
-        return real(K, groups)
+    def counting(system):
+        calls.append(system.groups)
+        return real(system)
 
     monkeypatch.setattr(solver, "_front_structure", counting)
     diag = solver.solve(system).diagnostics

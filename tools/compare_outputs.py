@@ -1,18 +1,33 @@
 """Compare two directories of stokes-stab outputs file by file.
 
-    python tools/compare_outputs.py DIR_A DIR_B
+    python tools/compare_outputs.py [--rtol R] DIR_A DIR_B
 
 Every file under either directory is reported on one line: "identical"
 when the sha256 digests agree, else the largest drift of B against A.
 table.csv files report the largest relative drift of each column, VTK
 files that of each data block (velocity, pressure, eta_K) relative to
-the block's largest magnitude in A, manifest.txt files the lines that
-differ; other files only say that they differ. Exits 0 when every file
-is identical, 1 otherwise.
+the block's largest magnitude in A, stdout.txt files that of the
+numbers in their lines, manifest.txt files the lines that differ;
+other files only say that they differ. Exits 0 when every file is
+identical, 1 otherwise.
+
+With --rtol R, a file that is not identical still passes when B
+drifts from A by at most R: a table.csv in every column, with the same
+rows and columns; a VTK file in every data block, its mesh and header
+lines the same; a stdout.txt in every number of its lines, all the
+text between them the same, where two numbers both at most R in
+magnitude count as equal (the residual a `solve` prints is rounding,
+about 1e-15, and moves with any change of summation order). Every
+other file (manifest, stderr, exit code) must be identical. Each
+reported line that is not identical then ends in "within rtol" or
+"beyond rtol", and a last line gives the largest drift of each
+table.csv column and each VTK block over all files.
 """
 
+import argparse
 import csv
 import hashlib
+import re
 import sys
 from pathlib import Path
 
@@ -71,25 +86,66 @@ def _table_drift(pa, pb):
             or ["same numbers, other text"])
 
 
-def _vtk_blocks(path):
-    """{block name: values} of the VTK data blocks."""
+def _vtk_split(path):
+    """({block name: values} of the VTK data blocks, the other lines)."""
     lines = path.read_text().splitlines()
-    blocks = {}
-    for k, line in enumerate(lines):
-        words = line.split()
+    blocks, rest, k = {}, [], 0
+    while k < len(lines):
+        words = lines[k].split()
+        rest.append(lines[k])
+        k += 1
         if len(words) > 1 and words[0] in ("VECTORS", "SCALARS") \
                 and words[1] in VTK_BLOCKS:
-            start = k + 1 if words[0] == "VECTORS" else k + 2
-            end = start
+            if words[0] == "SCALARS":   # its LOOKUP_TABLE line
+                rest.append(lines[k])
+                k += 1
+            end = k
             while end < len(lines) and not lines[end][:1].isupper():
                 end += 1
             blocks[words[1]] = np.array(
-                [float(v) for ln in lines[start:end] for v in ln.split()])
-    return blocks
+                [float(v) for ln in lines[k:end] for v in ln.split()])
+            k = end
+    return blocks, rest
+
+
+def vtk_drifts(pa, pb):
+    """{block: largest drift of B against A relative to the block's
+    largest magnitude in A} of two VTK files, for the blocks that
+    differ; None when their mesh or header lines or their blocks'
+    names or sizes differ."""
+    (a, rest_a), (b, rest_b) = _vtk_split(pa), _vtk_split(pb)
+    if rest_a != rest_b or a.keys() != b.keys() \
+            or any(a[k].shape != b[k].shape for k in a):
+        return None
+    drifts = {k: _max_drift(a[k], b[k], np.max(np.abs(a[k]), initial=0.0))
+              for k in a}
+    return {k: rel for k, rel in drifts.items() if rel}
+
+
+# a number as the CLI prints it, signed, with a fraction or an exponent
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def stdout_drift(pa, pb, floor=0.0):
+    """The largest relative drift of the numbers in B's lines against
+    A's, two numbers both at most floor in magnitude counting as equal;
+    None when the lines differ in anything but their numbers."""
+    la, lb = pa.read_text().splitlines(), pb.read_text().splitlines()
+    if len(la) != len(lb):
+        return None
+    worst = 0.0
+    for x, y in zip(la, lb):
+        px, py = _NUMBER.split(x), _NUMBER.split(y)
+        if len(px) != len(py) or px[::2] != py[::2]:
+            return None
+        a, b = (np.array(p[1::2], dtype=float) for p in (px, py))
+        tiny = np.maximum(np.abs(a), np.abs(b)) <= floor
+        worst = max(worst, _max_drift(a[~tiny], b[~tiny], np.abs(a[~tiny])))
+    return worst
 
 
 def _vtk_drift(pa, pb):
-    a, b = _vtk_blocks(pa), _vtk_blocks(pb)
+    a, b = _vtk_split(pa)[0], _vtk_split(pb)[0]
     out = []
     for name in VTK_BLOCKS:
         if name in a or name in b:
@@ -130,19 +186,58 @@ def compare(dir_a, dir_b):
             yield name, "; ".join(_vtk_drift(pa, pb))
         elif name.name == "manifest.txt":
             yield name, "; ".join(_manifest_drift(pa, pb))
+        elif name.name == "stdout.txt":
+            rel = stdout_drift(pa, pb)
+            yield name, ("text differs" if rel is None
+                         else f"numbers {rel:.3g}")
         else:
             yield name, "differs"
 
 
+def drifts_within(pa, pb, rtol):
+    """{column or block: drift} of two files that differ, when B drifts
+    from A by at most rtol as --rtol allows; None otherwise."""
+    if not pa.exists() or not pb.exists():
+        return None
+    if pa.name == "table.csv":
+        drifts = table_drifts(pa, pb)
+    elif pa.suffix == ".vtk":
+        drifts = vtk_drifts(pa, pb)
+    elif pa.name == "stdout.txt":
+        rel = stdout_drift(pa, pb, floor=rtol)
+        drifts = None if rel is None else {"stdout": rel}
+    else:
+        return None
+    if drifts is None or any(rel > rtol for rel in drifts.values()):
+        return None
+    return drifts
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    same = True
-    for name, report in compare(*argv):
+    parser = argparse.ArgumentParser(
+        prog="compare_outputs.py",
+        usage=__doc__.strip().splitlines()[2].strip())
+    parser.add_argument("dir_a")
+    parser.add_argument("dir_b")
+    parser.add_argument("--rtol", type=float)
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    same, largest = True, {}
+    for name, report in compare(args.dir_a, args.dir_b):
+        if report != "identical" and args.rtol is not None:
+            drifts = drifts_within(Path(args.dir_a) / name,
+                                   Path(args.dir_b) / name, args.rtol)
+            report += " -- within rtol" if drifts is not None \
+                else " -- beyond rtol"
+            same = same and drifts is not None
+            for key, rel in (drifts or {}).items():
+                largest[key] = max(largest.get(key, 0.0), rel)
+        else:
+            same = same and report == "identical"
         print(f"{name}: {report}")
-        same = same and report == "identical"
+    if args.rtol is not None:
+        print("largest drift: " + (", ".join(
+            f"{key} {rel:.3g}" for key, rel in sorted(largest.items()))
+            or "none"))
     return 0 if same else 1
 
 
