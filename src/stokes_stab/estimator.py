@@ -90,9 +90,9 @@ def edge_estimator(solution, space, problem):
     Dirichlet edges are zero. sigma = D(u_h) - p_h I is evaluated once,
     on the whole mesh, at the points of the three sides of every
     triangle (side_reference_points); each edge reads it at its slots
-    in mesh.t2e. The first triangle's sigma, minus the second's on
-    interior edges, times the unit normal out of the first, minus t on
-    Neumann edges, is the edge's flux.
+    in its triangles, mesh.e2s. The first triangle's sigma, minus the
+    second's on interior edges, times the unit normal out of the first,
+    minus t on Neumann edges, is the edge's flux.
     """
     mesh = space.mesh
     # |sigma n|^2, like the matrix, is a product of two derivatives
@@ -114,9 +114,9 @@ def edge_estimator(solution, space, problem):
     stress[..., 1, 1] -= pv
     del pts, pv
     stress = stress.reshape(mesh.n_triangles, 3, len(s), 2, 2)
-    # each edge's triangles and its slots in them (k[:, 1] < 0 off inner)
-    k = mesh.e2t[edges]
-    slot = np.argmax(mesh.t2e[k] == edges[:, None, None], axis=2)
+    # each edge's triangles and its slots in them (-1 in column 1 off
+    # inner)
+    k, slot = mesh.e2t[edges], mesh.e2s[edges]
     sig = stress[k[:, 0], slot[:, 0]]
     sig[inner] -= stress[k[inner, 1], slot[inner, 1]]
     # (dy, -dx) along the first triangle's side, which runs

@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .mesh import NEUMANN, MeshError
 from .space import (edge_points, physical_points, point_values,
@@ -239,92 +238,44 @@ def _residual_local(space):
     return RRt
 
 
-# element-matrix entries per block of _scatter_matrix: its transients
-# are a few times this many doubles, however large the mesh
-_BLOCK_ENTRIES = 1 << 16
-
-
 def _scatter_matrix(rows, cols, table, shape, classes):
     """CSR sum of element matrices: out[rows[e, i], cols[e, j]] +=
     table[classes[e], i, j], table holding one matrix per class, without
     the element rows where rows[e, i] < 0 and the entries where
     cols[e, j] < 0.
 
-    The element rows (e, i) go stably by their row, in blocks of whole
-    rows of out that hold about _BLOCK_ENTRIES entries. Each block of
-    out is the product P @ L of the 0/1 map P from the block's element
-    rows to its rows with the matrix L of those element rows, gathered
-    from table, so each entry sums term by term in (e, i, j) order, as
-    scatter_add does, whatever else its row holds. (COO to CSR
-    conversion sums duplicates in an order that depends on the whole
-    row.) Entries that sum to exactly zero are not stored. A symbolic
-    pass over the blocks sizes out; the numeric pass writes each
-    block's product straight into out's arrays with the kernels of
-    scipy's own sparse product (scipy.sparse._sparsetools), so no array
-    of all the element matrices' entries is ever formed, and out is not
-    copied.
+    out is the one sparse product P @ L of the 0/1 map P from the kept
+    element rows (e, i) to the rows of out with the matrix L whose rows
+    are the element rows, their values gathered once from table, so
+    each entry sums term by term in (e, i, j) order, as scatter_add
+    does, whatever else its row holds. (COO to CSR conversion sums
+    duplicates in an order that depends on the whole row.) A dropped
+    entry adds an exact zero to column 0. Entries that sum to exactly
+    zero are not stored. L's columns are int32 where they fit, so L
+    costs 12 bytes per element-matrix entry beside out.
     """
-    a, b = rows.shape[1], cols.shape[1]
-    m = rows.size
-    itype = np.int32 if max(shape[1], m * b) < 2 ** 31 else np.int64
-    cols = cols.astype(itype, copy=False)
-    flat = np.asarray(table, dtype=float).reshape(-1, b)
-    # the element rows by their row, stably: a counting sort (the CSC
-    # of the map from element rows to rows), the dropped element rows
-    # in an extra last row; elem and src name the element of each and
-    # its row of flat
-    target = np.where(np.ravel(rows) < 0, shape[0], np.ravel(rows))
-    ptr, order = np.empty(shape[0] + 2, dtype=itype), np.empty(m, dtype=itype)
-    _sparsetools.csr_tocsc(m, shape[0] + 1, np.arange(m + 1, dtype=itype),
-                           target.astype(itype, copy=False),
-                           np.ones(m, dtype=np.int8), ptr, order,
-                           np.empty(m, dtype=np.int8))
-    elem, src = np.divmod(order, a)
-    del target, order
-    src += a * classes[elem].astype(itype)
-    # the elements with a dropped entry
-    cut = np.zeros(len(cols), dtype=bool)
-    cut[np.flatnonzero(np.ravel(cols) < 0) // b] = True
-    step = max(1, _BLOCK_ENTRIES // b)
-    blocks = [0]
-    while blocks[-1] < shape[0]:
-        r0 = blocks[-1]
-        r1 = int(np.searchsorted(ptr, ptr[r0] + step, side="right")) - 1
-        blocks.append(min(max(r1, r0 + 1), shape[0]))
-    blocks = list(zip(blocks[:-1], blocks[1:]))
-
-    def operands(r0, r1, numeric):
-        # P and L of the rows r0:r1, as sparsetools takes them (without
-        # values when not numeric); dropped entries add exact zeros to
-        # column 0
-        s0, s1 = ptr[r0], ptr[r1]
-        e = elem[s0:s1]
-        c = np.take(cols, e, axis=0)
-        hit = np.flatnonzero(cut[e])
-        vals = np.take(flat, src[s0:s1], axis=0) if numeric else None
-        if len(hit):
-            sub = c[hit]
-            c[hit] = np.maximum(sub, 0)
-            if numeric:
-                vals[hit] = np.where(sub < 0, 0.0, vals[hit])
-        Pp, Pj = ptr[r0:r1 + 1] - s0, np.arange(s1 - s0, dtype=itype)
-        Lp = np.arange(0, c.size + 1, b, dtype=itype)
-        if not numeric:
-            return Pp, Pj, Lp, c.ravel()
-        return Pp, Pj, np.ones(len(Pj)), Lp, c.ravel(), vals.ravel()
-
-    nnz = sum(_sparsetools.csr_matmat_maxnnz(r1 - r0, shape[1],
-                                             *operands(r0, r1, False))
-              for r0, r1 in blocks)
-    data, indices = np.empty(nnz), np.empty(nnz, dtype=itype)
-    indptr = np.zeros(shape[0] + 1, dtype=itype)
-    for r0, r1 in blocks:
-        at = indptr[r0]
-        _sparsetools.csr_matmat(r1 - r0, shape[1], *operands(r0, r1, True),
-                                indptr[r0:r1 + 1], indices[at:], data[at:])
-        indptr[r0:r1 + 1] += at
-    nnz = indptr[-1]
-    out = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=shape)
+    m, b = rows.size, cols.shape[1]
+    itype = np.int32 if max(shape[0], shape[1], m * b) < 2 ** 31 \
+        else np.int64
+    kept = np.ravel(rows) >= 0
+    ptr = np.zeros(m + 1, dtype=itype)
+    np.cumsum(kept, out=ptr[1:])
+    P = sp.csc_matrix((np.ones(ptr[-1]),
+                       np.ravel(rows)[kept].astype(itype, copy=False), ptr),
+                      shape=(shape[0], m)).tocsr()
+    # only P and L stay alive through the product
+    del kept, ptr
+    vals = np.take(np.asarray(table, dtype=float), classes, axis=0)
+    cols = cols.astype(itype)
+    e, j = np.nonzero(cols < 0)
+    cols[e, j] = 0
+    vals[e, :, j] = 0.0
+    L = sp.csr_matrix((vals.reshape(-1),
+                       np.broadcast_to(cols[:, None], vals.shape).reshape(-1),
+                       np.arange(0, m * b + 1, b, dtype=itype)),
+                      shape=(m, shape[1]))
+    del vals, cols
+    out = P @ L
     out.sort_indices()
     return out
 
@@ -390,8 +341,7 @@ def _neumann_load(space, traction):
     s, w = edge_quadrature(quad_degrees(k)["edge"])
     mesh = space.mesh
     edges = np.flatnonzero(mesh.edge_tags == NEUMANN)
-    elems = mesh.e2t[edges, 0]
-    slots = np.argmax(mesh.t2e[elems] == edges[:, None], axis=1)
+    elems, slots = mesh.e2t[edges, 0], mesh.e2s[edges, 0]
     val, _ = scalar_basis(k, side_reference_points(mesh, s)[elems, slots])
     xy = edge_points(mesh, edges, s)
     tv = np.asarray(traction(xy[..., 0], xy[..., 1]), dtype=float)

@@ -87,7 +87,8 @@ class TriMesh:
             if not np.any(self.edge_tags == DIRICHLET):
                 raise MeshError("mesh has no Dirichlet boundary edges")
         for arr in (self.vertices, self.triangles, self.parents, self.edges,
-                    self.t2e, self.e2t, self.edge_counts, self.edge_tags):
+                    self.t2e, self.e2t, self.e2s, self.edge_counts,
+                    self.edge_tags):
             arr.flags.writeable = False
 
     def _build_edges(self, boundary_tags, validate):
@@ -98,7 +99,8 @@ class TriMesh:
         b = self.triangles[:, [2, 0, 1]]
         flat = (np.minimum(a, b) * nv + np.maximum(a, b)).ravel()
         # one stable sort groups the 3*nt entries by edge, each edge's
-        # triangles in ascending order; the first two of them fill e2t
+        # triangles in ascending order; the first two of them fill e2t,
+        # and e2s with the edge's local slot in each (-1 where e2t is)
         order = np.argsort(flat, kind="stable")
         starts = np.diff(flat[order], prepend=-1) != 0
         flat_edge = np.cumsum(starts) - 1
@@ -109,13 +111,15 @@ class TriMesh:
 
         ne = len(self.edges)
         self.e2t = np.full((ne, 2), -1, dtype=np.int64)
-        flat_tri = order // 3
+        self.e2s = np.full((ne, 2), -1, dtype=np.int8)
+        flat_tri, flat_slot = np.divmod(order, 3)
         # triangles per edge; more than two is a conformity failure
         self.edge_counts = counts = np.bincount(flat_edge, minlength=ne)
         first = np.cumsum(counts) - counts
         rank = np.arange(3 * nt) - first[flat_edge]
         keep = rank < 2
         self.e2t[flat_edge[keep], rank[keep]] = flat_tri[keep]
+        self.e2s[flat_edge[keep], rank[keep]] = flat_slot[keep]
         if validate and np.any(counts > 2):
             bad = np.flatnonzero(counts > 2)
             raise MeshError(

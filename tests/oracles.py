@@ -1,20 +1,21 @@
 """Whole-mesh assembly oracles that only the tests call.
 
-AssembledSystem.matrix scatters the saddle matrix block by block, and
-only into its elimination order. The forms below build the blocks of
-the unstabilized and the stabilized operator (assemble_B, assemble_Sh)
-in plain dof numbering, and whole_mesh_scatter is the one-product
-matrix scatter that the blocked forms._scatter_matrix must reproduce
-bit for bit. solver.solve never builds that matrix: element_fronts
-assembles, factors and updates every front from the element input on
-its own, as the stored factor of the front classes must reproduce bit
-for bit. The element kernels of src/ build one matrix per shape class;
-the oracles build every element's own, on _per_element_copy of the
-mesh. estimator.edge_estimator reads every edge from one whole-mesh
-table of side stresses; edge_estimator_per_side evaluates each (edge,
-side) pair on its own. space._phys_hess reads the P2 reference
-Hessians off the gradient tables; p2_hessians_by_hand writes them out
-from the closed form of the basis.
+AssembledSystem.matrix scatters the saddle matrix from the class
+tables, and only into its elimination order. The forms below build the
+blocks of the unstabilized and the stabilized operator (assemble_B,
+assemble_Sh) in plain dof numbering, and whole_mesh_scatter, the
+one-product matrix scatter of per-element matrices, is the reference
+that forms._scatter_matrix must reproduce bit for bit. solver.solve
+never builds that matrix: element_fronts assembles, factors and updates
+every front from the element input on its own, as the stored factor of
+the front classes must reproduce bit for bit. The element kernels of
+src/ build one matrix per shape class; the oracles build every
+element's own, on _per_element_copy of the mesh.
+estimator.edge_estimator reads every edge from one whole-mesh table of
+side stresses; edge_estimator_per_side evaluates each (edge, side) pair
+on its own. space._phys_hess reads the P2 reference Hessians off the
+gradient tables; p2_hessians_by_hand writes them out from the closed
+form of the basis.
 """
 
 import copy

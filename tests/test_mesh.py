@@ -13,6 +13,7 @@ from stokes_stab import mesh as meshmod
 from stokes_stab.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                               MeshFormatError, TriMesh, generate_structured,
                               l_shape, unit_square)
+from stokes_stab.study import get_case
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -419,6 +420,40 @@ def test_e2t_matches_entrywise_fill_with_over_shared_edge():
     assert str(exc.value) == f"edges shared by more than two triangles: {over}"
     good = l_shape(4).refine_marked(np.arange(0, 24, 3))
     assert np.array_equal(good.e2t, _e2t_by_loop(good)[0])
+
+
+def _over_shared_mesh():
+    # a third triangle on an interior edge, and one clockwise triangle
+    m = unit_square(2)
+    a, b = m.edges[np.flatnonzero((m.e2t >= 0).all(axis=1))[0]]
+    v = np.vstack([m.vertices, [[0.3, 0.7]]])
+    t = np.vstack([m.triangles, [[a, b, m.n_vertices]]])
+    t[2] = t[2, ::-1]
+    return TriMesh(v, t, {}, validate=False)
+
+
+def _graded_lshape_peak():
+    mesh = get_case("LSHAPE_PEAK").make_mesh(4)
+    for _ in range(3):
+        near = np.linalg.norm(mesh.corner_coords.mean(axis=1), axis=1) < 0.3
+        mesh = mesh.refine_marked(near)
+    return mesh
+
+
+@pytest.mark.parametrize("make_mesh", [_graded_lshape_peak, _over_shared_mesh],
+                         ids=["graded", "unvalidated"])
+def test_e2s_is_the_slot_scan_of_t2e(make_mesh):
+    # e2s holds each edge's local slot in its e2t triangles, as the scan
+    # of their t2e rows finds it, and -1 where e2t is
+    mesh = make_mesh()
+    k = mesh.e2t
+    scan = np.argmax(mesh.t2e[k] == np.arange(mesh.n_edges)[:, None, None],
+                     axis=2)
+    assert np.array_equal(mesh.e2s, np.where(k >= 0, scan, -1))
+    both = k >= 0
+    assert np.array_equal(mesh.t2e[k[both], mesh.e2s[both]],
+                          np.nonzero(both)[0])
+    assert not both.all() and not mesh.e2s.flags.writeable
 
 
 def _hanging_by_all_pairs(mesh):

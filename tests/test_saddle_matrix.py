@@ -1,9 +1,9 @@
 """The saddle matrix in element form: the matrix built on demand by one
 scatter of the element matrices, in CSC and in elimination order,
 against the block assembly it replaced and, bit for bit, against the
-whole-mesh product that the blocked scatter replaced, and handed to
-SuperLU without a copy; the class-table product and the element fronts
-against that whole-mesh matrix."""
+oracle's whole-mesh product, and handed to SuperLU without a copy; the
+transients of that scatter; the class-table product and the element
+fronts against the oracle's matrix."""
 
 import tracemalloc
 
@@ -112,7 +112,8 @@ def test_one_scatter_matches_block_assembly(pair, make_mesh, alpha, lift):
     K = system.matrix
     assert K.format == "csc" and K.has_sorted_indices
     assert K.shape == K0.shape == (len(perm),) * 2
-    # B - alpha S summed per element instead of block by block
+    # K sums each element's B_K - alpha S_K; K0 sums the whole-mesh
+    # operators A_uu, A_up and S_h, then subtracts
     assert abs(K - K0).max() <= 1e-15 * abs(K0).max()
     scale = np.abs(b0).max()
     assert np.abs(system.rhs - b0).max() <= 1e-14 * scale
@@ -159,15 +160,11 @@ def _same_bits(a, b):
         and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("budget", ["default", "one-row"])
 @pytest.mark.parametrize("pair,case,make_mesh", _bit_cases())
-def test_blocked_scatter_keeps_the_whole_mesh_bits(pair, case, make_mesh,
-                                                   budget, monkeypatch):
-    # each block of K sums its entries in the (e, i, j) order of the
-    # one whole-mesh product, so data, indices and indptr are the same
-    # arrays, whether K spans one block, several, or one per row
-    if budget == "one-row":
-        monkeypatch.setattr(forms, "_BLOCK_ENTRIES", 1)
+def test_scatter_keeps_the_whole_mesh_bits(pair, case, make_mesh):
+    # K sums its entries in the (e, i, j) order of the oracle's
+    # whole-mesh product, so data, indices and indptr are the same
+    # arrays
     space = FeSpace(make_mesh(), pair)
     system = assemble_system(space, get_case(case).problem())
     K = system.matrix
@@ -177,15 +174,11 @@ def test_blocked_scatter_keeps_the_whole_mesh_bits(pair, case, make_mesh,
         assert _same_bits(getattr(K, name), getattr(ref, name)), name
 
 
-@pytest.mark.parametrize("budget", [None, 1, 40])
-def test_scatter_matrix_is_the_exact_sum_and_keeps_its_indices(budget,
-                                                               monkeypatch):
+def test_scatter_matrix_is_the_exact_sum_and_keeps_its_indices():
     # element matrices that are not symmetric and not square, read from
     # a class table: out is their sum, row by row, without the dropped
     # element rows (row -1) and entries (column -1), and equals the
-    # whole-mesh product bit for bit whatever the block size
-    if budget is not None:
-        monkeypatch.setattr(forms, "_BLOCK_ENTRIES", budget)
+    # whole-mesh product bit for bit
     rng = np.random.default_rng(5)
     rows = np.array([rng.permutation(9)[:4] for _ in range(30)],
                     dtype=np.int32)
@@ -219,19 +212,18 @@ def test_scatter_matrix_is_the_exact_sum_and_keeps_its_indices(budget,
         assert _same_bits(getattr(again, name), getattr(out, name)), name
 
 
-@pytest.mark.parametrize("pair,n,bound", [(P1P1, 32, 15.5), (P2P1, 32, 13.0),
-                                          (P2P1, 64, 11.5)],
+@pytest.mark.parametrize("pair,n", [(P1P1, 32), (P2P1, 32), (P2P1, 64)],
                          ids=["P1P1", "P2P1", "P2P1-n64"])
 @pytest.mark.parametrize("boundary", [None, {"right": "N"}],
                          ids=["bordered", "neumann"])
-def test_assembly_transients_stay_small(pair, n, bound, boundary):
+def test_assembly_transients_stay_small(pair, n, boundary):
     # bytes allocated at the peak of assemble_system, per entry of the
-    # element matrices. K is built block by block of its columns, so
-    # what the scatter holds beside K is one block and a few arrays per
-    # element row; an array of all the element matrices' entries (8
-    # bytes per entry for the values, 4 for the int32 columns) pushes
-    # it past the bound (at n = 32, P1P1 sits near 11-13, P2P1 near
-    # 10-11; at n = 64, where K spans more blocks, P2P1 near 9-9.5)
+    # element matrices. assemble_system builds no K: it keeps one table
+    # of element matrices per shape class and each element's int32
+    # rows, so its peak is set by the load vectors' transients (near
+    # 2.6-3.3 for every case here); an array of all the element
+    # matrices' entries (8 bytes per entry for the values) pushes it
+    # past the bound
     mesh = unit_square(n) if boundary is None \
         else unit_square(n, boundary=boundary)
     space = FeSpace(mesh, pair)
@@ -245,7 +237,32 @@ def test_assembly_transients_stay_small(pair, n, bound, boundary):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * mesh.n_triangles * nloc ** 2
+    assert peak <= 4.0 * mesh.n_triangles * nloc ** 2
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
+@pytest.mark.parametrize("boundary", [None, {"right": "N"}],
+                         ids=["bordered", "neumann"])
+def test_matrix_build_transients_stay_small(pair, boundary):
+    # bytes allocated at the peak of reading system.matrix, beside K's
+    # own arrays, per entry of the element matrices. The scatter's L
+    # holds 8 bytes per entry for the values and 4 for the int32
+    # columns, P and L's row pointers a few bytes per element row, and
+    # the product's arrays are sized by K's structural entries; the
+    # peak sits near 13.3-14.6. An int64 copy of the columns or a
+    # second copy of the values pushes it past 16
+    mesh = unit_square(32) if boundary is None \
+        else unit_square(32, boundary=boundary)
+    system = assemble_system(FeSpace(mesh, pair), StokesProblem(f=_f))
+    rows = system.element_rows
+    tracemalloc.start()
+    try:
+        K = system.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    assert peak <= own + 16 * len(rows) * rows.shape[1] ** 2
 
 
 def test_splu_gets_the_assembled_matrix(monkeypatch):
