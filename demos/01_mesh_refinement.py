@@ -12,15 +12,17 @@ refinement stays shape regular.
 import numpy as np
 
 from stokes_stab import l_shape, unit_square
+from stokes_stab.mesh import MIN_ANGLE_DEG
 
 # a 4x4 criss-cross grid of the unit square: 2*n*n right isoceles triangles
 mesh = unit_square(4)
 print(f"unit square n=4: {len(mesh.vertices)} vertices, "
       f"{len(mesh.triangles)} triangles, h_max = {mesh.diameters.max():.4f}")
 
-# every mesh carries its own audit: conformity, orientation, tag coverage
+# every mesh carries its own audit: conformity, orientation, tag
+# coverage and a smallest angle of MIN_ANGLE_DEG
 report = mesh.audit()
-print(f"audit passes: {report.ok}")
+print(f"audit passes: {report.ok} (min angle threshold {MIN_ANGLE_DEG} deg)")
 
 # uniform refinement quarters every triangle
 fine = mesh.refine_uniform()
@@ -28,24 +30,11 @@ print(f"uniformly refined: {len(fine.triangles)} triangles, "
       f"h_max = {fine.diameters.max():.4f}")
 
 
-def min_angle(m):
-    # smallest interior angle over all corners, in degrees
-    p = m.vertices[m.triangles]
-    angles = []
-    for i in range(3):
-        a = p[:, (i + 1) % 3] - p[:, i]
-        b = p[:, (i + 2) % 3] - p[:, i]
-        cosv = np.einsum("ec,ec->e", a, b) / (
-            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-        angles.append(np.degrees(np.arccos(np.clip(cosv, -1, 1))))
-    return np.min(angles)
-
-
 # local refinement: mark the triangles touching the re-entrant corner of
 # the L-shape and bisect; the closure keeps the mesh conforming
 mesh = l_shape(4)
 print(f"\nL-shape n=4: {len(mesh.triangles)} triangles, "
-      f"min angle = {min_angle(mesh):.1f} deg")
+      f"min angle = {mesh.min_angle_deg:.1f} deg")
 
 for sweep in range(6):
     at_corner = np.all(np.abs(mesh.vertices[mesh.triangles]) < 1e-12,
@@ -54,7 +43,7 @@ for sweep in range(6):
     mesh = mesh.refine_marked(marked)
     print(f"sweep {sweep}: marked {len(marked):3d} at the corner, "
           f"now {len(mesh.triangles):4d} triangles, "
-          f"min angle = {min_angle(mesh):.1f} deg, "
+          f"min angle = {mesh.min_angle_deg:.1f} deg, "
           f"audit: {mesh.audit().ok}")
 
 # the angle never leaves the initial 45 degrees on this structured start:

@@ -35,7 +35,7 @@ except SolverError as exc:
 # the stabilized run: alpha = 0.1 is the equal-order default
 problem = case.problem(alpha=0.1)
 solution = solve(assemble_system(space, problem))
-norms = functional_norms(space, solution, problem.exact)
+norms, _ = functional_norms(space, solution, problem.exact)
 print("\nalpha = 0.1:")
 print(f"  velocity H1 error  {norms['err_H1_u']:.4e}")
 print(f"  pressure L2 error  {norms['err_L2_p']:.4e}")
@@ -50,6 +50,6 @@ print(f"  gauge multiplier   {solution.multiplier:.2e}")
 space2 = FeSpace(case.make_mesh(8), "P2P1")
 problem2 = case.problem()
 solution2 = solve(assemble_system(space2, problem2))
-norms2 = functional_norms(space2, solution2, problem2.exact)
+norms2, _ = functional_norms(space2, solution2, problem2.exact)
 print(f"\nP2P1, default alpha: combined error "
       f"{combined_error(norms2):.4e}")

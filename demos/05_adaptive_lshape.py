@@ -18,11 +18,11 @@ log = adaptive_study("LSHAPE_PEAK", "P1P1", theta=0.5, max_iters=12)
 
 print("adaptive loop (theta = 0.5):")
 for s in log.steps:
-    cent = s.mesh.vertices[s.mesh.triangles[s.marked]].mean(axis=1) \
+    cent = s.vertices[s.triangles[s.marked]].mean(axis=1) \
         if len(s.marked) else np.empty((0, 2))
     near = float(np.mean(np.hypot(cent[:, 0], cent[:, 1]) <= 0.25)) \
         if len(cent) else 0.0
-    print(f"  iter {s.level:2d}: {s.mesh.n_triangles:5d} triangles, "
+    print(f"  iter {s.level:2d}: {len(s.triangles):5d} triangles, "
           f"{s.n_u + s.n_p:6d} dofs, eta = {s.eta:.4e}, "
           f"marked {len(s.marked):4d} ({near:4.0%} within 0.25 of corner)")
 

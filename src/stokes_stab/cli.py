@@ -152,10 +152,10 @@ def write_table_csv(path, rows):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_vtk(path, mesh, u, p, eta_K, title="stokes-stab output"):
-    """Legacy ASCII unstructured-grid file with the solution fields."""
-    nv = mesh.n_vertices
-    nt = mesh.n_triangles
+def write_vtk(path, vertices, triangles, u, p, eta_K, title):
+    """Legacy ASCII unstructured-grid file with the solution fields on
+    the mesh of (nv, 2) vertices and (nt, 3) triangles."""
+    nv, nt = len(vertices), len(triangles)
 
     def rows(form, values, n):
         # one % over the flat values: %r of a float is its repr
@@ -165,8 +165,8 @@ def write_vtk(path, mesh, u, p, eta_K, title="stokes-stab output"):
     _atomic_write(path, "".join([
         "# vtk DataFile Version 3.0\n", title, "\nASCII\n",
         "DATASET UNSTRUCTURED_GRID\n",
-        f"POINTS {nv} double\n", rows("%r %r 0.0\n", mesh.vertices, nv),
-        f"CELLS {nt} {4 * nt}\n", rows("3 %r %r %r\n", mesh.triangles, nt),
+        f"POINTS {nv} double\n", rows("%r %r 0.0\n", vertices, nv),
+        f"CELLS {nt} {4 * nt}\n", rows("3 %r %r %r\n", triangles, nt),
         f"CELL_TYPES {nt}\n", "5\n" * nt,
         f"POINT_DATA {nv}\n", "VECTORS velocity double\n",
         rows("%r %r 0.0\n", u[:2 * nv], nv),
@@ -206,8 +206,8 @@ def write_outputs(cfg, command, rows, titles, alpha, c_i):
     out.mkdir(parents=True, exist_ok=True)
     write_table_csv(out / "table.csv", rows)
     for row, title in zip(rows, titles):
-        write_vtk(out / f"solution_{row.level}.vtk", row.mesh, row.u, row.p,
-                  row.eta_K, title=title)
+        write_vtk(out / f"solution_{row.level}.vtk", row.vertices,
+                  row.triangles, row.u, row.p, row.eta_K, title)
     write_manifest(out / "manifest.txt", cfg, command, alpha, c_i)
 
 
@@ -243,7 +243,7 @@ def cmd_adaptive_study(cfg):
                   [f"{log.case} {log.pair} iteration {row.level}"
                    for row in log.steps], log.alpha, log.c_i)
     for row in log.steps:
-        print(f"iter {row.level}: {row.mesh.n_triangles} triangles, "
+        print(f"iter {row.level}: {len(row.triangles)} triangles, "
               f"{row.n_u + row.n_p} dofs, eta = {row.eta:.6e}, "
               f"marked {len(row.marked)}")
     return EXIT_OK

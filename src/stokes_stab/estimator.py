@@ -151,8 +151,8 @@ def _projection_misfit(val, w, measure, cells, classes, dv):
     """
     nn = cells.max() + 1
     wval = w[:, None] * val
-    M = forms._scatter_matrix(cells, cells, (wval.T @ val)
-                              * measure[:, None, None], (nn, nn), classes)
+    M = forms._scatter_matrix(cells, (wval.T @ val) * measure[:, None, None],
+                              nn, classes)
     m = measure[classes]
     dh = solver.mass_solve(M, forms.scatter_add(
         cells, (wval.T @ dv) * m[:, None, None], nn))
@@ -209,7 +209,7 @@ def global_report(solution, space, problem):
     true_errors = err2_K = effectivity = None
     if problem.exact is not None:
         true_errors, err2_K = solver.functional_norms(
-            space, solution, problem.exact, elementwise=True)
+            space, solution, problem.exact)
         combined = solver.combined_error(true_errors)
         effectivity = eta / combined if combined > 0 else math.nan
     return ErrorReport(eta_K=eta_K, eta_E=eta_E, osc_K_f=osc_K,

@@ -238,11 +238,10 @@ def _residual_local(space):
     return RRt
 
 
-def _scatter_matrix(rows, cols, table, shape, classes):
-    """CSR sum of element matrices: out[rows[e, i], cols[e, j]] +=
+def _scatter_matrix(rows, table, n, classes):
+    """n x n CSR sum of element matrices: out[rows[e, i], rows[e, j]] +=
     table[classes[e], i, j], table holding one matrix per class, without
-    the element rows where rows[e, i] < 0 and the entries where
-    cols[e, j] < 0.
+    the rows and columns where rows[e, i] < 0.
 
     out is the one sparse product P @ L of the 0/1 map P from the kept
     element rows (e, i) to the rows of out with the matrix L whose rows
@@ -251,31 +250,36 @@ def _scatter_matrix(rows, cols, table, shape, classes):
     does, whatever else its row holds. (COO to CSR conversion sums
     duplicates in an order that depends on the whole row.) A dropped
     entry adds an exact zero to column 0. Entries that sum to exactly
-    zero are not stored. L's columns are int32 where they fit, so L
-    costs 12 bytes per element-matrix entry beside out.
+    zero are not stored, and out's arrays hold its stored entries only.
+    L's columns are int32 where they fit, so L costs 12 bytes per
+    element-matrix entry beside out.
     """
-    m, b = rows.size, cols.shape[1]
-    itype = np.int32 if max(shape[0], shape[1], m * b) < 2 ** 31 \
-        else np.int64
+    m, b = rows.size, rows.shape[1]
+    itype = np.int32 if max(n, m * b) < 2 ** 31 else np.int64
     kept = np.ravel(rows) >= 0
     ptr = np.zeros(m + 1, dtype=itype)
     np.cumsum(kept, out=ptr[1:])
     P = sp.csc_matrix((np.ones(ptr[-1]),
                        np.ravel(rows)[kept].astype(itype, copy=False), ptr),
-                      shape=(shape[0], m)).tocsr()
+                      shape=(n, m)).tocsr()
     # only P and L stay alive through the product
     del kept, ptr
     vals = np.take(np.asarray(table, dtype=float), classes, axis=0)
-    cols = cols.astype(itype)
+    cols = rows.astype(itype)
     e, j = np.nonzero(cols < 0)
     cols[e, j] = 0
     vals[e, :, j] = 0.0
     L = sp.csr_matrix((vals.reshape(-1),
                        np.broadcast_to(cols[:, None], vals.shape).reshape(-1),
                        np.arange(0, m * b + 1, b, dtype=itype)),
-                      shape=(m, shape[1]))
+                      shape=(m, n))
     del vals, cols
     out = P @ L
+    del P, L
+    if out.data.base is not None and out.data.base.size > out.nnz:
+        # the product's buffers are sized by its structural entries,
+        # of which those summing to exactly zero are not stored
+        out.data, out.indices = out.data.copy(), out.indices.copy()
     out.sort_indices()
     return out
 
@@ -372,8 +376,8 @@ def pressure_mass(space):
     mesh = space.mesh
     loc = np.einsum("q,ql,qm->lm", rule.weights, val, val) \
         * (2.0 * mesh.areas[mesh.shape_representatives])[:, None, None]
-    return _scatter_matrix(mesh.triangles, mesh.triangles, loc,
-                           (space.n_p, space.n_p), mesh.shape_classes)
+    return _scatter_matrix(mesh.triangles, loc, space.n_p,
+                           mesh.shape_classes)
 
 
 # ----------------------------------------------------------------------
@@ -483,8 +487,7 @@ class AssembledSystem:
         exact also where an element matrix is symmetric only up to
         rounding (the P2 strain kernel)."""
         n = len(self.rhs)
-        t = _scatter_matrix(self.element_rows, self.element_rows,
-                            self.table, (n, n), self.classes)
+        t = _scatter_matrix(self.element_rows, self.table, n, self.classes)
         return sp.csc_matrix((t.data, t.indices, t.indptr), shape=(n, n))
 
     def product(self, x):
@@ -501,8 +504,7 @@ class AssembledSystem:
         for c, (a, z) in enumerate(zip(bounds[:-1], bounds[1:])):
             xe[a:z] = xe[a:z] @ self.table[c]
         rows = np.where(rows < 0, len(x), rows)
-        return np.bincount(rows.ravel(), xe.ravel(),
-                           minlength=len(x) + 1)[:-1]
+        return scatter_add(rows, xe, len(x) + 1)[:-1]
 
 
 def pressure_scale_of(mesh):

@@ -27,6 +27,9 @@ REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # candidate (edge, vertex) or (vertex, vertex) pairs the audit holds at once
 _PAIR_BUDGET = 1 << 16
 
+# smallest interior angle, in degrees, that TriMesh.audit passes
+MIN_ANGLE_DEG = 10.0
+
 
 class MeshError(Exception):
     """Invalid mesh data or an operation that would produce one."""
@@ -268,14 +271,6 @@ class TriMesh:
                            out=np.ones_like(ab), where=ab != 0.0)
         return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).min())
 
-    def drop_derived(self):
-        """Forget the cached geometry arrays (corner_coords, jacobians,
-        inv_jacobians_t and the other cached properties); each is
-        computed again if read."""
-        for name, attr in vars(TriMesh).items():
-            if isinstance(attr, cached_property):
-                self.__dict__.pop(name, None)
-
     def boundary_tag_dict(self):
         """Boundary tags as {(i, j): "D"|"N"} with i < j."""
         tagged = self.edge_tags != INTERIOR
@@ -394,12 +389,12 @@ class TriMesh:
     # ------------------------------------------------------------------
     # audit
 
-    def audit(self, min_angle_deg=10.0):
+    def audit(self):
         """Run structural checks and return an AuditReport.
 
         Checks orientation, conformity (shared edges, hanging nodes,
-        duplicate and unused vertices), boundary tag coverage, and a
-        minimum-angle threshold. Runs on meshes built with
+        duplicate and unused vertices), boundary tag coverage, and the
+        minimum angle against MIN_ANGLE_DEG. Runs on meshes built with
         validate=False, so broken inputs are reported instead of
         rejected. The geometric checks run on unit_vertices, so a mesh
         gets the same report at every scale: no product of coordinates
@@ -445,9 +440,9 @@ class TriMesh:
 
         ang = self.min_angle_deg
         checks["min_angle"] = (
-            ang >= min_angle_deg,
-            [] if ang >= min_angle_deg else
-            [f"min angle {ang:.3f} deg below threshold {min_angle_deg}"])
+            ang >= MIN_ANGLE_DEG,
+            [] if ang >= MIN_ANGLE_DEG else
+            [f"min angle {ang:.3f} deg below threshold {MIN_ANGLE_DEG}"])
         return AuditReport(checks)
 
     @staticmethod
@@ -885,36 +880,31 @@ def unit_square(n, boundary=None):
                       np.ones((n, n), dtype=bool), tag_of)
 
 
-def l_shape(n, boundary=None):
-    """Structured mesh of [-1,1]^2 minus the open quadrant (0,1]x(0,1].
+def l_shape(n):
+    """Structured mesh of [-1,1]^2 minus the open quadrant (0,1]x(0,1],
+    its whole boundary Dirichlet.
 
     n cells per axis direction of the full square, n even so the
-    reentrant corner at the origin is a mesh vertex. All boundary parts
-    are Dirichlet unless boundary is a callable mapping an edge
-    midpoint (x, y) to "D" or "N".
+    reentrant corner at the origin is a mesh vertex.
     """
     if n < 2 or n % 2:
         raise MeshError(f"l_shape needs even n >= 2, got {n}")
-    if boundary is not None and not callable(boundary):
-        raise MeshError("l_shape boundary must be None or a callable")
-
-    def tag_of(x, y):
-        tag = "D" if boundary is None else boundary(x, y)
-        if tag not in ("D", "N"):
-            raise MeshError(f"boundary callable returned {tag!r}")
-        return tag
-
     xs = np.linspace(-1.0, 1.0, n + 1)
     # cells whose center has x > 0 and y > 0 are cut out
     positive = 0.5 * (xs[:-1] + xs[1:]) > 0.0
-    return _grid_mesh(xs, ~np.logical_and.outer(positive, positive), tag_of)
+    return _grid_mesh(xs, ~np.logical_and.outer(positive, positive),
+                      lambda x, y: "D")
 
 
 def generate_structured(domain, n, boundary=None):
-    """Build a structured mesh of a named domain ("unit_square", "l_shape")."""
+    """Build a structured mesh of a named domain ("unit_square", "l_shape").
+
+    boundary is unit_square's side->tag dict; the L-shape takes none."""
     if domain == "unit_square":
         return unit_square(n, boundary)
     if domain == "l_shape":
-        return l_shape(n, boundary)
+        if boundary is not None:
+            raise MeshError("l_shape is all Dirichlet and takes no boundary")
+        return l_shape(n)
     raise MeshError(f"unknown domain {domain!r}; "
                     "expected unit_square or l_shape")

@@ -34,25 +34,27 @@ class SolverError(Exception):
 
 
 try:
-    _fflush = ctypes.CDLL(None).fflush
-    _fflush.argtypes = [ctypes.c_void_p]
-    _fflush.restype = ctypes.c_int
-except (OSError, TypeError, AttributeError):
-    _fflush = None
+    _libc = ctypes.CDLL(None)
+except (OSError, TypeError):
+    _libc = None
+
+
+def _libc_function(name, argtype):
+    """The C library's int name(argtype), None where it has none."""
+    fn = getattr(_libc, name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = [argtype], ctypes.c_int
+    return fn
+
+
+_fflush = _libc_function("fflush", ctypes.c_void_p)
+_malloc_trim = _libc_function("malloc_trim", ctypes.c_size_t)   # glibc's
 
 
 def _flush_c_stdio():
     """fflush(NULL): write out every C stdio buffer to its descriptor."""
     if _fflush is not None:
         _fflush(None)
-
-
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-    _malloc_trim.restype = ctypes.c_int
-except (OSError, TypeError, AttributeError):
-    _malloc_trim = None   # not glibc
 
 
 def _release_free_heap():
@@ -666,13 +668,14 @@ def solve(system):
     )
 
 
-def functional_norms(space, solution, exact, elementwise=False):
+def functional_norms(space, solution, exact):
     """Errors of a discrete solution against closed-form fields.
 
-    Returns a dict with err_L2_u, err_H1_u (full norm), err_D_u
-    (symmetric-gradient seminorm) and err_L2_p. With elementwise, it
-    also returns the (ne, 2) squared strain and pressure errors of each
-    element, ||D(u - u_h)||_K^2 and ||p - p_h||_K^2, as a second value.
+    Returns (norms, err2_K): a dict with err_L2_u, err_H1_u (full
+    norm), err_D_u (symmetric-gradient seminorm) and err_L2_p, and the
+    (ne, 2) squared strain and pressure errors of each element,
+    ||D(u - u_h)||_K^2 and ||p - p_h||_K^2, whose columns sum to
+    err_D_u^2 and err_L2_p^2.
 
     Each exact field is evaluated here once, at the error rule's points
     that forms.rule_values keeps, and its values are dropped once read.
@@ -730,9 +733,7 @@ def functional_norms(space, solution, exact, elementwise=False):
         "err_D_u": float(np.sqrt(strain.sum())),
         "err_L2_p": float(np.sqrt(pressure.sum())),
     }
-    if elementwise:
-        return norms, np.column_stack([strain, pressure])
-    return norms
+    return norms, np.column_stack([strain, pressure])
 
 
 def combined_error(norms):

@@ -226,7 +226,7 @@ def get_case(name):
 
 @dataclass
 class LevelRow:
-    """One table row, with the level's mesh and fields for output.
+    """One table row, with the level's mesh arrays and fields for output.
 
     The error columns and effectivity are NaN for estimator-only cases.
     marked is the element set Dorfler marking picked on an adaptive
@@ -242,7 +242,8 @@ class LevelRow:
     eta: float
     osc_f: float
     effectivity: float
-    mesh: object = field(default=None, repr=False, compare=False)
+    vertices: np.ndarray = field(default=None, repr=False, compare=False)
+    triangles: np.ndarray = field(default=None, repr=False, compare=False)
     u: np.ndarray = field(default=None, repr=False, compare=False)
     p: np.ndarray = field(default=None, repr=False, compare=False)
     eta_K: np.ndarray = field(default=None, repr=False, compare=False)
@@ -277,7 +278,8 @@ def level_row(level, space, solution, report):
         level=level, h=float(space.mesh.diameters.max()),
         n_u=space.n_u, n_p=space.n_p,
         err_H1_u=e1, err_L2_p=e0, eta=report.eta, osc_f=report.osc_f,
-        effectivity=eff, mesh=space.mesh, u=solution.u, p=solution.p,
+        effectivity=eff, vertices=space.mesh.vertices,
+        triangles=space.mesh.triangles, u=solution.u, p=solution.p,
         eta_K=report.eta_K)
 
 
@@ -424,7 +426,8 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
 
     Stops when eta falls below target_eta or after max_iters
     iterations. The last step's marked set is the one that would be
-    refined next; the mesh of step k+1 is step k's mesh refined.
+    refined next; the mesh of step k+1 is step k's mesh refined. A
+    finished mesh is freed once the next one is built.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
@@ -439,15 +442,11 @@ def adaptive_study(case, pair, theta=0.5, max_iters=10, target_eta=None,
     for it in range(max_iters):
         sol, rep = _solve_level(space, problem, f"iteration {it}")
         log.c_i = space.c_i
-        mesh = space.mesh
         row = level_row(it, space, sol, rep)
-        row.marked = dorfler_mark(mesh, rep.eta_K, rep.eta_E, theta)
+        row.marked = dorfler_mark(space.mesh, rep.eta_K, rep.eta_E, theta)
         log.steps.append(row)
         if target_eta is not None and rep.eta <= target_eta:
             break
         if it + 1 < max_iters:
-            space = FeSpace(mesh.refine_marked(row.marked), space.pair)
-            # the row keeps the finished mesh for its vertices and
-            # triangles alone
-            mesh.drop_derived()
+            space = FeSpace(space.mesh.refine_marked(row.marked), space.pair)
     return log

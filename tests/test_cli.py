@@ -190,8 +190,8 @@ def test_uniform_study_vtk_matches_direct_solve(tmp_path):
     problem = case.problem(alpha=float(manifest["alpha"]))
     sol = solver.solve(forms.assemble_system(space, problem))
     rep = estimator.global_report(sol, space, problem)
-    cli.write_vtk(tmp_path / "direct.vtk", mesh, sol.u, sol.p, rep.eta_K,
-                  title="NEUMANN_STRIP P2P1 level 1")
+    cli.write_vtk(tmp_path / "direct.vtk", mesh.vertices, mesh.triangles,
+                  sol.u, sol.p, rep.eta_K, "NEUMANN_STRIP P2P1 level 1")
     assert ((out / "solution_1.vtk").read_bytes()
             == (tmp_path / "direct.vtk").read_bytes())
 
@@ -260,15 +260,15 @@ def test_vtk_structure(tmp_path):
         assert len(row.split()) == 3
 
 
-def _write_vtk_by_line(path, mesh, u, p, eta_K, title):
+def _write_vtk_by_line(path, vertices, triangles, u, p, eta_K, title):
     """write_vtk as it was: one generator and join per line."""
-    nv, nt = mesh.n_vertices, mesh.n_triangles
+    nv, nt = len(vertices), len(triangles)
     out = [
         "# vtk DataFile Version 3.0", title, "ASCII",
         "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double",
-        *(" ".join(map(repr, xy)) + " 0.0" for xy in mesh.vertices.tolist()),
+        *(" ".join(map(repr, xy)) + " 0.0" for xy in vertices.tolist()),
         f"CELLS {nt} {4 * nt}",
-        *("3 " + " ".join(map(repr, t)) for t in mesh.triangles.tolist()),
+        *("3 " + " ".join(map(repr, t)) for t in triangles.tolist()),
         f"CELL_TYPES {nt}", *["5"] * nt,
         f"POINT_DATA {nv}", "VECTORS velocity double",
         *(" ".join(map(repr, v)) + " 0.0"
@@ -291,11 +291,11 @@ def test_vtk_matches_the_line_by_line_writer(tmp_path):
         # the solution vectors hold more than the vertex values
         return np.concatenate([odd, rng.normal(size=n)])
 
-    args = (mesh, field(2 * mesh.n_vertices + 5), field(mesh.n_vertices),
-            field(mesh.n_triangles)[::-1].copy())
-    title = "100% %s %r %(x)s title"
-    cli.write_vtk(tmp_path / "new.vtk", *args, title=title)
-    _write_vtk_by_line(tmp_path / "old.vtk", *args, title=title)
+    args = (mesh.vertices, mesh.triangles, field(2 * mesh.n_vertices + 5),
+            field(mesh.n_vertices), field(mesh.n_triangles)[::-1].copy(),
+            "100% %s %r %(x)s title")
+    cli.write_vtk(tmp_path / "new.vtk", *args)
+    _write_vtk_by_line(tmp_path / "old.vtk", *args)
     new = (tmp_path / "new.vtk").read_bytes()
     assert new == (tmp_path / "old.vtk").read_bytes()
     for text in (b"nan", b"inf", b"-inf", b"-0.0", b"1e+16", b"1e-05",

@@ -287,9 +287,9 @@ def test_every_scatter_reads_a_class_table(pair, monkeypatch):
     problem = get_case("NEUMANN_STRIP").problem()
     real, calls = forms._scatter_matrix, []
 
-    def spy(rows, cols, table, shape, classes):
+    def spy(rows, table, n, classes):
         calls.append((len(rows), len(table), classes))
-        return real(rows, cols, table, shape, classes)
+        return real(rows, table, n, classes)
 
     monkeypatch.setattr(forms, "_scatter_matrix", spy)
     forms.pressure_mass(space)
@@ -360,8 +360,7 @@ def test_p1_stabilization_uses_the_pressure_rows_alone():
     assert np.array_equal(space.residual_dofs, dofs[:, 6:])
     loc = np.einsum("eir,ejr->eij", full, full) \
         * (mesh.areas * mesh.diameters ** 2)[:, None, None]
-    S_old = forms._scatter_matrix(dofs, dofs, loc,
-                                  (space.n_dofs, space.n_dofs),
+    S_old = forms._scatter_matrix(dofs, loc, space.n_dofs,
                                   np.arange(len(dofs)))
     S = assemble_Sh(space)
     assert np.array_equal(S.indptr, S_old.indptr)
@@ -391,11 +390,11 @@ def test_inverse_pencils_are_the_assembled_element_matrices(case, pair):
     M_A, M_D = forms.inverse_inequality_pencils(space)
     assert len(M_A) == len(M_D) == len(mesh.shape_representatives)
     vd = space.element_dofs[:, :2 * space.n_basis]
-    shape, cls = (space.n_u, space.n_u), mesh.shape_classes
+    n, cls = space.n_u, mesh.shape_classes
     A_uu, _ = assemble_B(space)
-    S_uu = assemble_Sh(space)[:space.n_u, :space.n_u]
-    assert (forms._scatter_matrix(vd, vd, M_D, shape, cls) - A_uu).nnz == 0
-    assert (forms._scatter_matrix(vd, vd, M_A, shape, cls) - S_uu).nnz == 0
+    S_uu = assemble_Sh(space)[:n, :n]
+    assert (forms._scatter_matrix(vd, M_D, n, cls) - A_uu).nnz == 0
+    assert (forms._scatter_matrix(vd, M_A, n, cls) - S_uu).nnz == 0
 
 
 @pytest.mark.parametrize("pair", [P1P1, P2P1])

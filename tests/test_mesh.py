@@ -3,7 +3,6 @@ import math
 import re
 import time
 import warnings
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,16 @@ from stokes_stab.study import get_case
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
+
+
+def _l_shape_tagged(n, tag_of):
+    """l_shape(n) with each boundary edge tagged tag_of(x, y) at its
+    midpoint."""
+    m = l_shape(n)
+    v = m.vertices
+    tags = {(i, j): tag_of(*(0.5 * (v[i] + v[j])))
+            for i, j in m.boundary_tag_dict()}
+    return TriMesh(v, m.triangles, tags)
 
 
 def dirichlet_segments(mesh):
@@ -101,10 +110,10 @@ def test_construction_rejects_bad_input():
     (lambda: unit_square(2, "N"), "boundary must be None or a side->tag dict"),
     (lambda: unit_square(2, {"left": "X"}),
      "boundary tags must be D or N, got ['X']"),
-    (lambda: l_shape(2, "N"), "l_shape boundary must be None or a callable"),
-    (lambda: l_shape(2, lambda x, y: "X"), "boundary callable returned 'X'"),
+    (lambda: generate_structured("l_shape", 2, {"right": "N"}),
+     "l_shape is all Dirichlet and takes no boundary"),
 ], ids=["vertices-shape", "triangles-shape", "square-not-dict",
-        "square-tag", "lshape-not-callable", "lshape-tag"])
+        "square-tag", "lshape-boundary"])
 def test_constructors_name_bad_arguments(build, message):
     with pytest.raises(MeshError) as err:
         build()
@@ -155,17 +164,6 @@ def test_element_geometry():
     c = m.corner_coords[0]
     x = c[0] + J @ np.array([1.0, 0.0])
     assert np.allclose(x, c[1])
-
-
-def test_drop_derived_recomputes_the_same_geometry():
-    m = unit_square(3).refine_marked([0, 4])
-    names = [name for name, attr in vars(TriMesh).items()
-             if isinstance(attr, cached_property)]
-    before = {name: getattr(m, name) for name in names}
-    m.drop_derived()
-    assert not set(names) & set(vars(m))
-    for name in names:
-        assert np.array_equal(getattr(m, name), before[name])
 
 
 def test_shape_classes_key_the_bytes_of_jacobian_and_diameter():
@@ -233,7 +231,7 @@ def test_refine_marked_closure_terminates_and_conforms():
     for _ in range(10):
         marked = rng.random(m.n_triangles) < 0.35
         m = m.refine_marked(marked)
-        assert m.audit(min_angle_deg=20.0).ok
+        assert m.audit().ok and m.min_angle_deg >= 20.0
     assert np.isclose(m.areas.sum(), 1.0)
     # right isoceles bisection preserves the shape class exactly
     assert m.min_angle_deg > 44.9
@@ -299,7 +297,7 @@ def test_boundary_tags_inherited():
 
 
 def test_dirichlet_trace_preserved():
-    m = l_shape(2, boundary=lambda x, y: "N" if np.isclose(x, 1.0) else "D")
+    m = _l_shape_tagged(2, lambda x, y: "N" if np.isclose(x, 1.0) else "D")
     r = m.refine_uniform().refine_marked([1, 2, 8])
     seg0 = dirichlet_segments(m)
     seg1 = dirichlet_segments(r)
@@ -632,8 +630,9 @@ def test_hanging_nodes_in_slices_of_one_column(monkeypatch):
 def test_audit_reports_min_angle():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.01]])
     m = TriMesh(v, [[0, 1, 2]], {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
-    rep = m.audit(min_angle_deg=10.0)
-    assert not rep.checks["min_angle"][0]
+    rep = m.audit()
+    assert rep.checks["min_angle"] == (False, [
+        f"min angle {m.min_angle_deg:.3f} deg below threshold 10.0"])
     assert "FAIL" in str(rep)
 
 
@@ -678,7 +677,7 @@ def test_audit_passes_on_generated_meshes():
     m = l_shape(2)
     for _ in range(6):
         m = m.refine_marked(rng.random(m.n_triangles) < 0.4)
-    assert m.audit(min_angle_deg=20.0).ok
+    assert m.audit().ok and m.min_angle_deg >= 20.0
 
 
 def test_file_roundtrip(tmp_path):
@@ -942,7 +941,7 @@ def _reference_mesh(name):
     loop, so they fix the child order."""
     if name == "lshape_neumann":
         rng = np.random.default_rng(11)
-        m = l_shape(4, _lshape_traction)
+        m = _l_shape_tagged(4, _lshape_traction)
         for k in range(6):
             m = m.refine_marked(rng.random(m.n_triangles) < 0.3)
             if k == 2:

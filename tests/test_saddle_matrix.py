@@ -175,41 +175,53 @@ def test_scatter_keeps_the_whole_mesh_bits(pair, case, make_mesh):
 
 
 def test_scatter_matrix_is_the_exact_sum_and_keeps_its_indices():
-    # element matrices that are not symmetric and not square, read from
-    # a class table: out is their sum, row by row, without the dropped
-    # element rows (row -1) and entries (column -1), and equals the
-    # whole-mesh product bit for bit
+    # element matrices that are not symmetric, read from a class table:
+    # out is their sum, row by row, without the rows and columns of the
+    # dropped dofs (-1), and equals the whole-mesh product bit for bit
     rng = np.random.default_rng(5)
     rows = np.array([rng.permutation(9)[:4] for _ in range(30)],
                     dtype=np.int32)
-    cols = np.array([rng.permutation(7)[:3] for _ in range(30)],
-                    dtype=np.int64)
     rows[rng.random(rows.shape) < 0.1] = -1
-    cols[rng.random(cols.shape) < 0.1] = -1
-    kept = rows.copy(), cols.copy()
-    table = rng.standard_normal((5, 4, 3))
+    kept = rows.copy()
+    table = rng.standard_normal((5, 4, 4))
     classes = rng.integers(0, 5, 30)
-    out = forms._scatter_matrix(rows, cols, table, (9, 7), classes)
-    assert np.array_equal(rows, kept[0]) and np.array_equal(cols, kept[1])
-    vals = table[classes] * (rows >= 0)[:, :, None] * (cols >= 0)[:, None]
-    dense = np.zeros((9, 7))
-    for r, c, v in zip(rows, cols, vals):
+    out = forms._scatter_matrix(rows, table, 9, classes)
+    assert np.array_equal(rows, kept)
+    vals = table[classes] * (rows >= 0)[:, :, None] * (rows >= 0)[:, None]
+    dense = np.zeros((9, 9))
+    for r, v in zip(rows, vals):
         for i in range(4):
-            for j in range(3):
-                if r[i] >= 0 and c[j] >= 0:
-                    dense[r[i], c[j]] += v[i, j]
+            for j in range(4):
+                if r[i] >= 0 and r[j] >= 0:
+                    dense[r[i], r[j]] += v[i, j]
     assert out.format == "csr" and out.has_sorted_indices
     assert np.abs(out.toarray() - dense).max() <= 1e-14
-    ref = whole_mesh_scatter(np.maximum(rows, 0), np.maximum(cols, 0),
-                             vals, (9, 7))
+    ref = whole_mesh_scatter(np.maximum(rows, 0), np.maximum(rows, 0),
+                             vals, (9, 9))
     for name in ("data", "indices", "indptr"):
         assert _same_bits(getattr(out, name), getattr(ref, name)), name
     # and the same sum read from a table of one matrix per element,
     # each element its own class
-    again = forms._scatter_matrix(rows, cols, table[classes], (9, 7),
+    again = forms._scatter_matrix(rows, table[classes], 9,
                                   np.arange(len(rows)))
     for name in ("data", "indices", "indptr"):
         assert _same_bits(getattr(again, name), getattr(out, name)), name
+
+
+@pytest.mark.parametrize("pair", [P1P1, P2P1], ids=["P1P1", "P2P1"])
+def test_matrix_buffers_hold_the_stored_entries_only(pair):
+    # entries that sum to exactly zero (the P1 strain couplings across
+    # the uniform mesh's diagonals, among others) are not stored, and
+    # K's data and indices buffers are no longer than its stored entries
+    def buffer(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    case = get_case("SMOOTH_SQUARE")
+    space = FeSpace(case.make_mesh(32), pair)
+    K = assemble_system(space, case.problem()).matrix
+    assert buffer(K.data).size == buffer(K.indices).size == K.nnz
 
 
 @pytest.mark.parametrize("pair,n", [(P1P1, 32), (P2P1, 32), (P2P1, 64)],
@@ -274,9 +286,9 @@ def test_splu_gets_the_assembled_matrix(monkeypatch):
     seen, scatters = [], []
     real_scatter, real_splu = forms._scatter_matrix, solver.splu
 
-    def scatter_spy(rows, cols, table, shape, classes):
-        scatters.append(shape)
-        return real_scatter(rows, cols, table, shape, classes)
+    def scatter_spy(rows, table, n, classes):
+        scatters.append(n)
+        return real_scatter(rows, table, n, classes)
 
     def splu_spy(K, **options):
         seen.append(K)
@@ -290,7 +302,7 @@ def test_splu_gets_the_assembled_matrix(monkeypatch):
                         lambda a: (a, np.zeros(len(a), np.int32), 1))
     assert solver.solve(system).diagnostics["ordering"] == "colamd"
     n = len(system.rhs)
-    assert scatters == [(n, n)] and len(seen) == 1
+    assert scatters == [n] and len(seen) == 1
     K = seen[0]
     assert K.format == "csc" and K is system.matrix
     ref = saddle_matrix(space, system.alpha, system.bordered)

@@ -72,7 +72,7 @@ def test_exact_in_space_solutions_reproduced(pair, problem_fn):
     space = FeSpace(unit_square(4), pair)
     system = assemble_system(space, problem)
     sol = solver.solve(system)
-    norms = solver.functional_norms(space, sol, problem.exact)
+    norms, _ = solver.functional_norms(space, sol, problem.exact)
     assert solver.combined_error(norms) < 1e-8
     assert sol.residual < 1e-9
 
@@ -110,7 +110,7 @@ def test_neumann_run_has_no_multiplier():
     problem = StokesProblem(f=problem.f, t=t, exact=problem.exact)
     sol = solver.solve(assemble_system(space, problem))
     assert sol.multiplier is None
-    norms = solver.functional_norms(space, sol, problem.exact)
+    norms, _ = solver.functional_norms(space, sol, problem.exact)
     assert solver.combined_error(norms) < 1e-8
 
 
@@ -273,11 +273,31 @@ def test_norms_of_interpolation_error_positive():
     space = FeSpace(unit_square(4), P1P1)
     problem = _quadratic_case()
     sol = solver.solve(assemble_system(space, problem))
-    norms = solver.functional_norms(space, sol, problem.exact)
+    norms, _ = solver.functional_norms(space, sol, problem.exact)
     for key in ("err_L2_u", "err_H1_u", "err_D_u", "err_L2_p"):
         assert norms[key] >= 0.0
     # quadratic velocity is outside P1, so the error cannot vanish
     assert norms["err_H1_u"] > 1e-3
+
+
+@pytest.mark.parametrize("case,pair", [("SMOOTH_SQUARE", P1P1),
+                                       ("NEUMANN_STRIP", P2P1)],
+                         ids=["P1P1", "P2P1"])
+def test_norms_are_the_sums_of_the_element_errors(case, pair):
+    # the one output of the error norms: the squared strain and pressure
+    # errors of each element, whose columns sum to err_D_u^2 and
+    # err_L2_p^2
+    from stokes_stab.study import get_case
+    case = get_case(case)
+    space = FeSpace(case.make_mesh(8), pair)
+    problem = case.problem()
+    sol = solver.solve(assemble_system(space, problem))
+    norms, err2_K = solver.functional_norms(space, sol, problem.exact)
+    assert err2_K.shape == (space.mesh.n_triangles, 2)
+    assert np.all(err2_K > 0.0)
+    for column, name in enumerate(("err_D_u", "err_L2_p")):
+        assert np.isclose(err2_K[:, column].sum(), norms[name] ** 2,
+                          rtol=1e-13, atol=0), name
 
 
 @pytest.mark.parametrize("pair,bound", [(P1P1, 2.0), (P2P1, 2.75)],
@@ -372,9 +392,14 @@ def _sweep_systems():
 
 @pytest.fixture(scope="module")
 def graded_lshape_mesh():
+    # the last mesh of an adaptive loop, built again from the arrays
+    # its row keeps: the L-shape's boundary is all Dirichlet
     from stokes_stab.study import adaptive_study
     log = adaptive_study("LSHAPE_PEAK", "P1P1", theta=0.5, max_iters=8)
-    return log.steps[-1].mesh
+    v, t = log.steps[-1].vertices, log.steps[-1].triangles
+    bare = TriMesh(v, t, {}, validate=False)
+    boundary = bare.edges[bare.edge_counts == 1].tolist()
+    return TriMesh(v, t, dict.fromkeys(map(tuple, boundary), "D"))
 
 
 def _check_fast_path(system):

@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-from functools import cached_property
+import weakref
 
 import numpy as np
 import pytest
@@ -309,7 +309,7 @@ def test_adaptive_study_monotone_and_stopping():
     assert increases <= 1
     assert etas[-1] < etas[0]
     assert all(b >= a for a, b in zip(log.dofs, log.dofs[1:]))
-    nts = [s.mesh.n_triangles for s in log.steps]
+    nts = [len(s.triangles) for s in log.steps]
     assert all(b > a for a, b in zip(nts, nts[1:]))
 
     # target_eta cuts the loop short
@@ -320,15 +320,34 @@ def test_adaptive_study_monotone_and_stopping():
     assert log2.etas[-1] <= target
 
 
-def test_adaptive_steps_keep_no_derived_geometry():
-    # each finished iteration's mesh drops its cached geometry once the
-    # next mesh is built; the last keeps what its level computed
-    log = adaptive_study("LSHAPE_PEAK", "P1P1", theta=0.5, max_iters=3)
-    cached = {name for name, attr in vars(TriMesh).items()
-              if isinstance(attr, cached_property)}
-    for step in log.steps[:-1]:
-        assert not cached & set(vars(step.mesh))
-    assert "jacobians" in vars(log.steps[-1].mesh)
+def _rows_keep_mesh_arrays_alone(monkeypatch, run):
+    # each row keeps its mesh's vertices and triangles alone, and no
+    # finished mesh lives on into the next level's solve
+    meshes, real = [], study._solve_level
+
+    def solve_level(space, problem, where):
+        assert all(ref() is None for ref, _, _ in meshes)
+        mesh = space.mesh
+        meshes.append((weakref.ref(mesh), mesh.vertices, mesh.triangles))
+        return real(space, problem, where)
+
+    monkeypatch.setattr(study, "_solve_level", solve_level)
+    rows = run()
+    assert len(meshes) == len(rows) == 3
+    for row, (_, vertices, triangles) in zip(rows, meshes):
+        assert row.vertices is vertices and row.triangles is triangles
+        assert not any(isinstance(value, TriMesh)
+                       for value in vars(row).values())
+
+
+def test_adaptive_steps_keep_no_derived_geometry(monkeypatch):
+    _rows_keep_mesh_arrays_alone(monkeypatch, lambda: adaptive_study(
+        "LSHAPE_PEAK", "P1P1", theta=0.5, max_iters=3).steps)
+
+
+def test_uniform_rows_keep_no_mesh(monkeypatch):
+    _rows_keep_mesh_arrays_alone(monkeypatch, lambda: uniform_study(
+        "SMOOTH_SQUARE", "P1P1", levels=3, n0=2).rows)
 
 
 def test_adaptive_study_validates_arguments():

@@ -24,7 +24,8 @@ its exit code in OUT/NAME/exit.txt. Two trees are then compared with
     python tools/compare_outputs.py OUT_A OUT_B
 
 Exits 0 when every command exits with its expected code (EXIT, else
-0), 1 otherwise.
+0) and writes no stray text to its standard error: none when it exits
+0, at most its one-line message when it fails. Exits 1 otherwise.
 """
 
 import sys
@@ -97,9 +98,13 @@ def main(argv=None):
             code = cli.main([*args, "--out", str(where)])
         (where / "exit.txt").write_text(f"{code}\n")
         expected = EXIT.get(name, cli.EXIT_OK)
+        err = (where / "stderr.txt").read_text()
+        stray = err != "" if code == cli.EXIT_OK \
+            else len(err.splitlines()) > 1
         print(f"{name}: exit {code}"
-              + ("" if code == expected else f", expected {expected}"))
-        failed += code != expected
+              + ("" if code == expected else f", expected {expected}")
+              + (", stray standard error" if stray else ""))
+        failed += code != expected or stray
     return 1 if failed else 0
 
 
